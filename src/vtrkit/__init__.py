@@ -60,7 +60,6 @@ from .scoring import (
     rank_comparison,
     size_class,
     structure_ratings,
-    weight_of,
 )
 from .synth import DisciplineSpec, SynthConfig, generate_exercise, load_synth_config
 

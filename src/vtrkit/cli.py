@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: ingest, validate, profile, breakdown, rank, compare-ranks,
-concordance, probability, synth, report.  Exit codes: 0 success, 1 validation
-or pipeline errors, 2 usage errors.  Every failure prints a machine-readable
-JSON error record to stderr.
+concordance, probability, synth, report.  Exit codes: 0 success, 1 validation,
+pipeline or internal errors, 2 usage errors.  Every failure prints a
+machine-readable JSON error record to stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .synth import SynthConfig, generate_exercise, load_synth_config
 
 VARIABLE_BY_FLAG = {"cites": "citations", "if": "journal_if"}
 METRIC_BY_FLAG = {"peer": "peer_all", "peer-tr": "peer_tr", "cites": "cites", "if": "impact"}
+REPORT_RENDERERS = {"md": rpt.render_report_md, "csv": rpt.render_report_csv, "json": rpt.render_report_json}
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -54,19 +55,18 @@ def _report_to_stderr(report: ValidationReport) -> None:
 
 
 def _render_validation(report: ValidationReport, fmt: str) -> str:
-    if fmt == "json":
-        return rpt.json_text(report.as_dict())
-    headers = ["kind", "row", "rule", "message"]
-    rows = [["error", i.row, i.rule, i.message] for i in report.errors]
-    rows += [["warning", i.row, i.rule, i.message] for i in report.warnings]
-    if fmt == "csv":
-        return rpt.csv_text(headers, rows)
-    lines = [f"accepted products: {report.accepted_count}\n"]
-    if rows:
-        lines.append(rpt.md_table(headers, [[str(c) for c in r] for r in rows]))
-    else:
-        lines.append("no issues\n")
-    return "".join(lines)
+    issues = [("error", i) for i in report.errors] + [("warning", i) for i in report.warnings]
+    text = rpt.render(rpt.ISSUES, issues, fmt, payload=report)
+    if fmt != "md":
+        return text
+    return f"accepted products: {report.accepted_count}\n" + (text if issues else "no issues\n")
+
+
+def _discipline_products(dataset, discipline: str):
+    products = dataset.products_in(discipline)
+    if not products:
+        raise PipelineError("empty_discipline", f"no products for discipline {discipline!r}")
+    return products
 
 
 def cmd_ingest(args) -> int:
@@ -95,26 +95,14 @@ def cmd_profile(args) -> int:
     dataset = _load_dataset(args.dataset)
     disciplines = [args.discipline] if args.discipline else list(dataset.disciplines)
     profiles = [discipline_profile(dataset, d) for d in disciplines]
-    if args.format == "json":
-        text = rpt.json_text([rpt.profile_dict(p) for p in profiles])
-    elif args.format == "csv":
-        text = rpt.csv_text(rpt.profile_headers(flat=True), [rpt.profile_row(p, flat=True) for p in profiles])
-    else:
-        text = rpt.md_table(rpt.profile_headers(), [rpt.profile_row(p) for p in profiles])
-    _write_out(text, args.out)
+    _write_out(rpt.render(rpt.PROFILE, profiles, args.format), args.out)
     return 0
 
 
 def cmd_breakdown(args) -> int:
     dataset = _load_dataset(args.dataset)
     rows = rating_breakdown(dataset, args.discipline)
-    if args.format == "json":
-        text = rpt.json_text([rpt.breakdown_dict(b) for b in rows])
-    elif args.format == "csv":
-        text = rpt.csv_text(rpt.breakdown_headers(flat=True), [rpt.breakdown_row(b, flat=True) for b in rows])
-    else:
-        text = rpt.md_table(rpt.breakdown_headers(), [rpt.breakdown_row(b) for b in rows])
-    _write_out(text, args.out)
+    _write_out(rpt.render(rpt.BREAKDOWN, rows, args.format), args.out)
     return 0
 
 
@@ -122,14 +110,10 @@ def cmd_rank(args) -> int:
     dataset = _load_dataset(args.dataset)
     ratings = structure_ratings(dataset, args.discipline)
     ranking = compile_ranking(ratings, METRIC_BY_FLAG[args.metric], args.min_products)
-    if args.format == "json":
-        text = rpt.json_text(rpt.ranking_dict(ranking))
-    elif args.format == "csv":
-        text = rpt.csv_text(rpt.ranking_headers(), rpt.ranking_rows(ranking))
+    if args.format == "md":
+        text = rpt.ranking_md(ranking)
     else:
-        text = rpt.md_table(rpt.ranking_headers(), rpt.ranking_rows(ranking))
-        if ranking.excluded:
-            text += f"- excluded (no TR articles): {', '.join(ranking.excluded)}\n"
+        text = rpt.render(rpt.RANKING, ranking.entries, args.format, payload=ranking)
     _write_out(text, args.out)
     return 0
 
@@ -142,103 +126,29 @@ def cmd_compare_ranks(args) -> int:
     comparison = rank_comparison(ranking_a, ranking_b)
     if args.plot_data:
         _write_out(rpt.plot_data_text(comparison), args.plot_data)
-    if args.format == "json":
-        text = rpt.json_text(rpt.comparison_dict(comparison))
-    elif args.format == "csv":
-        text = rpt.csv_text(
-            ["structure_id", "rank_a", "rank_b", "delta"],
-            [[e.structure_id, e.rank_a, e.rank_b, e.delta] for e in comparison.entries],
-        )
-    else:
-        lines = [
-            rpt.md_table(
-                ["structure", f"{comparison.metric_a} rank", f"{comparison.metric_b} rank", "delta"],
-                [
-                    [e.structure_id, rpt.fmt(e.rank_a, 1), rpt.fmt(e.rank_b, 1), rpt.fmt(e.delta, 1)]
-                    for e in comparison.entries
-                ],
-            ),
-            f"- median |delta| = {rpt.fmt(comparison.median_abs_delta, 1)} "
-            f"({rpt.fmt_pct(comparison.median_fraction)} of the compilation length)\n",
-        ]
+    if args.format == "md":
+        text = rpt.comparison_md(comparison)
         if comparison.dropped:
-            lines.append(f"- present in only one ranking: {', '.join(comparison.dropped)}\n")
-        text = "".join(lines)
+            text += f"- present in only one ranking: {', '.join(comparison.dropped)}\n"
+    else:
+        text = rpt.render(rpt.COMPARISON, comparison.entries, args.format, payload=comparison)
     _write_out(text, args.out)
     return 0
 
 
 def cmd_concordance(args) -> int:
     dataset = _load_dataset(args.dataset)
-    products = dataset.products_in(args.discipline)
-    if not products:
-        raise PipelineError("empty_discipline", f"no products for discipline {args.discipline!r}")
+    products = _discipline_products(dataset, args.discipline)
     battery = rpt.build_battery(products, VARIABLE_BY_FLAG[args.variable], args.coding)
-    if args.format == "json":
-        text = rpt.json_text(
-            {
-                "discipline": args.discipline,
-                "variable": battery.variable,
-                "contingency": None if battery.table is None else rpt.contingency_dict(battery.table),
-                "chi_square": None if battery.chi_square is None else rpt.chi_square_dict(battery.chi_square),
-                "product_spearman": (
-                    None
-                    if battery.product_spearman is None
-                    else rpt.correlation_dict(battery.product_spearman)
-                ),
-                "probabilities": [rpt.probability_dict(p) for p in battery.probabilities],
-                "notes": battery.notes,
-            }
-        )
-    elif args.format == "csv":
-        parts = []
-        if battery.table is not None:
-            parts.append("# contingency_row_percentages\n")
-            parts.append(rpt.csv_text(["rating", "q1", "q2", "q3", "q4"], rpt.contingency_rows(battery.table)))
-        if battery.chi_square is not None:
-            c = battery.chi_square
-            parts.append("# chi_square\n")
-            parts.append(
-                rpt.csv_text(
-                    ["statistic", "df", "p_value", "low_expected"],
-                    [[rpt.fmt(c.statistic), c.df, rpt.fmt_p(c.p_value), c.low_expected]],
-                )
-            )
-        if battery.product_spearman is not None:
-            s = battery.product_spearman
-            parts.append("# product_spearman\n")
-            parts.append(
-                rpt.csv_text(["coefficient", "p_value", "n"], [[rpt.fmt(s.coefficient), rpt.fmt_p(s.p_value), s.n]])
-            )
-        parts.append("# probabilities\n")
-        parts.append(
-            rpt.csv_text(
-                ["pair", "p_greater", "p_less", "p_equal", "pairs"],
-                [rpt.probability_row(p) for p in battery.probabilities],
-            )
-        )
-        text = "".join(parts)
-    else:
-        text = "".join(rpt.battery_md(battery))
-    _write_out(text, args.out)
+    _write_out(rpt.render_battery(battery, args.format, args.discipline), args.out)
     return 0
 
 
 def cmd_probability(args) -> int:
     dataset = _load_dataset(args.dataset)
-    products = dataset.products_in(args.discipline)
-    if not products:
-        raise PipelineError("empty_discipline", f"no products for discipline {args.discipline!r}")
+    products = _discipline_products(dataset, args.discipline)
     pairs = adjacent_rating_probabilities(products, VARIABLE_BY_FLAG[args.variable])
-    if args.format == "json":
-        text = rpt.json_text([rpt.probability_dict(p) for p in pairs])
-    elif args.format == "csv":
-        text = rpt.csv_text(
-            ["pair", "p_greater", "p_less", "p_equal", "pairs"], [rpt.probability_row(p) for p in pairs]
-        )
-    else:
-        text = rpt.md_table(rpt.probability_headers(), [rpt.probability_row(p) for p in pairs])
-    _write_out(text, args.out)
+    _write_out(rpt.render(rpt.PROBABILITIES, pairs, args.format), args.out)
     return 0
 
 
@@ -259,13 +169,7 @@ def cmd_report(args) -> int:
     dataset = _load_dataset(args.dataset)
     disciplines = None if args.all or not args.discipline else [args.discipline]
     bundle = rpt.build_report(dataset, disciplines, min_products=args.min_products, coding=args.coding)
-    if args.format == "json":
-        text = rpt.render_report_json(bundle)
-    elif args.format == "csv":
-        text = rpt.render_report_csv(bundle)
-    else:
-        text = rpt.render_report_md(bundle)
-    _write_out(text, args.out)
+    _write_out(REPORT_RENDERERS[args.format](bundle), args.out)
     return 0
 
 
@@ -360,6 +264,10 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         sys.stderr.write(json.dumps({"error": "io_error", "message": str(exc)}, sort_keys=True) + "\n")
+        return 1
+    except Exception as exc:  # a fault in vtrkit itself: still one JSON record, never a traceback
+        message = f"{type(exc).__name__}: {exc}"
+        sys.stderr.write(json.dumps({"error": "internal_error", "message": message}, sort_keys=True) + "\n")
         return 1
 
 

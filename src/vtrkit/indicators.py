@@ -130,11 +130,7 @@ class RatingBreakdown:
     h_ratio: float | None
 
 
-def rating_breakdown(
-    dataset: Dataset,
-    discipline: str,
-    weights: RatingWeights = DEFAULT_WEIGHTS,
-) -> list[RatingBreakdown]:
+def rating_breakdown(dataset: Dataset, discipline: str) -> list[RatingBreakdown]:
     """One row per peer rating in E, G, A, L order."""
     products = dataset.products_in(discipline)
     if not products:

@@ -522,10 +522,6 @@ def validate_dataset(dataset: Dataset, policy: SelectionPolicy | None = None) ->
         if p.key in seen:
             report.error(0, "duplicate_product", f"duplicate triple {p.key}")
         seen.add(p.key)
-        if not 0 <= p.n_internal_authors <= p.n_authors or p.n_authors < 1:
-            report.error(0, "author_bounds", f"product {p.product_id!r} violates author bounds")
-        if not p.tr_indexed and (p.citations is not None or p.journal_if is not None):
-            report.error(0, "bibliometrics_on_uncovered", f"product {p.product_id!r} has bibliometrics without coverage")
         if p.tr_indexed and p.citations is None:
             report.warn(0, "tr_missing_citations", f"product {p.product_id!r} is TR-indexed without a citation count")
 
@@ -620,14 +616,19 @@ def load_archive(text: str) -> Dataset:
     if not isinstance(doc, dict) or doc.get("format") != ARCHIVE_FORMAT:
         raise PipelineError("bad_archive", f"expected archive format {ARCHIVE_FORMAT!r}")
     prov = doc.get("provenance", {})
+    records = doc.get("products", [])
+    if not isinstance(prov, dict) or not isinstance(records, list):
+        raise PipelineError("bad_archive", "archive provenance must be an object and products a list")
     provenance = Provenance(
         source_name=prov.get("source_name", ""),
         source_digest=prov.get("source_digest", ""),
         ingested_at=prov.get("ingested_at", ""),
     )
     products = []
-    for rec in doc.get("products", []):
+    for rec in records:
         try:
+            if not isinstance(rec["tr_indexed"], bool):
+                raise ValueError(f"tr_indexed must be a JSON boolean, got {rec['tr_indexed']!r}")
             products.append(
                 Product(
                     product_id=rec["product_id"],
@@ -636,13 +637,13 @@ def load_archive(text: str) -> Dataset:
                     year=int(rec["year"]),
                     product_type=ProductType(rec["product_type"]),
                     peer_rating=PeerRating.from_token(rec["peer_rating"]),
-                    tr_indexed=bool(rec["tr_indexed"]),
+                    tr_indexed=rec["tr_indexed"],
                     citations=rec.get("citations"),
                     journal_if=rec.get("journal_if"),
                     n_authors=int(rec["n_authors"]),
                     n_internal_authors=int(rec["n_internal_authors"]),
                 )
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise PipelineError("bad_archive", f"invalid product record: {exc}") from None
     return Dataset.from_products(products, provenance)

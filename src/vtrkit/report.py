@@ -1,5 +1,12 @@
 """Report assembly and rendering (markdown, CSV, JSON).
 
+Each table is declared once, as a ``Table`` of ``Column``s: a header and a
+cell function per column, with a separate CSV column list only where the flat
+CSV layout differs from the markdown one (bracketed ratios, percentages).
+``render`` turns a table and its items into markdown or CSV.  JSON needs no
+table: ``as_json`` converts the result dataclasses field by field, with a
+custom shape only for contingency tables and probability pairs.
+
 Markdown and CSV cells use fixed precision: two decimals for table values,
 three for p-values, with p below 0.001 shown as "<0.001".  JSON output always
 carries full-precision numbers with separate fields for bracketed ratios.
@@ -9,11 +16,13 @@ All rendering is deterministic for a given dataset and flags.
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from decimal import Decimal, ROUND_HALF_UP
-from typing import Sequence
+from operator import attrgetter
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .concordance import (
     AdjacentPairResult,
@@ -28,7 +37,7 @@ from .concordance import (
     spearman,
 )
 from .indicators import DisciplineProfile, RatingBreakdown, discipline_profile, rating_breakdown
-from .model import Dataset, PipelineError, RATING_ORDER, validate_dataset
+from .model import Dataset, PeerRating, PipelineError, RATING_ORDER, validate_dataset
 from .scoring import (
     DEFAULT_WEIGHTS,
     RankComparison,
@@ -40,38 +49,18 @@ from .scoring import (
 )
 
 __all__ = [
-    "round_half_up",
-    "fmt",
-    "fmt_pct",
-    "fmt_p",
-    "md_table",
-    "csv_text",
-    "json_text",
-    "VARIABLE_LABELS",
-    "profile_headers",
-    "profile_row",
-    "profile_dict",
-    "breakdown_headers",
-    "breakdown_row",
-    "breakdown_dict",
-    "contingency_rows",
-    "contingency_dict",
-    "chi_square_dict",
-    "correlation_dict",
-    "probability_headers",
-    "probability_row",
-    "probability_dict",
-    "ranking_headers",
-    "ranking_rows",
-    "ranking_dict",
-    "comparison_dict",
+    "render",
+    "PROFILE",
+    "BREAKDOWN",
+    "PROBABILITIES",
+    "RANKING",
+    "COMPARISON",
+    "ISSUES",
+    "ranking_md",
+    "comparison_md",
     "plot_data_text",
-    "VariableBattery",
-    "DisciplineSection",
-    "ReportBundle",
-    "battery_md",
     "build_battery",
-    "build_section",
+    "render_battery",
     "build_report",
     "render_report_md",
     "render_report_json",
@@ -132,104 +121,184 @@ def json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-# --- discipline profile (one row per area) ---
+# --- table specs ---
 
-def profile_headers(flat: bool = False) -> list[str]:
-    if flat:
-        return [
-            "discipline", "size", "coverage", "mean_authors", "mean_ownership",
-            "peer_all", "peer_tr", "mean_citations", "cites_over_if", "mean_if", "h",
-        ]
-    return ["area", "size", "cov", "auth", "own", "peer (TR)", "cites (/IF)", "IF", "h"]
+class Column(NamedTuple):
+    header: str
+    cell: Callable[[Any], object]
 
 
-def profile_row(p: DisciplineProfile, flat: bool = False) -> list[str]:
-    if flat:
-        return [
-            p.discipline, p.size, fmt(p.coverage, 4), fmt(p.mean_authors),
-            fmt(p.mean_ownership, 4), fmt(p.peer_all, 3), fmt(p.peer_tr, 3),
-            fmt(p.mean_citations), fmt(p.cites_over_if), fmt(p.mean_if), p.h,
-        ]
-    return [
-        p.discipline,
-        str(p.size),
-        fmt_pct(p.coverage),
-        fmt(p.mean_authors),
-        fmt_pct(p.mean_ownership),
-        f"{fmt(p.peer_all)} ({fmt(p.peer_tr)})",
-        f"{fmt(p.mean_citations)} ({fmt(p.cites_over_if)})",
-        fmt(p.mean_if),
-        str(p.h),
-    ]
+class Table(NamedTuple):
+    """Column spec of one table: ``columns`` for markdown, and for CSV too
+    unless ``csv`` gives a flat layout of its own."""
+
+    columns: tuple[Column, ...]
+    csv: tuple[Column, ...] | None = None
 
 
-def profile_dict(p: DisciplineProfile) -> dict:
-    return {
-        "discipline": p.discipline,
-        "size": p.size,
-        "coverage": p.coverage,
-        "mean_authors": p.mean_authors,
-        "mean_ownership": p.mean_ownership,
-        "peer_all": p.peer_all,
-        "peer_tr": p.peer_tr,
-        "mean_citations": p.mean_citations,
-        "cites_over_if": p.cites_over_if,
-        "mean_if": p.mean_if,
-        "h": p.h,
-    }
+def render(table: Table, items: Iterable, fmt: str, payload=None, **names: str) -> str:
+    """Render items as a markdown or CSV table; ``names`` fill header
+    templates such as ``{metric_a} rank``.  For ``fmt == "json"`` the
+    payload (default: the items) goes through ``as_json`` instead."""
+    if fmt == "json":
+        return json_text(as_json(list(items) if payload is None else payload))
+    columns = (table.csv or table.columns) if fmt == "csv" else table.columns
+    headers = [c.header.format(**names) for c in columns]
+    rows = [[c.cell(item) for c in columns] for item in items]
+    return csv_text(headers, rows) if fmt == "csv" else md_table(headers, rows)
 
 
-# --- rating breakdown (four rows per area) ---
-
-def breakdown_headers(flat: bool = False) -> list[str]:
-    if flat:
-        return [
-            "rating", "count", "share", "mean_citations", "citations_ratio",
-            "mean_if", "if_ratio", "h", "h_ratio",
-        ]
-    return ["rating", "size", "cites", "IF", "h"]
+def _attr(name: str, header: str | None = None) -> Column:
+    return Column(header or name, attrgetter(name))
 
 
-def breakdown_row(b: RatingBreakdown, flat: bool = False) -> list[str]:
-    if flat:
-        return [
-            b.rating.token, b.count, fmt(b.share, 4), fmt(b.mean_citations),
-            fmt(b.citations_ratio), fmt(b.mean_if), fmt(b.if_ratio),
-            "-" if b.h is None else b.h, fmt(b.h_ratio),
-        ]
-    return [
-        b.rating.token,
-        f"{b.count} ({fmt_pct(b.share)})",
-        f"{fmt(b.mean_citations)} ({fmt(b.citations_ratio)})",
-        f"{fmt(b.mean_if)} ({fmt(b.if_ratio)})",
-        f"{'-' if b.h is None else b.h} ({fmt(b.h_ratio)})",
-    ]
+def _fixed(name: str, digits: int = 2, header: str | None = None) -> Column:
+    return Column(header or name, lambda x: fmt(getattr(x, name), digits))
 
 
-def breakdown_dict(b: RatingBreakdown) -> dict:
-    return {
-        "rating": b.rating.token,
-        "count": b.count,
-        "share": b.share,
-        "mean_citations": b.mean_citations,
-        "citations_ratio": b.citations_ratio,
-        "mean_if": b.mean_if,
-        "if_ratio": b.if_ratio,
-        "h": b.h,
-        "h_ratio": b.h_ratio,
-    }
+def _bracketed(header: str, value: str, ratio: str) -> Column:
+    """A value with its ratio in brackets, the paper's table style."""
+    return Column(header, lambda x: f"{fmt(getattr(x, value))} ({fmt(getattr(x, ratio))})")
 
 
-# --- concordance battery ---
-
-def contingency_rows(table: ContingencyTable) -> list[list[str]]:
-    rows = []
-    for rating, pcts in zip(RATING_ORDER, table.row_percentages):
-        rows.append([rating.token] + [fmt(v) for v in pcts])
-    return rows
+def _renamed(columns: tuple[Column, ...], headers: Sequence[str]) -> tuple[Column, ...]:
+    return tuple(Column(h, c.cell) for h, c in zip(headers, columns, strict=True))
 
 
-def contingency_dict(table: ContingencyTable) -> dict:
+_RATING = Column("rating", lambda x: x.rating.token)
+
+#: One row per area.
+PROFILE = Table(
+    columns=(
+        _attr("discipline", "area"),
+        _attr("size"),
+        Column("cov", lambda p: fmt_pct(p.coverage)),
+        _fixed("mean_authors", header="auth"),
+        Column("own", lambda p: fmt_pct(p.mean_ownership)),
+        _bracketed("peer (TR)", "peer_all", "peer_tr"),
+        _bracketed("cites (/IF)", "mean_citations", "cites_over_if"),
+        _fixed("mean_if", header="IF"),
+        _attr("h"),
+    ),
+    csv=(
+        _attr("discipline"),
+        _attr("size"),
+        _fixed("coverage", 4),
+        _fixed("mean_authors"),
+        _fixed("mean_ownership", 4),
+        _fixed("peer_all", 3),
+        _fixed("peer_tr", 3),
+        _fixed("mean_citations"),
+        _fixed("cites_over_if"),
+        _fixed("mean_if"),
+        _attr("h"),
+    ),
+)
+
+#: Four rows per area, one per rating.
+BREAKDOWN = Table(
+    columns=(
+        _RATING,
+        Column("size", lambda b: f"{b.count} ({fmt_pct(b.share)})"),
+        _bracketed("cites", "mean_citations", "citations_ratio"),
+        _bracketed("IF", "mean_if", "if_ratio"),
+        _bracketed("h", "h", "h_ratio"),
+    ),
+    csv=(
+        _RATING,
+        _attr("count"),
+        _fixed("share", 4),
+        _fixed("mean_citations"),
+        _fixed("citations_ratio"),
+        _fixed("mean_if"),
+        _fixed("if_ratio"),
+        _fixed("h"),
+        _fixed("h_ratio"),
+    ),
+)
+
+_CONTINGENCY_COLUMNS = (Column("rating", lambda row: row[0].token),) + tuple(
+    Column(f"Q{q}", lambda row, i=q - 1: fmt(row[1][i])) for q in range(1, 5)
+)
+
+#: Row percentages of a contingency table; items are (rating, percentages).
+CONTINGENCY = Table(
+    _CONTINGENCY_COLUMNS,
+    csv=_renamed(_CONTINGENCY_COLUMNS, ("rating", "q1", "q2", "q3", "q4")),
+)
+
+CHI_SQUARE = Table(
+    (_fixed("statistic"), _attr("df"), Column("p_value", lambda c: fmt_p(c.p_value)), _attr("low_expected"))
+)
+
+PRODUCT_SPEARMAN = Table(
+    (_fixed("coefficient"), Column("p_value", lambda s: fmt_p(s.p_value)), _attr("n"))
+)
+
+
+def _probability(i: int) -> Callable[[AdjacentPairResult], str]:
+    return lambda pair: "-" if pair.triple is None else fmt(pair.triple.as_floats()[i])
+
+
+_PROBABILITY_COLUMNS = (
+    _attr("label", "ratings"),
+    Column("P(>)", _probability(0)),
+    Column("P(<)", _probability(1)),
+    Column("P(=)", _probability(2)),
+    Column("pairs", lambda pair: (pair.note or "-") if pair.triple is None else pair.triple.pair_count),
+)
+
+#: Adjacent-rating pairwise probabilities; skipped pairs show their note.
+PROBABILITIES = Table(
+    _PROBABILITY_COLUMNS,
+    csv=_renamed(_PROBABILITY_COLUMNS, ("pair", "p_greater", "p_less", "p_equal", "pairs")),
+)
+
+#: Ranking entries.
+RANKING = Table(
+    (
+        _attr("display_rank", "rank"),
+        _attr("structure_id", "structure"),
+        _fixed("score"),
+        _attr("n_products"),
+        Column("size_class", lambda e: e.size_class.value),
+    )
+)
+
+#: Rank comparison entries; markdown headers name the two metrics.
+COMPARISON = Table(
+    columns=(
+        _attr("structure_id", "structure"),
+        _fixed("rank_a", 1, "{metric_a} rank"),
+        _fixed("rank_b", 1, "{metric_b} rank"),
+        _fixed("delta", 1),
+    ),
+    csv=(_attr("structure_id"), _attr("rank_a"), _attr("rank_b"), _attr("delta")),
+)
+
+#: Validation issues; items are (kind, Issue).
+ISSUES = Table(
+    (
+        Column("kind", lambda ki: ki[0]),
+        Column("row", lambda ki: ki[1].row),
+        Column("rule", lambda ki: ki[1].rule),
+        Column("message", lambda ki: ki[1].message),
+    )
+)
+
+
+#: Structure-level rank correlations (markdown only).
+STRUCTURE_CORRELATIONS = Table(
+    (
+        _attr("pair"),
+        Column("sigma", lambda s: "-" if s.result is None else fmt(s.result.coefficient)),
+        Column("p", lambda s: "-" if s.result is None else fmt_p(s.result.p_value)),
+        Column("n", lambda s: (s.note or "-") if s.result is None else s.result.n),
+    )
+)
+
+
+def _contingency_json(table: ContingencyTable) -> dict:
     return {
         "variable": table.variable,
         "cutpoints": list(table.bins.cutpoints),
@@ -240,36 +309,7 @@ def contingency_dict(table: ContingencyTable) -> dict:
     }
 
 
-def chi_square_dict(result: ChiSquareResult) -> dict:
-    return {
-        "statistic": result.statistic,
-        "df": result.df,
-        "p_value": result.p_value,
-        "low_expected": result.low_expected,
-    }
-
-
-def correlation_dict(result: CorrelationResult) -> dict:
-    return {
-        "coefficient": result.coefficient,
-        "p_value": result.p_value,
-        "n": result.n,
-        "method": result.method,
-    }
-
-
-def probability_headers() -> list[str]:
-    return ["ratings", "P(>)", "P(<)", "P(=)", "pairs"]
-
-
-def probability_row(pair: AdjacentPairResult) -> list[str]:
-    if pair.triple is None:
-        return [pair.label, "-", "-", "-", pair.note or "-"]
-    pg, pl, pe = pair.triple.as_floats()
-    return [pair.label, fmt(pg), fmt(pl), fmt(pe), str(pair.triple.pair_count)]
-
-
-def probability_dict(pair: AdjacentPairResult) -> dict:
+def _probability_json(pair: AdjacentPairResult) -> dict:
     payload: dict = {"pair": pair.label, "note": pair.note}
     if pair.triple is not None:
         pg, pl, pe = pair.triple.as_floats()
@@ -279,65 +319,54 @@ def probability_dict(pair: AdjacentPairResult) -> dict:
     return payload
 
 
-# --- rankings ---
-
-def ranking_headers() -> list[str]:
-    return ["rank", "structure", "score", "n_products", "size_class"]
+_JSON_SHAPES = {ContingencyTable: _contingency_json, AdjacentPairResult: _probability_json}
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
-def ranking_rows(r: Ranking) -> list[list[str]]:
-    return [
-        [str(e.display_rank), e.structure_id, fmt(e.score), str(e.n_products), e.size_class.value]
-        for e in r.entries
-    ]
+def as_json(value):
+    """JSON-ready form of a result: dataclasses become dicts of their fields,
+    peer ratings their tokens, other enums their values, tuples lists."""
+    if type(value) in _JSON_SCALARS:
+        return value
+    shape = _JSON_SHAPES.get(type(value))
+    if shape is not None:
+        return shape(value)
+    if is_dataclass(value):
+        return {k: as_json(v) for k, v in vars(value).items()}
+    if isinstance(value, (list, tuple)):
+        return [as_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: as_json(v) for k, v in value.items()}
+    if isinstance(value, PeerRating):
+        return value.token
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value
 
 
-def ranking_dict(r: Ranking) -> dict:
-    return {
-        "discipline": r.discipline,
-        "metric": r.metric,
-        "min_products": r.min_products,
-        "excluded": list(r.excluded),
-        "entries": [
-            {
-                "structure_id": e.structure_id,
-                "score": e.score,
-                "display_rank": e.display_rank,
-                "average_rank": e.average_rank,
-                "n_products": e.n_products,
-                "size_class": e.size_class.value,
-            }
-            for e in r.entries
-        ],
-    }
+def _rating_rows(table: ContingencyTable) -> list:
+    return list(zip(RATING_ORDER, table.row_percentages))
 
 
-def comparison_dict(c: RankComparison) -> dict:
-    return {
-        "metric_a": c.metric_a,
-        "metric_b": c.metric_b,
-        "median_abs_delta": c.median_abs_delta,
-        "median_fraction": c.median_fraction,
-        "favored_by_a": list(c.favored_by_a),
-        "favored_by_b": list(c.favored_by_b),
-        "unchanged": list(c.unchanged),
-        "dropped": list(c.dropped),
-        "entries": [
-            {
-                "structure_id": e.structure_id,
-                "rank_a": e.rank_a,
-                "rank_b": e.rank_b,
-                "delta": e.delta,
-            }
-            for e in c.entries
-        ],
-    }
+def ranking_md(r: Ranking) -> str:
+    """Ranking table with the structures it had to exclude."""
+    text = render(RANKING, r.entries, "md")
+    if r.excluded:
+        text += f"- excluded (no TR articles): {', '.join(r.excluded)}\n"
+    return text
+
+
+def comparison_md(c: RankComparison) -> str:
+    """Rank comparison table with its median displacement."""
+    return render(COMPARISON, c.entries, "md", metric_a=c.metric_a, metric_b=c.metric_b) + (
+        f"- median |delta| = {fmt(c.median_abs_delta, 1)} "
+        f"({fmt_pct(c.median_fraction)} of the compilation length)\n"
+    )
 
 
 def plot_data_text(c: RankComparison) -> str:
     """Rank pairs as a small CSV for external plotting."""
-    rows = [(e.rank_a, e.rank_b) for e in c.entries]
-    return csv_text([f"{c.metric_a}_rank", f"{c.metric_b}_rank"], rows)
+    return csv_text([f"{c.metric_a}_rank", f"{c.metric_b}_rank"], c.plot_pairs())
 
 
 # --- full report bundle ---
@@ -345,11 +374,20 @@ def plot_data_text(c: RankComparison) -> str:
 @dataclass
 class VariableBattery:
     variable: str
-    table: ContingencyTable | None = None
+    contingency: ContingencyTable | None = None
     chi_square: ChiSquareResult | None = None
     product_spearman: CorrelationResult | None = None
     probabilities: list[AdjacentPairResult] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class StructureCorrelation:
+    """Structure-level Spearman for one pair of ratings, or why it is absent."""
+
+    pair: str
+    result: CorrelationResult | None
+    note: str | None
 
 
 @dataclass
@@ -359,7 +397,7 @@ class DisciplineSection:
     batteries: list[VariableBattery]
     ranking: Ranking | None
     ranking_note: str | None
-    structure_correlations: list[tuple[str, CorrelationResult | None, str | None]]
+    structure_correlations: list[StructureCorrelation]
     comparison: RankComparison | None
     comparison_note: str | None
 
@@ -369,18 +407,18 @@ class ReportBundle:
     source_name: str
     source_digest: str
     validation_notes: list[str]
-    sections: dict[str, DisciplineSection]
+    disciplines: dict[str, DisciplineSection]
 
 
 def build_battery(products, variable: str, coding: str = "quartile") -> VariableBattery:
     battery = VariableBattery(variable=variable)
     try:
-        battery.table = contingency_table(products, variable)
+        battery.contingency = contingency_table(products, variable)
     except PipelineError as exc:
         battery.notes.append(f"{exc.code}: {exc}")
         return battery
     try:
-        battery.chi_square = chi_square_independence(battery.table.counts)
+        battery.chi_square = chi_square_independence(battery.contingency.counts)
     except PipelineError as exc:
         battery.notes.append(f"{exc.code}: {exc}")
     try:
@@ -391,9 +429,7 @@ def build_battery(products, variable: str, coding: str = "quartile") -> Variable
     return battery
 
 
-def _structure_correlations(
-    ratings, min_products: int
-) -> list[tuple[str, CorrelationResult | None, str | None]]:
+def _structure_correlations(ratings, min_products: int) -> list[StructureCorrelation]:
     """Structure-level Spearman of peer rating (TR articles) against the two
     bibliometric ratings, over structures clearing the product threshold."""
     eligible = [r for r in ratings if r.n_products >= min_products]
@@ -406,9 +442,9 @@ def _structure_correlations(
         ]
         try:
             result = spearman([p for p, _ in pairs], [q for _, q in pairs])
-            out.append((label, result, None))
+            out.append(StructureCorrelation(label, result, None))
         except PipelineError as exc:
-            out.append((label, None, f"{exc.code}: {exc}"))
+            out.append(StructureCorrelation(label, None, f"{exc.code}: {exc}"))
     return out
 
 
@@ -436,7 +472,7 @@ def build_section(
             comparison_note = f"{exc.code}: {exc}"
     return DisciplineSection(
         profile=discipline_profile(dataset, discipline, weights),
-        breakdown=rating_breakdown(dataset, discipline, weights),
+        breakdown=rating_breakdown(dataset, discipline),
         batteries=[build_battery(products, variable, coding) for variable in VARIABLES],
         ranking=ranking,
         ranking_note=ranking_note,
@@ -463,19 +499,19 @@ def build_report(
         source_name=dataset.provenance.source_name,
         source_digest=dataset.provenance.source_digest,
         validation_notes=notes,
-        sections=sections,
+        disciplines=sections,
     )
 
 
-def battery_md(battery: VariableBattery) -> list[str]:
+def battery_md(battery: VariableBattery) -> str:
     label = VARIABLE_LABELS[battery.variable]
     parts = [f"### Concordance: {label}\n"]
     for note in battery.notes:
         parts.append(f"- note: {note}\n")
-    if battery.table is not None:
+    if battery.contingency is not None:
         parts.append("Conditional distribution of the quartile-coded variable given peer rating (row %):\n")
-        parts.append(md_table(["rating", "Q1", "Q2", "Q3", "Q4"], contingency_rows(battery.table)))
-        if battery.table.bins.degenerate:
+        parts.append(render(CONTINGENCY, _rating_rows(battery.contingency), "md"))
+        if battery.contingency.bins.degenerate:
             parts.append("- note: quartile cutpoints coincide (heavy ties)\n")
     if battery.chi_square is not None:
         c = battery.chi_square
@@ -492,10 +528,29 @@ def battery_md(battery: VariableBattery) -> list[str]:
         )
     if battery.probabilities:
         parts.append("Adjacent-rating pairwise probabilities:\n")
-        parts.append(
-            md_table(probability_headers(), [probability_row(p) for p in battery.probabilities])
-        )
-    return parts
+        parts.append(render(PROBABILITIES, battery.probabilities, "md"))
+    return "".join(parts)
+
+
+def battery_csv(battery: VariableBattery) -> str:
+    """CSV rendering: one '# <name>' section per result the battery holds."""
+    parts = []
+    if battery.contingency is not None:
+        parts.append("# contingency_row_percentages\n")
+        parts.append(render(CONTINGENCY, _rating_rows(battery.contingency), "csv"))
+    if battery.chi_square is not None:
+        parts.append("# chi_square\n" + render(CHI_SQUARE, [battery.chi_square], "csv"))
+    if battery.product_spearman is not None:
+        parts.append("# product_spearman\n" + render(PRODUCT_SPEARMAN, [battery.product_spearman], "csv"))
+    parts.append("# probabilities\n" + render(PROBABILITIES, battery.probabilities, "csv"))
+    return "".join(parts)
+
+
+def render_battery(battery: VariableBattery, fmt: str, discipline: str) -> str:
+    """One discipline's battery for one variable, in the given format."""
+    if fmt == "json":
+        return json_text({"discipline": discipline, **as_json(battery)})
+    return battery_md(battery) if fmt == "md" else battery_csv(battery)
 
 
 def render_report_md(bundle: ReportBundle) -> str:
@@ -506,45 +561,24 @@ def render_report_md(bundle: ReportBundle) -> str:
         parts.extend(f"- {note}\n" for note in bundle.validation_notes)
     else:
         parts.append("- no issues\n")
-    for discipline, section in bundle.sections.items():
+    for discipline, section in bundle.disciplines.items():
         parts.append(f"\n## Discipline {discipline}\n")
         parts.append("### Profile\n")
-        parts.append(md_table(profile_headers(), [profile_row(section.profile)]))
+        parts.append(render(PROFILE, [section.profile], "md"))
         parts.append("### Peer rating breakdown\n")
-        parts.append(md_table(breakdown_headers(), [breakdown_row(b) for b in section.breakdown]))
-        for battery in section.batteries:
-            parts.extend(battery_md(battery))
+        parts.append(render(BREAKDOWN, section.breakdown, "md"))
+        parts.extend(battery_md(battery) for battery in section.batteries)
         parts.append("### Structure ranking (peer rating over TR articles)\n")
         if section.ranking is not None:
-            parts.append(md_table(ranking_headers(), ranking_rows(section.ranking)))
-            if section.ranking.excluded:
-                parts.append(f"- excluded (no TR articles): {', '.join(section.ranking.excluded)}\n")
+            parts.append(ranking_md(section.ranking))
         elif section.ranking_note:
             parts.append(f"- note: {section.ranking_note}\n")
         parts.append("### Structure-level rank correlations\n")
-        rows = []
-        for label, result, note in section.structure_correlations:
-            if result is None:
-                rows.append([label, "-", "-", note or "-"])
-            else:
-                rows.append([label, fmt(result.coefficient), fmt_p(result.p_value), str(result.n)])
-        parts.append(md_table(["pair", "sigma", "p", "n"], rows))
+        parts.append(render(STRUCTURE_CORRELATIONS, section.structure_correlations, "md"))
         if section.comparison is not None:
             c = section.comparison
             parts.append("### Rank comparison (peer vs citation compilation)\n")
-            parts.append(
-                md_table(
-                    ["structure", f"{c.metric_a} rank", f"{c.metric_b} rank", "delta"],
-                    [
-                        [e.structure_id, fmt(e.rank_a, 1), fmt(e.rank_b, 1), fmt(e.delta, 1)]
-                        for e in c.entries
-                    ],
-                )
-            )
-            parts.append(
-                f"- median |delta| = {fmt(c.median_abs_delta, 1)} "
-                f"({fmt_pct(c.median_fraction)} of the compilation length)\n"
-            )
+            parts.append(comparison_md(c))
             if c.favored_by_a:
                 parts.append(f"- most favored by {c.metric_a}: {', '.join(c.favored_by_a[:4])}\n")
             if c.favored_by_b:
@@ -556,98 +590,39 @@ def render_report_md(bundle: ReportBundle) -> str:
     return "".join(parts)
 
 
-def _section_json(section: DisciplineSection) -> dict:
-    return {
-        "profile": profile_dict(section.profile),
-        "breakdown": [breakdown_dict(b) for b in section.breakdown],
-        "batteries": [
-            {
-                "variable": b.variable,
-                "contingency": None if b.table is None else contingency_dict(b.table),
-                "chi_square": None if b.chi_square is None else chi_square_dict(b.chi_square),
-                "product_spearman": (
-                    None if b.product_spearman is None else correlation_dict(b.product_spearman)
-                ),
-                "probabilities": [probability_dict(p) for p in b.probabilities],
-                "notes": b.notes,
-            }
-            for b in section.batteries
-        ],
-        "ranking": None if section.ranking is None else ranking_dict(section.ranking),
-        "ranking_note": section.ranking_note,
-        "structure_correlations": [
-            {
-                "pair": label,
-                "result": None if result is None else correlation_dict(result),
-                "note": note,
-            }
-            for label, result, note in section.structure_correlations
-        ],
-        "comparison": None if section.comparison is None else comparison_dict(section.comparison),
-        "comparison_note": section.comparison_note,
-    }
-
-
 def render_report_json(bundle: ReportBundle) -> str:
-    return json_text(
-        {
-            "source_name": bundle.source_name,
-            "source_digest": bundle.source_digest,
-            "validation_notes": bundle.validation_notes,
-            "disciplines": {d: _section_json(s) for d, s in bundle.sections.items()},
-        }
-    )
+    return json_text(as_json(bundle))
+
+
+def _csv_section(name: str, table: Table, keys: Sequence[str], rows: Iterable[tuple]) -> str:
+    """A '# <name>' section: key columns, then the table's CSV columns; rows
+    are (key values, item) pairs."""
+    columns = table.csv or table.columns
+    body = [[*key_values, *(c.cell(item) for c in columns)] for key_values, item in rows]
+    return f"# {name}\n" + csv_text([*keys, *(c.header for c in columns)], body)
 
 
 def render_report_csv(bundle: ReportBundle) -> str:
     """CSV rendering: flat sections separated by '# <name>' marker lines."""
-    parts = []
-    parts.append("# profiles\n")
-    parts.append(
-        csv_text(
-            profile_headers(flat=True),
-            [profile_row(s.profile, flat=True) for s in bundle.sections.values()],
-        )
+    sections = bundle.disciplines.items()
+    batteries = [((d, b.variable), b) for d, s in sections for b in s.batteries]
+    by_variable = ("discipline", "variable")
+    breakdowns = [((d,), b) for d, s in sections for b in s.breakdown]
+    contingency = [
+        (keys, row) for keys, b in batteries if b.contingency is not None for row in _rating_rows(b.contingency)
+    ]
+    chi_square = [(keys, b.chi_square) for keys, b in batteries if b.chi_square is not None]
+    probabilities = [(keys, pair) for keys, b in batteries for pair in b.probabilities]
+    rankings = [
+        ((d, s.ranking.metric), entry) for d, s in sections if s.ranking is not None for entry in s.ranking.entries
+    ]
+    return "".join(
+        [
+            _csv_section("profiles", PROFILE, (), [((), s.profile) for _, s in sections]),
+            _csv_section("breakdowns", BREAKDOWN, ("discipline",), breakdowns),
+            _csv_section("contingency_row_percentages", CONTINGENCY, by_variable, contingency),
+            _csv_section("chi_square", CHI_SQUARE, by_variable, chi_square),
+            _csv_section("probabilities", PROBABILITIES, by_variable, probabilities),
+            _csv_section("rankings", RANKING, ("discipline", "metric"), rankings),
+        ]
     )
-    parts.append("# breakdowns\n")
-    rows = []
-    for discipline, section in bundle.sections.items():
-        for b in section.breakdown:
-            rows.append([discipline] + breakdown_row(b, flat=True))
-    parts.append(csv_text(["discipline"] + breakdown_headers(flat=True), rows))
-    parts.append("# contingency_row_percentages\n")
-    rows = []
-    for discipline, section in bundle.sections.items():
-        for battery in section.batteries:
-            if battery.table is None:
-                continue
-            for rating, pcts in zip(RATING_ORDER, battery.table.row_percentages):
-                rows.append([discipline, battery.variable, rating.token] + [fmt(v) for v in pcts])
-    parts.append(csv_text(["discipline", "variable", "rating", "q1", "q2", "q3", "q4"], rows))
-    parts.append("# chi_square\n")
-    rows = []
-    for discipline, section in bundle.sections.items():
-        for battery in section.batteries:
-            if battery.chi_square is None:
-                continue
-            c = battery.chi_square
-            rows.append(
-                [discipline, battery.variable, fmt(c.statistic), c.df, fmt_p(c.p_value), c.low_expected]
-            )
-    parts.append(csv_text(["discipline", "variable", "statistic", "df", "p_value", "low_expected"], rows))
-    parts.append("# probabilities\n")
-    rows = []
-    for discipline, section in bundle.sections.items():
-        for battery in section.batteries:
-            for pair in battery.probabilities:
-                rows.append([discipline, battery.variable] + probability_row(pair))
-    parts.append(csv_text(["discipline", "variable", "pair", "p_greater", "p_less", "p_equal", "pairs"], rows))
-    parts.append("# rankings\n")
-    rows = []
-    for discipline, section in bundle.sections.items():
-        if section.ranking is None:
-            continue
-        for entry_row in ranking_rows(section.ranking):
-            rows.append([discipline, section.ranking.metric] + entry_row)
-    parts.append(csv_text(["discipline", "metric"] + ranking_headers(), rows))
-    return "".join(parts)

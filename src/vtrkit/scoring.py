@@ -13,7 +13,6 @@ from .numerics import average_ranks
 __all__ = [
     "RatingWeights",
     "DEFAULT_WEIGHTS",
-    "weight_of",
     "SizeClass",
     "size_class",
     "StructureRating",
@@ -44,20 +43,11 @@ class RatingWeights:
             raise ValueError("weights must be strictly decreasing in rating order")
 
     def of(self, rating: PeerRating) -> float:
-        return {
-            PeerRating.EXCELLENT: self.excellent,
-            PeerRating.GOOD: self.good,
-            PeerRating.ACCEPTABLE: self.acceptable,
-            PeerRating.LIMITED: self.limited,
-        }[rating]
+        """Numeric weight of a peer rating (LIMITED = 1 ... EXCELLENT = 4)."""
+        return (self.limited, self.acceptable, self.good, self.excellent)[rating - 1]
 
 
 DEFAULT_WEIGHTS = RatingWeights()
-
-
-def weight_of(rating: PeerRating, weights: RatingWeights = DEFAULT_WEIGHTS) -> float:
-    """Numeric weight of a peer rating."""
-    return weights.of(rating)
 
 
 class SizeClass(enum.Enum):
@@ -221,10 +211,7 @@ class ComparisonEntry:
     structure_id: str
     rank_a: float
     rank_b: float
-
-    @property
-    def delta(self) -> float:
-        return self.rank_a - self.rank_b
+    delta: float  # rank_a - rank_b
 
 
 @dataclass(frozen=True)
@@ -259,7 +246,8 @@ def rank_comparison(a: Ranking, b: Ranking) -> RankComparison:
     dropped = tuple(sorted(set(ranks_a) ^ set(ranks_b)))
 
     entries = tuple(
-        ComparisonEntry(structure_id=s, rank_a=ranks_a[s], rank_b=ranks_b[s]) for s in common
+        ComparisonEntry(structure_id=s, rank_a=ranks_a[s], rank_b=ranks_b[s], delta=ranks_a[s] - ranks_b[s])
+        for s in common
     )
     median_abs = statistics.median(abs(e.delta) for e in entries)
     gains_a = sorted((e for e in entries if e.delta < 0), key=lambda e: (e.delta, e.structure_id))

@@ -70,6 +70,23 @@ class TestIngest:
         assert json.loads(capsys.readouterr().err)["error"] == "io_error"
 
 
+class TestFaults:
+    def test_malformed_archive_exits_1_with_error_record(self, archive, capsys):
+        doc = json.loads(archive.read_text())
+        doc["products"][0]["citations"] = "9"
+        archive.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["report", "--dataset", str(archive), "--all"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "bad_archive"
+
+    def test_unexpected_exception_is_internal_error(self, archive, capsys, monkeypatch):
+        def broken(text):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("vtrkit.cli.load_archive", broken)
+        assert main(["profile", "--dataset", str(archive)]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "internal_error", "message": "RuntimeError: boom"}
+
+
 class TestUsageErrors:
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:

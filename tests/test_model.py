@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -321,3 +322,21 @@ class TestArchive:
         assert err.value.code == "bad_archive"
         with pytest.raises(PipelineError):
             load_archive('{"format": "something-else"}')
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["products"].__setitem__(0, None),
+            lambda doc: doc["products"][0].__setitem__("citations", "4"),
+            lambda doc: doc.__setitem__("products", {"P1": doc["products"][0]}),
+            lambda doc: doc.__setitem__("provenance", None),
+            lambda doc: doc["products"][0].__setitem__("tr_indexed", "false"),
+        ],
+        ids=["null_record", "string_citations", "non_list_products", "null_provenance", "string_boolean"],
+    )
+    def test_malformed_archive_is_bad_archive(self, four_product_dataset, mutate):
+        doc = json.loads(write_archive(four_product_dataset))
+        mutate(doc)
+        with pytest.raises(PipelineError) as err:
+            load_archive(json.dumps(doc))
+        assert err.value.code == "bad_archive"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from vtrkit.indicators import discipline_profile, rating_breakdown
 from vtrkit.model import parse_products
 from vtrkit.report import (
-    breakdown_row,
+    BREAKDOWN,
+    PROFILE,
     build_battery,
     build_report,
     csv_text,
@@ -19,7 +22,7 @@ from vtrkit.report import (
     json_text,
     md_table,
     plot_data_text,
-    profile_row,
+    render,
     render_report_json,
     render_report_md,
     round_half_up,
@@ -75,28 +78,30 @@ class TestTableHelpers:
         assert json_text({"b": 1, "a": 2}).index('"a"') < json_text({"b": 1, "a": 2}).index('"b"')
 
 
+def md_cells(table, item) -> list:
+    return [column.cell(item) for column in table.columns]
+
+
 class TestRowBuilders:
     def test_profile_row_brackets(self, four_product_dataset):
         profile = discipline_profile(four_product_dataset, "BIO")
-        row = profile_row(profile)
+        row = md_cells(PROFILE, profile)
         assert row[0] == "BIO"
         assert row[5] == "0.65 (0.65)"  # peer_all (peer_tr)
         assert row[6] == "2.50 (1.67)"  # cites (cites/IF)
 
     def test_breakdown_row_brackets(self, four_product_dataset):
         rows = rating_breakdown(four_product_dataset, "BIO")
-        rendered = breakdown_row(rows[0])
+        rendered = md_cells(BREAKDOWN, rows[0])
         assert rendered[0] == "E"
         assert rendered[1] == "1 (25.00%)"
         assert rendered[2] == "4.00 (1.60)"  # 4 citations vs discipline mean 2.5
 
     def test_flat_rows_match_headers(self, four_product_dataset):
-        from vtrkit.report import breakdown_headers, profile_headers
-
         profile = discipline_profile(four_product_dataset, "BIO")
-        assert len(profile_row(profile, flat=True)) == len(profile_headers(flat=True))
-        for b in rating_breakdown(four_product_dataset, "BIO"):
-            assert len(breakdown_row(b, flat=True)) == len(breakdown_headers(flat=True))
+        for table, items in ((PROFILE, [profile]), (BREAKDOWN, rating_breakdown(four_product_dataset, "BIO"))):
+            header, *rows = csv.reader(io.StringIO(render(table, items, "csv")))
+            assert rows and all(len(row) == len(header) for row in rows)
 
 
 class TestBatteryAndBundle:
@@ -107,7 +112,7 @@ class TestBatteryAndBundle:
         )
         dataset, _ = parse_products(header + "\nP1,S1,CEA,2002,book,G,false,,,2,1\n")
         battery = build_battery(dataset.products_in("CEA"), "citations")
-        assert battery.table is None
+        assert battery.contingency is None
         assert battery.notes and battery.notes[0].startswith("no_bibliometric_data")
 
     def test_plot_data_header_names_metrics(self, four_product_dataset):

@@ -17,7 +17,6 @@ from vtrkit.scoring import (
     rank_comparison,
     size_class,
     structure_ratings,
-    weight_of,
 )
 
 HEADER = "product_id,structure_id,discipline,year,product_type,peer_rating,tr_indexed,citations,journal_if,n_authors,n_internal_authors"
@@ -39,14 +38,14 @@ def make_rating(structure_id: str, cites: float | None, n_products: int = 12) ->
 
 class TestWeights:
     def test_committee_defaults(self):
-        assert weight_of(PeerRating.EXCELLENT) == 1.0
-        assert weight_of(PeerRating.GOOD) == 0.8
-        assert weight_of(PeerRating.ACCEPTABLE) == 0.6
-        assert weight_of(PeerRating.LIMITED) == 0.2
+        assert DEFAULT_WEIGHTS.of(PeerRating.EXCELLENT) == 1.0
+        assert DEFAULT_WEIGHTS.of(PeerRating.GOOD) == 0.8
+        assert DEFAULT_WEIGHTS.of(PeerRating.ACCEPTABLE) == 0.6
+        assert DEFAULT_WEIGHTS.of(PeerRating.LIMITED) == 0.2
 
     def test_mean_of_excellent_and_good(self):
         mean = statistics.fmean(
-            [weight_of(PeerRating.EXCELLENT), weight_of(PeerRating.GOOD)]
+            [DEFAULT_WEIGHTS.of(PeerRating.EXCELLENT), DEFAULT_WEIGHTS.of(PeerRating.GOOD)]
         )
         assert mean == pytest.approx(0.9)
 
@@ -54,11 +53,11 @@ class TestWeights:
         ratings = sorted(PeerRating, reverse=True)
         for a, b in zip(ratings, ratings[1:]):
             assert a > b
-            assert weight_of(a) > weight_of(b)
+            assert DEFAULT_WEIGHTS.of(a) > DEFAULT_WEIGHTS.of(b)
 
     def test_custom_weights(self):
         weights = RatingWeights(0.9, 0.7, 0.5, 0.1)
-        assert weight_of(PeerRating.GOOD, weights) == 0.7
+        assert weights.of(PeerRating.GOOD) == 0.7
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):
