@@ -30,6 +30,7 @@ from .indicators import (
 from .model import (
     Dataset,
     IngestConfig,
+    InvalidProduct,
     Issue,
     PeerRating,
     PipelineError,

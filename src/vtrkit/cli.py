@@ -17,7 +17,6 @@ from . import report as rpt
 from .concordance import adjacent_rating_probabilities
 from .indicators import discipline_profile, rating_breakdown
 from .model import (
-    IngestConfig,
     PipelineError,
     SelectionPolicy,
     ValidationReport,
@@ -70,8 +69,7 @@ def _discipline_products(dataset, discipline: str):
 
 
 def cmd_ingest(args) -> int:
-    config = IngestConfig(source_name=args.products)
-    dataset, report = parse_products_file(args.products, config)
+    dataset, report = parse_products_file(args.products)
     _report_to_stderr(report)
     if dataset is None:
         return 1

@@ -14,7 +14,8 @@ import enum
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from typing import Iterable, Mapping, TextIO
@@ -23,7 +24,10 @@ __all__ = [
     "PRODUCTS_HEADER",
     "STAFF_HEADER",
     "KNOWN_DISCIPLINES",
+    "YEAR_MIN",
+    "YEAR_MAX",
     "PipelineError",
+    "InvalidProduct",
     "PeerRating",
     "RATING_ORDER",
     "ProductType",
@@ -64,7 +68,13 @@ STAFF_HEADER = ("structure_id", "kind", "avg_staff")
 #: accepted at ingestion with a warning.
 KNOWN_DISCIPLINES = ("MCS", "PHY", "CHE", "EAS", "BIO", "MED", "AVM", "CEA", "IIE", "ECS")
 
+#: Publication years a product may carry.
+YEAR_MIN = 1900
+YEAR_MAX = 2100
+
 ARCHIVE_FORMAT = "vtrkit-dataset/1"
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class PipelineError(Exception):
@@ -73,6 +83,14 @@ class PipelineError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+class InvalidProduct(ValueError):
+    """A product value breaks one of the rules checked by ``Product``."""
+
+    def __init__(self, rule: str, message: str):
+        super().__init__(message)
+        self.rule = rule
 
 
 class PeerRating(enum.IntEnum):
@@ -138,18 +156,47 @@ class Product:
     n_internal_authors: int
 
     def __post_init__(self) -> None:
-        if not self.product_id or not self.structure_id or not self.discipline:
-            raise ValueError("product_id, structure_id and discipline must be nonempty")
-        if self.n_authors < 1:
-            raise ValueError("n_authors must be >= 1")
-        if not 0 <= self.n_internal_authors <= self.n_authors:
-            raise ValueError("n_internal_authors must lie in [0, n_authors]")
-        if self.citations is not None and self.citations < 0:
-            raise ValueError("citations must be >= 0")
-        if self.journal_if is not None and self.journal_if < 0:
-            raise ValueError("journal_if must be >= 0")
-        if not self.tr_indexed and (self.citations is not None or self.journal_if is not None):
-            raise ValueError("bibliometric values require tr_indexed")
+        # The one product rule set: every input path builds a Product, so each
+        # rule below is checked here and nowhere else.  Types are checked
+        # exactly (``type(x) is int`` also rejects bool) to keep this cheap.
+        pid, sid, disc = self.product_id, self.structure_id, self.discipline
+        if type(pid) is not str or type(sid) is not str or type(disc) is not str:
+            raise InvalidProduct(
+                "empty_identifier", f"product_id, structure_id and discipline must be strings, got {self.key!r}"
+            )
+        if not pid or not sid or not disc:
+            raise InvalidProduct("empty_identifier", "product_id, structure_id and discipline are required")
+        tr_indexed = self.tr_indexed
+        if type(tr_indexed) is not bool:
+            raise InvalidProduct("malformed_boolean", f"tr_indexed must be true|false, got {tr_indexed!r}")
+        year, n_authors, n_internal = self.year, self.n_authors, self.n_internal_authors
+        if type(year) is not int or type(n_authors) is not int or type(n_internal) is not int:
+            raise InvalidProduct(
+                "malformed_number",
+                f"year, n_authors and n_internal_authors must be integers, got {(year, n_authors, n_internal)!r}",
+            )
+        if not YEAR_MIN <= year <= YEAR_MAX:
+            raise InvalidProduct("year_out_of_range", f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+        if n_authors < 1:
+            raise InvalidProduct("nonpositive_authors", f"n_authors must be >= 1, got {n_authors}")
+        if not 0 <= n_internal <= n_authors:
+            raise InvalidProduct("author_bounds", f"n_internal_authors {n_internal} outside [0, {n_authors}]")
+        citations, journal_if = self.citations, self.journal_if
+        if citations is not None:
+            if type(citations) is not int:
+                raise InvalidProduct("malformed_number", f"citations must be an integer, got {citations!r}")
+            if citations < 0:
+                raise InvalidProduct("malformed_number", f"citations must be >= 0, got {citations}")
+        if journal_if is not None:
+            if type(journal_if) is not float and type(journal_if) is not int:
+                raise InvalidProduct("malformed_number", f"journal_if must be a number, got {journal_if!r}")
+            # false for NaN, the infinities and integers beyond float range
+            if not -_FLOAT_MAX <= journal_if <= _FLOAT_MAX:
+                raise InvalidProduct("non_finite_number", f"journal_if must be finite, got {journal_if!r}")
+            if journal_if < 0:
+                raise InvalidProduct("malformed_number", f"journal_if must be >= 0, got {journal_if}")
+        if not tr_indexed and (citations is not None or journal_if is not None):
+            raise InvalidProduct("bibliometrics_on_uncovered", "citations/journal_if present but tr_indexed is false")
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -169,23 +216,25 @@ class Dataset:
 
     Products are sorted by (discipline, structure_id, product_id), so the
     dataset built from a given set of rows never depends on input row order.
+    Keys must strictly increase; an equal pair is a duplicate product.
     """
 
     products: tuple[Product, ...]
     provenance: Provenance
 
+    def __post_init__(self) -> None:
+        keys = [p.key for p in self.products]
+        for prev, key in zip(keys, keys[1:]):
+            if prev == key:
+                raise PipelineError(
+                    "duplicate_product", f"duplicate (product_id, structure_id, discipline) triple {key}"
+                )
+            if prev > key:
+                raise ValueError("products must be in key order; build the dataset with Dataset.from_products")
+
     @classmethod
     def from_products(cls, products: Iterable[Product], provenance: Provenance) -> "Dataset":
-        ordered = tuple(sorted(products, key=lambda p: p.key))
-        seen: set[tuple[str, str, str]] = set()
-        for p in ordered:
-            if p.key in seen:
-                raise PipelineError(
-                    "duplicate_product",
-                    f"duplicate (product_id, structure_id, discipline) triple {p.key}",
-                )
-            seen.add(p.key)
-        return cls(products=ordered, provenance=provenance)
+        return cls(products=tuple(sorted(products, key=lambda p: p.key)), provenance=provenance)
 
     def __len__(self) -> int:
         return len(self.products)
@@ -243,9 +292,6 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class IngestConfig:
-    year_min: int = 1900
-    year_max: int = 2100
-    known_disciplines: tuple[str, ...] = KNOWN_DISCIPLINES
     source_name: str = "<stream>"
 
 
@@ -268,28 +314,13 @@ class SelectionPolicy:
 
     staff: Mapping[str, StaffRecord] | None = None
     cap_fraction: float = 0.5
-    university_fte: float = 0.5
-    agency_fte: float = 1.0
 
     def cap_for(self, record: StaffRecord) -> float:
-        fte = self.university_fte if record.kind == "university" else self.agency_fte
+        fte = 0.5 if record.kind == "university" else 1.0
         return self.cap_fraction * fte * record.avg_staff
 
 
-def _parse_bool(token: str) -> bool:
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    raise ValueError(f"expected true|false, got {token!r}")
-
-
-def _parse_optional_int(token: str) -> int | None:
-    return None if token == "" else int(token)
-
-
-def _parse_optional_float(token: str) -> float | None:
-    return None if token == "" else float(token)
+_BOOLEAN_TOKENS = {"true": True, "false": False}
 
 
 def parse_products(
@@ -334,10 +365,6 @@ def parse_products(
         ) = row
 
         bad = False
-        if not product_id or not structure_id or not discipline:
-            report.error(lineno, "empty_identifier", "product_id, structure_id and discipline are required")
-            bad = True
-
         try:
             rating = PeerRating.from_token(rating_tok)
         except ValueError:
@@ -350,16 +377,15 @@ def parse_products(
             report.error(lineno, "unknown_product_type", f"unknown product type {type_tok!r}")
             bad = True
 
-        try:
-            tr_indexed = _parse_bool(tr_tok)
-        except ValueError:
+        tr_indexed = _BOOLEAN_TOKENS.get(tr_tok)
+        if tr_indexed is None:
             report.error(lineno, "malformed_boolean", f"tr_indexed must be true|false, got {tr_tok!r}")
             bad = True
 
         try:
             year = int(year_tok)
-            citations = _parse_optional_int(cit_tok)
-            journal_if = _parse_optional_float(if_tok)
+            citations = None if cit_tok == "" else int(cit_tok)
+            journal_if = None if if_tok == "" else float(if_tok)
             n_authors = int(na_tok)
             n_internal = int(ni_tok)
         except ValueError as exc:
@@ -368,47 +394,33 @@ def parse_products(
         if bad:
             continue
 
-        if not config.year_min <= year <= config.year_max:
-            report.error(
-                lineno,
-                "year_out_of_range",
-                f"year {year} outside [{config.year_min}, {config.year_max}]",
+        try:
+            product = Product(
+                product_id=product_id,
+                structure_id=structure_id,
+                discipline=discipline,
+                year=year,
+                product_type=ptype,
+                peer_rating=rating,
+                tr_indexed=tr_indexed,
+                citations=citations,
+                journal_if=journal_if,
+                n_authors=n_authors,
+                n_internal_authors=n_internal,
             )
-            continue
-        if n_authors < 1:
-            report.error(lineno, "nonpositive_authors", f"n_authors must be >= 1, got {n_authors}")
-            continue
-        if not 0 <= n_internal <= n_authors:
-            report.error(
-                lineno,
-                "author_bounds",
-                f"n_internal_authors {n_internal} outside [0, {n_authors}]",
-            )
-            continue
-        if citations is not None and citations < 0:
-            report.error(lineno, "malformed_number", f"citations must be >= 0, got {citations}")
-            continue
-        if journal_if is not None and journal_if < 0:
-            report.error(lineno, "malformed_number", f"journal_if must be >= 0, got {journal_if}")
-            continue
-        if not tr_indexed and (citations is not None or journal_if is not None):
-            report.error(
-                lineno,
-                "bibliometrics_on_uncovered",
-                "citations/journal_if present but tr_indexed is false",
-            )
+        except InvalidProduct as exc:
+            report.error(lineno, exc.rule, str(exc))
             continue
 
-        key = (discipline, structure_id, product_id)
-        if key in products:
+        if product.key in products:
             report.error(
                 lineno,
                 "duplicate_product",
-                f"duplicate (product_id, structure_id, discipline) triple {key}",
+                f"duplicate (product_id, structure_id, discipline) triple {product.key}",
             )
             continue
 
-        if discipline not in config.known_disciplines:
+        if discipline not in KNOWN_DISCIPLINES:
             report.warn(lineno, "unknown_discipline", f"discipline code {discipline!r} is not a known area")
         if tr_indexed and citations is None:
             report.warn(
@@ -417,20 +429,7 @@ def parse_products(
                 f"product {product_id!r} is TR-indexed but has no citation count; "
                 "it is excluded from citation means",
             )
-
-        products[key] = Product(
-            product_id=product_id,
-            structure_id=structure_id,
-            discipline=discipline,
-            year=year,
-            product_type=ptype,
-            peer_rating=rating,
-            tr_indexed=tr_indexed,
-            citations=citations,
-            journal_if=journal_if,
-            n_authors=n_authors,
-            n_internal_authors=n_internal,
-        )
+        products[product.key] = product
 
     report.accepted_count = len(products)
     if not report.ok:
@@ -449,15 +448,7 @@ def parse_products_file(
 ) -> tuple[Dataset | None, ValidationReport]:
     with open(path, "r", encoding="utf-8", newline="") as f:
         text = f.read()
-    cfg = config or IngestConfig()
-    if cfg.source_name == "<stream>":
-        cfg = replace(cfg, source_name=path)
-    return parse_products(text, cfg)
-
-
-def _float_token(x: float) -> str:
-    """Shortest decimal form that round-trips through float()."""
-    return repr(float(x))
+    return parse_products(text, config or IngestConfig(source_name=path))
 
 
 def serialize_products(dataset: Dataset) -> str:
@@ -476,7 +467,7 @@ def serialize_products(dataset: Dataset) -> str:
                 p.peer_rating.token,
                 "true" if p.tr_indexed else "false",
                 "" if p.citations is None else p.citations,
-                "" if p.journal_if is None else _float_token(p.journal_if),
+                "" if p.journal_if is None else repr(float(p.journal_if)),  # shortest round-trip form
                 p.n_authors,
                 p.n_internal_authors,
             ]
@@ -511,17 +502,13 @@ def parse_staff(source: str | TextIO) -> dict[str, StaffRecord]:
 
 
 def validate_dataset(dataset: Dataset, policy: SelectionPolicy | None = None) -> ValidationReport:
-    """Re-check product invariants and audit submission caps.
+    """Flag TR-indexed products without citations and audit submission caps.
 
     Cap violations are warnings, never errors: the tool audits historic or
     synthetic data rather than enforcing submission rules.
     """
     report = ValidationReport(accepted_count=len(dataset))
-    seen: set[tuple[str, str, str]] = set()
     for p in dataset.products:
-        if p.key in seen:
-            report.error(0, "duplicate_product", f"duplicate triple {p.key}")
-        seen.add(p.key)
         if p.tr_indexed and p.citations is None:
             report.warn(0, "tr_missing_citations", f"product {p.product_id!r} is TR-indexed without a citation count")
 
@@ -545,34 +532,6 @@ def validate_dataset(dataset: Dataset, policy: SelectionPolicy | None = None) ->
     return report
 
 
-def _canonical_json(value, indent: int = 0) -> str:
-    """Canonical JSON: sorted keys, floats with exactly 6 fractional digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f'{inner}{json.dumps(str(k))}: {_canonical_json(value[k], indent + 1)}'
-            for k in sorted(value)
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{inner}{_canonical_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    if isinstance(value, int):
-        return str(value)
-    if value is None:
-        return "null"
-    return json.dumps(value)
-
-
 def _product_record(p: Product) -> dict:
     record: dict = {
         "product_id": p.product_id,
@@ -593,19 +552,12 @@ def _product_record(p: Product) -> dict:
 
 
 def write_archive(dataset: Dataset) -> str:
-    """Serialize a dataset to the canonical archive: a deterministic JSON
-    document (sorted keys, floats at 6 fractional digits) suitable for
-    byte-stable re-emission."""
-    doc = {
-        "format": ARCHIVE_FORMAT,
-        "provenance": {
-            "source_name": dataset.provenance.source_name,
-            "source_digest": dataset.provenance.source_digest,
-            "ingested_at": dataset.provenance.ingested_at,
-        },
-        "products": [_product_record(p) for p in dataset.products],
-    }
-    return _canonical_json(doc) + "\n"
+    """Serialize a dataset to the canonical archive: a JSON document with one
+    product record per line, keys sorted, floats in their shortest
+    round-trip form, so re-emitting a loaded archive gives the same bytes."""
+    header = json.dumps(vars(dataset.provenance), sort_keys=True)
+    records = ",\n".join(json.dumps(_product_record(p), sort_keys=True) for p in dataset.products)
+    return f'{{"format": "{ARCHIVE_FORMAT}",\n"provenance": {header},\n"products": [\n{records}\n]}}\n'
 
 
 def load_archive(text: str) -> Dataset:
@@ -624,26 +576,26 @@ def load_archive(text: str) -> Dataset:
         source_digest=prov.get("source_digest", ""),
         ingested_at=prov.get("ingested_at", ""),
     )
+    if not all(type(v) is str for v in vars(provenance).values()):
+        raise PipelineError("bad_archive", "archive provenance values must be strings")
     products = []
     for rec in records:
         try:
-            if not isinstance(rec["tr_indexed"], bool):
-                raise ValueError(f"tr_indexed must be a JSON boolean, got {rec['tr_indexed']!r}")
             products.append(
                 Product(
                     product_id=rec["product_id"],
                     structure_id=rec["structure_id"],
                     discipline=rec["discipline"],
-                    year=int(rec["year"]),
+                    year=rec["year"],
                     product_type=ProductType(rec["product_type"]),
                     peer_rating=PeerRating.from_token(rec["peer_rating"]),
                     tr_indexed=rec["tr_indexed"],
                     citations=rec.get("citations"),
                     journal_if=rec.get("journal_if"),
-                    n_authors=int(rec["n_authors"]),
-                    n_internal_authors=int(rec["n_internal_authors"]),
+                    n_authors=rec["n_authors"],
+                    n_internal_authors=rec["n_internal_authors"],
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers InvalidProduct
             raise PipelineError("bad_archive", f"invalid product record: {exc}") from None
     return Dataset.from_products(products, provenance)

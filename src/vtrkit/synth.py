@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from statistics import NormalDist
 
-from .model import Dataset, PeerRating, PipelineError, Product, ProductType, Provenance
+from .model import YEAR_MAX, YEAR_MIN, Dataset, PeerRating, PipelineError, Product, ProductType, Provenance
 
 __all__ = ["DisciplineSpec", "SynthConfig", "DEFAULT_DISCIPLINES", "generate_exercise", "load_synth_config"]
 
@@ -88,8 +88,12 @@ class SynthConfig:
             raise PipelineError("invalid_config", "target_rho must lie in (-1, 1)")
         if self.citation_dispersion <= 0 or self.if_scale <= 0:
             raise PipelineError("invalid_config", "citation_dispersion and if_scale must be positive")
-        if self.year_min > self.year_max:
-            raise PipelineError("invalid_config", "year_min must not exceed year_max")
+        if type(self.year_min) is not int or type(self.year_max) is not int:
+            raise PipelineError("invalid_config", "year_min and year_max must be integers")
+        if not YEAR_MIN <= self.year_min <= self.year_max <= YEAR_MAX:
+            raise PipelineError(
+                "invalid_config", f"year bounds must satisfy {YEAR_MIN} <= year_min <= year_max <= {YEAR_MAX}"
+            )
         if not 0.0 <= self.internal_author_share <= 1.0:
             raise PipelineError("invalid_config", "internal_author_share must lie in [0, 1]")
         if not 0.0 <= self.hyperauthor_rate <= 1.0:
@@ -97,8 +101,8 @@ class SynthConfig:
         if not self.disciplines:
             raise PipelineError("invalid_config", "at least one discipline is required")
         for spec in self.disciplines:
-            if not spec.code:
-                raise PipelineError("invalid_config", "discipline code must be nonempty")
+            if type(spec.code) is not str or not spec.code:
+                raise PipelineError("invalid_config", "discipline code must be a nonempty string")
             if spec.n_structures < 1:
                 raise PipelineError("invalid_config", f"{spec.code}: n_structures must be >= 1")
             if not 1 <= spec.products_min <= spec.products_max:

@@ -9,7 +9,6 @@ import pytest
 
 from vtrkit.model import (
     Dataset,
-    IngestConfig,
     PeerRating,
     PipelineError,
     Product,
@@ -113,10 +112,15 @@ class TestParseProducts:
         assert report.errors[0].rule == "field_count"
 
     def test_year_window(self):
-        config = IngestConfig(year_min=2001, year_max=2003)
-        dataset, report = parse_products(make_csv("P1,S1,BIO,2004,journal_article,E,true,,,2,1"), config)
+        dataset, report = parse_products(make_csv("P1,S1,BIO,2101,journal_article,E,true,,,2,1"))
         assert dataset is None
         assert report.errors[0].rule == "year_out_of_range"
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+    def test_non_finite_journal_if(self, token):
+        dataset, report = parse_products(make_csv(f"P1,S1,BIO,2002,journal_article,E,true,1,{token},2,1"))
+        assert dataset is None
+        assert [(i.row, i.rule) for i in report.errors] == [(2, "non_finite_number")]
 
     def test_unknown_discipline_warns_but_accepts(self):
         dataset, report = parse_products(make_csv("P1,S1,NANO,2002,journal_article,E,true,,,2,1"))
@@ -244,12 +248,18 @@ class TestDatasetSemantics:
             Dataset.from_products([p, p], Provenance("x", "y", "z"))
         assert err.value.code == "duplicate_product"
 
+    def test_dataset_rejects_unsorted_products(self):
+        p1 = Product("P1", "S", "BIO", 2002, ProductType.BOOK, PeerRating.GOOD, False, None, None, 2, 1)
+        p2 = Product("P2", "S", "BIO", 2002, ProductType.BOOK, PeerRating.GOOD, False, None, None, 2, 1)
+        with pytest.raises(ValueError):
+            Dataset(products=(p2, p1), provenance=Provenance("x", "y", "z"))
+
     def test_validate_catches_duplicates_in_raw_dataset(self):
-        # a dataset assembled without from_products still gets audited
+        # a dataset assembled without from_products is checked by Dataset itself
         p = Product("P", "S", "BIO", 2002, ProductType.BOOK, PeerRating.GOOD, False, None, None, 2, 1)
-        raw = Dataset(products=(p, p), provenance=Provenance("x", "y", "z"))
-        report = validate_dataset(raw)
-        assert [i.rule for i in report.errors] == ["duplicate_product"]
+        with pytest.raises(PipelineError) as err:
+            Dataset(products=(p, p), provenance=Provenance("x", "y", "z"))
+        assert err.value.code == "duplicate_product"
 
 
 class TestValidateDataset:
@@ -314,7 +324,13 @@ class TestArchive:
 
     def test_archive_fixed_decimal_formatting(self, four_product_dataset):
         text = write_archive(four_product_dataset)
-        assert '"journal_if": 2.000000' in text
+        assert '"journal_if": 2.0,' in text
+        assert "2.000000" not in text
+
+    def test_archive_keeps_full_float_precision(self):
+        dataset, _ = parse_products(make_csv("P1,S1,BIO,2002,journal_article,E,true,1,1.23456789,2,1"))
+        (p,) = load_archive(write_archive(dataset)).products
+        assert p.journal_if == 1.23456789
 
     def test_bad_archive(self):
         with pytest.raises(PipelineError) as err:
@@ -331,8 +347,28 @@ class TestArchive:
             lambda doc: doc.__setitem__("products", {"P1": doc["products"][0]}),
             lambda doc: doc.__setitem__("provenance", None),
             lambda doc: doc["products"][0].__setitem__("tr_indexed", "false"),
+            lambda doc: doc["products"][0].__setitem__("citations", True),
+            lambda doc: doc["products"][0].__setitem__("year", 2001.7),
+            lambda doc: doc["products"][0].__setitem__("journal_if", float("nan")),
+            lambda doc: doc["products"][0].__setitem__("product_id", 5),
+            lambda doc: doc["products"][0].__setitem__("n_authors", True),
+            lambda doc: doc["products"][0].__setitem__("discipline", ["BIO"]),
+            lambda doc: doc["provenance"].__setitem__("source_name", 5),
         ],
-        ids=["null_record", "string_citations", "non_list_products", "null_provenance", "string_boolean"],
+        ids=[
+            "null_record",
+            "string_citations",
+            "non_list_products",
+            "null_provenance",
+            "string_boolean",
+            "boolean_citations",
+            "float_year",
+            "nan_journal_if",
+            "integer_product_id",
+            "boolean_n_authors",
+            "list_discipline",
+            "integer_source_name",
+        ],
     )
     def test_malformed_archive_is_bad_archive(self, four_product_dataset, mutate):
         doc = json.loads(write_archive(four_product_dataset))

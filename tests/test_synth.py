@@ -168,7 +168,11 @@ class TestConfig:
             {"citation_dispersion": 0.0},
             {"if_scale": -1.0},
             {"year_min": 2005, "year_max": 2003},
+            {"year_min": 2001.5},
+            {"year_min": 1500},
+            {"year_max": 2200},
             {"disciplines": ()},
+            {"disciplines": (DisciplineSpec(5, 1, 1, 5),)},
             {"disciplines": (DisciplineSpec("X", 0, 1, 5),)},
             {"disciplines": (DisciplineSpec("X", 1, 5, 4),)},
             {"disciplines": (DisciplineSpec("X", 1, 1, 5, coverage=1.5),)},
