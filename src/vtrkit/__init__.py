@@ -21,8 +21,10 @@ from .concordance import (
 )
 from .indicators import (
     DisciplineProfile,
+    GroupStats,
     RatingBreakdown,
     discipline_profile,
+    group_stats,
     h_index,
     ownership_degree,
     rating_breakdown,
@@ -51,10 +53,8 @@ from .model import (
 )
 from .numerics import average_ranks, chi_square_upper_tail, student_t_two_sided
 from .scoring import (
-    DEFAULT_WEIGHTS,
     RankComparison,
     Ranking,
-    RatingWeights,
     SizeClass,
     StructureRating,
     compile_ranking,

@@ -61,13 +61,6 @@ def _render_validation(report: ValidationReport, fmt: str) -> str:
     return f"accepted products: {report.accepted_count}\n" + (text if issues else "no issues\n")
 
 
-def _discipline_products(dataset, discipline: str):
-    products = dataset.products_in(discipline)
-    if not products:
-        raise PipelineError("empty_discipline", f"no products for discipline {discipline!r}")
-    return products
-
-
 def cmd_ingest(args) -> int:
     dataset, report = parse_products_file(args.products)
     _report_to_stderr(report)
@@ -136,7 +129,7 @@ def cmd_compare_ranks(args) -> int:
 
 def cmd_concordance(args) -> int:
     dataset = _load_dataset(args.dataset)
-    products = _discipline_products(dataset, args.discipline)
+    products = dataset.products_in(args.discipline)
     battery = rpt.build_battery(products, VARIABLE_BY_FLAG[args.variable], args.coding)
     _write_out(rpt.render_battery(battery, args.format, args.discipline), args.out)
     return 0
@@ -144,7 +137,7 @@ def cmd_concordance(args) -> int:
 
 def cmd_probability(args) -> int:
     dataset = _load_dataset(args.dataset)
-    products = _discipline_products(dataset, args.discipline)
+    products = dataset.products_in(args.discipline)
     pairs = adjacent_rating_probabilities(products, VARIABLE_BY_FLAG[args.variable])
     _write_out(rpt.render(rpt.PROBABILITIES, pairs, args.format), args.out)
     return 0

@@ -6,12 +6,13 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .model import Dataset, PeerRating, PipelineError, Product, RATING_ORDER
-from .scoring import DEFAULT_WEIGHTS, RatingWeights
+from .model import Dataset, PeerRating, Product, RATING_ORDER
 
 __all__ = [
     "h_index",
     "ownership_degree",
+    "GroupStats",
+    "group_stats",
     "DisciplineProfile",
     "discipline_profile",
     "RatingBreakdown",
@@ -40,6 +41,40 @@ def ownership_degree(product: Product) -> float:
 
 
 @dataclass(frozen=True)
+class GroupStats:
+    """The aggregates every per-area table reports for one product group.
+
+    Peer means use the committee weights (``PeerRating.weight``).  Citation
+    and impact means are over TR products carrying the value, and the h index
+    over TR citation counts; a mean is None when no product enters it.
+    """
+
+    n: int
+    n_tr: int
+    peer_all: float | None
+    peer_tr: float | None
+    mean_citations: float | None
+    mean_if: float | None
+    h: int
+
+
+def group_stats(products: Sequence[Product]) -> GroupStats:
+    """Size, TR count, peer means, TR citation and IF means, and h of a group."""
+    tr = [p for p in products if p.tr_indexed]
+    cites = [p.citations for p in tr if p.citations is not None]
+    impact = [p.journal_if for p in tr if p.journal_if is not None]
+    return GroupStats(
+        n=len(products),
+        n_tr=len(tr),
+        peer_all=statistics.fmean(p.peer_rating.weight for p in products) if products else None,
+        peer_tr=statistics.fmean(p.peer_rating.weight for p in tr) if tr else None,
+        mean_citations=statistics.fmean(cites) if cites else None,
+        mean_if=statistics.fmean(impact) if impact else None,
+        h=h_index(cites),
+    )
+
+
+@dataclass(frozen=True)
 class DisciplineProfile:
     """Discipline-wide aggregate row.
 
@@ -61,52 +96,29 @@ class DisciplineProfile:
     h: int
 
 
-def _tr_stats(products: Sequence[Product]) -> tuple[float | None, float | None, int]:
-    """(mean citations, mean impact factor, h) over the TR subset of products.
-
-    TR products missing a value are excluded from the respective mean; the h
-    index uses the citation multiset of products with a recorded count.
-    """
-    tr = [p for p in products if p.tr_indexed]
-    cites = [p.citations for p in tr if p.citations is not None]
-    impact = [p.journal_if for p in tr if p.journal_if is not None]
-    return (
-        statistics.fmean(cites) if cites else None,
-        statistics.fmean(impact) if impact else None,
-        h_index(cites),
-    )
-
-
-def discipline_profile(
-    dataset: Dataset,
-    discipline: str,
-    weights: RatingWeights = DEFAULT_WEIGHTS,
-) -> DisciplineProfile:
+def discipline_profile(dataset: Dataset, discipline: str) -> DisciplineProfile:
     """Aggregate one discipline: size, coverage, authorship, ownership, peer
     means (all products and TR subset), citation/impact means, and h index.
 
     Products are counted once per (structure, discipline) affiliation.
     """
     products = dataset.products_in(discipline)
-    if not products:
-        raise PipelineError("empty_discipline", f"no products for discipline {discipline!r}")
-    tr = [p for p in products if p.tr_indexed]
-    mean_citations, mean_if, h = _tr_stats(products)
+    stats = group_stats(products)
     cites_over_if = None
-    if mean_citations is not None and mean_if:
-        cites_over_if = mean_citations / mean_if
+    if stats.mean_citations is not None and stats.mean_if:
+        cites_over_if = stats.mean_citations / stats.mean_if
     return DisciplineProfile(
         discipline=discipline,
-        size=len(products),
-        coverage=len(tr) / len(products),
+        size=stats.n,
+        coverage=stats.n_tr / stats.n,
         mean_authors=statistics.fmean(p.n_authors for p in products),
         mean_ownership=statistics.fmean(ownership_degree(p) for p in products),
-        peer_all=statistics.fmean(weights.of(p.peer_rating) for p in products),
-        peer_tr=statistics.fmean(weights.of(p.peer_rating) for p in tr) if tr else None,
-        mean_citations=mean_citations,
+        peer_all=stats.peer_all,
+        peer_tr=stats.peer_tr,
+        mean_citations=stats.mean_citations,
         cites_over_if=cites_over_if,
-        mean_if=mean_if,
-        h=h,
+        mean_if=stats.mean_if,
+        h=stats.h,
     )
 
 
@@ -133,9 +145,7 @@ class RatingBreakdown:
 def rating_breakdown(dataset: Dataset, discipline: str) -> list[RatingBreakdown]:
     """One row per peer rating in E, G, A, L order."""
     products = dataset.products_in(discipline)
-    if not products:
-        raise PipelineError("empty_discipline", f"no products for discipline {discipline!r}")
-    disc_cites, disc_if, disc_h = _tr_stats(products)
+    area = group_stats(products)
 
     def ratio(value: float | None, base: float | None) -> float | None:
         if value is None or not base:
@@ -144,20 +154,18 @@ def rating_breakdown(dataset: Dataset, discipline: str) -> list[RatingBreakdown]
 
     rows = []
     for rating in RATING_ORDER:
-        group = [p for p in products if p.peer_rating == rating]
-        tr_group = [p for p in group if p.tr_indexed]
-        mean_citations, mean_if, h = _tr_stats(group)
+        stats = group_stats([p for p in products if p.peer_rating == rating])
         rows.append(
             RatingBreakdown(
                 rating=rating,
-                count=len(group),
-                share=len(group) / len(products),
-                mean_citations=mean_citations,
-                citations_ratio=ratio(mean_citations, disc_cites),
-                mean_if=mean_if,
-                if_ratio=ratio(mean_if, disc_if),
-                h=h if tr_group else None,
-                h_ratio=h / disc_h if tr_group and disc_h else None,
+                count=stats.n,
+                share=stats.n / area.n,
+                mean_citations=stats.mean_citations,
+                citations_ratio=ratio(stats.mean_citations, area.mean_citations),
+                mean_if=stats.mean_if,
+                if_ratio=ratio(stats.mean_if, area.mean_if),
+                h=stats.h if stats.n_tr else None,
+                h_ratio=stats.h / area.h if stats.n_tr and area.h else None,
             )
         )
     return rows

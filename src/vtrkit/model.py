@@ -18,6 +18,8 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Mapping, TextIO
 
 __all__ = [
@@ -26,6 +28,10 @@ __all__ = [
     "KNOWN_DISCIPLINES",
     "YEAR_MIN",
     "YEAR_MAX",
+    "CITATIONS_MAX",
+    "AUTHORS_MAX",
+    "JOURNAL_IF_MIN",
+    "JOURNAL_IF_MAX",
     "PipelineError",
     "InvalidProduct",
     "PeerRating",
@@ -72,6 +78,13 @@ KNOWN_DISCIPLINES = ("MCS", "PHY", "CHE", "EAS", "BIO", "MED", "AVM", "CEA", "II
 YEAR_MIN = 1900
 YEAR_MAX = 2100
 
+#: Bounds that keep every sum, mean and ratio over a product set finite:
+#: citation counts, author counts, and nonzero impact factors.
+CITATIONS_MAX = 10**9
+AUTHORS_MAX = 10**6
+JOURNAL_IF_MIN = 1e-6
+JOURNAL_IF_MAX = 1e6
+
 ARCHIVE_FORMAT = "vtrkit-dataset/1"
 
 _FLOAT_MAX = sys.float_info.max
@@ -105,6 +118,11 @@ class PeerRating(enum.IntEnum):
     def token(self) -> str:
         return _RATING_TOKENS[self]
 
+    @property
+    def weight(self) -> float:
+        """The committee's fixed numeric weight: E 1.0, G 0.8, A 0.6, L 0.2."""
+        return _RATING_WEIGHTS[self]
+
     @classmethod
     def from_token(cls, token: str) -> "PeerRating":
         try:
@@ -120,6 +138,12 @@ _RATING_TOKENS = {
     PeerRating.LIMITED: "L",
 }
 _TOKEN_RATINGS = {v: k for k, v in _RATING_TOKENS.items()}
+_RATING_WEIGHTS = {
+    PeerRating.EXCELLENT: 1.0,
+    PeerRating.GOOD: 0.8,
+    PeerRating.ACCEPTABLE: 0.6,
+    PeerRating.LIMITED: 0.2,
+}
 
 #: Display order used by every report: best rating first.
 RATING_ORDER = (
@@ -197,6 +221,16 @@ class Product:
                 raise InvalidProduct("malformed_number", f"journal_if must be >= 0, got {journal_if}")
         if not tr_indexed and (citations is not None or journal_if is not None):
             raise InvalidProduct("bibliometrics_on_uncovered", "citations/journal_if present but tr_indexed is false")
+        if (
+            n_authors > AUTHORS_MAX
+            or (citations is not None and citations > CITATIONS_MAX)
+            or (journal_if and not JOURNAL_IF_MIN <= journal_if <= JOURNAL_IF_MAX)
+        ):
+            raise InvalidProduct(
+                "value_out_of_range",
+                f"n_authors must be <= {AUTHORS_MAX}, citations <= {CITATIONS_MAX} and journal_if 0 or in "
+                f"[{JOURNAL_IF_MIN:g}, {JOURNAL_IF_MAX:g}], got {n_authors}, {citations} and {journal_if!r}",
+            )
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -240,23 +274,20 @@ class Dataset:
         return len(self.products)
 
     @cached_property
-    def disciplines(self) -> tuple[str, ...]:
-        return tuple(sorted({p.discipline for p in self.products}))
-
-    @cached_property
-    def structures(self) -> tuple[str, ...]:
-        return tuple(sorted({p.structure_id for p in self.products}))
+    def _by_discipline(self) -> dict[str, tuple[Product, ...]]:
+        # key order puts each discipline's products in one run, in sorted order
+        return {d: tuple(run) for d, run in groupby(self.products, attrgetter("discipline"))}
 
     @property
-    def distinct_product_count(self) -> int:
-        """Number of distinct products (multi-affiliation entries collapse)."""
-        return len({p.product_id for p in self.products})
+    def disciplines(self) -> tuple[str, ...]:
+        return tuple(self._by_discipline)
 
     def products_in(self, discipline: str) -> tuple[Product, ...]:
-        return tuple(p for p in self.products if p.discipline == discipline)
-
-    def products_of_structure(self, structure_id: str) -> tuple[Product, ...]:
-        return tuple(p for p in self.products if p.structure_id == structure_id)
+        """The discipline's products in key order; a discipline without any is an error."""
+        try:
+            return self._by_discipline[discipline]
+        except KeyError:
+            raise PipelineError("empty_discipline", f"no products for discipline {discipline!r}") from None
 
 
 @dataclass(frozen=True)

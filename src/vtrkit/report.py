@@ -38,15 +38,7 @@ from .concordance import (
 )
 from .indicators import DisciplineProfile, RatingBreakdown, discipline_profile, rating_breakdown
 from .model import Dataset, PeerRating, PipelineError, RATING_ORDER, validate_dataset
-from .scoring import (
-    DEFAULT_WEIGHTS,
-    RankComparison,
-    Ranking,
-    RatingWeights,
-    compile_ranking,
-    rank_comparison,
-    structure_ratings,
-)
+from .scoring import RankComparison, Ranking, compile_ranking, rank_comparison, structure_ratings
 
 __all__ = [
     "render",
@@ -451,12 +443,11 @@ def _structure_correlations(ratings, min_products: int) -> list[StructureCorrela
 def build_section(
     dataset: Dataset,
     discipline: str,
-    weights: RatingWeights = DEFAULT_WEIGHTS,
     min_products: int = 10,
     coding: str = "quartile",
 ) -> DisciplineSection:
     products = dataset.products_in(discipline)
-    ratings = structure_ratings(dataset, discipline, weights)
+    ratings = structure_ratings(dataset, discipline)
     ranking = None
     ranking_note = None
     comparison = None
@@ -471,7 +462,7 @@ def build_section(
         except PipelineError as exc:
             comparison_note = f"{exc.code}: {exc}"
     return DisciplineSection(
-        profile=discipline_profile(dataset, discipline, weights),
+        profile=discipline_profile(dataset, discipline),
         breakdown=rating_breakdown(dataset, discipline),
         batteries=[build_battery(products, variable, coding) for variable in VARIABLES],
         ranking=ranking,
@@ -485,7 +476,6 @@ def build_section(
 def build_report(
     dataset: Dataset,
     disciplines: Sequence[str] | None = None,
-    weights: RatingWeights = DEFAULT_WEIGHTS,
     min_products: int = 10,
     coding: str = "quartile",
 ) -> ReportBundle:
@@ -493,7 +483,7 @@ def build_report(
     validation = validate_dataset(dataset)
     notes = [f"{i.rule}: {i.message}" for i in validation.errors + validation.warnings]
     sections = {
-        d: build_section(dataset, d, weights, min_products, coding) for d in sorted(chosen)
+        d: build_section(dataset, d, min_products, coding) for d in sorted(chosen)
     }
     return ReportBundle(
         source_name=dataset.provenance.source_name,

@@ -1,18 +1,19 @@
-"""Rating weights, structure-level ratings, size classes, and ranking compilation."""
+"""Structure-level ratings, size classes, and ranking compilation."""
 
 from __future__ import annotations
 
 import enum
 import statistics
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Sequence
 
-from .model import Dataset, PeerRating, PipelineError
+from .indicators import group_stats
+from .model import Dataset, PipelineError
 from .numerics import average_ranks
 
 __all__ = [
-    "RatingWeights",
-    "DEFAULT_WEIGHTS",
     "SizeClass",
     "size_class",
     "StructureRating",
@@ -24,30 +25,6 @@ __all__ = [
     "RankComparison",
     "rank_comparison",
 ]
-
-
-@dataclass(frozen=True)
-class RatingWeights:
-    """Numeric weights of the four peer ratings (committee defaults)."""
-
-    excellent: float = 1.0
-    good: float = 0.8
-    acceptable: float = 0.6
-    limited: float = 0.2
-
-    def __post_init__(self) -> None:
-        ordered = (self.excellent, self.good, self.acceptable, self.limited)
-        if any(not 0.0 < w <= 1.0 for w in ordered):
-            raise ValueError("weights must lie in (0, 1]")
-        if any(a <= b for a, b in zip(ordered, ordered[1:])):
-            raise ValueError("weights must be strictly decreasing in rating order")
-
-    def of(self, rating: PeerRating) -> float:
-        """Numeric weight of a peer rating (LIMITED = 1 ... EXCELLENT = 4)."""
-        return (self.limited, self.acceptable, self.good, self.excellent)[rating - 1]
-
-
-DEFAULT_WEIGHTS = RatingWeights()
 
 
 class SizeClass(enum.Enum):
@@ -85,50 +62,32 @@ class StructureRating:
     impact: float | None
     size_class: SizeClass
 
-    def metric(self, name: str) -> float | None:
-        if name not in RANKING_METRICS:
-            raise ValueError(f"unknown metric {name!r}")
-        return getattr(self, name)
-
 
 RANKING_METRICS = ("peer_all", "peer_tr", "cites", "impact")
 
 
-def structure_ratings(
-    dataset: Dataset,
-    discipline: str,
-    weights: RatingWeights = DEFAULT_WEIGHTS,
-) -> list[StructureRating]:
+def structure_ratings(dataset: Dataset, discipline: str) -> list[StructureRating]:
     """Compute peer and bibliometric ratings for every structure with at least
     one product in the discipline.
 
     Structures without TR articles get no citation/impact rating (absence of
     evidence rather than a zero score).
     """
-    products = dataset.products_in(discipline)
-    if not products:
-        raise PipelineError("empty_discipline", f"no products for discipline {discipline!r}")
-    by_structure: dict[str, list] = {}
-    for p in products:
-        by_structure.setdefault(p.structure_id, []).append(p)
-
     ratings = []
-    for structure_id in sorted(by_structure):
-        group = by_structure[structure_id]
-        tr = [p for p in group if p.tr_indexed]
-        cites_vals = [p.citations for p in tr if p.citations is not None]
-        if_vals = [p.journal_if for p in tr if p.journal_if is not None]
+    # key order keeps each structure's products in one run, structures sorted
+    for structure_id, run in groupby(dataset.products_in(discipline), attrgetter("structure_id")):
+        stats = group_stats(tuple(run))
         ratings.append(
             StructureRating(
                 structure_id=structure_id,
                 discipline=discipline,
-                n_products=len(group),
-                n_tr=len(tr),
-                peer_all=statistics.fmean(weights.of(p.peer_rating) for p in group),
-                peer_tr=statistics.fmean(weights.of(p.peer_rating) for p in tr) if tr else None,
-                cites=statistics.fmean(cites_vals) if cites_vals else None,
-                impact=statistics.fmean(if_vals) if if_vals else None,
-                size_class=size_class(len(group)),
+                n_products=stats.n,
+                n_tr=stats.n_tr,
+                peer_all=stats.peer_all,
+                peer_tr=stats.peer_tr,
+                cites=stats.mean_citations,
+                impact=stats.mean_if,
+                size_class=size_class(stats.n),
             )
         )
     return ratings
@@ -174,9 +133,9 @@ def compile_ranking(
     if len(disciplines) > 1:
         raise PipelineError("mixed_disciplines", "ratings must come from a single discipline")
 
-    eligible = [r for r in ratings if r.n_products >= min_products]
-    excluded = tuple(sorted(r.structure_id for r in eligible if r.metric(metric) is None))
-    scored = [(r.metric(metric), r) for r in eligible if r.metric(metric) is not None]
+    eligible = [(getattr(r, metric), r) for r in ratings if r.n_products >= min_products]
+    excluded = tuple(sorted(r.structure_id for score, r in eligible if score is None))
+    scored = [(score, r) for score, r in eligible if score is not None]
     if not scored:
         raise PipelineError("empty_ranking", f"no structure qualifies for metric {metric!r}")
     scored.sort(key=lambda sr: (-sr[0], sr[1].structure_id))

@@ -22,7 +22,17 @@ import random
 from dataclasses import dataclass
 from statistics import NormalDist
 
-from .model import YEAR_MAX, YEAR_MIN, Dataset, PeerRating, PipelineError, Product, ProductType, Provenance
+from .model import (
+    YEAR_MAX,
+    YEAR_MIN,
+    Dataset,
+    InvalidProduct,
+    PeerRating,
+    PipelineError,
+    Product,
+    ProductType,
+    Provenance,
+)
 
 __all__ = ["DisciplineSpec", "SynthConfig", "DEFAULT_DISCIPLINES", "generate_exercise", "load_synth_config"]
 
@@ -79,8 +89,26 @@ class SynthConfig:
     hyperauthor_rate: float = 0.002
 
     def validate(self) -> None:
-        if len(self.rating_thresholds) != 3:
+        # types are checked exactly, as Product does: bool is not an int here
+        if type(self.seed) is not int:
+            raise PipelineError("invalid_config", "seed must be an integer")
+        reals = (
+            self.target_rho,
+            self.citation_dispersion,
+            self.if_scale,
+            self.internal_author_share,
+            self.hyperauthor_rate,
+        )
+        if not all(map(_is_real, reals)):
+            raise PipelineError(
+                "invalid_config",
+                "target_rho, citation_dispersion, if_scale, internal_author_share and hyperauthor_rate "
+                "must be finite numbers",
+            )
+        if type(self.rating_thresholds) is not tuple or len(self.rating_thresholds) != 3:
             raise PipelineError("invalid_config", "rating_thresholds must have exactly three levels")
+        if not all(map(_is_real, self.rating_thresholds)):
+            raise PipelineError("invalid_config", "rating_thresholds must be finite numbers")
         t1, t2, t3 = self.rating_thresholds
         if not 0.0 < t1 < t2 < t3 < 1.0:
             raise PipelineError("invalid_config", "rating_thresholds must be strictly increasing in (0, 1)")
@@ -103,12 +131,23 @@ class SynthConfig:
         for spec in self.disciplines:
             if type(spec.code) is not str or not spec.code:
                 raise PipelineError("invalid_config", "discipline code must be a nonempty string")
+            if not all(type(n) is int for n in (spec.n_structures, spec.products_min, spec.products_max)):
+                raise PipelineError(
+                    "invalid_config", f"{spec.code}: n_structures, products_min and products_max must be integers"
+                )
+            if not _is_real(spec.coverage):
+                raise PipelineError("invalid_config", f"{spec.code}: coverage must be a finite number")
             if spec.n_structures < 1:
                 raise PipelineError("invalid_config", f"{spec.code}: n_structures must be >= 1")
             if not 1 <= spec.products_min <= spec.products_max:
                 raise PipelineError("invalid_config", f"{spec.code}: bad products range")
             if not 0.0 <= spec.coverage <= 1.0:
                 raise PipelineError("invalid_config", f"{spec.code}: coverage must lie in [0, 1]")
+
+
+def _is_real(value: object) -> bool:
+    """A finite int or float; bool does not count."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 def _substream(*key: object) -> random.Random:
@@ -208,8 +247,11 @@ def generate_exercise(config: SynthConfig) -> Dataset:
             structure_id = f"S{s:03d}"
             count_rng = _substream(config.seed, spec.code, structure_id, "count")
             n_products = _rand_int(count_rng, spec.products_min, spec.products_max)
-            for index in range(1, n_products + 1):
-                products.append(_generate_product(spec, structure_id, index, config))
+            try:
+                for index in range(1, n_products + 1):
+                    products.append(_generate_product(spec, structure_id, index, config))
+            except (InvalidProduct, OverflowError) as exc:  # extreme knobs can draw values past the bounds
+                raise PipelineError("invalid_config", f"{spec.code}: config yields an invalid product: {exc}") from None
 
     config_digest = hashlib.sha256(repr(config).encode("utf-8")).hexdigest()
     provenance = Provenance(
@@ -251,21 +293,25 @@ def load_synth_config(text: str) -> SynthConfig:
         if key in doc:
             kwargs[key] = doc[key]
     if "rating_thresholds" in doc:
-        kwargs["rating_thresholds"] = tuple(doc["rating_thresholds"])
+        thresholds = doc["rating_thresholds"]
+        kwargs["rating_thresholds"] = tuple(thresholds) if type(thresholds) is list else thresholds
     if "disciplines" in doc:
+        entries = doc["disciplines"]
+        if type(entries) is not list:
+            raise PipelineError("invalid_config", "disciplines must be a list")
         specs = []
-        for entry in doc["disciplines"]:
+        for entry in entries:
             try:
                 specs.append(
                     DisciplineSpec(
                         code=entry["code"],
-                        n_structures=int(entry["n_structures"]),
-                        products_min=int(entry["products_min"]),
-                        products_max=int(entry["products_max"]),
-                        coverage=float(entry.get("coverage", 0.85)),
+                        n_structures=entry["n_structures"],
+                        products_min=entry["products_min"],
+                        products_max=entry["products_max"],
+                        coverage=entry.get("coverage", 0.85),
                     )
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError) as exc:
                 raise PipelineError("invalid_config", f"bad discipline entry: {exc}") from None
         kwargs["disciplines"] = tuple(specs)
     try:

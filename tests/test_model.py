@@ -8,6 +8,10 @@ import random
 import pytest
 
 from vtrkit.model import (
+    AUTHORS_MAX,
+    CITATIONS_MAX,
+    JOURNAL_IF_MAX,
+    JOURNAL_IF_MIN,
     Dataset,
     PeerRating,
     PipelineError,
@@ -25,6 +29,22 @@ from vtrkit.model import (
 )
 
 HEADER = "product_id,structure_id,discipline,year,product_type,peer_rating,tr_indexed,citations,journal_if,n_authors,n_internal_authors"
+
+
+#: Product sets whose statistics overflowed before the value bounds, as
+#: (citations, journal_if, n_authors) per product: an int citation count or
+#: author count beyond float range, an IF sum beyond float range, and a
+#: citations-over-IF ratio beyond float range.
+OUT_OF_RANGE = {
+    "huge_citations": [(10**400, 2.0, 2)],
+    "huge_n_authors": [(1, 2.0, 10**400)],
+    "if_sum_overflow": [(1, 1.7e308, 2), (1, 1.7e308, 2)],
+    "cites_over_tiny_if": [(10**9, 1e-300, 2)],
+}
+
+
+def out_of_range_rows(values) -> list[str]:
+    return [f"P{i},S1,BIO,2002,journal_article,E,true,{c},{f!r},{n},1" for i, (c, f, n) in enumerate(values, 1)]
 
 
 def make_csv(*rows: str) -> str:
@@ -89,7 +109,7 @@ class TestParseProducts:
         )
         assert report.ok
         assert len(dataset) == 3
-        assert dataset.distinct_product_count == 1
+        assert len({p.product_id for p in dataset.products}) == 1
 
     def test_malformed_number(self):
         dataset, report = parse_products(make_csv("P1,S1,BIO,02x,journal_article,E,true,1,,2,1"))
@@ -121,6 +141,22 @@ class TestParseProducts:
         dataset, report = parse_products(make_csv(f"P1,S1,BIO,2002,journal_article,E,true,1,{token},2,1"))
         assert dataset is None
         assert [(i.row, i.rule) for i in report.errors] == [(2, "non_finite_number")]
+
+    @pytest.mark.parametrize("values", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+    def test_value_out_of_range(self, values):
+        dataset, report = parse_products(make_csv(*out_of_range_rows(values)))
+        assert dataset is None
+        assert report.errors and {i.rule for i in report.errors} == {"value_out_of_range"}
+
+    def test_range_bounds_are_inclusive(self):
+        dataset, report = parse_products(
+            make_csv(
+                f"P1,S1,BIO,2002,journal_article,E,true,{CITATIONS_MAX},{JOURNAL_IF_MIN!r},{AUTHORS_MAX},1",
+                f"P2,S1,BIO,2002,journal_article,E,true,0,{JOURNAL_IF_MAX!r},1,1",
+                "P3,S1,BIO,2002,journal_article,E,true,0,0.0,1,1",
+            )
+        )
+        assert report.ok, report.errors
 
     def test_unknown_discipline_warns_but_accepts(self):
         dataset, report = parse_products(make_csv("P1,S1,NANO,2002,journal_article,E,true,,,2,1"))
@@ -185,7 +221,21 @@ class TestDatasetSemantics:
         backward, _ = parse_products(make_csv(*reversed(rows)))
         assert forward.products == backward.products
         assert forward.disciplines == backward.disciplines == ("BIO", "MED")
-        assert forward.structures == ("S1", "S2")
+        assert sorted({p.structure_id for p in forward.products}) == ["S1", "S2"]
+
+    def test_products_in_is_the_discipline_run(self):
+        dataset, _ = parse_products(
+            make_csv(
+                "P2,S2,BIO,2002,book,G,false,,,2,2",
+                "P3,S1,MED,2003,journal_article,A,true,1,0.5,4,2",
+                "P1,S1,BIO,2002,journal_article,E,true,5,2.0,3,1",
+            )
+        )
+        for discipline in dataset.disciplines:
+            assert dataset.products_in(discipline) == tuple(p for p in dataset.products if p.discipline == discipline)
+        with pytest.raises(PipelineError) as err:
+            dataset.products_in("PHY")
+        assert (err.value.code, str(err.value)) == ("empty_discipline", "no products for discipline 'PHY'")
 
     def test_round_trip_identity(self):
         rows = [
@@ -338,6 +388,16 @@ class TestArchive:
         assert err.value.code == "bad_archive"
         with pytest.raises(PipelineError):
             load_archive('{"format": "something-else"}')
+
+    @pytest.mark.parametrize("values", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+    def test_out_of_range_archive_is_bad_archive(self, values):
+        in_range = [(1, 2.0, 2)] * len(values)
+        doc = json.loads(write_archive(parse_products(make_csv(*out_of_range_rows(in_range)))[0]))
+        for record, (citations, journal_if, n_authors) in zip(doc["products"], values):
+            record.update(citations=citations, journal_if=journal_if, n_authors=n_authors)
+        with pytest.raises(PipelineError) as err:
+            load_archive(json.dumps(doc))
+        assert err.value.code == "bad_archive"
 
     @pytest.mark.parametrize(
         "mutate",

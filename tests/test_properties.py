@@ -1,5 +1,6 @@
 """Property tests: the CSV, the archive and the report agree on any valid
-dataset, and a damaged archive fails only with a PipelineError."""
+dataset, the per-area tables agree with each other, and a damaged archive
+fails only with a PipelineError."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vtrkit.indicators import discipline_profile, rating_breakdown
 from vtrkit.model import (
     PRODUCTS_HEADER,
     YEAR_MAX,
@@ -24,6 +26,7 @@ from vtrkit.model import (
     write_archive,
 )
 from vtrkit.report import build_report, render_report_json
+from vtrkit.scoring import structure_ratings
 
 # derandomized so tier-1 stays deterministic; small budgets keep it fast
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -45,7 +48,7 @@ def products(draw) -> Product:
         peer_rating=draw(st.sampled_from(list(PeerRating))),
         tr_indexed=tr_indexed,
         citations=draw(st.none() | st.integers(0, 10**6)) if tr_indexed else None,
-        journal_if=draw(st.none() | st.floats(0.0, 1e6)) if tr_indexed else None,
+        journal_if=draw(st.none() | st.just(0.0) | st.floats(1e-6, 1e6)) if tr_indexed else None,
         n_authors=n_authors,
         n_internal_authors=draw(st.integers(0, n_authors)),
     )
@@ -79,6 +82,17 @@ def test_report_from_csv_equals_report_from_archive(dataset):
     from_csv = render_report_json(build_report(parsed, min_products=1))
     from_archive = render_report_json(build_report(load_archive(write_archive(parsed)), min_products=1))
     assert from_archive == from_csv
+
+
+@PROPERTY
+@given(datasets)
+def test_per_area_tables_count_the_same_products(dataset):
+    for area in dataset.disciplines:
+        size = discipline_profile(dataset, area).size
+        ratings = structure_ratings(dataset, area)
+        assert sum(row.count for row in rating_breakdown(dataset, area)) == size
+        assert sum(r.n_products for r in ratings) == size
+        assert sum(r.n_tr for r in ratings) == sum(p.tr_indexed for p in dataset.products_in(area))
 
 
 json_values = st.recursive(

@@ -9,8 +9,6 @@ import pytest
 
 from vtrkit.model import PeerRating, PipelineError, parse_products
 from vtrkit.scoring import (
-    DEFAULT_WEIGHTS,
-    RatingWeights,
     SizeClass,
     StructureRating,
     compile_ranking,
@@ -38,34 +36,20 @@ def make_rating(structure_id: str, cites: float | None, n_products: int = 12) ->
 
 class TestWeights:
     def test_committee_defaults(self):
-        assert DEFAULT_WEIGHTS.of(PeerRating.EXCELLENT) == 1.0
-        assert DEFAULT_WEIGHTS.of(PeerRating.GOOD) == 0.8
-        assert DEFAULT_WEIGHTS.of(PeerRating.ACCEPTABLE) == 0.6
-        assert DEFAULT_WEIGHTS.of(PeerRating.LIMITED) == 0.2
+        assert PeerRating.EXCELLENT.weight == 1.0
+        assert PeerRating.GOOD.weight == 0.8
+        assert PeerRating.ACCEPTABLE.weight == 0.6
+        assert PeerRating.LIMITED.weight == 0.2
 
     def test_mean_of_excellent_and_good(self):
-        mean = statistics.fmean(
-            [DEFAULT_WEIGHTS.of(PeerRating.EXCELLENT), DEFAULT_WEIGHTS.of(PeerRating.GOOD)]
-        )
+        mean = statistics.fmean([PeerRating.EXCELLENT.weight, PeerRating.GOOD.weight])
         assert mean == pytest.approx(0.9)
 
     def test_strictly_order_preserving(self):
         ratings = sorted(PeerRating, reverse=True)
         for a, b in zip(ratings, ratings[1:]):
             assert a > b
-            assert DEFAULT_WEIGHTS.of(a) > DEFAULT_WEIGHTS.of(b)
-
-    def test_custom_weights(self):
-        weights = RatingWeights(0.9, 0.7, 0.5, 0.1)
-        assert weights.of(PeerRating.GOOD) == 0.7
-
-    def test_invalid_weights_rejected(self):
-        with pytest.raises(ValueError):
-            RatingWeights(1.0, 1.0, 0.6, 0.2)  # not strictly decreasing
-        with pytest.raises(ValueError):
-            RatingWeights(1.0, 0.8, 0.6, 0.0)  # outside (0, 1]
-        with pytest.raises(ValueError):
-            RatingWeights(1.2, 0.8, 0.6, 0.2)
+            assert a.weight > b.weight
 
 
 class TestSizeClass:

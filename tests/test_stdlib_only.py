@@ -1,0 +1,25 @@
+"""The runtime imports nothing outside the standard library."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = """
+import sys
+before = set(sys.modules)
+import vtrkit, vtrkit.cli, vtrkit.report
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+foreign = sorted(loaded - set(sys.stdlib_module_names) - {"vtrkit"})
+assert not foreign, foreign
+"""
+
+
+def test_runtime_imports_only_stdlib():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

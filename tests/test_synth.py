@@ -102,9 +102,10 @@ class TestGeneratedData:
 
     def test_structure_count_and_ids(self):
         dataset = generate_exercise(small_config(seed=5))
-        assert dataset.structures == ("S001", "S002", "S003", "S004")
-        for structure in dataset.structures:
-            count = len(dataset.products_of_structure(structure))
+        structures = sorted({p.structure_id for p in dataset.products})
+        assert structures == ["S001", "S002", "S003", "S004"]
+        for structure in structures:
+            count = len([p for p in dataset.products if p.structure_id == structure])
             assert 10 <= count <= 30
 
 
@@ -176,6 +177,10 @@ class TestConfig:
             {"disciplines": (DisciplineSpec("X", 0, 1, 5),)},
             {"disciplines": (DisciplineSpec("X", 1, 5, 4),)},
             {"disciplines": (DisciplineSpec("X", 1, 1, 5, coverage=1.5),)},
+            {"target_rho": "0.5"},
+            {"disciplines": (DisciplineSpec("X", 2.7, 1, 5),)},
+            {"seed": 1.5},
+            {"disciplines": (DisciplineSpec("X", 1, 1, 5, coverage="0.85"),)},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -209,6 +214,26 @@ class TestConfig:
     def test_load_rejects_unknown_keys(self):
         with pytest.raises(PipelineError) as err:
             load_synth_config('{"sede": 3}')
+        assert err.value.code == "invalid_config"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"target_rho": "0.5"}',
+            '{"seed": true}',
+            '{"rating_thresholds": 0.2}',
+            '{"disciplines": 5}',
+            '{"disciplines": [{"code": "X", "n_structures": 2.7, "products_min": 1, "products_max": 5}]}',
+        ],
+    )
+    def test_load_rejects_mistyped_values(self, text):
+        with pytest.raises(PipelineError) as err:
+            load_synth_config(text)
+        assert err.value.code == "invalid_config"
+
+    def test_out_of_range_draws_are_invalid_config(self):
+        with pytest.raises(PipelineError) as err:
+            generate_exercise(small_config(citation_dispersion=50.0))
         assert err.value.code == "invalid_config"
 
     def test_load_rejects_invalid_values(self):
