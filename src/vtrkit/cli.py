@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from typing import Iterable
 
 from . import report as rpt
 from .concordance import adjacent_rating_probabilities
@@ -20,12 +21,12 @@ from .model import (
     PipelineError,
     SelectionPolicy,
     ValidationReport,
+    archive_lines,
     load_archive,
     parse_products_file,
     parse_staff,
     serialize_products,
     validate_dataset,
-    write_archive,
 )
 from .scoring import compile_ranking, rank_comparison, structure_ratings
 from .synth import SynthConfig, generate_exercise, load_synth_config
@@ -35,12 +36,16 @@ METRIC_BY_FLAG = {"peer": "peer_all", "peer-tr": "peer_tr", "cites": "cites", "i
 REPORT_RENDERERS = {"md": rpt.render_report_md, "csv": rpt.render_report_csv, "json": rpt.render_report_json}
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_lines(lines: Iterable[str], out: str | None) -> None:
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(out, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            f.writelines(lines)
+
+
+def _write_out(text: str, out: str | None) -> None:
+    _write_lines((text,), out)
 
 
 def _load_dataset(path: str):
@@ -66,7 +71,7 @@ def cmd_ingest(args) -> int:
     _report_to_stderr(report)
     if dataset is None:
         return 1
-    _write_out(write_archive(dataset), args.out)
+    _write_lines(archive_lines(dataset), args.out)
     return 0
 
 

@@ -97,10 +97,7 @@ def quartile_bins(values: Sequence[float]) -> QuartileBins:
 
 def assign_quartile(value: float, bins: QuartileBins) -> int:
     """Quartile 1-4 of a value; boundary values go to the lower bin."""
-    for q, cut in enumerate(bins.cutpoints, start=1):
-        if value <= cut:
-            return q
-    return 4
+    return bisect_left(bins.cutpoints, value) + 1
 
 
 @dataclass(frozen=True)

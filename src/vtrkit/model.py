@@ -14,13 +14,14 @@ import enum
 import hashlib
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, TextIO
 
 __all__ = [
     "PRODUCTS_HEADER",
@@ -50,6 +51,7 @@ __all__ = [
     "serialize_products",
     "parse_staff",
     "validate_dataset",
+    "archive_lines",
     "write_archive",
     "load_archive",
 ]
@@ -163,6 +165,18 @@ class ProductType(enum.Enum):
     OTHER = "other"
 
 
+_PRODUCT_TYPES = {t.value: t for t in ProductType}
+
+
+def _lookup(members: dict, token, parse):
+    """``members[token]``: a plain dict lookup per record instead of an enum
+    call; an unknown token goes to ``parse``, which raises its usual error."""
+    try:
+        return members[token]
+    except (KeyError, TypeError):
+        return parse(token)
+
+
 @dataclass(frozen=True)
 class Product:
     """One submitted research output under a (structure, discipline) pair."""
@@ -237,6 +251,9 @@ class Product:
         return (self.discipline, self.structure_id, self.product_id)
 
 
+_product_key = attrgetter("discipline", "structure_id", "product_id")
+
+
 @dataclass(frozen=True)
 class Provenance:
     source_name: str
@@ -257,18 +274,20 @@ class Dataset:
     provenance: Provenance
 
     def __post_init__(self) -> None:
-        keys = [p.key for p in self.products]
-        for prev, key in zip(keys, keys[1:]):
+        keys = map(_product_key, self.products)
+        prev = next(keys, None)
+        for key in keys:
             if prev == key:
                 raise PipelineError(
                     "duplicate_product", f"duplicate (product_id, structure_id, discipline) triple {key}"
                 )
             if prev > key:
                 raise ValueError("products must be in key order; build the dataset with Dataset.from_products")
+            prev = key
 
     @classmethod
     def from_products(cls, products: Iterable[Product], provenance: Provenance) -> "Dataset":
-        return cls(products=tuple(sorted(products, key=lambda p: p.key)), provenance=provenance)
+        return cls(products=tuple(sorted(products, key=_product_key)), provenance=provenance)
 
     def __len__(self) -> int:
         return len(self.products)
@@ -346,12 +365,24 @@ class SelectionPolicy:
     staff: Mapping[str, StaffRecord] | None = None
     cap_fraction: float = 0.5
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.cap_fraction <= _FLOAT_MAX:  # false for NaN too
+            raise PipelineError("bad_cap", f"cap must be a finite number >= 0, got {self.cap_fraction!r}")
+
     def cap_for(self, record: StaffRecord) -> float:
         fte = 0.5 if record.kind == "university" else 1.0
         return self.cap_fraction * fte * record.avg_staff
 
 
 _BOOLEAN_TOKENS = {"true": True, "false": False}
+
+# the lines io.StringIO would give (split after each "\n"), as slices of the
+# text instead of a second, four-bytes-per-character copy of it
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
+
+
+def _csv_rows(text: str) -> Iterator[list[str]]:
+    return csv.reader(map(re.Match.group, _LINE.finditer(text)))
 
 
 def parse_products(
@@ -363,19 +394,17 @@ def parse_products(
     in the report with a row number and rule id.  If any error is recorded no
     dataset is produced.
     """
-    if isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
+    text = source if isinstance(source, str) else source.read()
     report = ValidationReport()
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or tuple(rows[0]) != PRODUCTS_HEADER:
+    # rows are read one at a time: only the accepted products are kept
+    reader = _csv_rows(text)
+    header = next(reader, None)
+    if header is None or tuple(header) != PRODUCTS_HEADER:
         report.error(1, "bad_header", f"header must be exactly {','.join(PRODUCTS_HEADER)}")
         return None, report
 
     products: dict[tuple[str, str, str], Product] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != len(PRODUCTS_HEADER):
@@ -396,15 +425,13 @@ def parse_products(
         ) = row
 
         bad = False
-        try:
-            rating = PeerRating.from_token(rating_tok)
-        except ValueError:
+        rating = _TOKEN_RATINGS.get(rating_tok)
+        if rating is None:
             report.error(lineno, "unknown_rating", f"unknown peer rating token {rating_tok!r}")
             bad = True
 
-        try:
-            ptype = ProductType(type_tok)
-        except ValueError:
+        ptype = _PRODUCT_TYPES.get(type_tok)
+        if ptype is None:
             report.error(lineno, "unknown_product_type", f"unknown product type {type_tok!r}")
             bad = True
 
@@ -443,12 +470,9 @@ def parse_products(
             report.error(lineno, exc.rule, str(exc))
             continue
 
-        if product.key in products:
-            report.error(
-                lineno,
-                "duplicate_product",
-                f"duplicate (product_id, structure_id, discipline) triple {product.key}",
-            )
+        key = (discipline, structure_id, product_id)
+        if key in products:
+            report.error(lineno, "duplicate_product", f"duplicate (product_id, structure_id, discipline) triple {key}")
             continue
 
         if discipline not in KNOWN_DISCIPLINES:
@@ -460,7 +484,7 @@ def parse_products(
                 f"product {product_id!r} is TR-indexed but has no citation count; "
                 "it is excluded from citation means",
             )
-        products[product.key] = product
+        products[key] = product
 
     report.accepted_count = len(products)
     if not report.ok:
@@ -509,12 +533,12 @@ def serialize_products(dataset: Dataset) -> str:
 def parse_staff(source: str | TextIO) -> dict[str, StaffRecord]:
     """Parse the optional staff table (structure_id,kind,avg_staff)."""
     text = source if isinstance(source, str) else source.read()
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or tuple(rows[0]) != STAFF_HEADER:
+    reader = _csv_rows(text)
+    header = next(reader, None)
+    if header is None or tuple(header) != STAFF_HEADER:
         raise PipelineError("bad_staff_header", f"staff header must be {','.join(STAFF_HEADER)}")
     records: dict[str, StaffRecord] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 3:
@@ -526,8 +550,8 @@ def parse_staff(source: str | TextIO) -> dict[str, StaffRecord]:
             avg_staff = float(staff_tok)
         except ValueError:
             raise PipelineError("bad_staff_number", f"row {lineno}: avg_staff must be numeric") from None
-        if avg_staff < 0:
-            raise PipelineError("bad_staff_number", f"row {lineno}: avg_staff must be >= 0")
+        if not 0 <= avg_staff <= _FLOAT_MAX:  # false for NaN too
+            raise PipelineError("bad_staff_number", f"row {lineno}: avg_staff must be a finite number >= 0")
         records[structure_id] = StaffRecord(structure_id, kind, avg_staff)
     return records
 
@@ -564,31 +588,45 @@ def validate_dataset(dataset: Dataset, policy: SelectionPolicy | None = None) ->
 
 
 def _product_record(p: Product) -> dict:
-    record: dict = {
-        "product_id": p.product_id,
-        "structure_id": p.structure_id,
+    # keys in sorted order, so plain json.dumps gives the canonical record
+    record = {
+        "citations": p.citations,
         "discipline": p.discipline,
-        "year": p.year,
-        "product_type": p.product_type.value,
-        "peer_rating": p.peer_rating.token,
-        "tr_indexed": p.tr_indexed,
+        "journal_if": None if p.journal_if is None else float(p.journal_if),
         "n_authors": p.n_authors,
         "n_internal_authors": p.n_internal_authors,
+        "peer_rating": _RATING_TOKENS[p.peer_rating],
+        "product_id": p.product_id,
+        "product_type": p.product_type.value,
+        "structure_id": p.structure_id,
+        "tr_indexed": p.tr_indexed,
+        "year": p.year,
     }
-    if p.citations is not None:
-        record["citations"] = p.citations
-    if p.journal_if is not None:
-        record["journal_if"] = float(p.journal_if)
+    if p.citations is None:
+        del record["citations"]
+    if p.journal_if is None:
+        del record["journal_if"]
     return record
 
 
+def archive_lines(dataset: Dataset) -> Iterator[str]:
+    """The canonical archive, line by line: a JSON document with the format
+    and provenance first, then one product record per line, keys sorted,
+    floats in their shortest round-trip form, so re-emitting a loaded archive
+    gives the same bytes."""
+    yield f'{{"format": "{ARCHIVE_FORMAT}",\n'
+    yield f'"provenance": {json.dumps(vars(dataset.provenance), sort_keys=True)},\n'
+    yield '"products": [\n'
+    products = dataset.products
+    last = len(products) - 1
+    for i, p in enumerate(products):
+        yield json.dumps(_product_record(p)) + (",\n" if i < last else "\n")
+    yield "]}\n" if products else "\n]}\n"
+
+
 def write_archive(dataset: Dataset) -> str:
-    """Serialize a dataset to the canonical archive: a JSON document with one
-    product record per line, keys sorted, floats in their shortest
-    round-trip form, so re-emitting a loaded archive gives the same bytes."""
-    header = json.dumps(vars(dataset.provenance), sort_keys=True)
-    records = ",\n".join(json.dumps(_product_record(p), sort_keys=True) for p in dataset.products)
-    return f'{{"format": "{ARCHIVE_FORMAT}",\n"provenance": {header},\n"products": [\n{records}\n]}}\n'
+    """The archive of ``archive_lines`` as one string."""
+    return "".join(archive_lines(dataset))
 
 
 def load_archive(text: str) -> Dataset:
@@ -610,7 +648,8 @@ def load_archive(text: str) -> Dataset:
     if not all(type(v) is str for v in vars(provenance).values()):
         raise PipelineError("bad_archive", "archive provenance values must be strings")
     products = []
-    for rec in records:
+    for i, rec in enumerate(records):
+        records[i] = None  # each decoded record is freed once its Product is built
         try:
             products.append(
                 Product(
@@ -618,8 +657,8 @@ def load_archive(text: str) -> Dataset:
                     structure_id=rec["structure_id"],
                     discipline=rec["discipline"],
                     year=rec["year"],
-                    product_type=ProductType(rec["product_type"]),
-                    peer_rating=PeerRating.from_token(rec["peer_rating"]),
+                    product_type=_lookup(_PRODUCT_TYPES, rec["product_type"], ProductType),
+                    peer_rating=_lookup(_TOKEN_RATINGS, rec["peer_rating"], PeerRating.from_token),
                     tr_indexed=rec["tr_indexed"],
                     citations=rec.get("citations"),
                     journal_if=rec.get("journal_if"),

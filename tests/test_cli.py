@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
 from vtrkit.cli import main
+from vtrkit.model import load_archive, parse_products_file, serialize_products, write_archive
+
+#: TR-indexed products without a citation count, ingested with warnings.
+MISSING_CITATIONS_CSV = """\
+product_id,structure_id,discipline,year,product_type,peer_rating,tr_indexed,citations,journal_if,n_authors,n_internal_authors
+P1,S1,BIO,2001,journal_article,E,true,,2.5,2,1
+P2,S1,BIO,2002,journal_article,G,true,3,,2,1
+P3,S2,BIO,2003,journal_article,A,true,,,1,1
+P4,S2,XYZ,2003,book,L,false,,,1,1
+"""
 
 PRODUCTS_CSV = """\
 product_id,structure_id,discipline,year,product_type,peer_rating,tr_indexed,citations,journal_if,n_authors,n_internal_authors
@@ -65,6 +77,48 @@ class TestIngest:
         record = json.loads(capsys.readouterr().err)
         assert record["errors"][0]["rule"] == "unknown_rating"
 
+    @pytest.mark.parametrize("source", ["golden", "missing_citations"])
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["file", "stdout"])
+    def test_streamed_archive_equals_write_archive(self, tmp_path, capsys, source, to_stdout):
+        """The lines ingest streams out are the bytes write_archive returns."""
+        from conftest import FIXTURES
+
+        products = tmp_path / "products.csv"
+        if source == "golden":
+            golden = load_archive((FIXTURES / "golden_dataset.json").read_text(encoding="utf-8"))
+            products.write_text(serialize_products(golden), encoding="utf-8")
+        else:
+            products.write_text(MISSING_CITATIONS_CSV, encoding="utf-8")
+        out = tmp_path / "dataset.json"
+        argv = ["ingest", "--products", str(products)] + ([] if to_stdout else ["--out", str(out)])
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        streamed = captured.out.encode("utf-8") if to_stdout else out.read_bytes()
+        if source == "missing_citations":
+            assert "tr_missing_citations" in captured.err
+
+        dataset, _ = parse_products_file(str(products))
+        loaded = load_archive(streamed.decode("utf-8"))
+        # only the ingest timestamp may differ between the two parses
+        assert dataclasses.replace(loaded.provenance, ingested_at="") == dataclasses.replace(
+            dataset.provenance, ingested_at=""
+        )
+        expected = write_archive(dataclasses.replace(dataset, provenance=loaded.provenance))
+        assert streamed == expected.encode("utf-8")
+
+    def test_ingest_peak_memory_is_bounded(self, tmp_path):
+        """Ingest reads the CSV row by row and writes the archive line by line."""
+        products = tmp_path / "products.csv"
+        assert main(["synth", "--seed", "42", "--out", str(products)]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["ingest", "--products", str(products), "--out", str(tmp_path / "dataset.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # ~1.8 MiB here; 3.3 MiB with every row, and the archive, held whole
+        assert peak < 2.5 * 2**20
+
     def test_missing_file_exit_1(self, tmp_path, capsys):
         assert main(["ingest", "--products", str(tmp_path / "nope.csv")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "io_error"
@@ -116,6 +170,21 @@ class TestValidate:
         assert main(["validate", "--dataset", str(archive), "--staff", str(staff), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert [w["rule"] for w in payload["warnings"]] == ["cap_exceeded"]
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_staff_exit_1(self, archive, tmp_path, capsys, token):
+        staff = tmp_path / "staff.csv"
+        staff.write_text(f"structure_id,kind,avg_staff\nS1,agency,{token}\n", encoding="utf-8")
+        assert main(["validate", "--dataset", str(archive), "--staff", str(staff)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "bad_staff_number"
+
+    @pytest.mark.parametrize("cap", ["nan", "inf", "-0.5"])
+    def test_bad_cap_exit_1(self, archive, tmp_path, capsys, cap):
+        staff = tmp_path / "staff.csv"
+        staff.write_text("structure_id,kind,avg_staff\nS1,university,8\n", encoding="utf-8")
+        argv = ["validate", "--dataset", str(archive), "--staff", str(staff), f"--cap={cap}"]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "bad_cap"
 
 
 class TestTables:

@@ -76,6 +76,24 @@ class TestAssignQuartile:
         assert assign_quartile(6, bins) == 4
         assert assign_quartile(4.9, bins) == 1
 
+    @pytest.mark.parametrize(
+        "values, cutpoints, bins_at_cuts, bins_above_cuts",
+        [
+            ([1, 2, 3, 4, 5, 6, 7, 8], (2.75, 4.5, 6.25), (1, 2, 3), (2, 3, 4)),
+            ([1, 1, 1, 1, 1, 5, 6, 7], (1.0, 1.0, 5.25), (1, 1, 3), (3, 3, 4)),
+            ([1, 2, 2, 2, 2, 2, 2, 9], (2.0, 2.0, 2.0), (1, 1, 1), (4, 4, 4)),
+            ([5, 5, 5, 5], (5, 5, 5), (1, 1, 1), (4, 4, 4)),
+        ],
+        ids=["distinct", "degenerate_lower", "degenerate_all", "constant"],
+    )
+    def test_each_cutpoint_goes_to_lower_bin(self, values, cutpoints, bins_at_cuts, bins_above_cuts):
+        """A value equal to a cutpoint lands in the lowest bin that cutpoint
+        closes; the next float above it lands past every equal cutpoint."""
+        bins = quartile_bins(values)
+        assert bins.cutpoints == cutpoints
+        assert tuple(assign_quartile(cut, bins) for cut in cutpoints) == bins_at_cuts
+        assert tuple(assign_quartile(math.nextafter(cut, math.inf), bins) for cut in cutpoints) == bins_above_cuts
+
     def test_exact_quarter_split_without_ties(self):
         """Tie-free sample with n divisible by 4 splits exactly."""
         values = [float(v) for v in range(1, 41)]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,6 +28,7 @@ from vtrkit.model import (
     validate_dataset,
     write_archive,
 )
+from vtrkit.synth import SynthConfig, generate_exercise
 
 HEADER = "product_id,structure_id,discipline,year,product_type,peer_rating,tr_indexed,citations,journal_if,n_authors,n_internal_authors"
 
@@ -344,6 +346,12 @@ class TestValidateDataset:
     def test_staff_table_optional(self, four_product_dataset):
         assert validate_dataset(four_product_dataset).ok
 
+    @pytest.mark.parametrize("cap", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_or_negative_cap_rejected(self, cap):
+        with pytest.raises(PipelineError) as err:
+            SelectionPolicy(staff={"S1": StaffRecord("S1", "agency", 1)}, cap_fraction=cap)
+        assert err.value.code == "bad_cap"
+
 
 class TestStaffFile:
     def test_parse_staff(self):
@@ -359,6 +367,13 @@ class TestStaffFile:
     def test_bad_header(self):
         with pytest.raises(PipelineError):
             parse_staff("a,b,c\n")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_staff_rejected(self, token):
+        """A NaN or infinite cap used to make validate_dataset skip cap_exceeded."""
+        with pytest.raises(PipelineError) as err:
+            parse_staff(f"structure_id,kind,avg_staff\nS1,agency,{token}\n")
+        assert err.value.code == "bad_staff_number"
 
 
 class TestArchive:
@@ -381,6 +396,26 @@ class TestArchive:
         dataset, _ = parse_products(make_csv("P1,S1,BIO,2002,journal_article,E,true,1,1.23456789,2,1"))
         (p,) = load_archive(write_archive(dataset)).products
         assert p.journal_if == 1.23456789
+
+    def test_empty_dataset_archive(self):
+        dataset, report = parse_products(make_csv())
+        assert report.ok and len(dataset) == 0
+        text = write_archive(dataset)
+        assert text.endswith('\n"products": [\n\n]}\n')
+        assert write_archive(load_archive(text)) == text
+
+    def test_load_releases_decoded_records(self):
+        """load_archive drops each decoded record once its Product is built, so
+        its peak stays well below the decoded document plus the products."""
+        text = write_archive(generate_exercise(SynthConfig(seed=42)))
+        tracemalloc.start()
+        try:
+            dataset = load_archive(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # ~720 bytes per product here; ~990 when the decoded records are kept
+        assert peak < 850 * len(dataset)
 
     def test_bad_archive(self):
         with pytest.raises(PipelineError) as err:

@@ -4,6 +4,8 @@ fails only with a PipelineError."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from vtrkit.model import (
     Product,
     ProductType,
     Provenance,
+    _csv_rows,
     load_archive,
     parse_products,
     serialize_products,
@@ -93,6 +96,20 @@ def test_per_area_tables_count_the_same_products(dataset):
         assert sum(row.count for row in rating_breakdown(dataset, area)) == size
         assert sum(r.n_products for r in ratings) == size
         assert sum(r.n_tr for r in ratings) == sum(p.tr_indexed for p in dataset.products_in(area))
+
+
+@PROPERTY
+@given(st.text(alphabet='a,"\n\r', max_size=30))
+def test_csv_rows_equal_stringio_rows(text):
+    """The parsers split their text into lines without copying it; the rows
+    are those csv.reader reads from io.StringIO, quoted line breaks included."""
+    def read(reader):
+        try:
+            return list(reader)
+        except csv.Error as exc:  # a lone carriage return in an unquoted field
+            return str(exc)
+
+    assert read(_csv_rows(text)) == read(csv.reader(io.StringIO(text)))
 
 
 json_values = st.recursive(

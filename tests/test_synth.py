@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from vtrkit.cli import main
 from vtrkit.concordance import pairwise_probabilities, peer_bibliometric_spearman
 from vtrkit.model import PipelineError, serialize_products, write_archive
 from vtrkit.synth import (
@@ -50,6 +52,30 @@ class TestDeterminism:
         a = write_archive(generate_exercise(small_config(seed=42)))
         b = write_archive(generate_exercise(small_config(seed=42)))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "config, seed, digest",
+        [
+            (None, 42, "5df7d559486f8f0ff458e8bd4e13ffc1c9247e79f11039818ac5d0273b6e8a2c"),
+            (
+                '{"target_rho": 0.6, "disciplines": [{"code": "BIO", "n_structures": 10,'
+                ' "products_min": 50, "products_max": 50, "coverage": 1.0}]}',
+                4000001,
+                "6c25e832dcbdd782ab5cd7a36c6e4d8f0fc4c4961d4260bff753a9a06c10fd53",
+            ),
+        ],
+        ids=["default", "trial_shape"],
+    )
+    def test_pinned_csv_digest(self, tmp_path, config, seed, digest):
+        """The generated bytes for a seed are fixed across versions, not only
+        between two runs of one version."""
+        out = tmp_path / "products.csv"
+        argv = ["synth", "--seed", str(seed), "--out", str(out)]
+        if config is not None:
+            (tmp_path / "config.json").write_text(config, encoding="utf-8")
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_different_seed_different_data(self):
         a = serialize_products(generate_exercise(small_config(seed=1)))
