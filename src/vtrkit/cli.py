@@ -256,15 +256,15 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except PipelineError as exc:
-        sys.stderr.write(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True) + "\n")
-        return 1
+        error, message = exc.code, str(exc)
     except OSError as exc:
-        sys.stderr.write(json.dumps({"error": "io_error", "message": str(exc)}, sort_keys=True) + "\n")
-        return 1
+        error, message = "io_error", str(exc)
+    except UnicodeDecodeError as exc:  # an input file that is not UTF-8 text
+        error, message = "bad_encoding", f"input is not UTF-8 text: {exc}"
     except Exception as exc:  # a fault in vtrkit itself: still one JSON record, never a traceback
-        message = f"{type(exc).__name__}: {exc}"
-        sys.stderr.write(json.dumps({"error": "internal_error", "message": message}, sort_keys=True) + "\n")
-        return 1
+        error, message = "internal_error", f"{type(exc).__name__}: {exc}"
+    sys.stderr.write(json.dumps({"error": error, "message": message}, sort_keys=True) + "\n")
+    return 1
 
 
 if __name__ == "__main__":

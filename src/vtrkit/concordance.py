@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import attrgetter
 from typing import Sequence
 
 from .model import PeerRating, PipelineError, Product, RATING_ORDER
@@ -33,25 +36,13 @@ __all__ = [
     "pairwise_probabilities",
     "AdjacentPairResult",
     "adjacent_rating_probabilities",
+    "VariableSample",
     "probability_sum_deviation",
     "flag_probability_rows",
 ]
 
 #: Bibliometric variables the battery runs on.
 VARIABLES = ("citations", "journal_if")
-
-
-def _variable_values(products: Sequence[Product], variable: str) -> list[tuple[Product, float]]:
-    if variable not in VARIABLES:
-        raise PipelineError("unknown_variable", f"variable must be one of {VARIABLES}")
-    pairs = []
-    for p in products:
-        if not p.tr_indexed:
-            continue
-        value = p.citations if variable == "citations" else p.journal_if
-        if value is not None:
-            pairs.append((p, float(value)))
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -62,7 +53,6 @@ class QuartileBins:
     q25: float
     q50: float
     q75: float
-    n: int
 
     @property
     def degenerate(self) -> bool:
@@ -91,7 +81,6 @@ def quartile_bins(values: Sequence[float]) -> QuartileBins:
         q25=_interpolated_quantile(ordered, 0.25),
         q50=_interpolated_quantile(ordered, 0.50),
         q75=_interpolated_quantile(ordered, 0.75),
-        n=len(ordered),
     )
 
 
@@ -123,31 +112,16 @@ class ContingencyTable:
 
     @property
     def row_percentages(self) -> tuple[tuple[float, float, float, float], ...]:
-        rows = []
-        for row, total in zip(self.counts, self.row_totals):
-            if total == 0:
-                rows.append((0.0, 0.0, 0.0, 0.0))
-            else:
-                rows.append(tuple(100.0 * c / total for c in row))
-        return tuple(rows)
+        return tuple(
+            tuple(100.0 * c / total if total else 0.0 for c in row)
+            for row, total in zip(self.counts, self.row_totals)
+        )
 
 
 def contingency_table(products: Sequence[Product], variable: str) -> ContingencyTable:
     """Bin the discipline's TR values of ``variable`` into quartiles and
     cross-tabulate against peer rating."""
-    pairs = _variable_values(products, variable)
-    if not pairs:
-        raise PipelineError("no_bibliometric_data", f"no TR product carries {variable!r}")
-    bins = quartile_bins([v for _, v in pairs])
-    counts = [[0, 0, 0, 0] for _ in RATING_ORDER]
-    row_of = {rating: i for i, rating in enumerate(RATING_ORDER)}
-    for product, value in pairs:
-        counts[row_of[product.peer_rating]][assign_quartile(value, bins) - 1] += 1
-    return ContingencyTable(
-        variable=variable,
-        bins=bins,
-        counts=tuple(tuple(row) for row in counts),
-    )
+    return VariableSample(products, variable).contingency()
 
 
 @dataclass(frozen=True)
@@ -247,17 +221,7 @@ def peer_bibliometric_spearman(
     the rating's scale position; any strictly increasing recoding (such as
     the committee weights) yields the same coefficient.
     """
-    if coding not in ("quartile", "raw"):
-        raise PipelineError("unknown_coding", "coding must be 'quartile' or 'raw'")
-    pairs = _variable_values(products, variable)
-    if not pairs:
-        raise PipelineError("no_bibliometric_data", f"no TR product carries {variable!r}")
-    peer = [float(p.peer_rating.value) for p, _ in pairs]
-    values = [v for _, v in pairs]
-    if coding == "quartile":
-        bins = quartile_bins(values)
-        values = [float(assign_quartile(v, bins)) for v in values]
-    return spearman(peer, values)
+    return VariableSample(products, variable).spearman(coding)
 
 
 @dataclass(frozen=True)
@@ -286,13 +250,8 @@ def pairwise_probabilities(
     if not x_values or not y_values:
         raise PipelineError("empty_group", "both value groups must be nonempty")
     ys = sorted(y_values)
-    greater = 0
-    equal = 0
-    for x in x_values:
-        lo = bisect_left(ys, x)
-        hi = bisect_right(ys, x)
-        greater += lo
-        equal += hi - lo
+    greater = sum(bisect_left(ys, x) for x in x_values)
+    equal = sum(bisect_right(ys, x) for x in x_values) - greater
     total = len(x_values) * len(ys)
     return ProbabilityTriple(
         p_greater=Fraction(greater, total),
@@ -319,31 +278,63 @@ def adjacent_rating_probabilities(
 ) -> list[AdjacentPairResult]:
     """Pairwise probabilities for the adjacent rating pairs (E,G), (G,A),
     (A,L); pairs with an empty side are skipped with a note."""
-    groups: dict[PeerRating, list[float]] = {rating: [] for rating in RATING_ORDER}
-    for product, value in _variable_values(products, variable):
-        groups[product.peer_rating].append(value)
+    return VariableSample(products, variable).probabilities()
 
-    results = []
-    for higher, lower in zip(RATING_ORDER, RATING_ORDER[1:]):
-        if not groups[higher] or not groups[lower]:
-            empty = higher if not groups[higher] else lower
-            results.append(
-                AdjacentPairResult(
-                    higher=higher,
-                    lower=lower,
-                    triple=None,
-                    note=f"skipped: no {variable} values for rating {empty.token}",
-                )
-            )
-            continue
-        results.append(
-            AdjacentPairResult(
-                higher=higher,
-                lower=lower,
-                triple=pairwise_probabilities(groups[higher], groups[lower]),
-            )
-        )
-    return results
+
+class VariableSample:
+    """The peer ratings and float values of an area's TR products that carry
+    ``variable``, in product order: the one sample of the battery.  Its
+    quartile bins and codes (1-4) are computed once, on first use."""
+
+    def __init__(self, products: Sequence[Product], variable: str):
+        if variable not in VARIABLES:
+            raise PipelineError("unknown_variable", f"variable must be one of {VARIABLES}")
+        self.variable = variable
+        self.ratings: list[PeerRating] = []
+        self.values: list[float] = []
+        value_of = attrgetter(variable)
+        for p in products:
+            if p.tr_indexed and (value := value_of(p)) is not None:
+                self.ratings.append(p.peer_rating)
+                self.values.append(float(value))
+
+    def _nonempty_values(self) -> list[float]:
+        if not self.values:
+            raise PipelineError("no_bibliometric_data", f"no TR product carries {self.variable!r}")
+        return self.values
+
+    @cached_property
+    def bins(self) -> QuartileBins:
+        return quartile_bins(self._nonempty_values())
+
+    @cached_property
+    def codes(self) -> list[int]:
+        return [assign_quartile(value, self.bins) for value in self.values]
+
+    def contingency(self) -> ContingencyTable:
+        tally = Counter(zip(self.ratings, self.codes))
+        counts = tuple(tuple(tally[rating, code] for code in (1, 2, 3, 4)) for rating in RATING_ORDER)
+        return ContingencyTable(variable=self.variable, bins=self.bins, counts=counts)
+
+    def spearman(self, coding: str = "quartile") -> CorrelationResult:
+        if coding not in ("quartile", "raw"):
+            raise PipelineError("unknown_coding", "coding must be 'quartile' or 'raw'")
+        return spearman(self.ratings, self.codes if coding == "quartile" else self._nonempty_values())
+
+    def probabilities(self) -> list[AdjacentPairResult]:
+        groups: dict[PeerRating, list[float]] = {rating: [] for rating in RATING_ORDER}
+        for rating, value in zip(self.ratings, self.values):
+            groups[rating].append(value)
+        results = []
+        for higher, lower in zip(RATING_ORDER, RATING_ORDER[1:]):
+            if groups[higher] and groups[lower]:
+                triple = pairwise_probabilities(groups[higher], groups[lower])
+                results.append(AdjacentPairResult(higher, lower, triple))
+            else:
+                empty = higher if not groups[higher] else lower
+                note = f"skipped: no {self.variable} values for rating {empty.token}"
+                results.append(AdjacentPairResult(higher, lower, None, note))
+        return results
 
 
 def probability_sum_deviation(p_greater: float, p_less: float, p_equal: float) -> float:

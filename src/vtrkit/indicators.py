@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import statistics
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -58,6 +58,11 @@ class GroupStats:
     h: int
 
 
+def _mean(values: list[float]) -> float | None:
+    """``statistics.fmean`` of a list, or None when it is empty."""
+    return math.fsum(values) / len(values) if values else None
+
+
 def group_stats(products: Sequence[Product]) -> GroupStats:
     """Size, TR count, peer means, TR citation and IF means, and h of a group."""
     tr = [p for p in products if p.tr_indexed]
@@ -66,10 +71,10 @@ def group_stats(products: Sequence[Product]) -> GroupStats:
     return GroupStats(
         n=len(products),
         n_tr=len(tr),
-        peer_all=statistics.fmean(p.peer_rating.weight for p in products) if products else None,
-        peer_tr=statistics.fmean(p.peer_rating.weight for p in tr) if tr else None,
-        mean_citations=statistics.fmean(cites) if cites else None,
-        mean_if=statistics.fmean(impact) if impact else None,
+        peer_all=_mean([p.peer_rating.weight for p in products]),
+        peer_tr=_mean([p.peer_rating.weight for p in tr]),
+        mean_citations=_mean(cites),
+        mean_if=_mean(impact),
         h=h_index(cites),
     )
 
@@ -111,8 +116,8 @@ def discipline_profile(dataset: Dataset, discipline: str) -> DisciplineProfile:
         discipline=discipline,
         size=stats.n,
         coverage=stats.n_tr / stats.n,
-        mean_authors=statistics.fmean(p.n_authors for p in products),
-        mean_ownership=statistics.fmean(ownership_degree(p) for p in products),
+        mean_authors=_mean([p.n_authors for p in products]),
+        mean_ownership=_mean([ownership_degree(p) for p in products]),
         peer_all=stats.peer_all,
         peer_tr=stats.peer_tr,
         mean_citations=stats.mean_citations,

@@ -385,6 +385,20 @@ def _csv_rows(text: str) -> Iterator[list[str]]:
     return csv.reader(map(re.Match.group, _LINE.finditer(text)))
 
 
+def _csv_records(text: str) -> Iterator[list[str] | csv.Error]:
+    """The rows of ``_csv_rows``, with each record csv cannot split (such as a
+    lone carriage return in an unquoted field) given as its ``csv.Error``;
+    reading goes on at the next line."""
+    reader = _csv_rows(text)
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield exc
+
+
 def parse_products(
     source: str | TextIO, config: IngestConfig = IngestConfig()
 ) -> tuple[Dataset | None, ValidationReport]:
@@ -397,14 +411,17 @@ def parse_products(
     text = source if isinstance(source, str) else source.read()
     report = ValidationReport()
     # rows are read one at a time: only the accepted products are kept
-    reader = _csv_rows(text)
-    header = next(reader, None)
-    if header is None or tuple(header) != PRODUCTS_HEADER:
+    rows = _csv_records(text)
+    header = next(rows, None)
+    if not isinstance(header, list) or tuple(header) != PRODUCTS_HEADER:
         report.error(1, "bad_header", f"header must be exactly {','.join(PRODUCTS_HEADER)}")
         return None, report
 
     products: dict[tuple[str, str, str], Product] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows, start=2):
+        if isinstance(row, csv.Error):
+            report.error(lineno, "malformed_csv", f"malformed CSV: {row}")
+            continue
         if not row:
             continue
         if len(row) != len(PRODUCTS_HEADER):
@@ -533,12 +550,14 @@ def serialize_products(dataset: Dataset) -> str:
 def parse_staff(source: str | TextIO) -> dict[str, StaffRecord]:
     """Parse the optional staff table (structure_id,kind,avg_staff)."""
     text = source if isinstance(source, str) else source.read()
-    reader = _csv_rows(text)
-    header = next(reader, None)
-    if header is None or tuple(header) != STAFF_HEADER:
+    rows = _csv_records(text)
+    header = next(rows, None)
+    if not isinstance(header, list) or tuple(header) != STAFF_HEADER:
         raise PipelineError("bad_staff_header", f"staff header must be {','.join(STAFF_HEADER)}")
     records: dict[str, StaffRecord] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows, start=2):
+        if isinstance(row, csv.Error):
+            raise PipelineError("bad_staff_row", f"row {lineno}: malformed CSV: {row}")
         if not row:
             continue
         if len(row) != 3:

@@ -30,10 +30,8 @@ from .concordance import (
     ContingencyTable,
     CorrelationResult,
     VARIABLES,
-    adjacent_rating_probabilities,
+    VariableSample,
     chi_square_independence,
-    contingency_table,
-    peer_bibliometric_spearman,
     spearman,
 )
 from .indicators import DisciplineProfile, RatingBreakdown, discipline_profile, rating_breakdown
@@ -405,7 +403,8 @@ class ReportBundle:
 def build_battery(products, variable: str, coding: str = "quartile") -> VariableBattery:
     battery = VariableBattery(variable=variable)
     try:
-        battery.contingency = contingency_table(products, variable)
+        sample = VariableSample(products, variable)
+        battery.contingency = sample.contingency()
     except PipelineError as exc:
         battery.notes.append(f"{exc.code}: {exc}")
         return battery
@@ -414,10 +413,10 @@ def build_battery(products, variable: str, coding: str = "quartile") -> Variable
     except PipelineError as exc:
         battery.notes.append(f"{exc.code}: {exc}")
     try:
-        battery.product_spearman = peer_bibliometric_spearman(products, variable, coding)
+        battery.product_spearman = sample.spearman(coding)
     except PipelineError as exc:
         battery.notes.append(f"{exc.code}: {exc}")
-    battery.probabilities = adjacent_rating_probabilities(products, variable)
+    battery.probabilities = sample.probabilities()
     return battery
 
 

@@ -123,6 +123,20 @@ class TestIngest:
         assert main(["ingest", "--products", str(tmp_path / "nope.csv")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "io_error"
 
+    def test_lone_carriage_return_is_a_row_error(self, tmp_path, capsys):
+        products = tmp_path / "products.csv"
+        products.write_bytes(PRODUCTS_CSV.replace("P01,", "P01\rx,", 1).encode("utf-8"))
+        assert main(["ingest", "--products", str(products), "--out", str(tmp_path / "o.json")]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert [(e["row"], e["rule"]) for e in record["errors"]] == [(2, "malformed_csv")]
+        assert record["accepted_count"] == 24
+
+    def test_file_not_utf8_is_bad_encoding(self, tmp_path, capsys):
+        products = tmp_path / "products.csv"
+        products.write_bytes(b"\xff" + PRODUCTS_CSV.encode("utf-8"))
+        assert main(["ingest", "--products", str(products)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "bad_encoding"
+
 
 class TestFaults:
     def test_malformed_archive_exits_1_with_error_record(self, archive, capsys):

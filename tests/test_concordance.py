@@ -365,6 +365,25 @@ class TestAdjacentRatingProbabilities:
         assert results[2].triple is None and results[2].note.startswith("skipped")
 
 
+class TestBatteryErrorCodes:
+    @pytest.mark.parametrize(
+        "entry_point",
+        [contingency_table, peer_bibliometric_spearman, adjacent_rating_probabilities],
+        ids=["contingency", "spearman", "probabilities"],
+    )
+    def test_unknown_variable(self, four_product_dataset, entry_point):
+        with pytest.raises(PipelineError) as err:
+            entry_point(four_product_dataset.products_in("BIO"), "h_index")
+        assert err.value.code == "unknown_variable"
+        assert str(err.value) == "variable must be one of ('citations', 'journal_if')"
+
+    def test_unknown_coding(self, four_product_dataset):
+        with pytest.raises(PipelineError) as err:
+            peer_bibliometric_spearman(four_product_dataset.products_in("BIO"), "citations", "decile")
+        assert err.value.code == "unknown_coding"
+        assert str(err.value) == "coding must be 'quartile' or 'raw'"
+
+
 class TestProbabilityRowFlagging:
     def test_flags_only_inconsistent_published_row(self, pairwise_probability_rows):
         triples = [

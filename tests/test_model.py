@@ -196,6 +196,25 @@ class TestParseProducts:
         dataset, report = parse_products(make_csv("P1,S1,BIO,2002,journal_article,E,true,12.5,4.5,3,2"))
         assert dataset is None and report.errors[0].rule == "malformed_number"
 
+    def test_lone_carriage_return_is_malformed_csv(self):
+        """csv cannot split a line with a lone CR in an unquoted field; that
+        row is rejected and the rows after it keep their numbers."""
+        dataset, report = parse_products(
+            make_csv(
+                "P1\rx,S1,BIO,2002,journal_article,E,true,1,,2,1",
+                "P2,S1,BIO,2002,journal_article,E,true,1,,2,1",
+                "P3,S1,BIO,2002,journal_article,Q,true,1,,2,1",
+            )
+        )
+        assert dataset is None
+        assert [(i.row, i.rule) for i in report.errors] == [(2, "malformed_csv"), (4, "unknown_rating")]
+        assert report.accepted_count == 1
+
+    def test_malformed_csv_header_is_bad_header(self):
+        dataset, report = parse_products("\rx" + make_csv("P1,S1,BIO,2002,journal_article,E,true,1,,2,1"))
+        assert dataset is None
+        assert [(i.row, i.rule) for i in report.errors] == [(1, "bad_header")]
+
     def test_errors_reported_per_row(self):
         dataset, report = parse_products(
             make_csv(
@@ -367,6 +386,12 @@ class TestStaffFile:
     def test_bad_header(self):
         with pytest.raises(PipelineError):
             parse_staff("a,b,c\n")
+
+    def test_lone_carriage_return_is_bad_staff_row(self):
+        with pytest.raises(PipelineError) as err:
+            parse_staff("structure_id,kind,avg_staff\nS1,agency,1\rx\n")
+        assert err.value.code == "bad_staff_row"
+        assert str(err.value).startswith("row 2: malformed CSV:")
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-1"])
     def test_non_finite_or_negative_staff_rejected(self, token):

@@ -1,16 +1,28 @@
 """Property tests: the CSV, the archive and the report agree on any valid
-dataset, the per-area tables agree with each other, and a damaged archive
-fails only with a PipelineError."""
+dataset, the per-area tables agree with each other, the report's battery is
+the public battery, and a damaged archive, products file or staff table fails
+only with a rejected-row report or a PipelineError."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import os
+import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vtrkit.cli import main
+from vtrkit.concordance import (
+    VARIABLES,
+    adjacent_rating_probabilities,
+    chi_square_independence,
+    contingency_table,
+    peer_bibliometric_spearman,
+)
 from vtrkit.indicators import discipline_profile, rating_breakdown
 from vtrkit.model import (
     PRODUCTS_HEADER,
@@ -28,7 +40,7 @@ from vtrkit.model import (
     serialize_products,
     write_archive,
 )
-from vtrkit.report import build_report, render_report_json
+from vtrkit.report import build_battery, build_report, render_report_json
 from vtrkit.scoring import structure_ratings
 
 # derandomized so tier-1 stays deterministic; small budgets keep it fast
@@ -57,9 +69,11 @@ def products(draw) -> Product:
     )
 
 
-datasets = st.lists(products(), max_size=25, unique_by=lambda p: p.key).map(
-    lambda ps: Dataset.from_products(ps, Provenance("gen.csv", "d" * 64, "2001-01-01T00:00:00+00:00"))
-)
+def _dataset(ps) -> Dataset:
+    return Dataset.from_products(ps, Provenance("gen.csv", "d" * 64, "2001-01-01T00:00:00+00:00"))
+
+
+datasets = st.lists(products(), max_size=25, unique_by=lambda p: p.key).map(_dataset)
 
 
 def _via_csv(dataset: Dataset) -> Dataset:
@@ -96,6 +110,75 @@ def test_per_area_tables_count_the_same_products(dataset):
         assert sum(row.count for row in rating_breakdown(dataset, area)) == size
         assert sum(r.n_products for r in ratings) == size
         assert sum(r.n_tr for r in ratings) == sum(p.tr_indexed for p in dataset.products_in(area))
+
+
+def _battery_dataset(rows) -> Dataset:
+    """Dataset of (area, rating token, tr_indexed, citations, journal_if) rows;
+    a non-TR row drops its bibliometric values."""
+    ps = []
+    for i, (area, rating, tr_indexed, citations, journal_if) in enumerate(rows):
+        ps.append(
+            Product(
+                product_id=f"P{i}",
+                structure_id="S1",
+                discipline=area,
+                year=2002,
+                product_type=ProductType.JOURNAL_ARTICLE,
+                peer_rating=PeerRating.from_token(rating),
+                tr_indexed=tr_indexed,
+                citations=citations if tr_indexed else None,
+                journal_if=journal_if if tr_indexed else None,
+                n_authors=2,
+                n_internal_authors=1,
+            )
+        )
+    return _dataset(ps)
+
+
+#: two areas of ~20 products, mostly TR, with tied citation counts: large
+#: enough for every battery statistic, small enough to shrink quickly
+battery_datasets = st.lists(
+    st.tuples(
+        st.sampled_from(["BIO", "MED"]),
+        st.sampled_from("EGAL"),
+        st.sampled_from([True, True, True, False]),
+        st.none() | st.integers(0, 12),
+        st.none() | st.just(0.0) | st.floats(1e-6, 1e6),
+    ),
+    max_size=40,
+).map(_battery_dataset)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except PipelineError as exc:
+        return f"{exc.code}: {exc}"
+
+
+@PROPERTY
+@given(battery_datasets)
+@example(_battery_dataset([("BIO", "E", False, 1, 2.0), ("BIO", "G", True, None, None)]))  # no TR values
+@example(_battery_dataset([("BIO", r, True, c, 2.0) for r, c in zip("EEAAA", (3, 5, 1, 4, 0))]))  # empty G and L
+def test_report_battery_equals_public_battery(dataset):
+    """build_battery gives what the public entry points give on the same
+    products: their results, or their errors as notes in call order."""
+    for area in dataset.disciplines:
+        products = dataset.products_in(area)
+        for variable in VARIABLES:
+            for coding in ("quartile", "raw"):
+                battery = build_battery(products, variable, coding)
+                table = _outcome(contingency_table, products, variable)
+                if isinstance(table, str):
+                    assert (battery.contingency, battery.notes, battery.probabilities) == (None, [table], [])
+                    continue
+                chi = _outcome(chi_square_independence, table.counts)
+                rho = _outcome(peer_bibliometric_spearman, products, variable, coding)
+                assert battery.contingency == table
+                assert battery.chi_square == (None if isinstance(chi, str) else chi)
+                assert battery.product_spearman == (None if isinstance(rho, str) else rho)
+                assert battery.notes == [r for r in (chi, rho) if isinstance(r, str)]
+                assert battery.probabilities == adjacent_rating_probabilities(products, variable)
 
 
 @PROPERTY
@@ -141,3 +224,36 @@ def test_damaged_archive_raises_only_pipeline_error(field, value):
         load_archive(json.dumps(doc))
     except PipelineError:
         pass
+
+
+STAFF = "structure_id,kind,avg_staff\nS1,university,8\nS2,agency,2.5\n"
+
+#: one command per damaged input file, which the command reads from {path}
+DAMAGED_INPUTS = {
+    "products": (serialize_products(load_archive(ARCHIVE)), ["ingest", "--products", "{path}"]),
+    "staff": (STAFF, ["validate", "--dataset", "{archive}", "--staff", "{path}"]),
+}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(DAMAGED_INPUTS)), st.data())
+def test_damaged_csv_ends_in_a_report_or_pipeline_error(kind, data):
+    """One damaged byte in a products file or staff table gives a rejected-row
+    report or one PipelineError record, never an internal_error."""
+    text, argv = DAMAGED_INPUTS[kind]
+    original = text.encode("utf-8")
+    at = data.draw(st.integers(0, len(original) - 1))
+    byte = data.draw(st.sampled_from(b'\r\n",') | st.integers(0, 255))  # CSV syntax, or any byte
+    damaged = original[:at] + bytes([byte]) + original[at + 1 :]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"path": os.path.join(tmp, "input.csv"), "archive": os.path.join(tmp, "dataset.json")}
+        with open(paths["path"], "wb") as f:
+            f.write(damaged)
+        with open(paths["archive"], "w", encoding="utf-8") as f:
+            f.write(ARCHIVE)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([arg.format(**paths) for arg in argv] + ["--out", os.path.join(tmp, "out")])
+    records = [json.loads(line) for line in err.getvalue().splitlines()]
+    assert code in (0, 1)
+    assert all(record.get("error") != "internal_error" for record in records), records

@@ -115,6 +115,17 @@ class TestBatteryAndBundle:
         assert battery.contingency is None
         assert battery.notes and battery.notes[0].startswith("no_bibliometric_data")
 
+    def test_battery_of_unknown_variable_collects_note(self, four_product_dataset):
+        battery = build_battery(four_product_dataset.products_in("BIO"), "h_index")
+        assert (battery.contingency, battery.probabilities) == (None, [])
+        assert battery.notes == ["unknown_variable: variable must be one of ('citations', 'journal_if')"]
+
+    def test_battery_of_unknown_coding_collects_note(self, four_product_dataset):
+        battery = build_battery(four_product_dataset.products_in("BIO"), "citations", "decile")
+        assert battery.contingency is not None and battery.product_spearman is None
+        assert battery.notes[-1] == "unknown_coding: coding must be 'quartile' or 'raw'"
+        assert len(battery.probabilities) == 3
+
     def test_plot_data_header_names_metrics(self, four_product_dataset):
         ratings = structure_ratings(four_product_dataset, "BIO")
         ranking = compile_ranking(ratings, "peer_tr", min_products=1)
