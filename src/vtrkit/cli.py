@@ -25,6 +25,7 @@ from .model import (
     load_archive,
     parse_products_file,
     parse_staff,
+    read_text_file,
     serialize_products,
     validate_dataset,
 )
@@ -49,8 +50,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _load_dataset(path: str):
-    with open(path, "r", encoding="utf-8") as f:
-        return load_archive(f.read())
+    return load_archive(read_text_file(path))
 
 
 def _report_to_stderr(report: ValidationReport) -> None:
@@ -79,8 +79,7 @@ def cmd_validate(args) -> int:
     dataset = _load_dataset(args.dataset)
     staff = None
     if args.staff:
-        with open(args.staff, "r", encoding="utf-8") as f:
-            staff = parse_staff(f.read())
+        staff = parse_staff(read_text_file(args.staff))
     policy = SelectionPolicy(staff=staff, cap_fraction=args.cap)
     report = validate_dataset(dataset, policy)
     _write_out(_render_validation(report, args.format), args.out)
@@ -150,8 +149,7 @@ def cmd_probability(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            config = load_synth_config(f.read())
+        config = load_synth_config(read_text_file(args.config))
     else:
         config = SynthConfig()
     if args.seed is not None:
@@ -259,8 +257,6 @@ def main(argv=None) -> int:
         error, message = exc.code, str(exc)
     except OSError as exc:
         error, message = "io_error", str(exc)
-    except UnicodeDecodeError as exc:  # an input file that is not UTF-8 text
-        error, message = "bad_encoding", f"input is not UTF-8 text: {exc}"
     except Exception as exc:  # a fault in vtrkit itself: still one JSON record, never a traceback
         error, message = "internal_error", f"{type(exc).__name__}: {exc}"
     sys.stderr.write(json.dumps({"error": error, "message": message}, sort_keys=True) + "\n")

@@ -47,6 +47,7 @@ __all__ = [
     "StaffRecord",
     "SelectionPolicy",
     "parse_products",
+    "read_text_file",
     "parse_products_file",
     "serialize_products",
     "parse_staff",
@@ -168,16 +169,7 @@ class ProductType(enum.Enum):
 _PRODUCT_TYPES = {t.value: t for t in ProductType}
 
 
-def _lookup(members: dict, token, parse):
-    """``members[token]``: a plain dict lookup per record instead of an enum
-    call; an unknown token goes to ``parse``, which raises its usual error."""
-    try:
-        return members[token]
-    except (KeyError, TypeError):
-        return parse(token)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product:
     """One submitted research output under a (structure, discipline) pair."""
 
@@ -385,18 +377,30 @@ def _csv_rows(text: str) -> Iterator[list[str]]:
     return csv.reader(map(re.Match.group, _LINE.finditer(text)))
 
 
-def _csv_records(text: str) -> Iterator[list[str] | csv.Error]:
-    """The rows of ``_csv_rows``, with each record csv cannot split (such as a
-    lone carriage return in an unquoted field) given as its ``csv.Error``;
-    reading goes on at the next line."""
+def _csv_records(text: str) -> Iterator[tuple[int, list[str] | csv.Error]]:
+    """The rows of ``_csv_rows``, each with the line it starts on (the first
+    line is 1), and with each record csv cannot split (such as a lone carriage
+    return in an unquoted field) given as its ``csv.Error``; reading goes on at
+    the next line."""
     reader = _csv_rows(text)
     while True:
+        line = reader.line_num + 1
         try:
-            yield next(reader)
+            yield line, next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
-            yield exc
+            yield line, exc
+
+
+def read_text_file(path: str, newline: str | None = None) -> str:
+    """The text of the UTF-8 file at ``path``, with ``open``'s ``newline``
+    handling; a file that is not UTF-8 is a ``bad_encoding`` PipelineError."""
+    with open(path, "r", encoding="utf-8", newline=newline) as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise PipelineError("bad_encoding", f"input is not UTF-8 text: {exc}") from None
 
 
 def parse_products(
@@ -412,13 +416,13 @@ def parse_products(
     report = ValidationReport()
     # rows are read one at a time: only the accepted products are kept
     rows = _csv_records(text)
-    header = next(rows, None)
+    _, header = next(rows, (1, None))
     if not isinstance(header, list) or tuple(header) != PRODUCTS_HEADER:
         report.error(1, "bad_header", f"header must be exactly {','.join(PRODUCTS_HEADER)}")
         return None, report
 
     products: dict[tuple[str, str, str], Product] = {}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if isinstance(row, csv.Error):
             report.error(lineno, "malformed_csv", f"malformed CSV: {row}")
             continue
@@ -518,9 +522,7 @@ def parse_products(
 def parse_products_file(
     path: str, config: IngestConfig | None = None
 ) -> tuple[Dataset | None, ValidationReport]:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        text = f.read()
-    return parse_products(text, config or IngestConfig(source_name=path))
+    return parse_products(read_text_file(path, newline=""), config or IngestConfig(source_name=path))
 
 
 def serialize_products(dataset: Dataset) -> str:
@@ -551,11 +553,11 @@ def parse_staff(source: str | TextIO) -> dict[str, StaffRecord]:
     """Parse the optional staff table (structure_id,kind,avg_staff)."""
     text = source if isinstance(source, str) else source.read()
     rows = _csv_records(text)
-    header = next(rows, None)
+    _, header = next(rows, (1, None))
     if not isinstance(header, list) or tuple(header) != STAFF_HEADER:
         raise PipelineError("bad_staff_header", f"staff header must be {','.join(STAFF_HEADER)}")
     records: dict[str, StaffRecord] = {}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if isinstance(row, csv.Error):
             raise PipelineError("bad_staff_row", f"row {lineno}: malformed CSV: {row}")
         if not row:
@@ -648,16 +650,38 @@ def write_archive(dataset: Dataset) -> str:
     return "".join(archive_lines(dataset))
 
 
+def _record_product(obj: dict):
+    """``load_archive``'s object hook: a JSON object with a ``product_id`` key
+    becomes its Product as soon as it is decoded; any other object is kept."""
+    if "product_id" not in obj:
+        return obj
+    return Product(
+        product_id=obj["product_id"],
+        structure_id=obj["structure_id"],
+        discipline=obj["discipline"],
+        year=obj["year"],
+        product_type=_PRODUCT_TYPES[obj["product_type"]],
+        peer_rating=_TOKEN_RATINGS[obj["peer_rating"]],
+        tr_indexed=obj["tr_indexed"],
+        citations=obj.get("citations"),
+        journal_if=obj.get("journal_if"),
+        n_authors=obj["n_authors"],
+        n_internal_authors=obj["n_internal_authors"],
+    )
+
+
 def load_archive(text: str) -> Dataset:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_hook=_record_product)
     except json.JSONDecodeError as exc:
         raise PipelineError("bad_archive", f"archive is not valid JSON: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers InvalidProduct
+        raise PipelineError("bad_archive", f"invalid product record: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != ARCHIVE_FORMAT:
         raise PipelineError("bad_archive", f"expected archive format {ARCHIVE_FORMAT!r}")
     prov = doc.get("provenance", {})
-    records = doc.get("products", [])
-    if not isinstance(prov, dict) or not isinstance(records, list):
+    products = doc.get("products", [])
+    if not isinstance(prov, dict) or not isinstance(products, list):
         raise PipelineError("bad_archive", "archive provenance must be an object and products a list")
     provenance = Provenance(
         source_name=prov.get("source_name", ""),
@@ -666,25 +690,6 @@ def load_archive(text: str) -> Dataset:
     )
     if not all(type(v) is str for v in vars(provenance).values()):
         raise PipelineError("bad_archive", "archive provenance values must be strings")
-    products = []
-    for i, rec in enumerate(records):
-        records[i] = None  # each decoded record is freed once its Product is built
-        try:
-            products.append(
-                Product(
-                    product_id=rec["product_id"],
-                    structure_id=rec["structure_id"],
-                    discipline=rec["discipline"],
-                    year=rec["year"],
-                    product_type=_lookup(_PRODUCT_TYPES, rec["product_type"], ProductType),
-                    peer_rating=_lookup(_TOKEN_RATINGS, rec["peer_rating"], PeerRating.from_token),
-                    tr_indexed=rec["tr_indexed"],
-                    citations=rec.get("citations"),
-                    journal_if=rec.get("journal_if"),
-                    n_authors=rec["n_authors"],
-                    n_internal_authors=rec["n_internal_authors"],
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers InvalidProduct
-            raise PipelineError("bad_archive", f"invalid product record: {exc}") from None
+    if not all(type(p) is Product for p in products):
+        raise PipelineError("bad_archive", "every element of products must be a product record")
     return Dataset.from_products(products, provenance)

@@ -154,6 +154,25 @@ class TestFaults:
         assert main(["profile", "--dataset", str(archive)]) == 1
         assert json.loads(capsys.readouterr().err) == {"error": "internal_error", "message": "RuntimeError: boom"}
 
+    @pytest.mark.parametrize("damaged", ["dataset", "staff", "config"])
+    def test_every_input_file_not_utf8_is_bad_encoding(self, archive, tmp_path, capsys, damaged):
+        files = {name: tmp_path / f"{name}.in" for name in ("dataset", "staff", "config")}
+        files["dataset"].write_bytes(archive.read_bytes())
+        files["staff"].write_text("structure_id,kind,avg_staff\nS1,university,8\n", encoding="utf-8")
+        files["config"].write_text("{}", encoding="utf-8")
+        files[damaged].write_bytes(b"\xff" + files[damaged].read_bytes())
+        argv = {
+            "dataset": ["profile", "--dataset", str(files["dataset"])],
+            "staff": ["validate", "--dataset", str(files["dataset"]), "--staff", str(files["staff"])],
+            "config": ["synth", "--config", str(files["config"]), "--out", str(tmp_path / "x.csv")],
+        }[damaged]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record == {
+            "error": "bad_encoding",
+            "message": "input is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        }
+
 
 class TestUsageErrors:
     def test_missing_subcommand_exits_2(self):
@@ -323,6 +342,20 @@ class TestReport:
         assert main(["report", "--dataset", str(archive), "--all", "--out", str(first)]) == 0
         assert main(["report", "--dataset", str(archive), "--all", "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_report_peak_memory_is_bounded(self, tmp_path):
+        """The archive's products are built as its records are decoded."""
+        products, dataset = tmp_path / "products.csv", tmp_path / "dataset.json"
+        assert main(["synth", "--seed", "42", "--out", str(products)]) == 0
+        assert main(["ingest", "--products", str(products), "--out", str(dataset)]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["report", "--dataset", str(dataset), "--all", "--out", str(tmp_path / "report.md")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # ~1.7 MiB here; 2.5 MiB with the whole document decoded before any product is built
+        assert peak < 2.1 * 2**20
 
     def test_report_csv_sections(self, archive, capsys):
         assert main(["report", "--dataset", str(archive), "--all", "--format", "csv", "--min-products", "2"]) == 0

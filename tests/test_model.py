@@ -23,6 +23,7 @@ from vtrkit.model import (
     StaffRecord,
     load_archive,
     parse_products,
+    parse_products_file,
     parse_staff,
     serialize_products,
     validate_dataset,
@@ -215,6 +216,32 @@ class TestParseProducts:
         assert dataset is None
         assert [(i.row, i.rule) for i in report.errors] == [(1, "bad_header")]
 
+    def test_row_number_is_the_line_a_record_starts_on(self):
+        """A quoted field that spans lines does not shift the rows after it."""
+        dataset, report = parse_products(
+            make_csv(
+                '"P\n1",S1,BIO,2002,journal_article,E,true,1,,2,1',
+                "P2,S1,BIO,2002,journal_article,Q,true,1,,2,1",
+                "",
+                '"P\n3",S1,BIO,2002,journal_article,L,false,1,,2,1',
+                "P4,S1,BIO,2002,journal_article,E,true,1,,0,1",
+            )
+        )
+        assert dataset is None
+        assert [(i.row, i.rule) for i in report.errors] == [
+            (4, "unknown_rating"),
+            (6, "bibliometrics_on_uncovered"),
+            (8, "nonpositive_authors"),
+        ]
+
+    def test_file_not_utf8_is_bad_encoding(self, tmp_path):
+        path = tmp_path / "products.csv"
+        path.write_bytes(b"\xff" + make_csv("P1,S1,BIO,2002,journal_article,E,true,1,,2,1").encode("utf-8"))
+        with pytest.raises(PipelineError) as err:
+            parse_products_file(str(path))
+        assert err.value.code == "bad_encoding"
+        assert str(err.value).startswith("input is not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+
     def test_errors_reported_per_row(self):
         dataset, report = parse_products(
             make_csv(
@@ -393,6 +420,12 @@ class TestStaffFile:
         assert err.value.code == "bad_staff_row"
         assert str(err.value).startswith("row 2: malformed CSV:")
 
+    def test_row_number_is_the_line_a_record_starts_on(self):
+        with pytest.raises(PipelineError) as err:
+            parse_staff('structure_id,kind,avg_staff\n"S\n1",agency,1\nS2,museum,1\n')
+        assert err.value.code == "bad_staff_kind"
+        assert str(err.value).startswith("row 4:")
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-1"])
     def test_non_finite_or_negative_staff_rejected(self, token):
         """A NaN or infinite cap used to make validate_dataset skip cap_exceeded."""
@@ -439,8 +472,17 @@ class TestArchive:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # ~720 bytes per product here; ~990 when the decoded records are kept
-        assert peak < 850 * len(dataset)
+        # ~380 bytes per product here; ~720 when the whole document was
+        # decoded before any product was built
+        assert peak < 500 * len(dataset)
+
+    def test_pretty_and_compact_archives_load_alike(self):
+        from conftest import FIXTURES
+
+        pretty = (FIXTURES / "golden_dataset.json").read_text(encoding="utf-8")
+        compact = json.dumps(json.loads(pretty))
+        assert "\n" in pretty and "\n" not in compact
+        assert load_archive(compact) == load_archive(pretty)
 
     def test_bad_archive(self):
         with pytest.raises(PipelineError) as err:
@@ -474,6 +516,16 @@ class TestArchive:
             lambda doc: doc["products"][0].__setitem__("n_authors", True),
             lambda doc: doc["products"][0].__setitem__("discipline", ["BIO"]),
             lambda doc: doc["provenance"].__setitem__("source_name", 5),
+            lambda doc: doc["products"].__setitem__(0, "P1"),
+            lambda doc: doc["products"].__setitem__(0, [doc["products"][0]]),
+            lambda doc: doc["products"][0].pop("product_id"),
+            lambda doc: doc["products"][0].__setitem__("citations", doc["products"][1]),
+            lambda doc: doc["products"][0].__setitem__("product_id", doc["products"][1]),
+            lambda doc: doc["provenance"].__setitem__("product_id", "P1"),
+            lambda doc: doc["provenance"].update(doc["products"][0]),
+            lambda doc: doc.__setitem__("product_id", "P1"),
+            lambda doc: doc["products"][0].__setitem__("peer_rating", "Q"),
+            lambda doc: doc["products"][0].__setitem__("product_type", {}),
         ],
         ids=[
             "null_record",
@@ -488,6 +540,16 @@ class TestArchive:
             "boolean_n_authors",
             "list_discipline",
             "integer_source_name",
+            "string_record",
+            "list_record",
+            "record_without_product_id",
+            "record_as_citations",
+            "record_as_product_id",
+            "product_id_in_provenance",
+            "record_as_provenance",
+            "product_id_at_top_level",
+            "unknown_rating_token",
+            "object_product_type",
         ],
     )
     def test_malformed_archive_is_bad_archive(self, four_product_dataset, mutate):
