@@ -16,7 +16,8 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import groupby
@@ -168,50 +169,61 @@ class ProductType(enum.Enum):
 
 _PRODUCT_TYPES = {t.value: t for t in ProductType}
 
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class Product:
-    """One submitted research output under a (structure, discipline) pair."""
 
-    product_id: str
-    structure_id: str
-    discipline: str
-    year: int
-    product_type: ProductType
-    peer_rating: PeerRating
-    tr_indexed: bool
-    citations: int | None
-    journal_if: float | None
-    n_authors: int
-    n_internal_authors: int
+class Product(namedtuple("Product", PRODUCTS_HEADER)):
+    """One submitted research output under a (structure, discipline) pair: an
+    immutable tuple of the ``PRODUCTS_HEADER`` fields, checked when it is built."""
 
-    def __post_init__(self) -> None:
-        # The one product rule set: every input path builds a Product, so each
-        # rule below is checked here and nowhere else.  Types are checked
-        # exactly (``type(x) is int`` also rejects bool) to keep this cheap.
-        pid, sid, disc = self.product_id, self.structure_id, self.discipline
-        if type(pid) is not str or type(sid) is not str or type(disc) is not str:
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        product_id: str,
+        structure_id: str,
+        discipline: str,
+        year: int,
+        product_type: ProductType,
+        peer_rating: PeerRating,
+        tr_indexed: bool,
+        citations: int | None,
+        journal_if: float | None,
+        n_authors: int,
+        n_internal_authors: int,
+    ) -> "Product":
+        # The one product rule set: every input path builds a Product, and
+        # ``_make``, ``_replace``, copies and unpickling all come through here,
+        # so each rule below is checked here and nowhere else.  Types are
+        # checked exactly (``type(x) is int`` also rejects bool) to keep this
+        # cheap.
+        if type(product_id) is not str or type(structure_id) is not str or type(discipline) is not str:
             raise InvalidProduct(
-                "empty_identifier", f"product_id, structure_id and discipline must be strings, got {self.key!r}"
+                "empty_identifier",
+                "product_id, structure_id and discipline must be strings, "
+                f"got {(discipline, structure_id, product_id)!r}",
             )
-        if not pid or not sid or not disc:
+        if not product_id or not structure_id or not discipline:
             raise InvalidProduct("empty_identifier", "product_id, structure_id and discipline are required")
-        tr_indexed = self.tr_indexed
+        # a structure's and an area's products share one copy of its code
+        structure_id = sys.intern(structure_id)
+        discipline = sys.intern(discipline)
         if type(tr_indexed) is not bool:
             raise InvalidProduct("malformed_boolean", f"tr_indexed must be true|false, got {tr_indexed!r}")
-        year, n_authors, n_internal = self.year, self.n_authors, self.n_internal_authors
-        if type(year) is not int or type(n_authors) is not int or type(n_internal) is not int:
+        if type(year) is not int or type(n_authors) is not int or type(n_internal_authors) is not int:
             raise InvalidProduct(
                 "malformed_number",
-                f"year, n_authors and n_internal_authors must be integers, got {(year, n_authors, n_internal)!r}",
+                "year, n_authors and n_internal_authors must be integers, "
+                f"got {(year, n_authors, n_internal_authors)!r}",
             )
         if not YEAR_MIN <= year <= YEAR_MAX:
             raise InvalidProduct("year_out_of_range", f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
         if n_authors < 1:
             raise InvalidProduct("nonpositive_authors", f"n_authors must be >= 1, got {n_authors}")
-        if not 0 <= n_internal <= n_authors:
-            raise InvalidProduct("author_bounds", f"n_internal_authors {n_internal} outside [0, {n_authors}]")
-        citations, journal_if = self.citations, self.journal_if
+        if not 0 <= n_internal_authors <= n_authors:
+            raise InvalidProduct(
+                "author_bounds", f"n_internal_authors {n_internal_authors} outside [0, {n_authors}]"
+            )
         if citations is not None:
             if type(citations) is not int:
                 raise InvalidProduct("malformed_number", f"citations must be an integer, got {citations!r}")
@@ -237,6 +249,27 @@ class Product:
                 f"n_authors must be <= {AUTHORS_MAX}, citations <= {CITATIONS_MAX} and journal_if 0 or in "
                 f"[{JOURNAL_IF_MIN:g}, {JOURNAL_IF_MAX:g}], got {n_authors}, {citations} and {journal_if!r}",
             )
+        return _tuple_new(
+            cls,
+            (
+                product_id,
+                structure_id,
+                discipline,
+                year,
+                product_type,
+                peer_rating,
+                tr_indexed,
+                citations,
+                journal_if,
+                n_authors,
+                n_internal_authors,
+            ),
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Product":
+        # namedtuple's own _make (which _replace calls) would skip the rules
+        return cls(*iterable)
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -372,6 +405,10 @@ _BOOLEAN_TOKENS = {"true": True, "false": False}
 # text instead of a second, four-bytes-per-character copy of it
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
+# what int() and float() accept beyond a plain number: surrounding whitespace
+# and digit separators
+_LAX_NUMBER = re.compile(r"[\s_]")
+
 
 def _csv_rows(text: str) -> Iterator[list[str]]:
     return csv.reader(map(re.Match.group, _LINE.finditer(text)))
@@ -467,6 +504,11 @@ def parse_products(
             journal_if = None if if_tok == "" else float(if_tok)
             n_authors = int(na_tok)
             n_internal = int(ni_tok)
+            if _LAX_NUMBER.search(year_tok + cit_tok + if_tok + na_tok + ni_tok):
+                raise ValueError(
+                    "year, citations, journal_if, n_authors and n_internal_authors may not hold whitespace or '_', "
+                    f"got {(year_tok, cit_tok, if_tok, na_tok, ni_tok)!r}"
+                )
         except ValueError as exc:
             report.error(lineno, "malformed_number", str(exc))
             bad = True
@@ -475,23 +517,23 @@ def parse_products(
 
         try:
             product = Product(
-                product_id=product_id,
-                structure_id=structure_id,
-                discipline=discipline,
-                year=year,
-                product_type=ptype,
-                peer_rating=rating,
-                tr_indexed=tr_indexed,
-                citations=citations,
-                journal_if=journal_if,
-                n_authors=n_authors,
-                n_internal_authors=n_internal,
+                product_id,
+                structure_id,
+                discipline,
+                year,
+                ptype,
+                rating,
+                tr_indexed,
+                citations,
+                journal_if,
+                n_authors,
+                n_internal,
             )
         except InvalidProduct as exc:
             report.error(lineno, exc.rule, str(exc))
             continue
 
-        key = (discipline, structure_id, product_id)
+        key = product.key  # holds the product's shared codes, so the row's copies are freed
         if key in products:
             report.error(lineno, "duplicate_product", f"duplicate (product_id, structure_id, discipline) triple {key}")
             continue
@@ -650,23 +692,35 @@ def write_archive(dataset: Dataset) -> str:
     return "".join(archive_lines(dataset))
 
 
+#: The keys of a product record; all but ``citations`` and ``journal_if``
+#: are always written.
+_RECORD_KEYS = frozenset(PRODUCTS_HEADER)
+_REQUIRED_RECORD_KEYS = len(_RECORD_KEYS) - 2
+_PROVENANCE_KEYS = frozenset(f.name for f in fields(Provenance))
+_TOP_LEVEL_KEYS = frozenset(("format", "provenance", "products"))
+
+
 def _record_product(obj: dict):
     """``load_archive``'s object hook: a JSON object with a ``product_id`` key
-    becomes its Product as soon as it is decoded; any other object is kept."""
+    becomes its Product as soon as it is decoded, and fails on a key that is
+    not a product field; any other object is kept."""
     if "product_id" not in obj:
         return obj
+    # a missing key fails its lookup below, so any key beyond those read is unknown
+    if len(obj) > _REQUIRED_RECORD_KEYS + ("citations" in obj) + ("journal_if" in obj):
+        raise ValueError(f"unknown keys {sorted(obj.keys() - _RECORD_KEYS)}")
     return Product(
-        product_id=obj["product_id"],
-        structure_id=obj["structure_id"],
-        discipline=obj["discipline"],
-        year=obj["year"],
-        product_type=_PRODUCT_TYPES[obj["product_type"]],
-        peer_rating=_TOKEN_RATINGS[obj["peer_rating"]],
-        tr_indexed=obj["tr_indexed"],
-        citations=obj.get("citations"),
-        journal_if=obj.get("journal_if"),
-        n_authors=obj["n_authors"],
-        n_internal_authors=obj["n_internal_authors"],
+        obj["product_id"],
+        obj["structure_id"],
+        obj["discipline"],
+        obj["year"],
+        _PRODUCT_TYPES[obj["product_type"]],
+        _TOKEN_RATINGS[obj["peer_rating"]],
+        obj["tr_indexed"],
+        obj.get("citations"),
+        obj.get("journal_if"),
+        obj["n_authors"],
+        obj["n_internal_authors"],
     )
 
 
@@ -683,6 +737,9 @@ def load_archive(text: str) -> Dataset:
     products = doc.get("products", [])
     if not isinstance(prov, dict) or not isinstance(products, list):
         raise PipelineError("bad_archive", "archive provenance must be an object and products a list")
+    if not doc.keys() <= _TOP_LEVEL_KEYS or not prov.keys() <= _PROVENANCE_KEYS:
+        unknown = sorted((doc.keys() - _TOP_LEVEL_KEYS) | (prov.keys() - _PROVENANCE_KEYS))
+        raise PipelineError("bad_archive", f"unknown archive keys {unknown}")
     provenance = Provenance(
         source_name=prov.get("source_name", ""),
         source_digest=prov.get("source_digest", ""),

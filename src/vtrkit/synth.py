@@ -224,17 +224,17 @@ def _generate_product(
         )
 
     return Product(
-        product_id=f"P-{spec.code}-{structure_id}-{index:04d}",
-        structure_id=structure_id,
-        discipline=spec.code,
-        year=year,
-        product_type=product_type,
-        peer_rating=rating,
-        tr_indexed=covered,
-        citations=citations,
-        journal_if=journal_if,
-        n_authors=n_authors,
-        n_internal_authors=n_internal,
+        f"P-{spec.code}-{structure_id}-{index:04d}",
+        structure_id,
+        spec.code,
+        year,
+        product_type,
+        rating,
+        covered,
+        citations,
+        journal_if,
+        n_authors,
+        n_internal,
     )
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 import tracemalloc
 
@@ -13,7 +15,9 @@ from vtrkit.model import (
     CITATIONS_MAX,
     JOURNAL_IF_MAX,
     JOURNAL_IF_MIN,
+    PRODUCTS_HEADER,
     Dataset,
+    InvalidProduct,
     PeerRating,
     PipelineError,
     Product,
@@ -196,6 +200,19 @@ class TestParseProducts:
         assert dataset is None and report.errors[0].rule == "unknown_rating"
         dataset, report = parse_products(make_csv("P1,S1,BIO,2002,journal_article,E,true,12.5,4.5,3,2"))
         assert dataset is None and report.errors[0].rule == "malformed_number"
+        # int() and float() would strip whitespace and drop digit separators
+        for row in (
+            "P1,S1,BIO, 2002 ,journal_article,E,true,12,4.5,3,2",
+            "P1,S1,BIO,2002,journal_article,E,true, 12 ,4.5,3,2",
+            "P1,S1,BIO,2002,journal_article,E,true,12,\t4.5 ,3,2",
+            "P1,S1,BIO,2002,journal_article,E,true,1_000,4.5,3,2",
+            "P1,S1,BIO,2002,journal_article,E,true,12,4.5,3 ,2",
+        ):
+            dataset, report = parse_products(make_csv(row))
+            assert dataset is None and [i.rule for i in report.errors] == ["malformed_number"], row
+        # a token int() rejects keeps int()'s message
+        dataset, report = parse_products(make_csv("P1,S1,BIO,20 02,journal_article,E,true,12,4.5,3,2"))
+        assert [i.message for i in report.errors] == ["invalid literal for int() with base 10: '20 02'"]
 
     def test_lone_carriage_return_is_malformed_csv(self):
         """csv cannot split a line with a lone CR in an unquoted field; that
@@ -339,6 +356,53 @@ class TestDatasetSemantics:
             Product("P", "S", "BIO", 2002, ProductType.BOOK, PeerRating.GOOD, False, 3, None, 2, 1)
         with pytest.raises(ValueError):
             Product("P", "S", "BIO", 2002, ProductType.BOOK, PeerRating.GOOD, True, 3, None, 2, 3)
+
+    def test_product_is_a_tuple_of_the_products_header(self):
+        assert Product._fields == PRODUCTS_HEADER
+        p = Product("P", "S", "BIO", 2002, ProductType.BOOK, PeerRating.GOOD, False, None, None, 2, 1)
+        assert tuple(p) == ("P", "S", "BIO", 2002, ProductType.BOOK, PeerRating.GOOD, False, None, None, 2, 1)
+        assert p == Product(
+            product_id="P",
+            structure_id="S",
+            discipline="BIO",
+            year=2002,
+            product_type=ProductType.BOOK,
+            peer_rating=PeerRating.GOOD,
+            tr_indexed=False,
+            citations=None,
+            journal_if=None,
+            n_authors=2,
+            n_internal_authors=1,
+        )
+        with pytest.raises(AttributeError):
+            p.year = 1
+
+    def test_every_product_constructor_runs_the_rules(self):
+        p = Product("P", "S", "BIO", 2002, ProductType.BOOK, PeerRating.GOOD, False, None, None, 2, 1)
+        bad = (*p[:3], 1800, *p[4:])
+        assert p._make(tuple(p)) == p and p._replace(year=2003).year == 2003
+        with pytest.raises(InvalidProduct) as err:
+            Product._make(bad)
+        assert err.value.rule == "year_out_of_range"
+        with pytest.raises(InvalidProduct) as err:
+            p._replace(year=1800)
+        assert err.value.rule == "year_out_of_range"
+        # a tuple that skipped the constructor is checked again when copied or unpickled
+        unchecked = tuple.__new__(Product, bad)
+        for rebuild in (copy.copy, copy.deepcopy, lambda q: pickle.loads(pickle.dumps(q))):
+            assert rebuild(p) == p and type(rebuild(p)) is Product
+            with pytest.raises(InvalidProduct):
+                rebuild(unchecked)
+
+    def test_golden_product_repr(self):
+        from conftest import FIXTURES
+
+        dataset = load_archive((FIXTURES / "golden_dataset.json").read_text(encoding="utf-8"))
+        assert repr(dataset.products[0]) == (
+            "Product(product_id='P01', structure_id='S1', discipline='BIO', year=2001, "
+            "product_type=<ProductType.JOURNAL_ARTICLE: 'journal_article'>, peer_rating=<PeerRating.EXCELLENT: 4>, "
+            "tr_indexed=True, citations=9, journal_if=3.1, n_authors=3, n_internal_authors=2)"
+        )
 
     def test_from_products_rejects_duplicates(self):
         p = Product("P", "S", "BIO", 2002, ProductType.BOOK, PeerRating.GOOD, False, None, None, 2, 1)
@@ -526,6 +590,10 @@ class TestArchive:
             lambda doc: doc.__setitem__("product_id", "P1"),
             lambda doc: doc["products"][0].__setitem__("peer_rating", "Q"),
             lambda doc: doc["products"][0].__setitem__("product_type", {}),
+            lambda doc: doc["products"][0].__setitem__("extra", doc["products"].pop(1)),
+            lambda doc: doc.__setitem__("extra", doc["products"].pop(1)),
+            lambda doc: doc["products"][0].__setitem__("extra", 1),
+            lambda doc: doc["provenance"].__setitem__("extra", ""),
         ],
         ids=[
             "null_record",
@@ -550,6 +618,10 @@ class TestArchive:
             "product_id_at_top_level",
             "unknown_rating_token",
             "object_product_type",
+            "record_under_unknown_key",
+            "record_under_unknown_top_level_key",
+            "unknown_record_key",
+            "unknown_provenance_key",
         ],
     )
     def test_malformed_archive_is_bad_archive(self, four_product_dataset, mutate):

@@ -1,7 +1,8 @@
-"""Property tests: the CSV, the archive and the report agree on any valid
-dataset, the per-area tables agree with each other, the report's battery is
-the public battery, and a damaged archive, products file or staff table fails
-only with a rejected-row report or a PipelineError."""
+"""Property tests: every way of building a product applies the same rules,
+the CSV, the archive and the report agree on any valid dataset, the per-area
+tables agree with each other, the report's battery is the public battery, and
+a damaged archive, products file or staff table fails only with a
+rejected-row report or a PipelineError."""
 
 from __future__ import annotations
 
@@ -25,16 +26,20 @@ from vtrkit.concordance import (
 )
 from vtrkit.indicators import discipline_profile, rating_breakdown
 from vtrkit.model import (
+    AUTHORS_MAX,
+    CITATIONS_MAX,
     PRODUCTS_HEADER,
     YEAR_MAX,
     YEAR_MIN,
     Dataset,
+    InvalidProduct,
     PeerRating,
     PipelineError,
     Product,
     ProductType,
     Provenance,
     _csv_rows,
+    _record_product,
     load_archive,
     parse_products,
     serialize_products,
@@ -67,6 +72,109 @@ def products(draw) -> Product:
         n_authors=n_authors,
         n_internal_authors=draw(st.integers(0, n_authors)),
     )
+
+
+#: one field's value that may break a product rule, as (field, strategy)
+RULE_BREAKERS = [
+    ("product_id", st.just("")),
+    ("discipline", st.just("")),
+    ("year", st.sampled_from([YEAR_MIN - 1, YEAR_MAX + 1])),
+    ("tr_indexed", st.just(False)),
+    ("citations", st.integers(-2, -1) | st.just(CITATIONS_MAX + 1)),
+    ("journal_if", st.floats()),
+    ("n_authors", st.integers(-1, 0) | st.just(AUTHORS_MAX + 1)),
+    ("n_internal_authors", st.just(-1) | st.integers(5, 6)),
+]
+
+
+@st.composite
+def field_sets(draw) -> dict:
+    """The fields of one valid product, or of one with a field drawn from
+    ``RULE_BREAKERS`` in place of its valid value."""
+    tr_indexed = draw(st.booleans())
+    fields = {
+        "product_id": draw(identifiers),
+        "structure_id": draw(identifiers),
+        "discipline": draw(st.sampled_from(["BIO", "NANO"])),
+        "year": draw(st.integers(YEAR_MIN, YEAR_MAX)),
+        "product_type": draw(st.sampled_from(list(ProductType))),
+        "peer_rating": draw(st.sampled_from(list(PeerRating))),
+        "tr_indexed": tr_indexed,
+        "citations": draw(st.none() | st.integers(0, 20)) if tr_indexed else None,
+        "journal_if": draw(st.none() | st.just(0.0) | st.floats(1e-6, 1e6)) if tr_indexed else None,
+        "n_authors": draw(st.integers(1, 4)),
+    }
+    fields["n_internal_authors"] = draw(st.integers(0, fields["n_authors"]))
+    breaker = draw(st.none() | st.sampled_from(RULE_BREAKERS))
+    if breaker is not None:
+        name, values = breaker
+        fields[name] = draw(values)
+    return fields
+
+
+VALID_FIELDS = {
+    "product_id": "P1",
+    "structure_id": "S1",
+    "discipline": "BIO",
+    "year": 2002,
+    "product_type": ProductType.JOURNAL_ARTICLE,
+    "peer_rating": PeerRating.GOOD,
+    "tr_indexed": True,
+    "citations": 3,
+    "journal_if": 1.5,
+    "n_authors": 2,
+    "n_internal_authors": 1,
+}
+
+
+def _built(build):
+    """The product ``build`` returns, or the rule id and message it raises."""
+    try:
+        return build()
+    except InvalidProduct as exc:
+        return exc.rule, str(exc)
+
+
+def _parsed_row(fields: dict):
+    """The product of a one-row products file, or its one error's rule and message."""
+    tokens = dict(
+        fields,
+        product_type=fields["product_type"].value,
+        peer_rating=fields["peer_rating"].token,
+        tr_indexed="true" if fields["tr_indexed"] else "false",
+    )
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(PRODUCTS_HEADER)
+    writer.writerow(["" if tokens[name] is None else tokens[name] for name in PRODUCTS_HEADER])
+    dataset, report = parse_products(out.getvalue())
+    if dataset is not None:
+        return dataset.products[0]
+    (issue,) = report.errors
+    return issue.rule, issue.message
+
+
+@PROPERTY
+@given(field_sets())
+@example(VALID_FIELDS)
+@example(dict(VALID_FIELDS, tr_indexed=False, citations=None, journal_if=None))
+@example(dict(VALID_FIELDS, journal_if=float("nan")))
+@example(dict(VALID_FIELDS, n_authors=0))
+def test_every_construction_path_applies_the_same_rules(fields):
+    """Keyword and positional construction, the archive hook and a one-row
+    products file give equal products, or fail with the same rule and message."""
+    record = dict(
+        {name: value for name, value in fields.items() if value is not None},
+        product_type=fields["product_type"].value,
+        peer_rating=fields["peer_rating"].token,
+    )
+    outcomes = [
+        _built(lambda: Product(**fields)),
+        _built(lambda: Product(*(fields[name] for name in PRODUCTS_HEADER))),
+        _built(lambda: json.loads(json.dumps(record), object_hook=_record_product)),
+        _parsed_row(fields),
+    ]
+    assert outcomes[1:] == outcomes[:1] * 3
 
 
 def _dataset(ps) -> Dataset:
