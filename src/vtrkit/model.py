@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "PRODUCTS_HEADER",
@@ -405,9 +405,10 @@ _BOOLEAN_TOKENS = {"true": True, "false": False}
 # text instead of a second, four-bytes-per-character copy of it
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
-# what int() and float() accept beyond a plain number: surrounding whitespace
-# and digit separators
-_LAX_NUMBER = re.compile(r"[\s_]")
+# what int() and float() accept beyond a plain ASCII number: surrounding
+# whitespace, digit separators, non-ASCII digits and a leading "+", searched in
+# the tokens joined by "," (which neither accepts) so each token's start shows
+_LAX_NUMBER = re.compile(r"[\s_]|[^\x00-\x7f]|(?:^|,)\+")
 
 
 def _csv_rows(text: str) -> Iterator[list[str]]:
@@ -440,16 +441,13 @@ def read_text_file(path: str, newline: str | None = None) -> str:
             raise PipelineError("bad_encoding", f"input is not UTF-8 text: {exc}") from None
 
 
-def parse_products(
-    source: str | TextIO, config: IngestConfig = IngestConfig()
-) -> tuple[Dataset | None, ValidationReport]:
+def parse_products(text: str, config: IngestConfig = IngestConfig()) -> tuple[Dataset | None, ValidationReport]:
     """Parse the products file format into a Dataset.
 
     Every accepted row becomes exactly one product; rejected rows are listed
     in the report with a row number and rule id.  If any error is recorded no
     dataset is produced.
     """
-    text = source if isinstance(source, str) else source.read()
     report = ValidationReport()
     # rows are read one at a time: only the accepted products are kept
     rows = _csv_records(text)
@@ -504,10 +502,10 @@ def parse_products(
             journal_if = None if if_tok == "" else float(if_tok)
             n_authors = int(na_tok)
             n_internal = int(ni_tok)
-            if _LAX_NUMBER.search(year_tok + cit_tok + if_tok + na_tok + ni_tok):
+            if _LAX_NUMBER.search(",".join((year_tok, cit_tok, if_tok, na_tok, ni_tok))):
                 raise ValueError(
-                    "year, citations, journal_if, n_authors and n_internal_authors may not hold whitespace or '_', "
-                    f"got {(year_tok, cit_tok, if_tok, na_tok, ni_tok)!r}"
+                    "year, citations, journal_if, n_authors and n_internal_authors must be plain ASCII numbers, "
+                    f"without whitespace, '_' or a leading '+', got {(year_tok, cit_tok, if_tok, na_tok, ni_tok)!r}"
                 )
         except ValueError as exc:
             report.error(lineno, "malformed_number", str(exc))
@@ -591,9 +589,8 @@ def serialize_products(dataset: Dataset) -> str:
     return out.getvalue()
 
 
-def parse_staff(source: str | TextIO) -> dict[str, StaffRecord]:
+def parse_staff(text: str) -> dict[str, StaffRecord]:
     """Parse the optional staff table (structure_id,kind,avg_staff)."""
-    text = source if isinstance(source, str) else source.read()
     rows = _csv_records(text)
     _, header = next(rows, (1, None))
     if not isinstance(header, list) or tuple(header) != STAFF_HEADER:
@@ -727,7 +724,7 @@ def _record_product(obj: dict):
 def load_archive(text: str) -> Dataset:
     try:
         doc = json.loads(text, object_hook=_record_product)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
         raise PipelineError("bad_archive", f"archive is not valid JSON: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers InvalidProduct
         raise PipelineError("bad_archive", f"invalid product record: {exc}") from None
@@ -740,11 +737,7 @@ def load_archive(text: str) -> Dataset:
     if not doc.keys() <= _TOP_LEVEL_KEYS or not prov.keys() <= _PROVENANCE_KEYS:
         unknown = sorted((doc.keys() - _TOP_LEVEL_KEYS) | (prov.keys() - _PROVENANCE_KEYS))
         raise PipelineError("bad_archive", f"unknown archive keys {unknown}")
-    provenance = Provenance(
-        source_name=prov.get("source_name", ""),
-        source_digest=prov.get("source_digest", ""),
-        ingested_at=prov.get("ingested_at", ""),
-    )
+    provenance = Provenance(**{key: prov.get(key, "") for key in _PROVENANCE_KEYS})
     if not all(type(v) is str for v in vars(provenance).values()):
         raise PipelineError("bad_archive", "archive provenance values must be strings")
     if not all(type(p) is Product for p in products):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 from .model import (
+    KNOWN_DISCIPLINES,
     YEAR_MAX,
     YEAR_MIN,
     Dataset,
@@ -61,8 +62,7 @@ class DisciplineSpec:
 
 
 DEFAULT_DISCIPLINES = tuple(
-    DisciplineSpec(code, n_structures=12, products_min=4, products_max=40)
-    for code in ("MCS", "PHY", "CHE", "EAS", "BIO", "MED", "AVM", "CEA", "IIE", "ECS")
+    DisciplineSpec(code, n_structures=12, products_min=4, products_max=40) for code in KNOWN_DISCIPLINES
 )
 
 
@@ -75,6 +75,8 @@ class SynthConfig:
     is rated E, the next 20% G, the next 20% A and the bottom 40% L.
     ``target_rho`` is the latent normal-scale correlation between quality and
     the bibliometric draws.
+    Each config is checked where it is built (in code, by ``replace`` or from
+    JSON), so an invalid one is an ``invalid_config`` PipelineError.
     """
 
     seed: int = 0
@@ -88,7 +90,7 @@ class SynthConfig:
     internal_author_share: float = 0.7
     hyperauthor_rate: float = 0.002
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # types are checked exactly, as Product does: bool is not an int here
         if type(self.seed) is not int:
             raise PipelineError("invalid_config", "seed must be an integer")
@@ -126,9 +128,10 @@ class SynthConfig:
             raise PipelineError("invalid_config", "internal_author_share must lie in [0, 1]")
         if not 0.0 <= self.hyperauthor_rate <= 1.0:
             raise PipelineError("invalid_config", "hyperauthor_rate must lie in [0, 1]")
-        if not self.disciplines:
-            raise PipelineError("invalid_config", "at least one discipline is required")
-        for spec in self.disciplines:
+        specs = self.disciplines
+        if type(specs) is not tuple or not specs or not all(type(s) is DisciplineSpec for s in specs):
+            raise PipelineError("invalid_config", "at least one discipline is required, as a tuple of DisciplineSpec")
+        for spec in specs:
             if type(spec.code) is not str or not spec.code:
                 raise PipelineError("invalid_config", "discipline code must be a nonempty string")
             if not all(type(n) is int for n in (spec.n_structures, spec.products_min, spec.products_max)):
@@ -143,6 +146,9 @@ class SynthConfig:
                 raise PipelineError("invalid_config", f"{spec.code}: bad products range")
             if not 0.0 <= spec.coverage <= 1.0:
                 raise PipelineError("invalid_config", f"{spec.code}: coverage must lie in [0, 1]")
+        codes = [spec.code for spec in specs]
+        if len(set(codes)) != len(codes):
+            raise PipelineError("invalid_config", f"discipline codes must be unique, got {codes}")
 
 
 def _is_real(value: object) -> bool:
@@ -239,8 +245,7 @@ def _generate_product(
 
 
 def generate_exercise(config: SynthConfig) -> Dataset:
-    """Generate a full synthetic exercise dataset from a validated config."""
-    config.validate()
+    """Generate a full synthetic exercise dataset from a config."""
     products = []
     for spec in config.disciplines:
         for s in range(1, spec.n_structures + 1):
@@ -265,58 +270,21 @@ def generate_exercise(config: SynthConfig) -> Dataset:
 def load_synth_config(text: str) -> SynthConfig:
     """Build a SynthConfig from its JSON form.
 
-    Top-level keys mirror the SynthConfig fields; ``disciplines`` is a list
-    of {code, n_structures, products_min, products_max, coverage} objects.
+    The keys are the SynthConfig fields; ``disciplines`` is a list of objects
+    whose keys are the DisciplineSpec fields.  Bad JSON, an unknown or missing
+    key at either level, or a wrong value is ``invalid_config``.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an integer past int()'s digit limit, or deep nesting
         raise PipelineError("invalid_config", f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise PipelineError("invalid_config", "config must be a JSON object")
-
-    kwargs: dict = {}
-    simple = (
-        "seed",
-        "target_rho",
-        "citation_dispersion",
-        "if_scale",
-        "year_min",
-        "year_max",
-        "internal_author_share",
-        "hyperauthor_rate",
-    )
-    unknown = set(doc) - set(simple) - {"rating_thresholds", "disciplines"}
-    if unknown:
-        raise PipelineError("invalid_config", f"unknown config keys: {sorted(unknown)}")
-    for key in simple:
-        if key in doc:
-            kwargs[key] = doc[key]
-    if "rating_thresholds" in doc:
-        thresholds = doc["rating_thresholds"]
-        kwargs["rating_thresholds"] = tuple(thresholds) if type(thresholds) is list else thresholds
-    if "disciplines" in doc:
-        entries = doc["disciplines"]
-        if type(entries) is not list:
-            raise PipelineError("invalid_config", "disciplines must be a list")
-        specs = []
-        for entry in entries:
-            try:
-                specs.append(
-                    DisciplineSpec(
-                        code=entry["code"],
-                        n_structures=entry["n_structures"],
-                        products_min=entry["products_min"],
-                        products_max=entry["products_max"],
-                        coverage=entry.get("coverage", 0.85),
-                    )
-                )
-            except (KeyError, TypeError) as exc:
-                raise PipelineError("invalid_config", f"bad discipline entry: {exc}") from None
-        kwargs["disciplines"] = tuple(specs)
+    if type(doc.get("rating_thresholds")) is list:
+        doc["rating_thresholds"] = tuple(doc["rating_thresholds"])
     try:
-        config = SynthConfig(**kwargs)
-    except TypeError as exc:
-        raise PipelineError("invalid_config", str(exc)) from None
-    config.validate()
-    return config
+        if type(doc.get("disciplines")) is list:
+            doc["disciplines"] = tuple(DisciplineSpec(**entry) for entry in doc["disciplines"])
+        return SynthConfig(**doc)
+    except TypeError as exc:  # an unknown or missing key, or an entry that is not an object
+        raise PipelineError("invalid_config", f"bad config: {exc}") from None

@@ -323,6 +323,16 @@ class TestSynthCommand:
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "invalid_config"
 
+    def test_typo_config_key_exit_1(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"disciplines": [{"code": "X", "n_structures": 2, "products_min": 1, "products_max": 5, "coverag": 0.1}]}',
+            encoding="utf-8",
+        )
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid_config"
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestReport:
     def test_report_all_covers_every_discipline(self, archive, capsys):

@@ -207,12 +207,21 @@ class TestParseProducts:
             "P1,S1,BIO,2002,journal_article,E,true,12,\t4.5 ,3,2",
             "P1,S1,BIO,2002,journal_article,E,true,1_000,4.5,3,2",
             "P1,S1,BIO,2002,journal_article,E,true,12,4.5,3 ,2",
+            # or take non-ASCII digits and a leading '+', which the canonical file would rewrite
+            "P1,S1,BIO,\u0662\u0660\u0660\u0662,journal_article,E,true,12,4.5,3,2",
+            "P1,S1,BIO,2002,journal_article,E,true,+12,4.5,3,2",
+            "P1,S1,BIO,2002,journal_article,E,true,12,\uff14.5,3,2",
+            "P1,S1,BIO,+2002,journal_article,E,true,12,4.5,3,2",
+            "P1,S1,BIO,2002,journal_article,E,true,12,4.5,3,+2",
         ):
             dataset, report = parse_products(make_csv(row))
             assert dataset is None and [i.rule for i in report.errors] == ["malformed_number"], row
         # a token int() rejects keeps int()'s message
         dataset, report = parse_products(make_csv("P1,S1,BIO,20 02,journal_article,E,true,12,4.5,3,2"))
         assert [i.message for i in report.errors] == ["invalid literal for int() with base 10: '20 02'"]
+        # an exponent sign is part of a plain number (repr writes 1e+16)
+        dataset, report = parse_products(make_csv("P1,S1,BIO,2002,journal_article,E,true,12,1e+2,3,2"))
+        assert report.ok and dataset.products[0].journal_if == 100.0
 
     def test_lone_carriage_return_is_malformed_csv(self):
         """csv cannot split a line with a lone CR in an unquoted field; that
@@ -629,4 +638,9 @@ class TestArchive:
         mutate(doc)
         with pytest.raises(PipelineError) as err:
             load_archive(json.dumps(doc))
+        assert err.value.code == "bad_archive"
+
+    def test_too_deeply_nested_archive_is_bad_archive(self):
+        with pytest.raises(PipelineError) as err:
+            load_archive("[" * 100_000 + "]" * 100_000)
         assert err.value.code == "bad_archive"

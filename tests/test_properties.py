@@ -1,13 +1,14 @@
 """Property tests: every way of building a product applies the same rules,
 the CSV, the archive and the report agree on any valid dataset, the per-area
 tables agree with each other, the report's battery is the public battery, and
-a damaged archive, products file or staff table fails only with a
-rejected-row report or a PipelineError."""
+a damaged archive, products file, staff table or synth config fails only
+with a rejected-row report or a PipelineError."""
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -47,6 +48,7 @@ from vtrkit.model import (
 )
 from vtrkit.report import build_battery, build_report, render_report_json
 from vtrkit.scoring import structure_ratings
+from vtrkit.synth import DisciplineSpec, SynthConfig, load_synth_config
 
 # derandomized so tier-1 stays deterministic; small budgets keep it fast
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -365,3 +367,72 @@ def test_damaged_csv_ends_in_a_report_or_pipeline_error(kind, data):
     records = [json.loads(line) for line in err.getvalue().splitlines()]
     assert code in (0, 1)
     assert all(record.get("error") != "internal_error" for record in records), records
+
+
+#: a valid value of each SynthConfig knob (year_max's default, 2003, splits the year range)
+CONFIG_VALUES = {
+    "seed": st.integers(-(2**70), 2**70),
+    "target_rho": st.floats(-0.99, 0.99),
+    "rating_thresholds": st.lists(st.floats(0.01, 0.99), min_size=3, max_size=3, unique=True).map(sorted),
+    "citation_dispersion": st.floats(0.1, 3.0),
+    "if_scale": st.floats(0.1, 3.0),
+    "year_min": st.integers(YEAR_MIN, 2003),
+    "year_max": st.integers(2003, YEAR_MAX),
+    "internal_author_share": st.floats(0.0, 1.0),
+    "hyperauthor_rate": st.floats(0.0, 1.0),
+}
+discipline_entries = st.fixed_dictionaries(
+    {
+        "code": st.sampled_from(["BIO", "MED", "X"]),
+        "n_structures": st.integers(1, 3),
+        "products_min": st.integers(1, 2),
+        "products_max": st.integers(2, 4),
+    },
+    optional={"coverage": st.floats(0.0, 1.0)},
+)
+config_documents = st.fixed_dictionaries(
+    {},
+    optional=dict(
+        CONFIG_VALUES, disciplines=st.lists(discipline_entries, min_size=1, max_size=3, unique_by=lambda e: e["code"])
+    ),
+)
+SYNTH_FIELDS = frozenset(f.name for f in dataclasses.fields(SynthConfig))
+SPEC_FIELDS = frozenset(f.name for f in dataclasses.fields(DisciplineSpec))
+CONFIG_DAMAGE = ["none", "wrong_value", "unknown_key", "missing_key", "extra_entry", "repeated_code"]
+
+
+@PROPERTY
+@given(config_documents, st.sampled_from(CONFIG_DAMAGE), st.data())
+def test_config_document_ends_in_a_config_or_invalid_config(doc, damage, data):
+    """A valid config document with at most one damage (a value that may be
+    wrong, an unknown or missing key, one more discipline entry that may not
+    be an object, or a repeated code) loads to the SynthConfig it spells out
+    or fails with invalid_config; an unknown key at either level and a
+    repeated code always fail."""
+    entries = doc.get("disciplines", [])
+    target = data.draw(st.sampled_from([doc, *entries]))
+    if damage == "wrong_value":
+        key = data.draw(st.sampled_from(sorted(SYNTH_FIELDS if target is doc else SPEC_FIELDS)))
+        target[key] = data.draw(json_values)
+    elif damage == "unknown_key":
+        target[data.draw(st.text(max_size=8))] = data.draw(json_values)
+    elif damage == "missing_key" and target:
+        del target[data.draw(st.sampled_from(sorted(target)))]
+    elif damage == "extra_entry" and entries:
+        entries.append(data.draw(json_values | discipline_entries))
+    elif damage == "repeated_code" and entries:
+        entries.append(dict(data.draw(discipline_entries), code=entries[0]["code"]))
+
+    entries = doc["disciplines"] if type(doc.get("disciplines")) is list else []
+    unknown = doc.keys() - SYNTH_FIELDS or any(type(e) is dict and e.keys() - SPEC_FIELDS for e in entries)
+    codes = [e.get("code") for e in entries if type(e) is dict]
+    try:
+        config = load_synth_config(json.dumps(doc))
+    except PipelineError as exc:
+        assert exc.code == "invalid_config"
+        return
+    assert not unknown and len(set(codes)) == len(codes)
+    loaded = json.loads(json.dumps(dataclasses.asdict(config)))
+    if "disciplines" in doc:
+        doc["disciplines"] = [dict({"coverage": 0.85}, **entry) for entry in entries]
+    assert {key: loaded[key] for key in doc} == doc

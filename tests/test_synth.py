@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from collections import Counter
@@ -182,7 +183,7 @@ class TestLatentCorrelation:
 
 class TestConfig:
     def test_default_config_valid(self):
-        SynthConfig().validate()
+        SynthConfig()
         assert len(DEFAULT_DISCIPLINES) == 10
 
     @pytest.mark.parametrize(
@@ -211,7 +212,7 @@ class TestConfig:
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(PipelineError) as err:
-            SynthConfig(**kwargs).validate()
+            SynthConfig(**kwargs)
         assert err.value.code == "invalid_config"
 
     def test_load_json_config(self):
@@ -232,6 +233,36 @@ class TestConfig:
         assert config.rating_thresholds == (0.1, 0.3, 0.5)
         assert config.disciplines == (DisciplineSpec("BIO", 2, 3, 9, coverage=0.75),)
 
+    def test_load_fills_defaults(self):
+        config = load_synth_config(
+            '{"disciplines": [{"code": "BIO", "n_structures": 2, "products_min": 3, "products_max": 9}]}'
+        )
+        assert config == SynthConfig(disciplines=(DisciplineSpec("BIO", 2, 3, 9, coverage=0.85),))
+
+    def test_load_rejects_unknown_discipline_key(self):
+        """A typo key in a discipline entry used to be ignored, leaving the
+        default coverage in place."""
+        text = '{"disciplines": [{"code": "X", "n_structures": 2, "products_min": 1, "products_max": 5, "coverag": 0.1}]}'
+        with pytest.raises(PipelineError) as err:
+            load_synth_config(text)
+        assert err.value.code == "invalid_config" and "coverag" in str(err.value)
+
+    def test_duplicate_codes_are_invalid_config(self):
+        """Two areas of the same code are rejected when the config is built,
+        not as duplicate products after generating every one of them."""
+        entry = '{"code": "BIO", "n_structures": 2, "products_min": 1, "products_max": 5}'
+        with pytest.raises(PipelineError) as err:
+            load_synth_config(f'{{"disciplines": [{entry}, {entry}]}}')
+        assert err.value.code == "invalid_config"
+        with pytest.raises(PipelineError) as err:
+            SynthConfig(disciplines=(DisciplineSpec("BIO", 2, 1, 5), DisciplineSpec("BIO", 3, 1, 5, coverage=0.5)))
+        assert err.value.code == "invalid_config"
+
+    def test_replace_is_checked(self):
+        with pytest.raises(PipelineError) as err:
+            dataclasses.replace(SynthConfig(), target_rho=2.0)
+        assert err.value.code == "invalid_config"
+
     def test_load_rejects_bad_json(self):
         with pytest.raises(PipelineError) as err:
             load_synth_config("{nope")
@@ -250,6 +281,12 @@ class TestConfig:
             '{"rating_thresholds": 0.2}',
             '{"disciplines": 5}',
             '{"disciplines": [{"code": "X", "n_structures": 2.7, "products_min": 1, "products_max": 5}]}',
+            '{"disciplines": []}',
+            '{"disciplines": {"code": "X", "n_structures": 2, "products_min": 1, "products_max": 5}}',
+            '{"disciplines": ["X"]}',
+            '{"disciplines": [{"code": "X", "n_structures": 2, "products_min": 1}]}',
+            pytest.param('{"seed": 1' + "0" * 5000 + "}", id="seed_past_int_digit_limit"),
+            pytest.param('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}", id="nested_too_deep"),
         ],
     )
     def test_load_rejects_mistyped_values(self, text):
