@@ -174,11 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=True, fmt=True):
-        if dataset:
-            p.add_argument("--dataset", required=True, help="canonical dataset archive (JSON)")
-        if fmt:
-            p.add_argument("--format", choices=("md", "csv", "json"), default="md")
+    def common(p):
+        p.add_argument("--dataset", required=True, help="canonical dataset archive (JSON)")
+        p.add_argument("--format", choices=("md", "csv", "json"), default="md")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("ingest", help="parse a products file and write the canonical archive")

@@ -111,21 +111,20 @@ class InvalidProduct(ValueError):
 
 
 class PeerRating(enum.IntEnum):
-    """Four-point peer rating scale, ordered Excellent > Good > Acceptable > Limited."""
+    """Four-point peer rating scale, ordered Excellent > Good > Acceptable > Limited;
+    each member carries its products-file ``token`` and the committee's fixed ``weight``."""
 
-    EXCELLENT = 4
-    GOOD = 3
-    ACCEPTABLE = 2
-    LIMITED = 1
+    EXCELLENT = 4, "E", 1.0
+    GOOD = 3, "G", 0.8
+    ACCEPTABLE = 2, "A", 0.6
+    LIMITED = 1, "L", 0.2
 
-    @property
-    def token(self) -> str:
-        return _RATING_TOKENS[self]
-
-    @property
-    def weight(self) -> float:
-        """The committee's fixed numeric weight: E 1.0, G 0.8, A 0.6, L 0.2."""
-        return _RATING_WEIGHTS[self]
+    def __new__(cls, value: int, token: str, weight: float) -> "PeerRating":
+        member = int.__new__(cls, value)
+        member._value_ = value
+        member.token = token
+        member.weight = weight
+        return member
 
     @classmethod
     def from_token(cls, token: str) -> "PeerRating":
@@ -135,27 +134,10 @@ class PeerRating(enum.IntEnum):
             raise ValueError(f"unknown peer rating token {token!r}") from None
 
 
-_RATING_TOKENS = {
-    PeerRating.EXCELLENT: "E",
-    PeerRating.GOOD: "G",
-    PeerRating.ACCEPTABLE: "A",
-    PeerRating.LIMITED: "L",
-}
-_TOKEN_RATINGS = {v: k for k, v in _RATING_TOKENS.items()}
-_RATING_WEIGHTS = {
-    PeerRating.EXCELLENT: 1.0,
-    PeerRating.GOOD: 0.8,
-    PeerRating.ACCEPTABLE: 0.6,
-    PeerRating.LIMITED: 0.2,
-}
+_TOKEN_RATINGS = {r.token: r for r in PeerRating}
 
 #: Display order used by every report: best rating first.
-RATING_ORDER = (
-    PeerRating.EXCELLENT,
-    PeerRating.GOOD,
-    PeerRating.ACCEPTABLE,
-    PeerRating.LIMITED,
-)
+RATING_ORDER = tuple(PeerRating)
 
 
 class ProductType(enum.Enum):
@@ -170,6 +152,9 @@ class ProductType(enum.Enum):
 _PRODUCT_TYPES = {t.value: t for t in ProductType}
 
 _tuple_new = tuple.__new__
+
+#: a product's identity, and the order of a Dataset's products
+_product_key = attrgetter("discipline", "structure_id", "product_id")
 
 
 class Product(namedtuple("Product", PRODUCTS_HEADER)):
@@ -271,12 +256,7 @@ class Product(namedtuple("Product", PRODUCTS_HEADER)):
         # namedtuple's own _make (which _replace calls) would skip the rules
         return cls(*iterable)
 
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return (self.discipline, self.structure_id, self.product_id)
-
-
-_product_key = attrgetter("discipline", "structure_id", "product_id")
+    key = property(_product_key)
 
 
 @dataclass(frozen=True)
@@ -406,9 +386,10 @@ _BOOLEAN_TOKENS = {"true": True, "false": False}
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
 # what int() and float() accept beyond a plain ASCII number: surrounding
-# whitespace, digit separators, non-ASCII digits and a leading "+", searched in
-# the tokens joined by "," (which neither accepts) so each token's start shows
-_LAX_NUMBER = re.compile(r"[\s_]|[^\x00-\x7f]|(?:^|,)\+")
+# whitespace, digit separators, non-ASCII digits, a leading "+", and an integer's
+# leading zeros or "-0"; searched in the tokens joined by "," (which neither
+# accepts), journal_if first, so each token's start shows and only integers follow a ","
+_LAX_NUMBER = re.compile(r"[\s_]|[^\x00-\x7f]|(?:^|,)\+|,(?:-0|0[0-9])")
 
 
 def _csv_rows(text: str) -> Iterator[list[str]]:
@@ -502,10 +483,11 @@ def parse_products(text: str, config: IngestConfig = IngestConfig()) -> tuple[Da
             journal_if = None if if_tok == "" else float(if_tok)
             n_authors = int(na_tok)
             n_internal = int(ni_tok)
-            if _LAX_NUMBER.search(",".join((year_tok, cit_tok, if_tok, na_tok, ni_tok))):
+            if _LAX_NUMBER.search(",".join((if_tok, year_tok, cit_tok, na_tok, ni_tok))):
                 raise ValueError(
                     "year, citations, journal_if, n_authors and n_internal_authors must be plain ASCII numbers, "
-                    f"without whitespace, '_' or a leading '+', got {(year_tok, cit_tok, if_tok, na_tok, ni_tok)!r}"
+                    "without whitespace, '_', a leading '+' or an integer's leading zeros or '-0', "
+                    f"got {(year_tok, cit_tok, if_tok, na_tok, ni_tok)!r}"
                 )
         except ValueError as exc:
             report.error(lineno, "malformed_number", str(exc))
@@ -655,7 +637,7 @@ def _product_record(p: Product) -> dict:
         "journal_if": None if p.journal_if is None else float(p.journal_if),
         "n_authors": p.n_authors,
         "n_internal_authors": p.n_internal_authors,
-        "peer_rating": _RATING_TOKENS[p.peer_rating],
+        "peer_rating": p.peer_rating.token,
         "product_id": p.product_id,
         "product_type": p.product_type.value,
         "structure_id": p.structure_id,

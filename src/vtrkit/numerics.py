@@ -8,6 +8,7 @@ no numerics dependency.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import Sequence
 
 __all__ = ["average_ranks", "chi_square_upper_tail", "student_t_two_sided"]
@@ -27,15 +28,13 @@ def average_ranks(values: Sequence[float]) -> list[float]:
         raise ValueError("average_ranks: empty input")
     order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        shared = (i + j + 2) / 2  # mean of the 1-based positions i+1 .. j+1
-        for k in range(i, j + 1):
-            ranks[order[k]] = shared
-        i = j + 1
+    start = 0
+    for _, run in groupby(order, key=values.__getitem__):
+        run = list(run)
+        shared = start + (len(run) + 1) / 2  # mean of the 1-based positions start+1 .. start+len(run)
+        for k in run:
+            ranks[k] = shared
+        start += len(run)
     return ranks
 
 

@@ -400,22 +400,26 @@ class ReportBundle:
     disciplines: dict[str, DisciplineSection]
 
 
+def _noted(call, *args):
+    """``(call(*args), None)``, or ``(None, "code: message")`` when the call
+    raises a PipelineError: the note each failed statistic leaves in a report."""
+    try:
+        return call(*args), None
+    except PipelineError as exc:
+        return None, f"{exc.code}: {exc}"
+
+
 def build_battery(products, variable: str, coding: str = "quartile") -> VariableBattery:
     battery = VariableBattery(variable=variable)
-    try:
-        sample = VariableSample(products, variable)
-        battery.contingency = sample.contingency()
-    except PipelineError as exc:
-        battery.notes.append(f"{exc.code}: {exc}")
+    sample, note = _noted(VariableSample, products, variable)
+    if sample is not None:
+        battery.contingency, note = _noted(sample.contingency)
+    if battery.contingency is None:
+        battery.notes.append(note)
         return battery
-    try:
-        battery.chi_square = chi_square_independence(battery.contingency.counts)
-    except PipelineError as exc:
-        battery.notes.append(f"{exc.code}: {exc}")
-    try:
-        battery.product_spearman = sample.spearman(coding)
-    except PipelineError as exc:
-        battery.notes.append(f"{exc.code}: {exc}")
+    battery.chi_square, chi_note = _noted(chi_square_independence, battery.contingency.counts)
+    battery.product_spearman, spearman_note = _noted(sample.spearman, coding)
+    battery.notes = [n for n in (chi_note, spearman_note) if n is not None]
     battery.probabilities = sample.probabilities()
     return battery
 
@@ -431,11 +435,8 @@ def _structure_correlations(ratings, min_products: int) -> list[StructureCorrela
             for r in eligible
             if r.peer_tr is not None and getattr(r, attr) is not None
         ]
-        try:
-            result = spearman([p for p, _ in pairs], [q for _, q in pairs])
-            out.append(StructureCorrelation(label, result, None))
-        except PipelineError as exc:
-            out.append(StructureCorrelation(label, None, f"{exc.code}: {exc}"))
+        result, note = _noted(spearman, [p for p, _ in pairs], [q for _, q in pairs])
+        out.append(StructureCorrelation(label, result, note))
     return out
 
 
@@ -447,19 +448,12 @@ def build_section(
 ) -> DisciplineSection:
     products = dataset.products_in(discipline)
     ratings = structure_ratings(dataset, discipline)
-    ranking = None
-    ranking_note = None
-    comparison = None
-    comparison_note = None
-    try:
-        ranking = compile_ranking(ratings, "peer_tr", min_products)
-    except PipelineError as exc:
-        ranking_note = f"{exc.code}: {exc}"
+    ranking, ranking_note = _noted(compile_ranking, ratings, "peer_tr", min_products)
+    comparison = comparison_note = None
     if ranking is not None:
-        try:
-            comparison = rank_comparison(ranking, compile_ranking(ratings, "cites", min_products))
-        except PipelineError as exc:
-            comparison_note = f"{exc.code}: {exc}"
+        comparison, comparison_note = _noted(
+            lambda: rank_comparison(ranking, compile_ranking(ratings, "cites", min_products))
+        )
     return DisciplineSection(
         profile=discipline_profile(dataset, discipline),
         breakdown=rating_breakdown(dataset, discipline),

@@ -219,6 +219,9 @@ class TestChiSquareIndependence:
         assert err.value.code == "degenerate_table"
         with pytest.raises(PipelineError):
             chi_square_independence([[5, 0], [5, 0]])
+        with pytest.raises(PipelineError) as err:
+            chi_square_independence([[5, -1], [5, 6]])
+        assert (err.value.code, str(err.value)) == ("degenerate_table", "counts must be non-negative")
 
 
 class TestSpearman:

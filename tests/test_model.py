@@ -213,6 +213,13 @@ class TestParseProducts:
             "P1,S1,BIO,2002,journal_article,E,true,12,\uff14.5,3,2",
             "P1,S1,BIO,+2002,journal_article,E,true,12,4.5,3,2",
             "P1,S1,BIO,2002,journal_article,E,true,12,4.5,3,+2",
+            # or an integer with leading zeros or a minus zero, which it would write as 2002, 0 and 3
+            "P1,S1,BIO,02002,journal_article,E,true,12,4.5,3,2",
+            "P1,S1,BIO,2002,journal_article,E,true,-0,4.5,3,0",
+            "P1,S1,BIO,2002,journal_article,E,true,12,4.5,003,2",
+            "P1,S1,BIO,2002,journal_article,E,true,12,4.5,3,00",
+            "P1,S1,BIO,2002,journal_article,E,true,012,,3,2",
+            "P1,S1,BIO,02002,journal_article,E,true,-0,2.5,003,1",
         ):
             dataset, report = parse_products(make_csv(row))
             assert dataset is None and [i.rule for i in report.errors] == ["malformed_number"], row
@@ -222,6 +229,24 @@ class TestParseProducts:
         # an exponent sign is part of a plain number (repr writes 1e+16)
         dataset, report = parse_products(make_csv("P1,S1,BIO,2002,journal_article,E,true,12,1e+2,3,2"))
         assert report.ok and dataset.products[0].journal_if == 100.0
+        # journal_if is a float: its leading and trailing zeros are part of a plain number
+        for token, value in (("02.50", 2.5), ("4.50", 4.5), ("0", 0.0)):
+            dataset, report = parse_products(make_csv(f"P1,S1,BIO,2002,journal_article,E,true,0,{token},3,2"))
+            assert report.ok and dataset.products[0].journal_if == value, token
+        dataset, report = parse_products(make_csv("P1,S1,BIO,2002,journal_article,E,true,12,1e+16,3,2"))
+        assert [i.rule for i in report.errors] == ["value_out_of_range"]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("P1,S1,BIO,2002,journal_article,E,true,-5,4.5,3,2", "citations must be >= 0, got -5"),
+            ("P1,S1,BIO,2002,journal_article,E,true,5,-1.5,3,2", "journal_if must be >= 0, got -1.5"),
+        ],
+    )
+    def test_negative_bibliometrics_are_malformed_number(self, row, message):
+        dataset, report = parse_products(make_csv(row))
+        assert dataset is None
+        assert [(i.rule, i.message) for i in report.errors] == [("malformed_number", message)]
 
     def test_lone_carriage_return_is_malformed_csv(self):
         """csv cannot split a line with a lone CR in an unquoted field; that
@@ -478,6 +503,16 @@ class TestStaffFile:
         assert records["S1"] == StaffRecord("S1", "university", 40.0)
         assert records["S2"].avg_staff == 12.5
 
+    def test_blank_lines_skipped(self):
+        records = parse_staff("structure_id,kind,avg_staff\n\nS1,university,40\n\n")
+        assert records == {"S1": StaffRecord("S1", "university", 40.0)}
+
+    def test_non_numeric_staff_rejected(self):
+        with pytest.raises(PipelineError) as err:
+            parse_staff("structure_id,kind,avg_staff\nS1,agency,abc\n")
+        assert err.value.code == "bad_staff_number"
+        assert str(err.value) == "row 2: avg_staff must be numeric"
+
     def test_bad_kind(self):
         with pytest.raises(PipelineError) as err:
             parse_staff("structure_id,kind,avg_staff\nS1,museum,40\n")
@@ -603,6 +638,8 @@ class TestArchive:
             lambda doc: doc.__setitem__("extra", doc["products"].pop(1)),
             lambda doc: doc["products"][0].__setitem__("extra", 1),
             lambda doc: doc["provenance"].__setitem__("extra", ""),
+            lambda doc: doc["products"][0].__setitem__("citations", -5),
+            lambda doc: doc["products"][0].__setitem__("journal_if", -1.5),
         ],
         ids=[
             "null_record",
@@ -631,6 +668,8 @@ class TestArchive:
             "record_under_unknown_top_level_key",
             "unknown_record_key",
             "unknown_provenance_key",
+            "negative_citations",
+            "negative_journal_if",
         ],
     )
     def test_malformed_archive_is_bad_archive(self, four_product_dataset, mutate):

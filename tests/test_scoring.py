@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import statistics
 
 import pytest
 
-from vtrkit.model import PeerRating, PipelineError, parse_products
+from vtrkit.model import RATING_ORDER, PeerRating, PipelineError, parse_products
 from vtrkit.scoring import (
     SizeClass,
     StructureRating,
@@ -44,6 +45,16 @@ class TestWeights:
     def test_mean_of_excellent_and_good(self):
         mean = statistics.fmean([PeerRating.EXCELLENT.weight, PeerRating.GOOD.weight])
         assert mean == pytest.approx(0.9)
+
+    def test_scale_tokens_and_order(self):
+        assert [(r.token, int(r)) for r in RATING_ORDER] == [("E", 4), ("G", 3), ("A", 2), ("L", 1)]
+        for rating in PeerRating:
+            assert PeerRating.from_token(rating.token) is rating
+            assert PeerRating(int(rating)) is rating
+            assert pickle.loads(pickle.dumps(rating)) is rating
+        assert repr(PeerRating.GOOD) == "<PeerRating.GOOD: 3>"
+        with pytest.raises(ValueError, match="unknown peer rating token 'X'"):
+            PeerRating.from_token("X")
 
     def test_strictly_order_preserving(self):
         ratings = sorted(PeerRating, reverse=True)
@@ -185,6 +196,11 @@ class TestCompileRanking:
         with pytest.raises(PipelineError) as err:
             compile_ranking([make_rating("S1", 1.0), other], "cites")
         assert err.value.code == "mixed_disciplines"
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(PipelineError) as err:
+            compile_ranking([make_rating("S1", 0.9)], "bogus")
+        assert err.value.code == "unknown_metric"
 
 
 class TestRankComparison:

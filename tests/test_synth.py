@@ -208,6 +208,9 @@ class TestConfig:
             {"disciplines": (DisciplineSpec("X", 2.7, 1, 5),)},
             {"seed": 1.5},
             {"disciplines": (DisciplineSpec("X", 1, 1, 5, coverage="0.85"),)},
+            {"rating_thresholds": (0.2, float("nan"), 0.6)},
+            {"internal_author_share": 1.5},
+            {"hyperauthor_rate": -0.1},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -287,6 +290,8 @@ class TestConfig:
             '{"disciplines": [{"code": "X", "n_structures": 2, "products_min": 1}]}',
             pytest.param('{"seed": 1' + "0" * 5000 + "}", id="seed_past_int_digit_limit"),
             pytest.param('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}", id="nested_too_deep"),
+            '[{"seed": 1}]',
+            '"config"',
         ],
     )
     def test_load_rejects_mistyped_values(self, text):
