@@ -145,7 +145,7 @@ def chi_square_independence(counts: Sequence[Sequence[int]]) -> ChiSquareResult:
     if rows:
         keep = [j for j in range(len(rows[0])) if sum(row[j] for row in rows) > 0]
         rows = [[row[j] for j in keep] for row in rows]
-    if len(rows) < 2 or not rows or len(rows[0]) < 2:
+    if len(rows) < 2 or len(rows[0]) < 2:
         raise PipelineError("degenerate_table", "need at least 2 nonempty rows and columns")
 
     grand = sum(sum(row) for row in rows)
@@ -294,7 +294,8 @@ class VariableSample:
         self.values: list[float] = []
         value_of = attrgetter(variable)
         for p in products:
-            if p.tr_indexed and (value := value_of(p)) is not None:
+            # Product's bibliometrics_on_uncovered rule: a present value is on a TR product
+            if (value := value_of(p)) is not None:
                 self.ratings.append(p.peer_rating)
                 self.values.append(float(value))
 

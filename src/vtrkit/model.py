@@ -155,6 +155,7 @@ _tuple_new = tuple.__new__
 
 #: a product's identity, and the order of a Dataset's products
 _product_key = attrgetter("discipline", "structure_id", "product_id")
+_DUPLICATE_PRODUCT = "duplicate (product_id, structure_id, discipline) triple {}"
 
 
 class Product(namedtuple("Product", PRODUCTS_HEADER)):
@@ -283,9 +284,7 @@ class Dataset:
         prev = next(keys, None)
         for key in keys:
             if prev == key:
-                raise PipelineError(
-                    "duplicate_product", f"duplicate (product_id, structure_id, discipline) triple {key}"
-                )
+                raise PipelineError("duplicate_product", _DUPLICATE_PRODUCT.format(key))
             if prev > key:
                 raise ValueError("products must be in key order; build the dataset with Dataset.from_products")
             prev = key
@@ -515,7 +514,7 @@ def parse_products(text: str, config: IngestConfig = IngestConfig()) -> tuple[Da
 
         key = product.key  # holds the product's shared codes, so the row's copies are freed
         if key in products:
-            report.error(lineno, "duplicate_product", f"duplicate (product_id, structure_id, discipline) triple {key}")
+            report.error(lineno, "duplicate_product", _DUPLICATE_PRODUCT.format(key))
             continue
 
         if discipline not in KNOWN_DISCIPLINES:
@@ -541,10 +540,8 @@ def parse_products(text: str, config: IngestConfig = IngestConfig()) -> tuple[Da
     return Dataset.from_products(products.values(), provenance), report
 
 
-def parse_products_file(
-    path: str, config: IngestConfig | None = None
-) -> tuple[Dataset | None, ValidationReport]:
-    return parse_products(read_text_file(path, newline=""), config or IngestConfig(source_name=path))
+def parse_products_file(path: str) -> tuple[Dataset | None, ValidationReport]:
+    return parse_products(read_text_file(path, newline=""), IngestConfig(source_name=path))
 
 
 def serialize_products(dataset: Dataset) -> str:
@@ -594,6 +591,8 @@ def parse_staff(text: str) -> dict[str, StaffRecord]:
             raise PipelineError("bad_staff_number", f"row {lineno}: avg_staff must be numeric") from None
         if not 0 <= avg_staff <= _FLOAT_MAX:  # false for NaN too
             raise PipelineError("bad_staff_number", f"row {lineno}: avg_staff must be a finite number >= 0")
+        if structure_id in records:
+            raise PipelineError("bad_staff_row", f"row {lineno}: structure {structure_id!r} is listed twice")
         records[structure_id] = StaffRecord(structure_id, kind, avg_staff)
     return records
 
@@ -712,16 +711,15 @@ def load_archive(text: str) -> Dataset:
         raise PipelineError("bad_archive", f"invalid product record: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != ARCHIVE_FORMAT:
         raise PipelineError("bad_archive", f"expected archive format {ARCHIVE_FORMAT!r}")
-    prov = doc.get("provenance", {})
-    products = doc.get("products", [])
+    # every archive the writer has produced carries exactly these keys, so a
+    # missing key is as bad as an unknown one
+    if doc.keys() != _TOP_LEVEL_KEYS:
+        raise PipelineError("bad_archive", f"archive keys must be exactly {sorted(_TOP_LEVEL_KEYS)}, got {sorted(doc)}")
+    prov, products = doc["provenance"], doc["products"]
     if not isinstance(prov, dict) or not isinstance(products, list):
         raise PipelineError("bad_archive", "archive provenance must be an object and products a list")
-    if not doc.keys() <= _TOP_LEVEL_KEYS or not prov.keys() <= _PROVENANCE_KEYS:
-        unknown = sorted((doc.keys() - _TOP_LEVEL_KEYS) | (prov.keys() - _PROVENANCE_KEYS))
-        raise PipelineError("bad_archive", f"unknown archive keys {unknown}")
-    provenance = Provenance(**{key: prov.get(key, "") for key in _PROVENANCE_KEYS})
-    if not all(type(v) is str for v in vars(provenance).values()):
-        raise PipelineError("bad_archive", "archive provenance values must be strings")
+    if prov.keys() != _PROVENANCE_KEYS or not all(type(v) is str for v in prov.values()):
+        raise PipelineError("bad_archive", f"archive provenance keys must be {sorted(_PROVENANCE_KEYS)}, all strings")
     if not all(type(p) is Product for p in products):
         raise PipelineError("bad_archive", "every element of products must be a product record")
-    return Dataset.from_products(products, provenance)
+    return Dataset.from_products(products, Provenance(**prov))

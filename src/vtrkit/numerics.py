@@ -52,6 +52,20 @@ def _lower_gamma_series(a: float, x: float) -> float:
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
+def _lentz_step(an: float, bn: float, c: float, d: float) -> tuple[float, float, float]:
+    """One modified-Lentz step of a continued fraction b0 + a1/(b1 + a2/(b2 + ...)):
+    the next c and d, each kept away from zero, and the factor delta that
+    takes the convergent to the next one."""
+    d = an * d + bn
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    c = bn + an / c
+    if abs(c) < _FPMIN:
+        c = _FPMIN
+    d = 1.0 / d
+    return c, d, d * c
+
+
 def _upper_gamma_cf(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) by Lentz continued fraction."""
     b = x + 1.0 - a
@@ -59,16 +73,8 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz_step(-i * (i - a), b, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
@@ -105,24 +111,10 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
+        # an even term, then an odd one; convergence is tested on the odd step only
+        c, d, delta = _lentz_step(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
+        h *= delta
+        c, d, delta = _lentz_step(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break

@@ -430,11 +430,9 @@ def _structure_correlations(ratings, min_products: int) -> list[StructureCorrela
     eligible = [r for r in ratings if r.n_products >= min_products]
     out = []
     for label, attr in (("peer_tr~cites", "cites"), ("peer_tr~impact", "impact")):
-        pairs = [
-            (r.peer_tr, getattr(r, attr))
-            for r in eligible
-            if r.peer_tr is not None and getattr(r, attr) is not None
-        ]
+        # Product's bibliometrics_on_uncovered rule: a citation or IF mean means
+        # the structure has TR products, so its peer_tr is set
+        pairs = [(r.peer_tr, getattr(r, attr)) for r in eligible if getattr(r, attr) is not None]
         result, note = _noted(spearman, [p for p, _ in pairs], [q for _, q in pairs])
         out.append(StructureCorrelation(label, result, note))
     return out

@@ -155,9 +155,8 @@ def compile_ranking(
                 size_class=rating.size_class,
             )
         )
-    discipline = disciplines.pop() if disciplines else ""
     return Ranking(
-        discipline=discipline,
+        discipline=disciplines.pop(),
         metric=metric,
         min_products=min_products,
         entries=tuple(entries),

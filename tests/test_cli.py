@@ -146,6 +146,13 @@ class TestFaults:
         assert main(["report", "--dataset", str(archive), "--all"]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "bad_archive"
 
+    def test_archive_of_only_its_format_exits_1_with_error_record(self, tmp_path, capsys):
+        """Such an archive used to load as an empty dataset and report nothing."""
+        archive = tmp_path / "dataset.json"
+        archive.write_text('{"format": "vtrkit-dataset/1"}', encoding="utf-8")
+        assert main(["report", "--dataset", str(archive), "--all"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "bad_archive"
+
     def test_unexpected_exception_is_internal_error(self, archive, capsys, monkeypatch):
         def broken(text):
             raise RuntimeError("boom")

@@ -513,6 +513,13 @@ class TestStaffFile:
         assert err.value.code == "bad_staff_number"
         assert str(err.value) == "row 2: avg_staff must be numeric"
 
+    def test_structure_listed_twice_is_bad_staff_row(self):
+        """The second row used to replace the first, so the cap audit read it alone."""
+        with pytest.raises(PipelineError) as err:
+            parse_staff("structure_id,kind,avg_staff\nS1,university,40\nS2,agency,3\nS1,agency,1\n")
+        assert err.value.code == "bad_staff_row"
+        assert str(err.value) == "row 4: structure 'S1' is listed twice"
+
     def test_bad_kind(self):
         with pytest.raises(PipelineError) as err:
             parse_staff("structure_id,kind,avg_staff\nS1,museum,40\n")
@@ -598,6 +605,9 @@ class TestArchive:
         assert err.value.code == "bad_archive"
         with pytest.raises(PipelineError):
             load_archive('{"format": "something-else"}')
+        with pytest.raises(PipelineError) as err:
+            load_archive('{"format": "vtrkit-dataset/1"}')
+        assert err.value.code == "bad_archive"
 
     @pytest.mark.parametrize("values", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
     def test_out_of_range_archive_is_bad_archive(self, values):
@@ -640,6 +650,9 @@ class TestArchive:
             lambda doc: doc["provenance"].__setitem__("extra", ""),
             lambda doc: doc["products"][0].__setitem__("citations", -5),
             lambda doc: doc["products"][0].__setitem__("journal_if", -1.5),
+            lambda doc: doc.pop("products"),
+            lambda doc: doc.pop("provenance"),
+            lambda doc: doc["provenance"].pop("ingested_at"),
         ],
         ids=[
             "null_record",
@@ -670,6 +683,9 @@ class TestArchive:
             "unknown_provenance_key",
             "negative_citations",
             "negative_journal_if",
+            "missing_products",
+            "missing_provenance",
+            "missing_provenance_key",
         ],
     )
     def test_malformed_archive_is_bad_archive(self, four_product_dataset, mutate):

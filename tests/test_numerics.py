@@ -191,3 +191,65 @@ class TestStudentTTwoSided:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             student_t_two_sided(1.0, 0)
+
+
+# -----------------------------------------------------------------------
+# exact bits on a fixed grid
+# -----------------------------------------------------------------------
+
+PINNED_DFS = (1, 2, 3, 4, 9, 25, 498, 26000)
+PINNED_TS = (0.05, 0.7, 1.96, 4.0, 25.0)
+
+
+def pinned_chi_square_xs(df: int) -> tuple[float, ...]:
+    """One x below a + 1 = df/2 + 1 on the z = x/2 scale (the series) and
+    two more under it, then x = df + 2 and beyond (the continued fraction)."""
+    return (max(df / 4, df - 2 * math.sqrt(2 * df)), df + 1.0, df + 2.0, df + 3.0, df + 4 * math.sqrt(2 * df) + 2)
+
+
+#: ``.hex()`` of chi_square_upper_tail at pinned_chi_square_xs(df) and of
+#: student_t_two_sided at PINNED_TS, per df; small t takes the beta fraction
+#: on 1 - x, large t on x.
+PINNED_TAIL_HEX = {
+    1: (
+        ("0x1.3bf143b9aa714p-1", "0x1.4226162fbdddcp-3", "0x1.550d2c7fcb8e4p-4", "0x1.74bcf82c9d853p-5", "0x1.ab1385cf01793p-9"),
+        ("0x1.efb751fbb0133p-1", "0x1.38ef2d4ece0c1p-1", "0x1.338d16470e782p-2", "0x1.3f670b6bdc738p-3", "0x1.a0fe2a47d66dfp-6"),
+    ),
+    2: (
+        ("0x1.8ebef9eac820bp-1", "0x1.c8f87724b5c24p-3", "0x1.152aaa3bf81ccp-3", "0x1.50385c094f425p-4", "0x1.44e51f113d4d3p-9"),
+        ("0x1.ede8cc70c501ap-1", "0x1.1cdf8be90a96cp-1", "0x1.83307a8e7936ap-3", "0x1.d48222010599cp-5", "0x1.a26d2b6d6bdcep-10"),
+    ),
+    3: (
+        ("0x1.b907771b331ddp-1", "0x1.0bbd40bcd5872p-2", "0x1.5fd72e6267c22p-3", "0x1.c927cdaae5560p-4", "0x1.05d7e12ac371bp-9"),
+        ("0x1.ed3116cacb1e1p-1", "0x1.11934eee2d784p-1", "0x1.28a8465450ba5p-3", "0x1.cae3faa4cd547p-6", "0x1.264bd76002663p-13"),
+    ),
+    4: (
+        ("0x1.d1d0c7aa7610fp-1", "0x1.26315088255a0p-2", "0x1.97db0ccceb0b0p-3", "0x1.164c90e00cfaap-3", "0x1.b84d8c48e2c5bp-10"),
+        ("0x1.eccf5bbaeee43p-1", "0x1.0b852446c1c48p-1", "0x1.f1e3472d5669dp-4", "0x1.084680268e556p-6", "0x1.fdf1c09493e9cp-17"),
+    ),
+    9: (
+        ("0x1.f946f1a6584fdp-1", "0x1.66e59872a44eep-2", "0x1.1a53718a9b433p-2", "0x1.b4db824a2046ap-3", "0x1.f9cbe3c9d2378p-11"),
+        ("0x1.ec244d64c6a59p-1", "0x1.00d435f0f7f4ap-1", "0x1.4e6a5d35a9615p-4", "0x1.97b0a7bd440bap-9", "0x1.5a0e619d3f5bfp-30"),
+    ),
+    25: (
+        ("0x1.fcbacadd82fd2p-1", "0x1.a1618d261f11ap-2", "0x1.6c6cfe8a7f18ap-2", "0x1.3b3de2f9845d2p-2", "0x1.d9884d355b1bbp-12"),
+        ("0x1.ebc93df1b5f20p-1", "0x1.f628efd70eab4p-2", "0x1.f59dff72978a6p-5", "0x1.03c152e543afbp-11", "0x1.86558b5d5e03fp-62"),
+    ),
+    498: (
+        ("0x1.f627f47ff0309p-1", "0x1.ea7202a4ee88ep-2", "0x1.dd8f2b206d934p-2", "0x1.d0b97e51e52b6p-2", "0x1.491d910936e90p-14"),
+        ("0x1.eb97ca0fc5404p-1", "0x1.efe05325a8c7ep-2", "0x1.9e215e2da3806p-5", "0x1.3200670a76e77p-14", "0x1.6a8be055aa831p-297"),
+    ),
+    26000: (
+        ("0x1.f4986e8c4b941p-1", "0x1.fd03ad77f9668p-2", "0x1.fb39144b8bf75p-2", "0x1.f96e8a07220aap-2", "0x1.3303a3d64671fp-15"),
+        ("0x1.eb95364737526p-1", "0x1.ef8c47f7318f0p-2", "0x1.99a72351b5bd5p-5", "0x1.0a69929c3e412p-14", "0x1.73500b5e6997fp-451"),
+    ),
+}
+
+
+@pytest.mark.parametrize("df", PINNED_DFS)
+def test_tail_bits_are_pinned(df):
+    """Both tail functions keep every bit on the grid: the series, the gamma
+    fraction and both arms of the beta fraction."""
+    chi_hex, t_hex = PINNED_TAIL_HEX[df]
+    assert tuple(chi_square_upper_tail(x, df).hex() for x in pinned_chi_square_xs(df)) == chi_hex
+    assert tuple(student_t_two_sided(t, df).hex() for t in PINNED_TS) == t_hex
