@@ -4,19 +4,18 @@ Subcommands: ingest, validate, profile, breakdown, rank, compare-ranks,
 concordance, probability, synth, report.  Exit codes: 0 success, 1 validation,
 pipeline or internal errors, 2 usage errors.  Every failure prints a
 machine-readable JSON error record to stderr.
+
+At module level this imports only ``model``; each command imports the modules
+it runs inside its own function, so ``ingest`` loads no statistics and a
+single table loads no report builder.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from typing import Iterable
 
-from . import report as rpt
-from .concordance import adjacent_rating_probabilities
-from .indicators import discipline_profile, rating_breakdown
 from .model import (
     PipelineError,
     SelectionPolicy,
@@ -29,15 +28,12 @@ from .model import (
     serialize_products,
     validate_dataset,
 )
-from .scoring import compile_ranking, rank_comparison, structure_ratings
-from .synth import SynthConfig, generate_exercise, load_synth_config
 
 VARIABLE_BY_FLAG = {"cites": "citations", "if": "journal_if"}
 METRIC_BY_FLAG = {"peer": "peer_all", "peer-tr": "peer_tr", "cites": "cites", "if": "impact"}
-REPORT_RENDERERS = {"md": rpt.render_report_md, "csv": rpt.render_report_csv, "json": rpt.render_report_json}
 
 
-def _write_lines(lines: Iterable[str], out: str | None) -> None:
+def _write_lines(lines, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.writelines(lines)
     else:
@@ -59,8 +55,9 @@ def _report_to_stderr(report: ValidationReport) -> None:
 
 
 def _render_validation(report: ValidationReport, fmt: str) -> str:
+    from .tables import ISSUES, render
     issues = [("error", i) for i in report.errors] + [("warning", i) for i in report.warnings]
-    text = rpt.render(rpt.ISSUES, issues, fmt, payload=report)
+    text = render(ISSUES, issues, fmt, payload=report)
     if fmt != "md":
         return text
     return f"accepted products: {report.accepted_count}\n" + (text if issues else "no issues\n")
@@ -87,67 +84,80 @@ def cmd_validate(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    from .indicators import discipline_profile
+    from .tables import PROFILE, render
     dataset = _load_dataset(args.dataset)
     disciplines = [args.discipline] if args.discipline else list(dataset.disciplines)
     profiles = [discipline_profile(dataset, d) for d in disciplines]
-    _write_out(rpt.render(rpt.PROFILE, profiles, args.format), args.out)
+    _write_out(render(PROFILE, profiles, args.format), args.out)
     return 0
 
 
 def cmd_breakdown(args) -> int:
+    from .indicators import rating_breakdown
+    from .tables import BREAKDOWN, render
     dataset = _load_dataset(args.dataset)
     rows = rating_breakdown(dataset, args.discipline)
-    _write_out(rpt.render(rpt.BREAKDOWN, rows, args.format), args.out)
+    _write_out(render(BREAKDOWN, rows, args.format), args.out)
     return 0
 
 
 def cmd_rank(args) -> int:
+    from .scoring import compile_ranking, structure_ratings
+    from .tables import RANKING, ranking_md, render
     dataset = _load_dataset(args.dataset)
     ratings = structure_ratings(dataset, args.discipline)
     ranking = compile_ranking(ratings, METRIC_BY_FLAG[args.metric], args.min_products)
     if args.format == "md":
-        text = rpt.ranking_md(ranking)
+        text = ranking_md(ranking)
     else:
-        text = rpt.render(rpt.RANKING, ranking.entries, args.format, payload=ranking)
+        text = render(RANKING, ranking.entries, args.format, payload=ranking)
     _write_out(text, args.out)
     return 0
 
 
 def cmd_compare_ranks(args) -> int:
+    from .scoring import compile_ranking, rank_comparison, structure_ratings
+    from .tables import COMPARISON, comparison_md, plot_data_text, render
     dataset = _load_dataset(args.dataset)
     ratings = structure_ratings(dataset, args.discipline)
     ranking_a = compile_ranking(ratings, METRIC_BY_FLAG[args.metric], args.min_products)
     ranking_b = compile_ranking(ratings, METRIC_BY_FLAG[args.against], args.min_products)
     comparison = rank_comparison(ranking_a, ranking_b)
     if args.plot_data:
-        _write_out(rpt.plot_data_text(comparison), args.plot_data)
+        _write_out(plot_data_text(comparison), args.plot_data)
     if args.format == "md":
-        text = rpt.comparison_md(comparison)
+        text = comparison_md(comparison)
         if comparison.dropped:
             text += f"- present in only one ranking: {', '.join(comparison.dropped)}\n"
     else:
-        text = rpt.render(rpt.COMPARISON, comparison.entries, args.format, payload=comparison)
+        text = render(COMPARISON, comparison.entries, args.format, payload=comparison)
     _write_out(text, args.out)
     return 0
 
 
 def cmd_concordance(args) -> int:
+    from .battery import build_battery, render_battery
     dataset = _load_dataset(args.dataset)
     products = dataset.products_in(args.discipline)
-    battery = rpt.build_battery(products, VARIABLE_BY_FLAG[args.variable], args.coding)
-    _write_out(rpt.render_battery(battery, args.format, args.discipline), args.out)
+    battery = build_battery(products, VARIABLE_BY_FLAG[args.variable], args.coding)
+    _write_out(render_battery(battery, args.format, args.discipline), args.out)
     return 0
 
 
 def cmd_probability(args) -> int:
+    from .concordance import adjacent_rating_probabilities
+    from .tables import PROBABILITIES, render
     dataset = _load_dataset(args.dataset)
     products = dataset.products_in(args.discipline)
     pairs = adjacent_rating_probabilities(products, VARIABLE_BY_FLAG[args.variable])
-    _write_out(rpt.render(rpt.PROBABILITIES, pairs, args.format), args.out)
+    _write_out(render(PROBABILITIES, pairs, args.format), args.out)
     return 0
 
 
 def cmd_synth(args) -> int:
+    import dataclasses
+    from .synth import SynthConfig, generate_exercise, load_synth_config
     if args.config:
         config = load_synth_config(read_text_file(args.config))
     else:
@@ -160,10 +170,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import report as rpt
     dataset = _load_dataset(args.dataset)
     disciplines = None if args.all or not args.discipline else [args.discipline]
     bundle = rpt.build_report(dataset, disciplines, min_products=args.min_products, coding=args.coding)
-    _write_out(REPORT_RENDERERS[args.format](bundle), args.out)
+    renderers = {"md": rpt.render_report_md, "csv": rpt.render_report_csv, "json": rpt.render_report_json}
+    _write_out(renderers[args.format](bundle), args.out)
     return 0
 
 

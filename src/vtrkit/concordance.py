@@ -117,6 +117,17 @@ class ContingencyTable:
             for row, total in zip(self.counts, self.row_totals)
         )
 
+    def json_shape(self) -> dict:
+        """JSON form: counts and row percentages with the bins they use."""
+        return {
+            "variable": self.variable,
+            "cutpoints": list(self.bins.cutpoints),
+            "degenerate_bins": self.bins.degenerate,
+            "ratings": [r.token for r in RATING_ORDER],
+            "counts": [list(row) for row in self.counts],
+            "row_percentages": [list(row) for row in self.row_percentages],
+        }
+
 
 def contingency_table(products: Sequence[Product], variable: str) -> ContingencyTable:
     """Bin the discipline's TR values of ``variable`` into quartiles and
@@ -271,6 +282,14 @@ class AdjacentPairResult:
     @property
     def label(self) -> str:
         return f"{self.higher.token}~{self.lower.token}"
+
+    def json_shape(self) -> dict:
+        """JSON form: the pair label, its note and the triple as floats."""
+        payload: dict = {"pair": self.label, "note": self.note}
+        if self.triple is not None:
+            pg, pl, pe = self.triple.as_floats()
+            payload.update({"p_greater": pg, "p_less": pl, "p_equal": pe, "pair_count": self.triple.pair_count})
+        return payload
 
 
 def adjacent_rating_probabilities(

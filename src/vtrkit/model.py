@@ -155,7 +155,7 @@ _tuple_new = tuple.__new__
 
 #: a product's identity, and the order of a Dataset's products
 _product_key = attrgetter("discipline", "structure_id", "product_id")
-_DUPLICATE_PRODUCT = "duplicate (product_id, structure_id, discipline) triple {}"
+_DUPLICATE_PRODUCT = "duplicate (discipline, structure_id, product_id) triple {}"
 
 
 class Product(namedtuple("Product", PRODUCTS_HEADER)):

@@ -1,0 +1,119 @@
+"""Import sets: each CLI command loads only the modules it runs, and the
+package's lazy re-exports keep the public surface.
+
+Every check runs in a child interpreter, so ``sys.modules`` starts clean.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from vtrkit.model import load_archive, read_text_file, serialize_products
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).parent / "fixtures" / "golden_dataset.json"
+
+
+def run_child(code: str, *args: str) -> dict:
+    """Run ``code`` in a fresh interpreter and parse the JSON it prints last."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+COMMAND_PROBE = """
+import json, sys
+from vtrkit.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(m for m in sys.modules if m.startswith("vtrkit."))}))
+"""
+
+#: Modules a query does not run, by the statistics it needs.
+NOT_FOR_FILES = {"concordance", "numerics", "indicators", "scoring", "report", "tables"}
+NOT_FOR_INDICATORS = {"concordance", "scoring", "synth", "report"}
+NOT_FOR_RANKINGS = {"concordance", "synth", "report"}
+NOT_FOR_CONCORDANCE = {"indicators", "scoring", "synth", "report"}
+
+COMMANDS = {
+    "ingest": (["--products", "{csv}"], NOT_FOR_FILES),
+    "synth": (["--seed", "1"], NOT_FOR_FILES),
+    "profile": (["--dataset", "{golden}"], NOT_FOR_INDICATORS),
+    "breakdown": (["--dataset", "{golden}", "--discipline", "BIO"], NOT_FOR_INDICATORS),
+    "validate": (["--dataset", "{golden}"], NOT_FOR_INDICATORS),
+    "rank": (["--dataset", "{golden}", "--discipline", "BIO", "--min-products", "1"], NOT_FOR_RANKINGS),
+    "compare-ranks": (["--dataset", "{golden}", "--discipline", "BIO", "--min-products", "1"], NOT_FOR_RANKINGS),
+    "concordance": (["--dataset", "{golden}", "--discipline", "BIO"], NOT_FOR_CONCORDANCE),
+    "probability": (["--dataset", "{golden}", "--discipline", "BIO"], NOT_FOR_CONCORDANCE),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_imports_only_what_it_runs(command, tmp_path):
+    products = tmp_path / "products.csv"
+    products.write_text(serialize_products(load_archive(read_text_file(str(GOLDEN)))), encoding="utf-8")
+    flags, excluded = COMMANDS[command]
+    argv = [command, *(f.format(csv=products, golden=GOLDEN) for f in flags), "--out", str(tmp_path / "out")]
+    child = run_child(COMMAND_PROBE, *argv)
+    assert child["code"] == 0
+    loaded = {name.removeprefix("vtrkit.") for name in child["modules"]}
+    assert "model" in loaded
+    assert not loaded & excluded, sorted(loaded & excluded)
+
+
+#: What ``vtrkit`` exported when it imported every module eagerly, by the
+#: module that defines each name.
+EXPORTED = {
+    "concordance": """AdjacentPairResult ChiSquareResult ContingencyTable CorrelationResult ProbabilityTriple
+        QuartileBins adjacent_rating_probabilities assign_quartile chi_square_independence contingency_table
+        flag_probability_rows pairwise_probabilities peer_bibliometric_spearman quartile_bins spearman""",
+    "indicators": """DisciplineProfile GroupStats RatingBreakdown discipline_profile group_stats h_index
+        ownership_degree rating_breakdown""",
+    "model": """Dataset IngestConfig InvalidProduct Issue PeerRating PipelineError Product ProductType Provenance
+        RATING_ORDER SelectionPolicy StaffRecord ValidationReport load_archive parse_products parse_products_file
+        parse_staff serialize_products validate_dataset write_archive""",
+    "numerics": "average_ranks chi_square_upper_tail student_t_two_sided",
+    "scoring": """RankComparison Ranking SizeClass StructureRating compile_ranking rank_comparison size_class
+        structure_ratings""",
+    "synth": "DisciplineSpec SynthConfig generate_exercise load_synth_config",
+}
+
+SURFACE_PROBE = """
+import importlib, json, sys
+import vtrkit
+facts = {"after_import": sorted(m for m in sys.modules if m.startswith("vtrkit."))}
+namespace = {}
+exec("from vtrkit import *", namespace)
+facts["star"] = sorted(set(namespace) - {"__builtins__"})
+facts["dir"] = dir(vtrkit)
+facts["all"] = list(vtrkit.__all__)
+try:
+    vtrkit.no_such_name
+    facts["unknown"] = None
+except AttributeError as exc:
+    facts["unknown"] = str(exc)
+facts["same"] = {
+    name: getattr(vtrkit, name) is getattr(importlib.import_module("vtrkit." + module), name)
+    for module, names in json.loads(sys.argv[1]).items()
+    for name in names
+}
+print(json.dumps(facts))
+"""
+
+
+def test_lazy_public_surface():
+    exported = {module: names.split() for module, names in EXPORTED.items()}
+    names = {name for group in exported.values() for name in group}
+    facts = run_child(SURFACE_PROBE, json.dumps(exported))
+    assert facts["after_import"] == []
+    assert set(facts["star"]) == names
+    assert set(facts["all"]) == names
+    assert names <= set(facts["dir"])
+    assert facts["unknown"] == "module 'vtrkit' has no attribute 'no_such_name'"
+    assert facts["same"] == dict.fromkeys(names, True)

@@ -105,6 +105,8 @@ class TestParseProducts:
         )
         assert dataset is None
         assert [(i.row, i.rule) for i in report.errors] == [(3, "duplicate_product")]
+        # the fields are named in the order the key prints them
+        assert report.errors[0].message == "duplicate (discipline, structure_id, product_id) triple ('BIO', 'S1', 'P1')"
 
     def test_multi_affiliation_allowed(self):
         dataset, report = parse_products(

@@ -23,3 +23,25 @@ def test_runtime_imports_only_stdlib():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+#: The package's re-exports are lazy, so the probe above no longer reaches
+#: every module; this one imports each module the package holds.
+PROBE_EVERY_MODULE = """
+import importlib, pkgutil, sys
+before = set(sys.modules)
+import vtrkit
+modules = [info.name for info in pkgutil.iter_modules(vtrkit.__path__)]
+assert {"cli", "report", "synth"} <= set(modules), modules
+for name in modules:
+    importlib.import_module("vtrkit." + name)
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+foreign = sorted(loaded - set(sys.stdlib_module_names) - {"vtrkit"})
+assert not foreign, foreign
+"""
+
+
+def test_every_module_imports_only_stdlib():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-c", PROBE_EVERY_MODULE], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
