@@ -22,6 +22,7 @@ from .model import (
     ValidationReport,
     archive_lines,
     load_archive,
+    load_archive_area,
     parse_products_file,
     parse_staff,
     read_text_file,
@@ -46,7 +47,14 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _load_dataset(path: str):
-    return load_archive(read_text_file(path))
+    # line ends are read as written (newline=""), so a seal covers them too
+    return load_archive(read_text_file(path, newline=""))
+
+
+def _load_area(path: str, discipline: str):
+    """The archive at ``path`` for a command that reads only ``discipline``:
+    a sealed archive decodes that area's records alone."""
+    return load_archive_area(read_text_file(path, newline=""), discipline)
 
 
 def _report_to_stderr(report: ValidationReport) -> None:
@@ -86,8 +94,11 @@ def cmd_validate(args) -> int:
 def cmd_profile(args) -> int:
     from .indicators import discipline_profile
     from .tables import PROFILE, render
-    dataset = _load_dataset(args.dataset)
-    disciplines = [args.discipline] if args.discipline else list(dataset.disciplines)
+    if args.discipline:
+        dataset, disciplines = _load_area(args.dataset, args.discipline), [args.discipline]
+    else:
+        dataset = _load_dataset(args.dataset)
+        disciplines = dataset.disciplines
     profiles = [discipline_profile(dataset, d) for d in disciplines]
     _write_out(render(PROFILE, profiles, args.format), args.out)
     return 0
@@ -96,7 +107,7 @@ def cmd_profile(args) -> int:
 def cmd_breakdown(args) -> int:
     from .indicators import rating_breakdown
     from .tables import BREAKDOWN, render
-    dataset = _load_dataset(args.dataset)
+    dataset = _load_area(args.dataset, args.discipline)
     rows = rating_breakdown(dataset, args.discipline)
     _write_out(render(BREAKDOWN, rows, args.format), args.out)
     return 0
@@ -105,7 +116,7 @@ def cmd_breakdown(args) -> int:
 def cmd_rank(args) -> int:
     from .scoring import compile_ranking, structure_ratings
     from .tables import RANKING, ranking_md, render
-    dataset = _load_dataset(args.dataset)
+    dataset = _load_area(args.dataset, args.discipline)
     ratings = structure_ratings(dataset, args.discipline)
     ranking = compile_ranking(ratings, METRIC_BY_FLAG[args.metric], args.min_products)
     if args.format == "md":
@@ -119,7 +130,7 @@ def cmd_rank(args) -> int:
 def cmd_compare_ranks(args) -> int:
     from .scoring import compile_ranking, rank_comparison, structure_ratings
     from .tables import COMPARISON, comparison_md, plot_data_text, render
-    dataset = _load_dataset(args.dataset)
+    dataset = _load_area(args.dataset, args.discipline)
     ratings = structure_ratings(dataset, args.discipline)
     ranking_a = compile_ranking(ratings, METRIC_BY_FLAG[args.metric], args.min_products)
     ranking_b = compile_ranking(ratings, METRIC_BY_FLAG[args.against], args.min_products)
@@ -138,7 +149,7 @@ def cmd_compare_ranks(args) -> int:
 
 def cmd_concordance(args) -> int:
     from .battery import build_battery, render_battery
-    dataset = _load_dataset(args.dataset)
+    dataset = _load_area(args.dataset, args.discipline)
     products = dataset.products_in(args.discipline)
     battery = build_battery(products, VARIABLE_BY_FLAG[args.variable], args.coding)
     _write_out(render_battery(battery, args.format, args.discipline), args.out)
@@ -148,7 +159,7 @@ def cmd_concordance(args) -> int:
 def cmd_probability(args) -> int:
     from .concordance import adjacent_rating_probabilities
     from .tables import PROBABILITIES, render
-    dataset = _load_dataset(args.dataset)
+    dataset = _load_area(args.dataset, args.discipline)
     products = dataset.products_in(args.discipline)
     pairs = adjacent_rating_probabilities(products, VARIABLE_BY_FLAG[args.variable])
     _write_out(render(PROBABILITIES, pairs, args.format), args.out)

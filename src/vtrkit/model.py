@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import gc
 import hashlib
 import io
 import json
@@ -18,9 +19,9 @@ import re
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timezone
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import groupby
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
@@ -56,6 +57,7 @@ __all__ = [
     "archive_lines",
     "write_archive",
     "load_archive",
+    "load_archive_area",
 ]
 
 PRODUCTS_HEADER = (
@@ -89,7 +91,10 @@ AUTHORS_MAX = 10**6
 JOURNAL_IF_MIN = 1e-6
 JOURNAL_IF_MAX = 1e6
 
-ARCHIVE_FORMAT = "vtrkit-dataset/1"
+#: The format ``archive_lines`` writes, sealed; archives of the unsealed
+#: format before it still load.
+ARCHIVE_FORMAT = "vtrkit-dataset/2"
+UNSEALED_FORMAT = "vtrkit-dataset/1"
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -411,6 +416,25 @@ def _csv_records(text: str) -> Iterator[tuple[int, list[str] | csv.Error]]:
             yield line, exc
 
 
+def _gc_paused(build):
+    """``build`` with cyclic garbage collection paused while it runs: each
+    product holds enum members, so every product stays tracked, and the
+    collections a build of thousands of them sets off find no garbage.  The
+    caller's ``gc.isenabled()`` state is restored however ``build`` ends."""
+
+    @wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
 def read_text_file(path: str, newline: str | None = None) -> str:
     """The text of the UTF-8 file at ``path``, with ``open``'s ``newline``
     handling; a file that is not UTF-8 is a ``bad_encoding`` PipelineError."""
@@ -421,6 +445,7 @@ def read_text_file(path: str, newline: str | None = None) -> str:
             raise PipelineError("bad_encoding", f"input is not UTF-8 text: {exc}") from None
 
 
+@_gc_paused
 def parse_products(text: str, config: IngestConfig = IngestConfig()) -> tuple[Dataset | None, ValidationReport]:
     """Parse the products file format into a Dataset.
 
@@ -532,6 +557,8 @@ def parse_products(text: str, config: IngestConfig = IngestConfig()) -> tuple[Da
     if not report.ok:
         return None, report
 
+    from datetime import datetime, timezone  # only ingestion stamps a time; no archive query imports it
+
     provenance = Provenance(
         source_name=config.source_name,
         source_digest=hashlib.sha256(text.encode("utf-8")).hexdigest(),
@@ -628,41 +655,57 @@ def validate_dataset(dataset: Dataset, policy: SelectionPolicy | None = None) ->
     return report
 
 
-def _product_record(p: Product) -> dict:
-    # keys in sorted order, so plain json.dumps gives the canonical record
-    record = {
-        "citations": p.citations,
-        "discipline": p.discipline,
-        "journal_if": None if p.journal_if is None else float(p.journal_if),
-        "n_authors": p.n_authors,
-        "n_internal_authors": p.n_internal_authors,
-        "peer_rating": p.peer_rating.token,
-        "product_id": p.product_id,
-        "product_type": p.product_type.value,
-        "structure_id": p.structure_id,
-        "tr_indexed": p.tr_indexed,
-        "year": p.year,
-    }
-    if p.citations is None:
-        del record["citations"]
-    if p.journal_if is None:
-        del record["journal_if"]
-    return record
+def _product_record(p: Product) -> str:
+    """The product's archive record: the JSON that ``json.dumps`` gives for its
+    fields with sorted keys, ``citations`` and ``journal_if`` left out when
+    absent.  It is written in one f-string, which is faster than building a
+    dict for ``json.dumps``: every value is an exact int, bool, finite float
+    or str (``Product`` checks), so ``repr`` and ``_quote`` give the same bytes."""
+    citations = "" if p.citations is None else f'"citations": {p.citations}, '
+    journal_if = "" if p.journal_if is None else f'"journal_if": {float(p.journal_if)!r}, '
+    return (
+        f'{{{citations}"discipline": {_quote(p.discipline)}, {journal_if}"n_authors": {p.n_authors}, '
+        f'"n_internal_authors": {p.n_internal_authors}, "peer_rating": "{p.peer_rating.token}", '
+        f'"product_id": {_quote(p.product_id)}, "product_type": "{p.product_type.value}", '
+        f'"structure_id": {_quote(p.structure_id)}, "tr_indexed": {"true" if p.tr_indexed else "false"}, '
+        f'"year": {p.year}}}'
+    )
 
 
 def archive_lines(dataset: Dataset) -> Iterator[str]:
     """The canonical archive, line by line: a JSON document with the format
     and provenance first, then one product record per line, keys sorted,
     floats in their shortest round-trip form, so re-emitting a loaded archive
-    gives the same bytes."""
-    yield f'{{"format": "{ARCHIVE_FORMAT}",\n'
-    yield f'"provenance": {json.dumps(vars(dataset.provenance), sort_keys=True)},\n'
-    yield '"products": [\n'
+    gives the same bytes.  A trailing seal indexes each area's records and
+    holds the sha256 of every byte before it.  A dataset without products has
+    nothing to index and is written unsealed, as ``UNSEALED_FORMAT``."""
     products = dataset.products
-    last = len(products) - 1
+    head = (
+        f'{{"format": "{ARCHIVE_FORMAT if products else UNSEALED_FORMAT}",\n'
+        f'"provenance": {json.dumps(vars(dataset.provenance), sort_keys=True)},\n'
+        '"products": [\n'
+    )
+    if not products:
+        yield head + "\n]}\n"
+        return
+    yield head
+    digest = hashlib.sha256(head.encode("utf-8"))
+    starts: list[tuple[str, int]] = []  # each area, and where its first record starts in the products block
+    area, at, last = None, 0, len(products) - 1
     for i, p in enumerate(products):
-        yield json.dumps(_product_record(p)) + (",\n" if i < last else "\n")
-    yield "]}\n" if products else "\n]}\n"
+        line = _product_record(p) + (",\n" if i < last else "\n")
+        if p.discipline != area:
+            area = p.discipline
+            starts.append((area, at))
+        at += len(line)
+        digest.update(line.encode("utf-8"))
+        yield line
+    # an area's records end where the next area's start, less the ",\n" between them
+    ends = [start - 2 for _, start in starts[1:]] + [at - 1]
+    areas = [[area, start, end] for (area, start), end in zip(starts, ends)]
+    seal = f'],\n"seal": {{"areas": {json.dumps(areas)}, "sha256": "'
+    digest.update(seal.encode("utf-8"))
+    yield seal + digest.hexdigest() + '"}}\n'
 
 
 def write_archive(dataset: Dataset) -> str:
@@ -675,7 +718,21 @@ def write_archive(dataset: Dataset) -> str:
 _RECORD_KEYS = frozenset(PRODUCTS_HEADER)
 _REQUIRED_RECORD_KEYS = len(_RECORD_KEYS) - 2
 _PROVENANCE_KEYS = frozenset(f.name for f in fields(Provenance))
-_TOP_LEVEL_KEYS = frozenset(("format", "provenance", "products"))
+_FORMAT_KEYS = {
+    UNSEALED_FORMAT: frozenset(("format", "provenance", "products")),
+    ARCHIVE_FORMAT: frozenset(("format", "provenance", "products", "seal")),
+}
+
+# A sealed archive is read by its lines, so it must keep the writer's layout:
+# the format line, then the provenance and products-opening lines, and at the
+# end the line that closes the products and the seal line.
+_SEALED_HEAD = f'{{"format": "{ARCHIVE_FORMAT}",\n'
+_SEALED_HEAD_REST = re.compile(r'"provenance": (\{[^\n]*\}),\n"products": \[\n')
+_SEALED_TAIL = re.compile(r'\],\n"seal": \{"areas": (\[[^\n]*\]), "sha256": "([0-9a-f]{64})"\}\}\n')
+_LAYOUT_ERROR = f"a {ARCHIVE_FORMAT} archive must keep the canonical line layout of its writer"
+#: characters hashed at a time: checking a seal never copies the whole text,
+#: and a chunk this small is reused from the heap instead of raising peak memory
+_DIGEST_CHUNK = 1 << 16
 
 
 def _record_product(obj: dict):
@@ -702,24 +759,83 @@ def _record_product(obj: dict):
     )
 
 
-def load_archive(text: str) -> Dataset:
+def _decode(text: str):
+    """``text`` as JSON, each product record built into its Product."""
     try:
-        doc = json.loads(text, object_hook=_record_product)
+        return json.loads(text, object_hook=_record_product)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
         raise PipelineError("bad_archive", f"archive is not valid JSON: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers InvalidProduct
         raise PipelineError("bad_archive", f"invalid product record: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != ARCHIVE_FORMAT:
-        raise PipelineError("bad_archive", f"expected archive format {ARCHIVE_FORMAT!r}")
+
+
+def _provenance(prov) -> Provenance:
+    if not isinstance(prov, dict) or prov.keys() != _PROVENANCE_KEYS or not all(type(v) is str for v in prov.values()):
+        raise PipelineError(
+            "bad_archive", f"archive provenance must be an object of the keys {sorted(_PROVENANCE_KEYS)}, all strings"
+        )
+    return Provenance(**prov)
+
+
+def _unseal(text: str) -> tuple[str, int, str]:
+    """Check the layout and the seal of a sealed archive.  Returns the JSON
+    text of its provenance, the offset its products block starts at, and the
+    JSON text of its area index."""
+    last_line = text.rfind("\n", 0, len(text) - 1) + 1
+    head = _SEALED_HEAD_REST.match(text, len(_SEALED_HEAD))
+    tail = _SEALED_TAIL.fullmatch(text, max(last_line - len("],\n"), 0))
+    if not text.startswith(_SEALED_HEAD) or head is None or tail is None:
+        raise PipelineError("bad_archive", _LAYOUT_ERROR)
+    end = tail.start(2)
+    digest = hashlib.sha256()
+    for at in range(0, end, _DIGEST_CHUNK):
+        digest.update(text[at : min(at + _DIGEST_CHUNK, end)].encode("utf-8", "surrogatepass"))
+    if digest.hexdigest() != tail[2]:
+        raise PipelineError("bad_archive", "the archive's bytes do not match its seal")
+    return head[1], head.end(), tail[1]
+
+
+@_gc_paused
+def load_archive(text: str) -> Dataset:
+    """The dataset of an archive: every record is decoded and checked, and a
+    sealed archive's seal too."""
+    sealed = text.startswith(_SEALED_HEAD)
+    if sealed:
+        _unseal(text)
+    doc = _decode(text)
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt == ARCHIVE_FORMAT and not sealed:
+        raise PipelineError("bad_archive", _LAYOUT_ERROR)
+    if fmt not in (ARCHIVE_FORMAT, UNSEALED_FORMAT):
+        raise PipelineError("bad_archive", f"expected archive format {ARCHIVE_FORMAT!r} or {UNSEALED_FORMAT!r}")
     # every archive the writer has produced carries exactly these keys, so a
     # missing key is as bad as an unknown one
-    if doc.keys() != _TOP_LEVEL_KEYS:
-        raise PipelineError("bad_archive", f"archive keys must be exactly {sorted(_TOP_LEVEL_KEYS)}, got {sorted(doc)}")
-    prov, products = doc["provenance"], doc["products"]
-    if not isinstance(prov, dict) or not isinstance(products, list):
-        raise PipelineError("bad_archive", "archive provenance must be an object and products a list")
-    if prov.keys() != _PROVENANCE_KEYS or not all(type(v) is str for v in prov.values()):
-        raise PipelineError("bad_archive", f"archive provenance keys must be {sorted(_PROVENANCE_KEYS)}, all strings")
-    if not all(type(p) is Product for p in products):
-        raise PipelineError("bad_archive", "every element of products must be a product record")
-    return Dataset.from_products(products, Provenance(**prov))
+    if doc.keys() != _FORMAT_KEYS[fmt]:
+        raise PipelineError(
+            "bad_archive", f"{fmt} archive keys must be exactly {sorted(_FORMAT_KEYS[fmt])}, got {sorted(doc)}"
+        )
+    products = doc["products"]
+    if not isinstance(products, list) or not all(type(p) is Product for p in products):
+        raise PipelineError("bad_archive", "archive products must be a list of product records")
+    return Dataset.from_products(products, _provenance(doc["provenance"]))
+
+
+@_gc_paused
+def load_archive_area(text: str, discipline: str) -> Dataset:
+    """The dataset of ``discipline``'s products alone, for a command that reads
+    one area.  A sealed archive is checked whole through its seal, and then only
+    the area's records are decoded; an archive without one goes through
+    ``load_archive``.  Either way ``products_in(discipline)`` gives the area's
+    products, or the ``empty_discipline`` error when it has none."""
+    if not text.startswith(_SEALED_HEAD):
+        return load_archive(text)
+    provenance, block, index = _unseal(text)
+    try:
+        # an area the index does not list has no records: an empty slice
+        start, end = next(((s, e) for area, s, e in json.loads(index) if area == discipline), (0, 0))
+        products = _decode("[" + text[block + start : block + end] + "]")
+    except (TypeError, ValueError) as exc:
+        raise PipelineError("bad_archive", f"invalid area index: {exc}") from None
+    if not all(type(p) is Product and p.discipline == discipline for p in products):
+        raise PipelineError("bad_archive", f"the area index does not hold the records of {discipline!r}")
+    return Dataset.from_products(products, _provenance(_decode(provenance)))

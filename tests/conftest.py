@@ -3,13 +3,24 @@
 from __future__ import annotations
 
 import csv
+import json
 from pathlib import Path
 
 import pytest
 
-from vtrkit.model import parse_products
+from vtrkit.model import UNSEALED_FORMAT, parse_products
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def unsealed_doc(archive: str) -> dict:
+    """The archive text ``archive`` as a document of the unsealed format: with
+    its seal dropped, a damage done to the document and dumped again fails on
+    the rule it breaks, not on the seal or the line layout."""
+    doc = json.loads(archive)
+    del doc["seal"]
+    doc["format"] = UNSEALED_FORMAT
+    return doc
 
 
 def load_fixture(name: str) -> list[dict]:

@@ -62,7 +62,7 @@ def archive(tmp_path):
 class TestIngest:
     def test_writes_canonical_archive(self, archive):
         doc = json.loads(archive.read_text())
-        assert doc["format"] == "vtrkit-dataset/1"
+        assert doc["format"] == "vtrkit-dataset/2"
         assert len(doc["products"]) == 25
 
     def test_validation_errors_exit_1(self, tmp_path, capsys):

@@ -32,14 +32,16 @@ COMMAND_PROBE = """
 import json, sys
 from vtrkit.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "modules": sorted(m for m in sys.modules if m.startswith("vtrkit."))}))
+modules = sorted(m for m in sys.modules if m.startswith("vtrkit.") or m == "datetime")
+print(json.dumps({"code": code, "modules": modules}))
 """
 
-#: Modules a query does not run, by the statistics it needs.
+#: Modules a query does not run, by the statistics it needs; only ingestion
+#: stamps a time, so no archive query imports ``datetime``.
 NOT_FOR_FILES = {"concordance", "numerics", "indicators", "scoring", "report", "tables"}
-NOT_FOR_INDICATORS = {"concordance", "scoring", "synth", "report"}
-NOT_FOR_RANKINGS = {"concordance", "synth", "report"}
-NOT_FOR_CONCORDANCE = {"indicators", "scoring", "synth", "report"}
+NOT_FOR_INDICATORS = {"concordance", "scoring", "synth", "report", "datetime"}
+NOT_FOR_RANKINGS = {"concordance", "synth", "report", "datetime"}
+NOT_FOR_CONCORDANCE = {"indicators", "scoring", "synth", "report", "datetime"}
 
 COMMANDS = {
     "ingest": (["--products", "{csv}"], NOT_FOR_FILES),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import pickle
 import random
@@ -26,6 +27,7 @@ from vtrkit.model import (
     SelectionPolicy,
     StaffRecord,
     load_archive,
+    load_archive_area,
     parse_products,
     parse_products_file,
     parse_staff,
@@ -34,6 +36,8 @@ from vtrkit.model import (
     write_archive,
 )
 from vtrkit.synth import SynthConfig, generate_exercise
+
+from conftest import unsealed_doc
 
 HEADER = "product_id,structure_id,discipline,year,product_type,peer_rating,tr_indexed,citations,journal_if,n_authors,n_internal_authors"
 
@@ -614,7 +618,7 @@ class TestArchive:
     @pytest.mark.parametrize("values", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
     def test_out_of_range_archive_is_bad_archive(self, values):
         in_range = [(1, 2.0, 2)] * len(values)
-        doc = json.loads(write_archive(parse_products(make_csv(*out_of_range_rows(in_range)))[0]))
+        doc = unsealed_doc(write_archive(parse_products(make_csv(*out_of_range_rows(in_range)))[0]))
         for record, (citations, journal_if, n_authors) in zip(doc["products"], values):
             record.update(citations=citations, journal_if=journal_if, n_authors=n_authors)
         with pytest.raises(PipelineError) as err:
@@ -691,7 +695,7 @@ class TestArchive:
         ],
     )
     def test_malformed_archive_is_bad_archive(self, four_product_dataset, mutate):
-        doc = json.loads(write_archive(four_product_dataset))
+        doc = unsealed_doc(write_archive(four_product_dataset))
         mutate(doc)
         with pytest.raises(PipelineError) as err:
             load_archive(json.dumps(doc))
@@ -701,3 +705,123 @@ class TestArchive:
         with pytest.raises(PipelineError) as err:
             load_archive("[" * 100_000 + "]" * 100_000)
         assert err.value.code == "bad_archive"
+
+
+THREE_AREA_CSV = make_csv(
+    "P1,S1,BIO,2001,journal_article,E,true,4,2.5,2,1",
+    "P2,S2,BIO,2002,book,G,false,,,3,3",
+    "P3,S1,CHE,2003,journal_article,A,true,1,0.5,1,1",
+    "P4,S1,MED,2003,journal_article,L,true,,1.25,4,2",
+    "P5,S2,MED,2004,chapter,G,false,,,1,1",
+)
+
+
+def _seal_moved_first(text: str) -> str:
+    head, rest = text.split("\n", 1)
+    body, seal = rest.rsplit('],\n"seal": ', 1)
+    return f'{head}\n"seal": {seal[:-2]},\n{body}]}}\n'
+
+
+#: ways to re-lay-out a sealed archive that keep its JSON value, or drop the seal
+RELAYOUTS = {
+    "reindented": lambda text: json.dumps(json.loads(text), indent=1),
+    "compact": lambda text: json.dumps(json.loads(text)),
+    "crlf_line_ends": lambda text: text.replace("\n", "\r\n"),
+    "seal_moved_first": _seal_moved_first,
+    "seal_dropped": lambda text: text[: text.rindex('],\n"seal": ')] + "]}\n",
+}
+
+
+class TestSealedArchive:
+    @pytest.fixture()
+    def sealed(self) -> str:
+        return write_archive(parse_products(THREE_AREA_CSV)[0])
+
+    def test_writer_seals_and_indexes_each_area(self, sealed):
+        doc = json.loads(sealed)
+        assert doc["format"] == "vtrkit-dataset/2" and list(doc)[-1] == "seal"
+        assert [area for area, _, _ in doc["seal"]["areas"]] == ["BIO", "CHE", "MED"]
+        block = sealed[sealed.index('"products": [\n') + len('"products": [\n') :]
+        for area, start, end in doc["seal"]["areas"]:
+            records = json.loads("[" + block[start:end] + "]")
+            assert {record["discipline"] for record in records} == {area}
+        assert sum(len(json.loads("[" + block[s:e] + "]")) for _, s, e in doc["seal"]["areas"]) == 5
+
+    def test_write_load_write_gives_same_bytes(self, sealed):
+        assert write_archive(load_archive(sealed)) == sealed
+
+    @pytest.mark.parametrize("area", ["BIO", "CHE", "MED"])
+    def test_area_load_decodes_only_its_records(self, sealed, area, monkeypatch):
+        import vtrkit.model as model
+
+        built = []
+        hook = model._record_product
+        monkeypatch.setattr(model, "_record_product", lambda obj: built.append(hook(obj)) or built[-1])
+        dataset = load_archive_area(sealed, area)
+        assert [obj for obj in built if type(obj) is Product] == list(dataset.products)
+        assert dataset.products == load_archive(sealed).products_in(area)
+
+    def test_absent_area_is_empty_discipline(self, sealed):
+        with pytest.raises(PipelineError) as err:
+            load_archive_area(sealed, "PHY").products_in("PHY")
+        assert err.value.code == "empty_discipline"
+
+    def test_unsealed_archive_loads_through_the_full_path(self):
+        from conftest import FIXTURES
+
+        pretty = (FIXTURES / "golden_dataset.json").read_text(encoding="utf-8")
+        assert json.loads(pretty)["format"] == "vtrkit-dataset/1"
+        for text in (pretty, json.dumps(json.loads(pretty))):
+            assert load_archive_area(text, "BIO").products_in("BIO") == load_archive(text).products_in("BIO")
+
+    @pytest.mark.parametrize("relayout", RELAYOUTS.values(), ids=RELAYOUTS.keys())
+    @pytest.mark.parametrize("load", [load_archive, lambda text: load_archive_area(text, "CHE")], ids=["full", "area"])
+    def test_relaid_out_sealed_archive_is_bad_archive(self, sealed, relayout, load):
+        text = relayout(sealed)
+        assert text != sealed
+        with pytest.raises(PipelineError) as err:
+            load(text)
+        assert err.value.code == "bad_archive"
+
+    @pytest.mark.parametrize("load", [load_archive, lambda text: load_archive_area(text, "CHE")], ids=["full", "area"])
+    def test_changed_record_byte_in_another_area_is_bad_archive(self, sealed, load):
+        damaged = sealed.replace('"product_id": "P5"', '"product_id": "P6"')
+        assert damaged != sealed
+        with pytest.raises(PipelineError) as err:
+            load(damaged)
+        assert (err.value.code, str(err.value)) == ("bad_archive", "the archive's bytes do not match its seal")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_enabled", "gc_disabled"])
+def test_builds_keep_the_callers_gc_state(enabled, monkeypatch):
+    """Parsing and loading pause cyclic GC while they build products, and give
+    the caller back its own GC state, also when they fail."""
+    import vtrkit.model as model
+
+    archive = write_archive(parse_products(THREE_AREA_CSV)[0])
+    seen = []
+    hook = model._record_product
+    monkeypatch.setattr(model, "_record_product", lambda obj: seen.append(gc.isenabled()) or hook(obj))
+    builds = [
+        lambda: parse_products(THREE_AREA_CSV),
+        lambda: load_archive(archive),
+        lambda: load_archive_area(archive, "MED"),
+    ]
+    failures = [
+        lambda: load_archive("{not json"),
+        lambda: load_archive(archive.replace("P5", "P6")),
+        lambda: load_archive_area(archive.replace("P5", "P6"), "MED"),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for build in builds:
+            build()
+            assert gc.isenabled() is enabled
+        for fail in failures:
+            with pytest.raises(PipelineError):
+                fail()
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen and not any(seen)

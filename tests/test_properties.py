@@ -40,8 +40,10 @@ from vtrkit.model import (
     ProductType,
     Provenance,
     _csv_rows,
+    _product_record,
     _record_product,
     load_archive,
+    load_archive_area,
     parse_products,
     serialize_products,
     write_archive,
@@ -49,6 +51,8 @@ from vtrkit.model import (
 from vtrkit.report import build_battery, build_report, render_report_json
 from vtrkit.scoring import structure_ratings
 from vtrkit.synth import DisciplineSpec, SynthConfig, load_synth_config
+
+from conftest import unsealed_doc
 
 # derandomized so tier-1 stays deterministic; small budgets keep it fast
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -177,6 +181,19 @@ def test_every_construction_path_applies_the_same_rules(fields):
         _parsed_row(fields),
     ]
     assert outcomes[1:] == outcomes[:1] * 3
+
+
+@PROPERTY
+@given(products())
+def test_archive_record_is_the_json_of_its_fields(product):
+    """The writer's record of a product is what json.dumps gives for the
+    product's fields with sorted keys, without the absent ones, and it
+    decodes back to the product."""
+    record = _product_record(product)
+    decoded = json.loads(record)
+    assert None not in decoded.values()
+    assert json.dumps(decoded, sort_keys=True) == record
+    assert _record_product(decoded) == product
 
 
 def _dataset(ps) -> Dataset:
@@ -324,7 +341,7 @@ FIELDS = [(("products", i), name) for i in range(len(_ROWS)) for name in PRODUCT
 @PROPERTY
 @given(st.sampled_from(FIELDS), json_values)
 def test_damaged_archive_raises_only_pipeline_error(field, value):
-    doc = json.loads(ARCHIVE)
+    doc = unsealed_doc(ARCHIVE)
     (path, key) = field
     container = doc
     for step in path:
@@ -334,6 +351,53 @@ def test_damaged_archive_raises_only_pipeline_error(field, value):
         load_archive(json.dumps(doc))
     except PipelineError:
         pass
+
+
+@PROPERTY
+@given(datasets)
+def test_area_load_equals_full_load(dataset):
+    """Loading one area of a sealed archive gives the products and provenance
+    of the full load, or the same empty_discipline error for an absent area."""
+    archive = write_archive(dataset)
+    full = load_archive(archive)
+    for area in [*full.disciplines, "PHY"]:
+        scoped = load_archive_area(archive, area)
+        assert scoped.provenance == full.provenance
+        assert _outcome(scoped.products_in, area) == _outcome(full.products_in, area)
+
+
+_AREA_ROWS = [*_ROWS, "P3,S3,MED,2003,journal_article,A,true,1,0.5,1,1", "P4,S3,MED,2003,book,L,false,,,1,1"]
+SEALED = write_archive(parse_products(",".join(PRODUCTS_HEADER) + "\n" + "\n".join(_AREA_ROWS) + "\n")[0])
+
+
+@PROPERTY
+@given(st.data())
+def test_changed_byte_of_a_sealed_archive_is_bad_archive(data):
+    """One changed ASCII byte anywhere in a sealed archive gives bad_archive on
+    report --all, and on a command that reads an area other than the byte's."""
+    at = data.draw(st.integers(0, len(SEALED) - 1))
+    char = data.draw(st.characters(max_codepoint=127).filter(lambda c: c != SEALED[at]))
+    damaged_line = SEALED[SEALED.rfind("\n", 0, at) + 1 : SEALED.find("\n", at) + 1]
+    area = "BIO" if '"discipline": "MED"' in damaged_line else "MED"
+    commands = [["report", "--all"], ["probability", "--discipline", area]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dataset.json")
+        with open(path, "wb") as f:
+            f.write((SEALED[:at] + char + SEALED[at + 1 :]).encode("utf-8"))
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([*argv, "--dataset", path, "--out", os.path.join(tmp, "out")])
+            assert (code, json.loads(err.getvalue())["error"]) == (1, "bad_archive"), (argv, err.getvalue())
+
+
+def test_line_end_changed_to_carriage_return_is_bad_archive(tmp_path, capsys):
+    """The CLI reads an archive without newline translation, so a line end
+    changed to a carriage return is a changed byte like any other."""
+    path = tmp_path / "dataset.json"
+    path.write_bytes(SEALED.replace("\n", "\r", 4).replace("\r", "\n", 3).encode("utf-8"))
+    assert main(["probability", "--dataset", str(path), "--discipline", "MED"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "bad_archive"
 
 
 STAFF = "structure_id,kind,avg_staff\nS1,university,8\nS2,agency,2.5\n"
