@@ -2,7 +2,7 @@
 
 ``build_battery`` runs the contingency table, the chi-square test, the
 product-level Spearman and the adjacent-rating probabilities on one
-``VariableSample``; a statistic that cannot be computed leaves a note.  It
+``RatingSample``; a statistic that cannot be computed leaves a note.  It
 needs no indicator or ranking code, so the ``concordance`` command loads
 neither.
 """
@@ -16,8 +16,8 @@ from .concordance import (
     ChiSquareResult,
     ContingencyTable,
     CorrelationResult,
-    VariableSample,
     chi_square_independence,
+    rating_sample,
 )
 from .model import PipelineError
 from .tables import CHI_SQUARE, CONTINGENCY, PROBABILITIES, PRODUCT_SPEARMAN, as_json, contingency_rows, json_text
@@ -46,8 +46,10 @@ def noted(call, *args):
 
 
 def build_battery(products, variable: str, coding: str = "quartile") -> VariableBattery:
+    """The battery of an area's products, or of its ``Area``, whose cache
+    keeps the sorted sample."""
     battery = VariableBattery(variable=variable)
-    sample, note = noted(VariableSample, products, variable)
+    sample, note = noted(rating_sample, products, variable)
     if sample is not None:
         battery.contingency, note = noted(sample.contingency)
     if battery.contingency is None:

@@ -14,10 +14,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
+from itertools import accumulate, chain, pairwise, repeat
+from operator import attrgetter, mul
 from typing import Sequence
 
-from .model import PeerRating, PipelineError, Product, RATING_ORDER
+from .model import Area, PeerRating, PipelineError, Product, RATING_ORDER
 from .numerics import average_ranks, chi_square_upper_tail, student_t_two_sided
 
 __all__ = [
@@ -36,7 +37,7 @@ __all__ = [
     "pairwise_probabilities",
     "AdjacentPairResult",
     "adjacent_rating_probabilities",
-    "VariableSample",
+    "RatingSample",
     "probability_sum_deviation",
     "flag_probability_rows",
 ]
@@ -69,7 +70,7 @@ def _interpolated_quantile(ordered: Sequence[float], p: float) -> float:
     lo = math.floor(h)
     frac = h - lo
     if frac == 0.0:
-        return ordered[lo]
+        return float(ordered[lo])
     return ordered[lo] + frac * (ordered[lo + 1] - ordered[lo])
 
 
@@ -132,7 +133,7 @@ class ContingencyTable:
 def contingency_table(products: Sequence[Product], variable: str) -> ContingencyTable:
     """Bin the discipline's TR values of ``variable`` into quartiles and
     cross-tabulate against peer rating."""
-    return VariableSample(products, variable).contingency()
+    return rating_sample(products, variable).contingency()
 
 
 @dataclass(frozen=True)
@@ -209,8 +210,13 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     dx = [r - mean_rank for r in rx]
     dy = [r - mean_rank for r in ry]
     num = math.fsum(a * b for a, b in zip(dx, dy))
-    den = math.sqrt(math.fsum(a * a for a in dx) * math.fsum(b * b for b in dy))
-    rho = max(-1.0, min(1.0, num / den))
+    return _rank_correlation(num, math.fsum(a * a for a in dx), math.fsum(b * b for b in dy), n)
+
+
+def _rank_correlation(num: float, sxx: float, syy: float, n: int) -> CorrelationResult:
+    """The correlation of n rank pairs from the sums of their centred
+    products and squares, with its t-approximation p-value."""
+    rho = max(-1.0, min(1.0, num / math.sqrt(sxx * syy)))
     if abs(rho) == 1.0:
         p_value = 0.0
     else:
@@ -232,7 +238,7 @@ def peer_bibliometric_spearman(
     the rating's scale position; any strictly increasing recoding (such as
     the committee weights) yields the same coefficient.
     """
-    return VariableSample(products, variable).spearman(coding)
+    return rating_sample(products, variable).spearman(coding)
 
 
 @dataclass(frozen=True)
@@ -255,14 +261,17 @@ def pairwise_probabilities(
     """Exact pair-counting probabilities that a random draw from ``x_values``
     exceeds / trails / ties a random draw from ``y_values``.
 
-    Counting is done by sorting one side and locating each value of the other
-    (O(n log n)); the result equals the full quadratic enumeration exactly.
+    Counting is done by sorting one side and locating each distinct value of
+    the other, weighted by its count (O(n log n)); the result equals the full
+    quadratic enumeration exactly.  Tied data, such as citation counts, has
+    few distinct values.
     """
     if not x_values or not y_values:
         raise PipelineError("empty_group", "both value groups must be nonempty")
     ys = sorted(y_values)
-    greater = sum(bisect_left(ys, x) for x in x_values)
-    equal = sum(bisect_right(ys, x) for x in x_values) - greater
+    xs = Counter(x_values)
+    greater = sum(map(mul, xs.values(), map(bisect_left, repeat(ys), xs)))
+    equal = sum(map(mul, xs.values(), map(bisect_right, repeat(ys), xs))) - greater
     total = len(x_values) * len(ys)
     return ProbabilityTriple(
         p_greater=Fraction(greater, total),
@@ -297,64 +306,87 @@ def adjacent_rating_probabilities(
 ) -> list[AdjacentPairResult]:
     """Pairwise probabilities for the adjacent rating pairs (E,G), (G,A),
     (A,L); pairs with an empty side are skipped with a note."""
-    return VariableSample(products, variable).probabilities()
+    return rating_sample(products, variable).probabilities()
 
 
-class VariableSample:
-    """The peer ratings and float values of an area's TR products that carry
-    ``variable``, in product order: the one sample of the battery.  Its
-    quartile bins and codes (1-4) are computed once, on first use."""
+def rating_sample(products: Sequence[Product] | Area, variable: str) -> RatingSample:
+    """The battery's sample of an area, kept in its ``Area``'s cache; a
+    sequence of products gets a sample of its own."""
+    area = products if isinstance(products, Area) else Area(tuple(products))
+    return area.part(RatingSample, variable)
 
-    def __init__(self, products: Sequence[Product], variable: str):
+
+class RatingSample:
+    """The values of ``variable`` on an area's TR products, one sorted list
+    per peer rating in ``RATING_ORDER``.  Every statistic of the battery
+    depends only on the multiset of (rating, value) pairs, so these lists
+    give what a pass over the products in their order gives."""
+
+    def __init__(self, area: Area, variable: str):
         if variable not in VARIABLES:
             raise PipelineError("unknown_variable", f"variable must be one of {VARIABLES}")
+        self.products = area.products  # not the area, whose cache holds this sample
         self.variable = variable
-        self.ratings: list[PeerRating] = []
-        self.values: list[float] = []
-        value_of = attrgetter(variable)
-        for p in products:
-            # Product's bibliometrics_on_uncovered rule: a present value is on a TR product
-            if (value := value_of(p)) is not None:
-                self.ratings.append(p.peer_rating)
-                self.values.append(float(value))
+        self.groups = [sorted(getattr(group, variable)) for group in area.by_rating]
 
-    def _nonempty_values(self) -> list[float]:
-        if not self.values:
+    def _values(self) -> list[float]:
+        if not any(self.groups):
             raise PipelineError("no_bibliometric_data", f"no TR product carries {self.variable!r}")
-        return self.values
+        return list(chain(*self.groups))
 
     @cached_property
     def bins(self) -> QuartileBins:
-        return quartile_bins(self._nonempty_values())
-
-    @cached_property
-    def codes(self) -> list[int]:
-        return [assign_quartile(value, self.bins) for value in self.values]
+        ordered = self._values()
+        ordered.sort()  # merges the sorted groups
+        # values are >= 0, so zeros lead.  0.0 and -0.0 are equal but print
+        # apart: mixed, they take the products' order, as one sort would leave them
+        zeros = bisect_right(ordered, 0)
+        if abs(sum(map(math.copysign, repeat(1.0, zeros), ordered))) != zeros:
+            value_of = attrgetter(self.variable)
+            ordered[:zeros] = [v for p in self.products if (v := value_of(p)) is not None and v == 0]
+        return quartile_bins(ordered)
 
     def contingency(self) -> ContingencyTable:
-        tally = Counter(zip(self.ratings, self.codes))
-        counts = tuple(tuple(tally[rating, code] for code in (1, 2, 3, 4)) for rating in RATING_ORDER)
-        return ContingencyTable(variable=self.variable, bins=self.bins, counts=counts)
+        """Counts per rating and bin; a value equal to a cutpoint is in the lower bin."""
+        counts = []
+        for group in self.groups:
+            b1, b2, b3 = (bisect_right(group, cut) for cut in self.bins.cutpoints)
+            counts.append((b1, b2 - b1, b3 - b2, len(group) - b3))
+        return ContingencyTable(variable=self.variable, bins=self.bins, counts=tuple(counts))
 
     def spearman(self, coding: str = "quartile") -> CorrelationResult:
         if coding not in ("quartile", "raw"):
             raise PipelineError("unknown_coding", "coding must be 'quartile' or 'raw'")
-        return spearman(self.ratings, self.codes if coding == "quartile" else self._nonempty_values())
+        if coding == "quartile":
+            return _table_spearman(self.contingency())
+        values = self._values()  # rank statistics do not depend on the order of the pairs
+        return spearman([r for r, group in zip(RATING_ORDER, self.groups) for _ in group], values)
 
     def probabilities(self) -> list[AdjacentPairResult]:
-        groups: dict[PeerRating, list[float]] = {rating: [] for rating in RATING_ORDER}
-        for rating, value in zip(self.ratings, self.values):
-            groups[rating].append(value)
         results = []
-        for higher, lower in zip(RATING_ORDER, RATING_ORDER[1:]):
-            if groups[higher] and groups[lower]:
-                triple = pairwise_probabilities(groups[higher], groups[lower])
-                results.append(AdjacentPairResult(higher, lower, triple))
+        for (higher, xs), (lower, ys) in pairwise(zip(RATING_ORDER, self.groups)):
+            if xs and ys:
+                results.append(AdjacentPairResult(higher, lower, pairwise_probabilities(xs, ys)))
             else:
-                empty = higher if not groups[higher] else lower
-                note = f"skipped: no {self.variable} values for rating {empty.token}"
+                note = f"skipped: no {self.variable} values for rating {(lower if xs else higher).token}"
                 results.append(AdjacentPairResult(higher, lower, None, note))
         return results
+
+
+def _table_spearman(table: ContingencyTable) -> CorrelationResult:
+    """``spearman`` of the (rating, quartile) pairs a contingency table counts.
+    A level's average rank and the mean rank are half-integers, so twice their
+    difference is an integer: the sums are exact integers, divided by 4 once,
+    which gives the correctly rounded floats ``math.fsum`` gives over the pairs."""
+    rows, columns, n = table.row_totals[::-1], table.column_totals, table.grand_total  # rows ascending
+    if n < 3:
+        raise PipelineError("too_few_points", "need at least 3 observations")
+    if max(rows) == n or max(columns) == n:
+        raise PipelineError("constant_variable", "correlation of a constant variable is undefined")
+    dx, dy = ([2 * start + c - n for start, c in zip(accumulate(m, initial=0), m)] for m in (rows, columns))
+    sxy = sum(c * a * b for row, a in zip(table.counts, dx[::-1]) for c, b in zip(row, dy))
+    sxx, syy = (sum(c * d * d for c, d in zip(m, ds)) for m, ds in ((rows, dx), (columns, dy)))
+    return _rank_correlation(sxy / 4, sxx / 4, syy / 4, n)
 
 
 def probability_sum_deviation(p_greater: float, p_less: float, p_equal: float) -> float:

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .model import Dataset, PeerRating, Product, RATING_ORDER
+from .model import Area, Dataset, PeerRating, Product, RatingGroup
 
 __all__ = [
     "h_index",
@@ -79,6 +79,32 @@ def group_stats(products: Sequence[Product]) -> GroupStats:
     )
 
 
+def _pooled_stats(groups: Iterable[RatingGroup]) -> GroupStats:
+    """``group_stats`` of the products in ``groups``, from their counts and
+    values.  ``math.fsum`` is correctly rounded, so pooled values give the
+    means a list per product gives, and a weight repeated ``n`` times sums
+    as ``n`` products' weights."""
+    weights, tr_weights, cites, impact = [], [], [], []
+    for group in groups:
+        weights += [group.rating.weight] * group.n
+        tr_weights += [group.rating.weight] * group.n_tr
+        cites += group.citations
+        impact += group.journal_if
+    return GroupStats(
+        n=len(weights),
+        n_tr=len(tr_weights),
+        peer_all=_mean(weights),
+        peer_tr=_mean(tr_weights),
+        mean_citations=_mean(cites),
+        mean_if=_mean(impact),
+        h=h_index(cites),
+    )
+
+
+def _area_stats(area: Area) -> GroupStats:
+    return _pooled_stats(area.by_rating)
+
+
 @dataclass(frozen=True)
 class DisciplineProfile:
     """Discipline-wide aggregate row.
@@ -107,8 +133,9 @@ def discipline_profile(dataset: Dataset, discipline: str) -> DisciplineProfile:
 
     Products are counted once per (structure, discipline) affiliation.
     """
-    products = dataset.products_in(discipline)
-    stats = group_stats(products)
+    area = dataset.area(discipline)
+    products = area.products
+    stats = area.part(_area_stats)
     cites_over_if = None
     if stats.mean_citations is not None and stats.mean_if:
         cites_over_if = stats.mean_citations / stats.mean_if
@@ -149,8 +176,8 @@ class RatingBreakdown:
 
 def rating_breakdown(dataset: Dataset, discipline: str) -> list[RatingBreakdown]:
     """One row per peer rating in E, G, A, L order."""
-    products = dataset.products_in(discipline)
-    area = group_stats(products)
+    area = dataset.area(discipline)
+    total = area.part(_area_stats)
 
     def ratio(value: float | None, base: float | None) -> float | None:
         if value is None or not base:
@@ -158,19 +185,19 @@ def rating_breakdown(dataset: Dataset, discipline: str) -> list[RatingBreakdown]
         return value / base
 
     rows = []
-    for rating in RATING_ORDER:
-        stats = group_stats([p for p in products if p.peer_rating == rating])
+    for group in area.by_rating:
+        stats = _pooled_stats((group,))
         rows.append(
             RatingBreakdown(
-                rating=rating,
+                rating=group.rating,
                 count=stats.n,
-                share=stats.n / area.n,
+                share=stats.n / total.n,
                 mean_citations=stats.mean_citations,
-                citations_ratio=ratio(stats.mean_citations, area.mean_citations),
+                citations_ratio=ratio(stats.mean_citations, total.mean_citations),
                 mean_if=stats.mean_if,
-                if_ratio=ratio(stats.mean_if, area.mean_if),
+                if_ratio=ratio(stats.mean_if, total.mean_if),
                 h=stats.h if stats.n_tr else None,
-                h_ratio=stats.h / area.h if stats.n_tr and area.h else None,
+                h_ratio=stats.h / total.h if stats.n_tr and total.h else None,
             )
         )
     return rows

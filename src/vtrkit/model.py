@@ -23,7 +23,7 @@ from functools import cached_property, wraps
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 __all__ = [
     "PRODUCTS_HEADER",
@@ -43,6 +43,7 @@ __all__ = [
     "Product",
     "Provenance",
     "Dataset",
+    "Area",
     "Issue",
     "ValidationReport",
     "IngestConfig",
@@ -302,20 +303,69 @@ class Dataset:
         return len(self.products)
 
     @cached_property
-    def _by_discipline(self) -> dict[str, tuple[Product, ...]]:
+    def _by_discipline(self) -> dict[str, Area]:
         # key order puts each discipline's products in one run, in sorted order
-        return {d: tuple(run) for d, run in groupby(self.products, attrgetter("discipline"))}
+        return {d: Area(tuple(run)) for d, run in groupby(self.products, attrgetter("discipline"))}
 
     @property
     def disciplines(self) -> tuple[str, ...]:
         return tuple(self._by_discipline)
 
-    def products_in(self, discipline: str) -> tuple[Product, ...]:
-        """The discipline's products in key order; a discipline without any is an error."""
+    def area(self, discipline: str) -> Area:
+        """The discipline's products and the statistics' cache of them; a
+        discipline without any products is an error."""
         try:
             return self._by_discipline[discipline]
         except KeyError:
             raise PipelineError("empty_discipline", f"no products for discipline {discipline!r}") from None
+
+    def products_in(self, discipline: str) -> tuple[Product, ...]:
+        """The discipline's products in key order; a discipline without any is an error."""
+        return self.area(discipline).products
+
+
+class RatingGroup:
+    """What the per-area statistics read of one rating's products: the product
+    and TR counts, and the citation counts and impact factors present."""
+
+    __slots__ = ("rating", "n", "n_tr", "citations", "journal_if")
+
+    def __init__(self, rating: PeerRating):
+        self.rating, self.n, self.n_tr = rating, 0, 0
+        self.citations: list[int] = []
+        self.journal_if: list[float] = []
+
+
+class Area:
+    """One area's products in key order, and the parts the per-area builders
+    derive from them, each built on first use and kept, so a report reads
+    each product's fields once and a single table builds only its own parts."""
+
+    def __init__(self, products: tuple[Product, ...]):
+        self.products = products
+        self._parts: dict = {}
+
+    @cached_property
+    def by_rating(self) -> tuple[RatingGroup, ...]:
+        """The rating groups in ``RATING_ORDER``, from one pass over the products."""
+        groups = {rating: RatingGroup(rating) for rating in RATING_ORDER}
+        for p in self.products:
+            group = groups[p.peer_rating]
+            group.n += 1
+            if p.tr_indexed:  # Product's bibliometrics_on_uncovered rule: only TR products carry values
+                group.n_tr += 1
+                if (citations := p.citations) is not None:
+                    group.citations.append(citations)
+                if (journal_if := p.journal_if) is not None:
+                    group.journal_if.append(journal_if)
+        return tuple(groups.values())
+
+    def part(self, build: Callable, *args):
+        """``build(self, *args)``, built on first use and kept."""
+        key = (build, *args)
+        if key not in self._parts:
+            self._parts[key] = build(self, *args)
+        return self._parts[key]
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ def build_section(
     min_products: int = 10,
     coding: str = "quartile",
 ) -> DisciplineSection:
-    products = dataset.products_in(discipline)
+    area = dataset.area(discipline)
     ratings = structure_ratings(dataset, discipline)
     ranking, ranking_note = noted(compile_ranking, ratings, "peer_tr", min_products)
     comparison = comparison_note = None
@@ -103,7 +103,7 @@ def build_section(
     return DisciplineSection(
         profile=discipline_profile(dataset, discipline),
         breakdown=rating_breakdown(dataset, discipline),
-        batteries=[build_battery(products, variable, coding) for variable in VARIABLES],
+        batteries=[build_battery(area, variable, coding) for variable in VARIABLES],
         ranking=ranking,
         ranking_note=ranking_note,
         structure_correlations=_structure_correlations(ratings, min_products),

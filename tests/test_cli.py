@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import tracemalloc
 
@@ -403,3 +404,17 @@ class TestGoldenReport:
             ]
         ) == 0
         assert capsys.readouterr().out == (FIXTURES / "golden_report.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv", [["profile"], ["breakdown", "--discipline", "BIO"], ["report", "--all"]], ids=["all", "area", "report"]
+)
+def test_commands_freeze_the_collector_once_loaded(archive, capsys, argv):
+    """A command that has loaded its dataset moves it out of reach of later
+    collections (``gc.freeze``)."""
+    before = gc.get_freeze_count()
+    try:
+        assert main([argv[0], "--dataset", str(archive), *argv[1:]]) == 0
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()

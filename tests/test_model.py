@@ -825,3 +825,17 @@ def test_builds_keep_the_callers_gc_state(enabled, monkeypatch):
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert seen and not any(seen)
+
+
+def test_builds_leave_the_callers_gc_freeze_count():
+    """Only the CLI freezes the collector: parsing and loading leave
+    ``gc.isenabled()`` and ``gc.get_freeze_count()`` as they found them."""
+    archive = write_archive(parse_products(THREE_AREA_CSV)[0])
+    before = (gc.isenabled(), gc.get_freeze_count())
+    for build in (
+        lambda: parse_products(THREE_AREA_CSV),
+        lambda: load_archive(archive),
+        lambda: load_archive_area(archive, "MED"),
+    ):
+        build()
+        assert (gc.isenabled(), gc.get_freeze_count()) == before

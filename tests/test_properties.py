@@ -6,13 +6,17 @@ with a rejected-row report or a PipelineError."""
 
 from __future__ import annotations
 
+import bisect
+import collections
 import contextlib
 import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import tempfile
+from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,11 +29,12 @@ from vtrkit.concordance import (
     contingency_table,
     peer_bibliometric_spearman,
 )
-from vtrkit.indicators import discipline_profile, rating_breakdown
+from vtrkit.indicators import discipline_profile, group_stats, rating_breakdown
 from vtrkit.model import (
     AUTHORS_MAX,
     CITATIONS_MAX,
     PRODUCTS_HEADER,
+    RATING_ORDER,
     YEAR_MAX,
     YEAR_MIN,
     Dataset,
@@ -48,6 +53,7 @@ from vtrkit.model import (
     serialize_products,
     write_archive,
 )
+from vtrkit.numerics import average_ranks, student_t_two_sided
 from vtrkit.report import build_battery, build_report, render_report_json
 from vtrkit.scoring import structure_ratings
 from vtrkit.synth import DisciplineSpec, SynthConfig, load_synth_config
@@ -306,6 +312,158 @@ def test_report_battery_equals_public_battery(dataset):
                 assert battery.product_spearman == (None if isinstance(rho, str) else rho)
                 assert battery.notes == [r for r in (chi, rho) if isinstance(r, str)]
                 assert battery.probabilities == adjacent_rating_probabilities(products, variable)
+
+
+class PerProductBattery:
+    """The battery computed product by product, as it was before the sorted
+    rating groups: the (rating, float value) pairs in product order, quartile
+    codes per product, Spearman over the per-product ranks and probabilities
+    from per-rating value lists.  The reference the sorted groups must equal."""
+
+    def __init__(self, products, variable):
+        pairs = [(p.peer_rating, float(getattr(p, variable))) for p in products if getattr(p, variable) is not None]
+        self.variable, self.ratings, self.values = variable, [r for r, _ in pairs], [v for _, v in pairs]
+
+    def _nonempty_values(self):
+        if not self.values:
+            raise PipelineError("no_bibliometric_data", "no values")
+        return self.values
+
+    def bins(self):
+        ordered = sorted(self._nonempty_values())
+
+        def quantile(q):
+            h = (len(ordered) - 1) * q
+            lo = math.floor(h)
+            frac = h - lo
+            return ordered[lo] if frac == 0.0 else ordered[lo] + frac * (ordered[lo + 1] - ordered[lo])
+
+        return tuple(quantile(q) for q in (0.25, 0.50, 0.75))
+
+    def codes(self):
+        cuts = self.bins()
+        return [bisect.bisect_left(cuts, v) + 1 for v in self.values]
+
+    def counts(self):
+        tally = collections.Counter(zip(self.ratings, self.codes()))
+        return tuple(tuple(tally[r, code] for code in (1, 2, 3, 4)) for r in RATING_ORDER)
+
+    def spearman(self, coding):
+        x, y = self.ratings, self.codes() if coding == "quartile" else self._nonempty_values()
+        n = len(x)
+        if n < 3:
+            raise PipelineError("too_few_points", "n < 3")
+        if min(x) == max(x) or min(y) == max(y):
+            raise PipelineError("constant_variable", "constant")
+        dx = [r - (n + 1) / 2 for r in average_ranks(x)]
+        dy = [r - (n + 1) / 2 for r in average_ranks(y)]
+        num = math.fsum(a * b for a, b in zip(dx, dy))
+        rho = max(-1.0, min(1.0, num / math.sqrt(math.fsum(a * a for a in dx) * math.fsum(b * b for b in dy))))
+        p = 0.0 if abs(rho) == 1.0 else student_t_two_sided(rho * math.sqrt((n - 2) / (1.0 - rho * rho)), n - 2)
+        return rho.hex(), p.hex(), n
+
+    def probabilities(self):
+        groups = {r: [v for q, v in zip(self.ratings, self.values) if q == r] for r in RATING_ORDER}
+        out = []
+        for higher, lower in zip(RATING_ORDER, RATING_ORDER[1:]):
+            xs, ys = groups[higher], sorted(groups[lower])
+            if not xs or not ys:
+                out.append((higher, lower, None))
+                continue
+            greater = sum(bisect.bisect_left(ys, x) for x in xs)
+            equal = sum(bisect.bisect_right(ys, x) for x in xs) - greater
+            total = len(xs) * len(ys)
+            out.append((higher, lower, (Fraction(greater, total), Fraction(total - greater - equal, total), total)))
+        return out
+
+
+def _code_or(call, *args):
+    """``call(*args)``, or the code of the PipelineError it raises."""
+    try:
+        return call(*args)
+    except PipelineError as exc:
+        return exc.code
+
+
+def _battery_facts(battery):
+    """What the report shows of a battery, floats as ``.hex()``."""
+    table, spearman = battery.contingency, battery.product_spearman
+    return (
+        None if table is None else (tuple(c.hex() for c in table.bins.cutpoints), table.counts),
+        None if spearman is None else (spearman.coefficient.hex(), spearman.p_value.hex(), spearman.n),
+        [(pair.higher, pair.lower, pair.triple and (pair.triple.p_greater, pair.triple.p_less, pair.triple.pair_count))
+         for pair in battery.probabilities],
+        [note.split(":")[0] for note in battery.notes],
+    )
+
+
+def _reference_facts(products, variable, coding):
+    ref = PerProductBattery(products, variable)
+    cuts = _code_or(ref.bins)
+    if isinstance(cuts, str):
+        return None, None, [], [cuts]
+    counts = ref.counts()
+    chi = _code_or(chi_square_independence, counts)
+    rho = _code_or(ref.spearman, coding)
+    return (
+        (tuple(c.hex() for c in cuts), counts),
+        None if isinstance(rho, str) else rho,
+        ref.probabilities(),
+        [r for r in (chi, rho) if isinstance(r, str)],
+    )
+
+
+def _rows(ratings, citations, impact, max_size=40):
+    """One area's (area, rating, tr_indexed, citations, journal_if) rows."""
+    row = st.tuples(st.just("BIO"), ratings, st.sampled_from([True, True, True, False]), st.none() | citations,
+                    st.none() | impact)
+    return st.lists(row, max_size=max_size)
+
+
+#: heavily tied values (ints among the impact factors, and both zeros),
+#: untied ones, ratings with empty groups, constant values and tiny samples
+battery_samples = st.one_of(
+    _rows(st.sampled_from("EGAL"), st.integers(0, 3), st.sampled_from([0, 0.0, -0.0, 2, 2.0, 2.5, 7.25])),
+    _rows(st.sampled_from("EGAL"), st.integers(0, CITATIONS_MAX), st.floats(1e-6, 1e6)),
+    _rows(st.sampled_from("EA") | st.sampled_from("GL"), st.integers(0, 20), st.floats(1e-6, 10.0)),
+    _rows(st.sampled_from("EGAL"), st.just(4), st.just(1.5) | st.just(-0.0)),
+    _rows(st.sampled_from("EGAL"), st.integers(0, 2), st.sampled_from([0.0, -0.0, 3.0]), max_size=4),
+).map(_battery_dataset)
+
+
+@PROPERTY
+@given(battery_samples)
+@example(_battery_dataset([("BIO", r, True, 1, v) for r, v in zip("LEEEE", (0.0, -0.0, 1.0, 2.0, 3.0))]))
+@example(_battery_dataset([("BIO", r, True, 1, v) for r, v in zip("LEEEE", (-0.0, 0.0, 1.0, 2.0, 3.0))]))
+def test_sorted_groups_battery_equals_per_product_battery(dataset):
+    """The battery from sorted rating groups gives the per-product battery's
+    cutpoints, counts, Spearman and probabilities bit for bit, and the same
+    error codes; through an area's cache as through a product sequence."""
+    for area in dataset.disciplines:
+        products = dataset.products_in(area)
+        for variable in VARIABLES:
+            for coding in ("quartile", "raw"):
+                expected = _reference_facts(products, variable, coding)
+                assert _battery_facts(build_battery(products, variable, coding)) == expected
+                assert _battery_facts(build_battery(dataset.area(area), variable, coding)) == expected
+
+
+@PROPERTY
+@given(battery_samples)
+def test_area_statistics_equal_per_product_statistics(dataset):
+    """The profile and breakdown, built from the area's rating groups, hold
+    the per-product ``group_stats`` of the area and of each rating."""
+    for area in dataset.disciplines:
+        products = dataset.products_in(area)
+        stats = group_stats(products)
+        profile = discipline_profile(dataset, area)
+        assert (profile.size, profile.peer_all, profile.peer_tr, profile.mean_citations, profile.mean_if, profile.h) == (
+            stats.n, stats.peer_all, stats.peer_tr, stats.mean_citations, stats.mean_if, stats.h
+        )
+        for row in rating_breakdown(dataset, area):
+            part = group_stats([p for p in products if p.peer_rating == row.rating])
+            assert (row.count, row.mean_citations, row.mean_if) == (part.n, part.mean_citations, part.mean_if)
+            assert row.h == (part.h if part.n_tr else None)
 
 
 @PROPERTY

@@ -8,13 +8,16 @@ import json
 
 import pytest
 
+from vtrkit.concordance import VARIABLES
 from vtrkit.indicators import discipline_profile, rating_breakdown
 from vtrkit.model import parse_products
 from vtrkit.report import (
     BREAKDOWN,
     PROFILE,
+    as_json,
     build_battery,
     build_report,
+    build_section,
     csv_text,
     fmt,
     fmt_p,
@@ -28,6 +31,7 @@ from vtrkit.report import (
     round_half_up,
 )
 from vtrkit.scoring import compile_ranking, rank_comparison, structure_ratings
+from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise
 
 
 class TestNumberFormatting:
@@ -147,3 +151,30 @@ class TestBatteryAndBundle:
                 continue
             for token in re.findall(r"\d+\.\d+", line):
                 assert len(token.split(".")[1]) <= 3, f"overlong decimal {token!r} in {line!r}"
+
+
+def _exercise():
+    return generate_exercise(SynthConfig(seed=5, disciplines=(DisciplineSpec("BIO", 12, 4, 40),)))
+
+
+#: builders that fill parts of an area's cache, each run before build_section
+CACHE_FILLERS = {
+    "nothing": [],
+    "battery": [lambda ds: build_battery(ds.area("BIO"), v, "raw") for v in reversed(VARIABLES)],
+    "tables": [
+        lambda ds: rating_breakdown(ds, "BIO"),
+        lambda ds: structure_ratings(ds, "BIO"),
+        lambda ds: discipline_profile(ds, "BIO"),
+    ],
+    "section": [lambda ds: build_section(ds, "BIO", min_products=3, coding="raw")],
+}
+
+
+@pytest.mark.parametrize("filler", sorted(CACHE_FILLERS))
+def test_section_does_not_depend_on_what_filled_the_area_cache(filler):
+    """An area's cached parts are the same whichever builder built them first."""
+    expected = as_json(build_section(_exercise(), "BIO"))
+    dataset = _exercise()
+    for fill in CACHE_FILLERS[filler]:
+        fill(dataset)
+    assert as_json(build_section(dataset, "BIO")) == expected
