@@ -7,9 +7,11 @@ machine-readable JSON error record to stderr.
 
 At module level this imports only ``model``; each command imports the modules
 it runs inside its own function, so ``ingest`` loads no statistics and a
-single table loads no report builder.  Once a command holds its dataset it
-freezes the garbage collector's view of it (``gc.freeze``): the products live
-until the command ends, so later collections need not traverse them.
+single table loads no report builder.  Run as a program (``run``), a command
+that holds its dataset freezes the garbage collector's view of it
+(``gc.freeze``): the products live until the process ends, so later
+collections, the one at exit included, need not traverse them.  ``main``,
+which callers may run in their own process, never freezes.
 """
 
 from __future__ import annotations
@@ -49,8 +51,12 @@ def _write_out(text: str, out: str | None) -> None:
     _write_lines((text,), out)
 
 
+_freeze_loaded = False  # set by ``run``, whose process ends with the command
+
+
 def _frozen(dataset):
-    gc.freeze()  # everything alive now, the dataset included, leaves the collections
+    if _freeze_loaded:
+        gc.freeze()  # everything alive now, the dataset included, leaves the collections
     return dataset
 
 
@@ -158,8 +164,7 @@ def cmd_compare_ranks(args) -> int:
 def cmd_concordance(args) -> int:
     from .battery import build_battery, render_battery
     dataset = _load_area(args.dataset, args.discipline)
-    products = dataset.products_in(args.discipline)
-    battery = build_battery(products, VARIABLE_BY_FLAG[args.variable], args.coding)
+    battery = build_battery(dataset.area(args.discipline), VARIABLE_BY_FLAG[args.variable], args.coding)
     _write_out(render_battery(battery, args.format, args.discipline), args.out)
     return 0
 
@@ -292,5 +297,13 @@ def main(argv=None) -> int:
     return 1
 
 
+def run() -> int:
+    """The ``vtrkit`` program: ``main`` on ``sys.argv``, with each command
+    freezing the collector once it holds its dataset."""
+    global _freeze_loaded
+    _freeze_loaded = True
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, pairwise, repeat
-from operator import attrgetter, mul
+from operator import attrgetter
 from typing import Sequence
 
 from .model import Area, PeerRating, PipelineError, Product, RATING_ORDER
@@ -78,11 +77,7 @@ def quartile_bins(values: Sequence[float]) -> QuartileBins:
     if not values:
         raise PipelineError("empty_sample", "cannot compute quartiles of an empty sample")
     ordered = sorted(values)
-    return QuartileBins(
-        q25=_interpolated_quantile(ordered, 0.25),
-        q50=_interpolated_quantile(ordered, 0.50),
-        q75=_interpolated_quantile(ordered, 0.75),
-    )
+    return QuartileBins(*(_interpolated_quantile(ordered, p) for p in (0.25, 0.50, 0.75)))
 
 
 def assign_quartile(value: float, bins: QuartileBins) -> int:
@@ -261,17 +256,14 @@ def pairwise_probabilities(
     """Exact pair-counting probabilities that a random draw from ``x_values``
     exceeds / trails / ties a random draw from ``y_values``.
 
-    Counting is done by sorting one side and locating each distinct value of
-    the other, weighted by its count (O(n log n)); the result equals the full
-    quadratic enumeration exactly.  Tied data, such as citation counts, has
-    few distinct values.
+    Counting is done by sorting one side and locating each value of the other
+    (O(n log n)); the result equals the full quadratic enumeration exactly.
     """
     if not x_values or not y_values:
         raise PipelineError("empty_group", "both value groups must be nonempty")
     ys = sorted(y_values)
-    xs = Counter(x_values)
-    greater = sum(map(mul, xs.values(), map(bisect_left, repeat(ys), xs)))
-    equal = sum(map(mul, xs.values(), map(bisect_right, repeat(ys), xs))) - greater
+    greater = sum(bisect_left(ys, x) for x in x_values)
+    equal = sum(bisect_right(ys, x) for x in x_values) - greater
     total = len(x_values) * len(ys)
     return ProbabilityTriple(
         p_greater=Fraction(greater, total),
@@ -310,24 +302,26 @@ def adjacent_rating_probabilities(
 
 
 def rating_sample(products: Sequence[Product] | Area, variable: str) -> RatingSample:
-    """The battery's sample of an area, kept in its ``Area``'s cache; a
-    sequence of products gets a sample of its own."""
-    area = products if isinstance(products, Area) else Area(tuple(products))
-    return area.part(RatingSample, variable)
+    """The battery's sample of an ``Area``, from the rating groups it reads
+    once for all its builders, or of a sequence of products."""
+    return RatingSample(products if isinstance(products, Area) else Area(tuple(products)), variable)
 
 
 class RatingSample:
     """The values of ``variable`` on an area's TR products, one sorted list
-    per peer rating in ``RATING_ORDER``.  Every statistic of the battery
-    depends only on the multiset of (rating, value) pairs, so these lists
-    give what a pass over the products in their order gives."""
+    per peer rating in ``RATING_ORDER``: the area's rating group lists,
+    sorted in place.  Every statistic of the battery depends only on the
+    multiset of (rating, value) pairs, so these lists give what a pass over
+    the products in their order gives."""
 
     def __init__(self, area: Area, variable: str):
         if variable not in VARIABLES:
             raise PipelineError("unknown_variable", f"variable must be one of {VARIABLES}")
-        self.products = area.products  # not the area, whose cache holds this sample
+        self.products = area.products
         self.variable = variable
-        self.groups = [sorted(getattr(group, variable)) for group in area.by_rating]
+        self.groups = [getattr(group, variable) for group in area.by_rating]
+        for values in self.groups:
+            values.sort()
 
     def _values(self) -> list[float]:
         if not any(self.groups):
@@ -344,7 +338,7 @@ class RatingSample:
         if abs(sum(map(math.copysign, repeat(1.0, zeros), ordered))) != zeros:
             value_of = attrgetter(self.variable)
             ordered[:zeros] = [v for p in self.products if (v := value_of(p)) is not None and v == 0]
-        return quartile_bins(ordered)
+        return QuartileBins(*(_interpolated_quantile(ordered, p) for p in (0.25, 0.50, 0.75)))
 
     def contingency(self) -> ContingencyTable:
         """Counts per rating and bin; a value equal to a cutpoint is in the lower bin."""

@@ -79,13 +79,13 @@ def group_stats(products: Sequence[Product]) -> GroupStats:
     )
 
 
-def _pooled_stats(groups: Iterable[RatingGroup]) -> GroupStats:
-    """``group_stats`` of the products in ``groups``, from their counts and
-    values.  ``math.fsum`` is correctly rounded, so pooled values give the
-    means a list per product gives, and a weight repeated ``n`` times sums
-    as ``n`` products' weights."""
+def _pooled_stats(area: Area, *groups: RatingGroup) -> GroupStats:
+    """``group_stats`` of the products in ``groups``, by default all the
+    area's, from their counts and values.  ``math.fsum`` is correctly
+    rounded, so pooled values give the means a list per product gives, in
+    any order, and a weight repeated ``n`` times sums as ``n`` products' weights."""
     weights, tr_weights, cites, impact = [], [], [], []
-    for group in groups:
+    for group in groups or area.by_rating:
         weights += [group.rating.weight] * group.n
         tr_weights += [group.rating.weight] * group.n_tr
         cites += group.citations
@@ -99,10 +99,6 @@ def _pooled_stats(groups: Iterable[RatingGroup]) -> GroupStats:
         mean_if=_mean(impact),
         h=h_index(cites),
     )
-
-
-def _area_stats(area: Area) -> GroupStats:
-    return _pooled_stats(area.by_rating)
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ def discipline_profile(dataset: Dataset, discipline: str) -> DisciplineProfile:
     """
     area = dataset.area(discipline)
     products = area.products
-    stats = area.part(_area_stats)
+    stats = area.part(_pooled_stats)
     cites_over_if = None
     if stats.mean_citations is not None and stats.mean_if:
         cites_over_if = stats.mean_citations / stats.mean_if
@@ -177,7 +173,7 @@ class RatingBreakdown:
 def rating_breakdown(dataset: Dataset, discipline: str) -> list[RatingBreakdown]:
     """One row per peer rating in E, G, A, L order."""
     area = dataset.area(discipline)
-    total = area.part(_area_stats)
+    total = area.part(_pooled_stats)
 
     def ratio(value: float | None, base: float | None) -> float | None:
         if value is None or not base:
@@ -186,7 +182,7 @@ def rating_breakdown(dataset: Dataset, discipline: str) -> list[RatingBreakdown]
 
     rows = []
     for group in area.by_rating:
-        stats = _pooled_stats((group,))
+        stats = _pooled_stats(area, group)
         rows.append(
             RatingBreakdown(
                 rating=group.rating,

@@ -326,7 +326,8 @@ class Dataset:
 
 class RatingGroup:
     """What the per-area statistics read of one rating's products: the product
-    and TR counts, and the citation counts and impact factors present."""
+    and TR counts, and the citation counts and impact factors present, in an
+    order no statistic depends on: the battery sorts them in place."""
 
     __slots__ = ("rating", "n", "n_tr", "citations", "journal_if")
 
@@ -360,12 +361,11 @@ class Area:
                     group.journal_if.append(journal_if)
         return tuple(groups.values())
 
-    def part(self, build: Callable, *args):
-        """``build(self, *args)``, built on first use and kept."""
-        key = (build, *args)
-        if key not in self._parts:
-            self._parts[key] = build(self, *args)
-        return self._parts[key]
+    def part(self, build: Callable):
+        """``build(self)``, built on first use and kept."""
+        if build not in self._parts:
+            self._parts[build] = build(self)
+        return self._parts[build]
 
 
 @dataclass(frozen=True)

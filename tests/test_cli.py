@@ -5,10 +5,12 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import sys
 import tracemalloc
 
 import pytest
 
+from vtrkit import cli
 from vtrkit.cli import main
 from vtrkit.model import load_archive, parse_products_file, serialize_products, write_archive
 
@@ -409,12 +411,28 @@ class TestGoldenReport:
 @pytest.mark.parametrize(
     "argv", [["profile"], ["breakdown", "--discipline", "BIO"], ["report", "--all"]], ids=["all", "area", "report"]
 )
-def test_commands_freeze_the_collector_once_loaded(archive, capsys, argv):
-    """A command that has loaded its dataset moves it out of reach of later
-    collections (``gc.freeze``)."""
-    before = gc.get_freeze_count()
+def test_the_program_freezes_the_collector_once_loaded(archive, capsys, monkeypatch, argv):
+    """Run as a program, a command that has loaded its dataset moves it out of
+    reach of later collections (``gc.freeze``)."""
+    seen = []
+    write = cli._write_lines
+    monkeypatch.setattr(cli, "_write_lines", lambda *args: (seen.append(gc.get_freeze_count()), write(*args)))
+    monkeypatch.setattr(cli, "_freeze_loaded", False)  # restored after run() sets it
+    monkeypatch.setattr(sys, "argv", ["vtrkit", argv[0], "--dataset", str(archive), *argv[1:]])
     try:
-        assert main([argv[0], "--dataset", str(archive), *argv[1:]]) == 0
-        assert gc.get_freeze_count() > before
+        assert cli.run() == 0
+        assert seen and seen[0] > 0
     finally:
         gc.unfreeze()
+
+
+def test_main_leaves_the_collector_as_it_found_it(archive, tmp_path, capsys):
+    """``main`` runs in its caller's process: no command freezes or pauses
+    the collector there."""
+    for argv in (
+        ["ingest", "--products", str(tmp_path / "products.csv"), "--out", str(tmp_path / "a.json")],
+        ["report", "--dataset", str(archive), "--all"],
+        ["concordance", "--dataset", str(archive), "--discipline", "BIO", "--variable", "cites"],
+    ):
+        assert main(argv) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (True, 0)
