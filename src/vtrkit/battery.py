@@ -16,10 +16,10 @@ from .concordance import (
     ChiSquareResult,
     ContingencyTable,
     CorrelationResult,
+    RatingSample,
     chi_square_independence,
-    rating_sample,
 )
-from .model import PipelineError
+from .model import Area, PipelineError
 from .tables import CHI_SQUARE, CONTINGENCY, PROBABILITIES, PRODUCT_SPEARMAN, as_json, contingency_rows, json_text
 from .tables import fmt, fmt_p, render
 
@@ -45,11 +45,11 @@ def noted(call, *args):
         return None, f"{exc.code}: {exc}"
 
 
-def build_battery(products, variable: str, coding: str = "quartile") -> VariableBattery:
-    """The battery of an area's products, or of its ``Area``, whose cache
-    keeps the sorted sample."""
+def build_battery(area: Area, variable: str, coding: str = "quartile") -> VariableBattery:
+    """The battery of ``area``, whose cached rating groups hold the sorted
+    sample."""
     battery = VariableBattery(variable=variable)
-    sample, note = noted(rating_sample, products, variable)
+    sample, note = noted(RatingSample, area, variable)
     if sample is not None:
         battery.contingency, note = noted(sample.contingency)
     if battery.contingency is None:

@@ -7,11 +7,11 @@ machine-readable JSON error record to stderr.
 
 At module level this imports only ``model``; each command imports the modules
 it runs inside its own function, so ``ingest`` loads no statistics and a
-single table loads no report builder.  Run as a program (``run``), a command
-that holds its dataset freezes the garbage collector's view of it
-(``gc.freeze``): the products live until the process ends, so later
-collections, the one at exit included, need not traverse them.  ``main``,
-which callers may run in their own process, never freezes.
+single table loads no report builder.  ``run``, the program, is the only
+code that touches the garbage collector: a command makes no cyclic garbage
+that grows with its data, so the program runs it with the collector off.
+``main``, which callers may run in their own process, leaves the collector
+alone.
 """
 
 from __future__ import annotations
@@ -51,24 +51,15 @@ def _write_out(text: str, out: str | None) -> None:
     _write_lines((text,), out)
 
 
-_freeze_loaded = False  # set by ``run``, whose process ends with the command
-
-
-def _frozen(dataset):
-    if _freeze_loaded:
-        gc.freeze()  # everything alive now, the dataset included, leaves the collections
-    return dataset
-
-
 def _load_dataset(path: str):
     # line ends are read as written (newline=""), so a seal covers them too
-    return _frozen(load_archive(read_text_file(path, newline="")))
+    return load_archive(read_text_file(path, newline=""))
 
 
 def _load_area(path: str, discipline: str):
     """The archive at ``path`` for a command that reads only ``discipline``:
     a sealed archive decodes that area's records alone."""
-    return _frozen(load_archive_area(read_text_file(path, newline=""), discipline))
+    return load_archive_area(read_text_file(path, newline=""), discipline)
 
 
 def _report_to_stderr(report: ValidationReport) -> None:
@@ -86,7 +77,7 @@ def _render_validation(report: ValidationReport, fmt: str) -> str:
 
 
 def cmd_ingest(args) -> int:
-    dataset, report = _frozen(parse_products_file(args.products))
+    dataset, report = parse_products_file(args.products)
     _report_to_stderr(report)
     if dataset is None:
         return 1
@@ -298,11 +289,15 @@ def main(argv=None) -> int:
 
 
 def run() -> int:
-    """The ``vtrkit`` program: ``main`` on ``sys.argv``, with each command
-    freezing the collector once it holds its dataset."""
-    global _freeze_loaded
-    _freeze_loaded = True
-    return main()
+    """The ``vtrkit`` program: ``main`` on ``sys.argv`` with cyclic garbage
+    collection off, since a command's only cyclic garbage is argparse's few
+    hundred objects.  Whatever is alive when it returns is then frozen, so the
+    collection at interpreter exit need not traverse the dataset."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -128,7 +128,7 @@ class ContingencyTable:
 def contingency_table(products: Sequence[Product], variable: str) -> ContingencyTable:
     """Bin the discipline's TR values of ``variable`` into quartiles and
     cross-tabulate against peer rating."""
-    return rating_sample(products, variable).contingency()
+    return RatingSample(Area(tuple(products)), variable).contingency()
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,7 @@ def peer_bibliometric_spearman(
     the rating's scale position; any strictly increasing recoding (such as
     the committee weights) yields the same coefficient.
     """
-    return rating_sample(products, variable).spearman(coding)
+    return RatingSample(Area(tuple(products)), variable).spearman(coding)
 
 
 @dataclass(frozen=True)
@@ -298,13 +298,7 @@ def adjacent_rating_probabilities(
 ) -> list[AdjacentPairResult]:
     """Pairwise probabilities for the adjacent rating pairs (E,G), (G,A),
     (A,L); pairs with an empty side are skipped with a note."""
-    return rating_sample(products, variable).probabilities()
-
-
-def rating_sample(products: Sequence[Product] | Area, variable: str) -> RatingSample:
-    """The battery's sample of an ``Area``, from the rating groups it reads
-    once for all its builders, or of a sequence of products."""
-    return RatingSample(products if isinstance(products, Area) else Area(tuple(products)), variable)
+    return RatingSample(Area(tuple(products)), variable).probabilities()
 
 
 class RatingSample:

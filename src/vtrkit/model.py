@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import gc
 import hashlib
 import io
 import json
@@ -19,7 +18,7 @@ import re
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
-from functools import cached_property, wraps
+from functools import cached_property
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
@@ -466,25 +465,6 @@ def _csv_records(text: str) -> Iterator[tuple[int, list[str] | csv.Error]]:
             yield line, exc
 
 
-def _gc_paused(build):
-    """``build`` with cyclic garbage collection paused while it runs: each
-    product holds enum members, so every product stays tracked, and the
-    collections a build of thousands of them sets off find no garbage.  The
-    caller's ``gc.isenabled()`` state is restored however ``build`` ends."""
-
-    @wraps(build)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return build(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return paused
-
-
 def read_text_file(path: str, newline: str | None = None) -> str:
     """The text of the UTF-8 file at ``path``, with ``open``'s ``newline``
     handling; a file that is not UTF-8 is a ``bad_encoding`` PipelineError."""
@@ -495,7 +475,6 @@ def read_text_file(path: str, newline: str | None = None) -> str:
             raise PipelineError("bad_encoding", f"input is not UTF-8 text: {exc}") from None
 
 
-@_gc_paused
 def parse_products(text: str, config: IngestConfig = IngestConfig()) -> tuple[Dataset | None, ValidationReport]:
     """Parse the products file format into a Dataset.
 
@@ -845,7 +824,6 @@ def _unseal(text: str) -> tuple[str, int, str]:
     return head[1], head.end(), tail[1]
 
 
-@_gc_paused
 def load_archive(text: str) -> Dataset:
     """The dataset of an archive: every record is decoded and checked, and a
     sealed archive's seal too."""
@@ -870,7 +848,6 @@ def load_archive(text: str) -> Dataset:
     return Dataset.from_products(products, _provenance(doc["provenance"]))
 
 
-@_gc_paused
 def load_archive_area(text: str, discipline: str) -> Dataset:
     """The dataset of ``discipline``'s products alone, for a command that reads
     one area.  A sealed archive is checked whole through its seal, and then only

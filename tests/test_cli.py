@@ -5,14 +5,19 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from vtrkit import cli
 from vtrkit.cli import main
 from vtrkit.model import load_archive, parse_products_file, serialize_products, write_archive
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: TR-indexed products without a citation count, ingested with warnings.
 MISSING_CITATIONS_CSV = """\
@@ -411,19 +416,61 @@ class TestGoldenReport:
 @pytest.mark.parametrize(
     "argv", [["profile"], ["breakdown", "--discipline", "BIO"], ["report", "--all"]], ids=["all", "area", "report"]
 )
-def test_the_program_freezes_the_collector_once_loaded(archive, capsys, monkeypatch, argv):
-    """Run as a program, a command that has loaded its dataset moves it out of
-    reach of later collections (``gc.freeze``)."""
+def test_the_program_runs_its_command_without_the_collector(archive, capsys, monkeypatch, argv):
+    """Run as a program, a command writes its output with cyclic GC off, and
+    what is alive at the end is frozen out of the collection at exit."""
     seen = []
     write = cli._write_lines
-    monkeypatch.setattr(cli, "_write_lines", lambda *args: (seen.append(gc.get_freeze_count()), write(*args)))
-    monkeypatch.setattr(cli, "_freeze_loaded", False)  # restored after run() sets it
+    monkeypatch.setattr(cli, "_write_lines", lambda *args: (seen.append(gc.isenabled()), write(*args)))
     monkeypatch.setattr(sys, "argv", ["vtrkit", argv[0], "--dataset", str(archive), *argv[1:]])
     try:
         assert cli.run() == 0
-        assert seen and seen[0] > 0
+        assert seen == [False]
+        assert gc.get_freeze_count() > 0
     finally:
+        gc.enable()
         gc.unfreeze()
+
+
+GARBAGE_PROBE = """
+import gc, json, sys
+from vtrkit.cli import main
+gc.collect()
+gc.disable()
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "garbage": gc.collect()}))
+"""
+
+
+def test_command_garbage_does_not_grow_with_the_input(archive, tmp_path):
+    """What a command leaves for the cyclic collector is the same on an input
+    about ten times larger: the program may run without the collector."""
+    from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise
+
+    spec = [DisciplineSpec(code, n_structures=12, products_min=4, products_max=20) for code in ("BIO", "MCS")]
+    large = tmp_path / "large"
+    large.mkdir()
+    (large / "products.csv").write_text(
+        serialize_products(generate_exercise(SynthConfig(seed=1, disciplines=tuple(spec)))), encoding="utf-8"
+    )
+    assert main(["ingest", "--products", str(large / "products.csv"), "--out", str(large / "dataset.json")]) == 0
+    assert len(load_archive((large / "dataset.json").read_text(encoding="utf-8"))) >= 250
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for argv in (
+        ["ingest", "--products", "{dir}/products.csv"],
+        ["report", "--dataset", "{dir}/dataset.json", "--all", "--min-products", "2"],
+        ["concordance", "--dataset", "{dir}/dataset.json", "--discipline", "BIO"],
+        ["rank", "--dataset", "{dir}/dataset.json", "--discipline", "BIO", "--min-products", "1"],
+    ):
+        garbage = []
+        for directory in (archive.parent, large):
+            args = [a.format(dir=directory) for a in argv] + ["--out", str(tmp_path / "out")]
+            child = subprocess.run([sys.executable, "-c", GARBAGE_PROBE, *args], env=env, capture_output=True, text=True)
+            assert child.returncode == 0, child.stderr
+            result = json.loads(child.stdout.splitlines()[-1])
+            assert result["code"] == 0, child.stderr
+            garbage.append(result["garbage"])
+        assert garbage[0] == garbage[1], argv[0]
 
 
 def test_main_leaves_the_collector_as_it_found_it(archive, tmp_path, capsys):

@@ -792,16 +792,11 @@ class TestSealedArchive:
         assert (err.value.code, str(err.value)) == ("bad_archive", "the archive's bytes do not match its seal")
 
 
-@pytest.mark.parametrize("enabled", [True, False], ids=["gc_enabled", "gc_disabled"])
-def test_builds_keep_the_callers_gc_state(enabled, monkeypatch):
-    """Parsing and loading pause cyclic GC while they build products, and give
-    the caller back its own GC state, also when they fail."""
-    import vtrkit.model as model
-
+def test_builds_leave_the_callers_gc_freeze_count():
+    """Only the CLI program touches the collector: parsing and loading leave
+    ``gc.isenabled()`` and ``gc.get_freeze_count()`` as they found them,
+    with the collector on or off, whether they succeed or fail."""
     archive = write_archive(parse_products(THREE_AREA_CSV)[0])
-    seen = []
-    hook = model._record_product
-    monkeypatch.setattr(model, "_record_product", lambda obj: seen.append(gc.isenabled()) or hook(obj))
     builds = [
         lambda: parse_products(THREE_AREA_CSV),
         lambda: load_archive(archive),
@@ -814,28 +809,15 @@ def test_builds_keep_the_callers_gc_state(enabled, monkeypatch):
     ]
     was_enabled = gc.isenabled()
     try:
-        (gc.enable if enabled else gc.disable)()
-        for build in builds:
-            build()
-            assert gc.isenabled() is enabled
-        for fail in failures:
-            with pytest.raises(PipelineError):
-                fail()
-            assert gc.isenabled() is enabled
+        for switch in (gc.enable, gc.disable):
+            switch()
+            before = (gc.isenabled(), gc.get_freeze_count())
+            for build in builds:
+                build()
+                assert (gc.isenabled(), gc.get_freeze_count()) == before
+            for fail in failures:
+                with pytest.raises(PipelineError):
+                    fail()
+                assert (gc.isenabled(), gc.get_freeze_count()) == before
     finally:
         (gc.enable if was_enabled else gc.disable)()
-    assert seen and not any(seen)
-
-
-def test_builds_leave_the_callers_gc_freeze_count():
-    """Only the CLI freezes the collector: parsing and loading leave
-    ``gc.isenabled()`` and ``gc.get_freeze_count()`` as they found them."""
-    archive = write_archive(parse_products(THREE_AREA_CSV)[0])
-    before = (gc.isenabled(), gc.get_freeze_count())
-    for build in (
-        lambda: parse_products(THREE_AREA_CSV),
-        lambda: load_archive(archive),
-        lambda: load_archive_area(archive, "MED"),
-    ):
-        build()
-        assert (gc.isenabled(), gc.get_freeze_count()) == before

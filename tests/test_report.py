@@ -115,17 +115,17 @@ class TestBatteryAndBundle:
             "citations,journal_if,n_authors,n_internal_authors"
         )
         dataset, _ = parse_products(header + "\nP1,S1,CEA,2002,book,G,false,,,2,1\n")
-        battery = build_battery(dataset.products_in("CEA"), "citations")
+        battery = build_battery(dataset.area("CEA"), "citations")
         assert battery.contingency is None
         assert battery.notes and battery.notes[0].startswith("no_bibliometric_data")
 
     def test_battery_of_unknown_variable_collects_note(self, four_product_dataset):
-        battery = build_battery(four_product_dataset.products_in("BIO"), "h_index")
+        battery = build_battery(four_product_dataset.area("BIO"), "h_index")
         assert (battery.contingency, battery.probabilities) == (None, [])
         assert battery.notes == ["unknown_variable: variable must be one of ('citations', 'journal_if')"]
 
     def test_battery_of_unknown_coding_collects_note(self, four_product_dataset):
-        battery = build_battery(four_product_dataset.products_in("BIO"), "citations", "decile")
+        battery = build_battery(four_product_dataset.area("BIO"), "citations", "decile")
         assert battery.contingency is not None and battery.product_spearman is None
         assert battery.notes[-1] == "unknown_coding: coding must be 'quartile' or 'raw'"
         assert len(battery.probabilities) == 3

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +46,14 @@ def test_every_module_imports_only_stdlib():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run([sys.executable, "-c", PROBE_EVERY_MODULE], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_only_the_cli_imports_gc():
+    """The program owns the garbage collector: no library module imports
+    ``gc``, so none can pause, freeze or collect in a caller's process."""
+    importers = sorted(
+        path.name
+        for path in (SRC / "vtrkit").glob("*.py")
+        if re.search(r"^\s*(import gc\b|from gc import)", path.read_text(encoding="utf-8"), re.MULTILINE)
+    )
+    assert importers == ["cli.py"]
