@@ -58,8 +58,15 @@ def _load_dataset(path: str):
 
 def _load_area(path: str, discipline: str):
     """The archive at ``path`` for a command that reads only ``discipline``:
-    a sealed archive decodes that area's records alone."""
+    a ``vtrkit-dataset/3`` archive decodes that area's rows alone."""
     return load_archive_area(read_text_file(path, newline=""), discipline)
+
+
+def _min_products(args) -> int:
+    """``--min-products``, which may not be negative."""
+    if args.min_products < 0:
+        raise PipelineError("bad_min_products", f"--min-products must be >= 0, got {args.min_products}")
+    return args.min_products
 
 
 def _report_to_stderr(report: ValidationReport) -> None:
@@ -121,9 +128,10 @@ def cmd_breakdown(args) -> int:
 def cmd_rank(args) -> int:
     from .scoring import compile_ranking, structure_ratings
     from .tables import RANKING, ranking_md, render
+    min_products = _min_products(args)
     dataset = _load_area(args.dataset, args.discipline)
     ratings = structure_ratings(dataset, args.discipline)
-    ranking = compile_ranking(ratings, METRIC_BY_FLAG[args.metric], args.min_products)
+    ranking = compile_ranking(ratings, METRIC_BY_FLAG[args.metric], min_products)
     if args.format == "md":
         text = ranking_md(ranking)
     else:
@@ -135,10 +143,11 @@ def cmd_rank(args) -> int:
 def cmd_compare_ranks(args) -> int:
     from .scoring import compile_ranking, rank_comparison, structure_ratings
     from .tables import COMPARISON, comparison_md, plot_data_text, render
+    min_products = _min_products(args)
     dataset = _load_area(args.dataset, args.discipline)
     ratings = structure_ratings(dataset, args.discipline)
-    ranking_a = compile_ranking(ratings, METRIC_BY_FLAG[args.metric], args.min_products)
-    ranking_b = compile_ranking(ratings, METRIC_BY_FLAG[args.against], args.min_products)
+    ranking_a = compile_ranking(ratings, METRIC_BY_FLAG[args.metric], min_products)
+    ranking_b = compile_ranking(ratings, METRIC_BY_FLAG[args.against], min_products)
     comparison = rank_comparison(ranking_a, ranking_b)
     if args.plot_data:
         _write_out(plot_data_text(comparison), args.plot_data)
@@ -186,9 +195,10 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     from . import report as rpt
+    min_products = _min_products(args)
     dataset = _load_dataset(args.dataset)
     disciplines = None if args.all or not args.discipline else [args.discipline]
-    bundle = rpt.build_report(dataset, disciplines, min_products=args.min_products, coding=args.coding)
+    bundle = rpt.build_report(dataset, disciplines, min_products=min_products, coding=args.coding)
     renderers = {"md": rpt.render_report_md, "csv": rpt.render_report_csv, "json": rpt.render_report_json}
     _write_out(renderers[args.format](bundle), args.out)
     return 0

@@ -91,9 +91,11 @@ AUTHORS_MAX = 10**6
 JOURNAL_IF_MIN = 1e-6
 JOURNAL_IF_MAX = 1e6
 
-#: The format ``archive_lines`` writes, sealed; archives of the unsealed
-#: format before it still load.
-ARCHIVE_FORMAT = "vtrkit-dataset/2"
+#: The format ``archive_lines`` writes: sealed, one product row (a JSON
+#: array) per line.  Archives of the two formats before it still load: sealed
+#: with one product record (a JSON object) per line, and unsealed.
+ARCHIVE_FORMAT = "vtrkit-dataset/3"
+RECORDS_FORMAT = "vtrkit-dataset/2"
 UNSEALED_FORMAT = "vtrkit-dataset/1"
 
 _FLOAT_MAX = sys.float_info.max
@@ -159,7 +161,8 @@ _PRODUCT_TYPES = {t.value: t for t in ProductType}
 _tuple_new = tuple.__new__
 
 #: a product's identity, and the order of a Dataset's products
-_product_key = attrgetter("discipline", "structure_id", "product_id")
+_KEY_FIELDS = ("discipline", "structure_id", "product_id")
+_product_key = attrgetter(*_KEY_FIELDS)
 _DUPLICATE_PRODUCT = "duplicate (discipline, structure_id, product_id) triple {}"
 
 
@@ -296,7 +299,7 @@ class Dataset:
 
     @classmethod
     def from_products(cls, products: Iterable[Product], provenance: Provenance) -> "Dataset":
-        return cls(products=tuple(sorted(products, key=_product_key)), provenance=provenance)
+        return cls(products=tuple(_key_sorted(list(products))), provenance=provenance)
 
     def __len__(self) -> int:
         return len(self.products)
@@ -321,6 +324,15 @@ class Dataset:
     def products_in(self, discipline: str) -> tuple[Product, ...]:
         """The discipline's products in key order; a discipline without any is an error."""
         return self.area(discipline).products
+
+
+def _key_sorted(products: list[Product]) -> list[Product]:
+    """``products``, sorted in place into key order: one stable sort per key
+    field, the least significant first, so that no key tuple is built per
+    product."""
+    for name in reversed(_KEY_FIELDS):
+        products.sort(key=attrgetter(name))
+    return products
 
 
 class RatingGroup:
@@ -475,22 +487,21 @@ def read_text_file(path: str, newline: str | None = None) -> str:
             raise PipelineError("bad_encoding", f"input is not UTF-8 text: {exc}") from None
 
 
-def parse_products(text: str, config: IngestConfig = IngestConfig()) -> tuple[Dataset | None, ValidationReport]:
-    """Parse the products file format into a Dataset.
-
-    Every accepted row becomes exactly one product; rejected rows are listed
-    in the report with a row number and rule id.  If any error is recorded no
-    dataset is produced.
-    """
-    report = ValidationReport()
-    # rows are read one at a time: only the accepted products are kept
+def _records_after_header(text: str) -> Iterator[tuple[int, list[str] | csv.Error]] | None:
+    """The records of ``_csv_records`` after the header, or None when the
+    header is not ``PRODUCTS_HEADER``."""
     rows = _csv_records(text)
     _, header = next(rows, (1, None))
-    if not isinstance(header, list) or tuple(header) != PRODUCTS_HEADER:
-        report.error(1, "bad_header", f"header must be exactly {','.join(PRODUCTS_HEADER)}")
-        return None, report
+    return rows if isinstance(header, list) and tuple(header) == PRODUCTS_HEADER else None
 
-    products: dict[tuple[str, str, str], Product] = {}
+
+def _accepted(
+    rows: Iterator[tuple[int, list[str] | csv.Error]], report: ValidationReport, seen: set | None = None
+) -> Iterator[Product]:
+    """The product of each accepted row, in file order.  A rejected row's
+    errors go to ``report``, as do an accepted row's warnings.  Given ``seen``,
+    the keys accepted so far, a row whose key is in it is a ``duplicate_product``
+    error instead."""
     for lineno, row in rows:
         if isinstance(row, csv.Error):
             report.error(lineno, "malformed_csv", f"malformed CSV: {row}")
@@ -566,10 +577,12 @@ def parse_products(text: str, config: IngestConfig = IngestConfig()) -> tuple[Da
             report.error(lineno, exc.rule, str(exc))
             continue
 
-        key = product.key  # holds the product's shared codes, so the row's copies are freed
-        if key in products:
-            report.error(lineno, "duplicate_product", _DUPLICATE_PRODUCT.format(key))
-            continue
+        if seen is not None:
+            key = product.key
+            if key in seen:
+                report.error(lineno, "duplicate_product", _DUPLICATE_PRODUCT.format(key))
+                continue
+            seen.add(key)
 
         if discipline not in KNOWN_DISCIPLINES:
             report.warn(lineno, "unknown_discipline", f"discipline code {discipline!r} is not a known area")
@@ -580,20 +593,43 @@ def parse_products(text: str, config: IngestConfig = IngestConfig()) -> tuple[Da
                 f"product {product_id!r} is TR-indexed but has no citation count; "
                 "it is excluded from citation means",
             )
-        products[key] = product
+        yield product
 
-    report.accepted_count = len(products)
-    if not report.ok:
+
+def parse_products(text: str, config: IngestConfig = IngestConfig()) -> tuple[Dataset | None, ValidationReport]:
+    """Parse the products file format into a Dataset.
+
+    Every accepted row becomes exactly one product; rejected rows are listed
+    in the report with a row number and rule id.  If any error is recorded no
+    dataset is produced.
+    """
+    report = ValidationReport()
+    # rows are read one at a time: only the accepted products are kept
+    rows = _records_after_header(text)
+    if rows is None:
+        report.error(1, "bad_header", f"header must be exactly {','.join(PRODUCTS_HEADER)}")
         return None, report
+
+    products = _key_sorted(list(_accepted(rows, report)))
 
     from datetime import datetime, timezone  # only ingestion stamps a time; no archive query imports it
 
     provenance = Provenance(
         source_name=config.source_name,
-        source_digest=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        source_digest=_sha256(text, len(text)),
         ingested_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
-    return Dataset.from_products(products.values(), provenance), report
+    try:
+        dataset = Dataset(products=tuple(products), provenance=provenance)
+    except PipelineError:
+        # rare: a key repeats.  Scan the file again in its order, keeping each
+        # key seen, so that every repeat is reported on its own line, among
+        # the other errors, and without the warnings of an accepted row.
+        report = ValidationReport()
+        products = list(_accepted(_records_after_header(text), report, seen=set()))
+        dataset = None
+    report.accepted_count = len(products)
+    return (dataset if report.ok else None), report
 
 
 def parse_products_file(path: str) -> tuple[Dataset | None, ValidationReport]:
@@ -684,30 +720,29 @@ def validate_dataset(dataset: Dataset, policy: SelectionPolicy | None = None) ->
     return report
 
 
-def _product_record(p: Product) -> str:
-    """The product's archive record: the JSON that ``json.dumps`` gives for its
-    fields with sorted keys, ``citations`` and ``journal_if`` left out when
-    absent.  It is written in one f-string, which is faster than building a
-    dict for ``json.dumps``: every value is an exact int, bool, finite float
-    or str (``Product`` checks), so ``repr`` and ``_quote`` give the same bytes."""
-    citations = "" if p.citations is None else f'"citations": {p.citations}, '
-    journal_if = "" if p.journal_if is None else f'"journal_if": {float(p.journal_if)!r}, '
+def _product_row(p: Product) -> str:
+    """The product's archive row: the JSON array that ``json.dumps`` gives for
+    its fields in ``PRODUCTS_HEADER`` order, with the product type and the peer
+    rating as their tokens and an absent value as ``null``.  It is written in
+    one f-string, which is faster than ``json.dumps``: every value is an exact
+    int, bool, finite float or str (``Product`` checks), so ``repr`` and
+    ``_quote`` give the same bytes."""
+    product_id, structure_id, discipline, year, ptype, rating, tr_indexed, citations, journal_if, n_au, n_in = p
     return (
-        f'{{{citations}"discipline": {_quote(p.discipline)}, {journal_if}"n_authors": {p.n_authors}, '
-        f'"n_internal_authors": {p.n_internal_authors}, "peer_rating": "{p.peer_rating.token}", '
-        f'"product_id": {_quote(p.product_id)}, "product_type": "{p.product_type.value}", '
-        f'"structure_id": {_quote(p.structure_id)}, "tr_indexed": {"true" if p.tr_indexed else "false"}, '
-        f'"year": {p.year}}}'
+        f"[{_quote(product_id)}, {_quote(structure_id)}, {_quote(discipline)}, {year}, "
+        f'"{ptype.value}", "{rating.token}", {"true" if tr_indexed else "false"}, '
+        f'{"null" if citations is None else citations}, {"null" if journal_if is None else repr(float(journal_if))}, '
+        f"{n_au}, {n_in}]"
     )
 
 
 def archive_lines(dataset: Dataset) -> Iterator[str]:
     """The canonical archive, line by line: a JSON document with the format
-    and provenance first, then one product record per line, keys sorted,
-    floats in their shortest round-trip form, so re-emitting a loaded archive
-    gives the same bytes.  A trailing seal indexes each area's records and
-    holds the sha256 of every byte before it.  A dataset without products has
-    nothing to index and is written unsealed, as ``UNSEALED_FORMAT``."""
+    and provenance first, then one product row per line, floats in their
+    shortest round-trip form, so re-emitting a loaded archive gives the same
+    bytes.  A trailing seal indexes each area's rows and holds the sha256 of
+    every byte before it.  A dataset without products has nothing to index
+    and is written unsealed, as ``UNSEALED_FORMAT``."""
     products = dataset.products
     head = (
         f'{{"format": "{ARCHIVE_FORMAT if products else UNSEALED_FORMAT}",\n'
@@ -719,17 +754,17 @@ def archive_lines(dataset: Dataset) -> Iterator[str]:
         return
     yield head
     digest = hashlib.sha256(head.encode("utf-8"))
-    starts: list[tuple[str, int]] = []  # each area, and where its first record starts in the products block
+    starts: list[tuple[str, int]] = []  # each area, and where its first row starts in the products block
     area, at, last = None, 0, len(products) - 1
     for i, p in enumerate(products):
-        line = _product_record(p) + (",\n" if i < last else "\n")
+        line = _product_row(p) + (",\n" if i < last else "\n")
         if p.discipline != area:
             area = p.discipline
             starts.append((area, at))
         at += len(line)
         digest.update(line.encode("utf-8"))
         yield line
-    # an area's records end where the next area's start, less the ",\n" between them
+    # an area's rows end where the next area's start, less the ",\n" between them
     ends = [start - 2 for _, start in starts[1:]] + [at - 1]
     areas = [[area, start, end] for (area, start), end in zip(starts, ends)]
     seal = f'],\n"seal": {{"areas": {json.dumps(areas)}, "sha256": "'
@@ -742,60 +777,27 @@ def write_archive(dataset: Dataset) -> str:
     return "".join(archive_lines(dataset))
 
 
-#: The keys of a product record; all but ``citations`` and ``journal_if``
-#: are always written.
-_RECORD_KEYS = frozenset(PRODUCTS_HEADER)
-_REQUIRED_RECORD_KEYS = len(_RECORD_KEYS) - 2
 _PROVENANCE_KEYS = frozenset(f.name for f in fields(Provenance))
-_FORMAT_KEYS = {
-    UNSEALED_FORMAT: frozenset(("format", "provenance", "products")),
-    ARCHIVE_FORMAT: frozenset(("format", "provenance", "products", "seal")),
-}
 
 # A sealed archive is read by its lines, so it must keep the writer's layout:
 # the format line, then the provenance and products-opening lines, and at the
 # end the line that closes the products and the seal line.
-_SEALED_HEAD = f'{{"format": "{ARCHIVE_FORMAT}",\n'
+_SEALED_HEADS = {fmt: f'{{"format": "{fmt}",\n' for fmt in (ARCHIVE_FORMAT, RECORDS_FORMAT)}
 _SEALED_HEAD_REST = re.compile(r'"provenance": (\{[^\n]*\}),\n"products": \[\n')
 _SEALED_TAIL = re.compile(r'\],\n"seal": \{"areas": (\[[^\n]*\]), "sha256": "([0-9a-f]{64})"\}\}\n')
-_LAYOUT_ERROR = f"a {ARCHIVE_FORMAT} archive must keep the canonical line layout of its writer"
-#: characters hashed at a time: checking a seal never copies the whole text,
-#: and a chunk this small is reused from the heap instead of raising peak memory
-_DIGEST_CHUNK = 1 << 16
+_LAYOUT_ERROR = f"a {ARCHIVE_FORMAT} or {RECORDS_FORMAT} archive must keep the canonical line layout of its writer"
+#: characters hashed, or rows decoded, at a time: checking a seal never copies
+#: the whole text, and a chunk this small is reused from the heap instead of
+#: raising peak memory
+_CHUNK = 1 << 13
 
 
-def _record_product(obj: dict):
-    """``load_archive``'s object hook: a JSON object with a ``product_id`` key
-    becomes its Product as soon as it is decoded, and fails on a key that is
-    not a product field; any other object is kept."""
-    if "product_id" not in obj:
-        return obj
-    # a missing key fails its lookup below, so any key beyond those read is unknown
-    if len(obj) > _REQUIRED_RECORD_KEYS + ("citations" in obj) + ("journal_if" in obj):
-        raise ValueError(f"unknown keys {sorted(obj.keys() - _RECORD_KEYS)}")
-    return Product(
-        obj["product_id"],
-        obj["structure_id"],
-        obj["discipline"],
-        obj["year"],
-        _PRODUCT_TYPES[obj["product_type"]],
-        _TOKEN_RATINGS[obj["peer_rating"]],
-        obj["tr_indexed"],
-        obj.get("citations"),
-        obj.get("journal_if"),
-        obj["n_authors"],
-        obj["n_internal_authors"],
-    )
-
-
-def _decode(text: str):
-    """``text`` as JSON, each product record built into its Product."""
+def _loads(text: str):
+    """``text`` as JSON; JSON that does not decode is ``bad_archive``."""
     try:
-        return json.loads(text, object_hook=_record_product)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
         raise PipelineError("bad_archive", f"archive is not valid JSON: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers InvalidProduct
-        raise PipelineError("bad_archive", f"invalid product record: {exc}") from None
 
 
 def _provenance(prov) -> Provenance:
@@ -806,63 +808,126 @@ def _provenance(prov) -> Provenance:
     return Provenance(**prov)
 
 
-def _unseal(text: str) -> tuple[str, int, str]:
-    """Check the layout and the seal of a sealed archive.  Returns the JSON
-    text of its provenance, the offset its products block starts at, and the
+def _sealed_format(text: str) -> str | None:
+    """The sealed format whose first line ``text`` starts with, if any."""
+    return next((fmt for fmt, head in _SEALED_HEADS.items() if text.startswith(head)), None)
+
+
+def _sha256(text: str, end: int, errors: str = "strict") -> str:
+    """The sha256 of ``text[:end]`` in UTF-8, with ``str.encode``'s ``errors``
+    handling.  The text is hashed a chunk at a time, so it is never copied whole."""
+    digest = hashlib.sha256()
+    for at in range(0, end, _CHUNK):
+        digest.update(text[at : min(at + _CHUNK, end)].encode("utf-8", errors))
+    return digest.hexdigest()
+
+
+def _unseal(text: str, fmt: str) -> tuple[str, int, int, str]:
+    r"""Check the layout and the seal of a sealed archive of format ``fmt``.
+    Returns the JSON text of its provenance, the offsets its products block
+    starts and ends at (the end is that of the block's last "\n"), and the
     JSON text of its area index."""
     last_line = text.rfind("\n", 0, len(text) - 1) + 1
-    head = _SEALED_HEAD_REST.match(text, len(_SEALED_HEAD))
+    head = _SEALED_HEAD_REST.match(text, len(_SEALED_HEADS[fmt]))
     tail = _SEALED_TAIL.fullmatch(text, max(last_line - len("],\n"), 0))
-    if not text.startswith(_SEALED_HEAD) or head is None or tail is None:
+    if not text.startswith(_SEALED_HEADS[fmt]) or head is None or tail is None:
         raise PipelineError("bad_archive", _LAYOUT_ERROR)
-    end = tail.start(2)
-    digest = hashlib.sha256()
-    for at in range(0, end, _DIGEST_CHUNK):
-        digest.update(text[at : min(at + _DIGEST_CHUNK, end)].encode("utf-8", "surrogatepass"))
-    if digest.hexdigest() != tail[2]:
+    if _sha256(text, tail.start(2), "surrogatepass") != tail[2]:
         raise PipelineError("bad_archive", "the archive's bytes do not match its seal")
-    return head[1], head.end(), tail[1]
+    return head[1], head.end(), tail.start(), tail[1]
+
+
+def _area_index(text: str, block: int, end: int, index: str) -> list[tuple[str, int, int]]:
+    r"""The (area, start, end) entries of a row archive's index, checked to
+    tile its products block ``text[block:end]`` exactly: the first area starts
+    at 0, each next one 2 characters after the previous one ends, where the
+    block holds ",\n", and the last ends at the block's final "\n"; the area
+    names strictly increase.  The seal is not a signature, so without this
+    check a re-sealed archive could leave rows out of every area unread."""
+    try:
+        areas = [(area, start, stop) for area, start, stop in json.loads(index)]
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise PipelineError("bad_archive", f"invalid area index: {exc}") from None
+    size, at, previous = end - block, 0, ""
+    for area, start, stop in areas:
+        if not (
+            type(area) is str
+            and area > previous
+            and type(start) is int
+            and start == at
+            and type(stop) is int
+            and start < stop < size
+            and text.startswith(",\n" if stop < size - 1 else "\n", block + stop)
+        ):
+            raise PipelineError(
+                "bad_archive", f"the area index does not tile the products block in area order, at {area!r}"
+            )
+        at, previous = stop + 2, area
+    if at != size + 1:
+        raise PipelineError("bad_archive", "the area index does not cover the whole products block")
+    return areas
+
+
+def _area_products(text: str, start: int, stop: int, area: str) -> list[Product]:
+    r"""The products of the rows ``text[start:stop]``, one area's: each row
+    must be a list of the ``PRODUCTS_HEADER`` values, with ``area`` as its
+    discipline.  The rows are decoded about ``_CHUNK`` characters at a time,
+    each chunk cut at a ",\n" between two rows, so the decoded rows held at
+    once stay few however large the area."""
+    products: list[Product] = []
+    while start < stop:
+        cut = text.find(",\n", min(start + _CHUNK, stop), stop)
+        cut = stop if cut < 0 else cut
+        try:
+            for row in _loads("[" + text[start:cut] + "]"):
+                if type(row) is not list or len(row) != len(PRODUCTS_HEADER):
+                    raise ValueError(f"a row must be a list of {len(PRODUCTS_HEADER)} values, got {row!r}")
+                pid, sid, discipline, year, ptype, rating, tr, cites, impact, n_au, n_in = row
+                if discipline != area:
+                    raise ValueError(f"a row under area {area!r} has the discipline {discipline!r}")
+                ptype, rating = _PRODUCT_TYPES[ptype], _TOKEN_RATINGS[rating]
+                products.append(Product(pid, sid, discipline, year, ptype, rating, tr, cites, impact, n_au, n_in))
+        except (KeyError, TypeError, ValueError) as exc:  # KeyError, TypeError: an unknown or unhashable token
+            raise PipelineError("bad_archive", f"invalid product row: {exc}") from None
+        start = cut + 2
+    return products
+
+
+def _load_rows(text: str, discipline: str | None = None) -> Dataset:
+    """The dataset of an ``ARCHIVE_FORMAT`` archive, or of ``discipline``'s
+    products alone.  The seal and the area index are checked whole first; then
+    each area's rows are decoded and built before the next area's are decoded."""
+    provenance_json, block, end, index = _unseal(text, ARCHIVE_FORMAT)
+    products: list[Product] = []
+    for area, start, stop in _area_index(text, block, end, index):
+        if discipline is None or area == discipline:
+            products += _area_products(text, block + start, block + stop, area)
+    provenance = _provenance(_loads(provenance_json))
+    try:
+        return Dataset(products=tuple(products), provenance=provenance)
+    except (PipelineError, ValueError) as exc:  # a row out of key order, or a repeated one
+        raise PipelineError("bad_archive", f"archive rows must be in strictly increasing key order: {exc}") from None
 
 
 def load_archive(text: str) -> Dataset:
-    """The dataset of an archive: every record is decoded and checked, and a
-    sealed archive's seal too."""
-    sealed = text.startswith(_SEALED_HEAD)
-    if sealed:
-        _unseal(text)
-    doc = _decode(text)
-    fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt == ARCHIVE_FORMAT and not sealed:
-        raise PipelineError("bad_archive", _LAYOUT_ERROR)
-    if fmt not in (ARCHIVE_FORMAT, UNSEALED_FORMAT):
-        raise PipelineError("bad_archive", f"expected archive format {ARCHIVE_FORMAT!r} or {UNSEALED_FORMAT!r}")
-    # every archive the writer has produced carries exactly these keys, so a
-    # missing key is as bad as an unknown one
-    if doc.keys() != _FORMAT_KEYS[fmt]:
-        raise PipelineError(
-            "bad_archive", f"{fmt} archive keys must be exactly {sorted(_FORMAT_KEYS[fmt])}, got {sorted(doc)}"
-        )
-    products = doc["products"]
-    if not isinstance(products, list) or not all(type(p) is Product for p in products):
-        raise PipelineError("bad_archive", "archive products must be a list of product records")
-    return Dataset.from_products(products, _provenance(doc["provenance"]))
+    """The dataset of an archive: every product is built and checked, and a
+    sealed archive's seal too.  An ``ARCHIVE_FORMAT`` archive is decoded one
+    area at a time; an archive of an earlier format goes through
+    ``records.load_records``, imported only then."""
+    if _sealed_format(text) == ARCHIVE_FORMAT:
+        return _load_rows(text)
+    from .records import load_records
+
+    return load_records(text)
 
 
 def load_archive_area(text: str, discipline: str) -> Dataset:
     """The dataset of ``discipline``'s products alone, for a command that reads
-    one area.  A sealed archive is checked whole through its seal, and then only
-    the area's records are decoded; an archive without one goes through
-    ``load_archive``.  Either way ``products_in(discipline)`` gives the area's
-    products, or the ``empty_discipline`` error when it has none."""
-    if not text.startswith(_SEALED_HEAD):
+    one area.  An ``ARCHIVE_FORMAT`` archive is checked whole through its seal
+    and its area index, and then only the area's rows are decoded; an archive
+    of an earlier format goes through ``load_archive``.  Either way
+    ``products_in(discipline)`` gives the area's products, or the
+    ``empty_discipline`` error when it has none."""
+    if _sealed_format(text) != ARCHIVE_FORMAT:
         return load_archive(text)
-    provenance, block, index = _unseal(text)
-    try:
-        # an area the index does not list has no records: an empty slice
-        start, end = next(((s, e) for area, s, e in json.loads(index) if area == discipline), (0, 0))
-        products = _decode("[" + text[block + start : block + end] + "]")
-    except (TypeError, ValueError) as exc:
-        raise PipelineError("bad_archive", f"invalid area index: {exc}") from None
-    if not all(type(p) is Product and p.discipline == discipline for p in products):
-        raise PipelineError("bad_archive", f"the area index does not hold the records of {discipline!r}")
-    return Dataset.from_products(products, _provenance(_decode(provenance)))
+    return _load_rows(text, discipline)

@@ -17,6 +17,8 @@ from vtrkit import cli
 from vtrkit.cli import main
 from vtrkit.model import load_archive, parse_products_file, serialize_products, write_archive
 
+from conftest import unsealed_doc
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: TR-indexed products without a citation count, ingested with warnings.
@@ -70,7 +72,7 @@ def archive(tmp_path):
 class TestIngest:
     def test_writes_canonical_archive(self, archive):
         doc = json.loads(archive.read_text())
-        assert doc["format"] == "vtrkit-dataset/2"
+        assert doc["format"] == "vtrkit-dataset/3"
         assert len(doc["products"]) == 25
 
     def test_validation_errors_exit_1(self, tmp_path, capsys):
@@ -148,7 +150,7 @@ class TestIngest:
 
 class TestFaults:
     def test_malformed_archive_exits_1_with_error_record(self, archive, capsys):
-        doc = json.loads(archive.read_text())
+        doc = unsealed_doc(archive.read_text())
         doc["products"][0]["citations"] = "9"
         archive.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["report", "--dataset", str(archive), "--all"]) == 1
@@ -168,6 +170,26 @@ class TestFaults:
         monkeypatch.setattr("vtrkit.cli.load_archive", broken)
         assert main(["profile", "--dataset", str(archive)]) == 1
         assert json.loads(capsys.readouterr().err) == {"error": "internal_error", "message": "RuntimeError: boom"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--discipline", "BIO"],
+            ["compare-ranks", "--discipline", "BIO", "--plot-data", "{out}"],
+            ["report", "--all"],
+        ],
+        ids=["rank", "compare-ranks", "report"],
+    )
+    def test_negative_min_products_is_bad_min_products(self, archive, tmp_path, capsys, argv):
+        """A negative threshold used to be read as 0: the command exited 0."""
+        out = tmp_path / "out"
+        argv = [arg.format(out=out) for arg in argv]
+        assert main([*argv, "--dataset", str(archive), "--min-products", "-5", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "bad_min_products",
+            "message": "--min-products must be >= 0, got -5",
+        }
+        assert not out.exists()
 
     @pytest.mark.parametrize("damaged", ["dataset", "staff", "config"])
     def test_every_input_file_not_utf8_is_bad_encoding(self, archive, tmp_path, capsys, damaged):

@@ -69,6 +69,22 @@ def test_command_imports_only_what_it_runs(command, tmp_path):
     assert not loaded & excluded, sorted(loaded & excluded)
 
 
+@pytest.mark.parametrize("command", ["report", "concordance"])
+def test_a_current_archive_loads_without_the_record_decoder(command, tmp_path):
+    """Only an archive of an earlier format imports ``records``; the golden
+    fixture is one, and the archive ingest writes from it is not."""
+    products, archive = tmp_path / "products.csv", tmp_path / "dataset.json"
+    products.write_text(serialize_products(load_archive(read_text_file(str(GOLDEN)))), encoding="utf-8")
+    run_child(COMMAND_PROBE, "ingest", "--products", str(products), "--out", str(archive))
+    flags = ["--all"] if command == "report" else ["--discipline", "BIO"]
+    loaded = {}
+    for name, path in (("current", archive), ("golden", GOLDEN)):
+        child = run_child(COMMAND_PROBE, command, "--dataset", str(path), *flags, "--out", str(tmp_path / "out"))
+        assert child["code"] == 0
+        loaded[name] = "vtrkit.records" in child["modules"]
+    assert loaded == {"current": False, "golden": True}
+
+
 #: What ``vtrkit`` exported when it imported every module eagerly, by the
 #: module that defines each name.
 EXPORTED = {

@@ -35,9 +35,9 @@ from vtrkit.model import (
     validate_dataset,
     write_archive,
 )
-from vtrkit.synth import SynthConfig, generate_exercise
+from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise
 
-from conftest import unsealed_doc
+from conftest import archive_rows, records_archive, reseal, unsealed_doc
 
 HEADER = "product_id,structure_id,discipline,year,product_type,peer_rating,tr_indexed,citations,journal_if,n_authors,n_internal_authors"
 
@@ -111,6 +111,28 @@ class TestParseProducts:
         assert [(i.row, i.rule) for i in report.errors] == [(3, "duplicate_product")]
         # the fields are named in the order the key prints them
         assert report.errors[0].message == "duplicate (discipline, structure_id, product_id) triple ('BIO', 'S1', 'P1')"
+
+    def test_duplicates_among_other_issues_keep_their_lines_and_order(self):
+        """A repeated key is found after the sort; the errors and warnings are
+        still those of a scan in file order: each repeat on its own line,
+        among the other errors, and without the warnings of an accepted row."""
+        dataset, report = parse_products(
+            make_csv(
+                "P1,S1,NANO,2002,journal_article,E,false,,,2,1",
+                "P2,S1,BIO,2002,journal_article,Z,false,,,2,1",
+                "P1,S1,NANO,2003,book,G,false,,,2,1",
+                "P3,S1,BIO,2002,journal_article,E,true,,1.5,2,1",
+                "P1,S1,NANO,2004,journal_article,E,true,,,2,1",
+                "P0,S1,BIO,2002,journal_article,E,false,,,2,1",
+            )
+        )
+        assert dataset is None and report.accepted_count == 3
+        assert [(i.row, i.rule) for i in report.errors] == [
+            (3, "unknown_rating"),
+            (4, "duplicate_product"),
+            (6, "duplicate_product"),
+        ]
+        assert [(i.row, i.rule) for i in report.warnings] == [(2, "unknown_discipline"), (5, "tr_missing_citations")]
 
     def test_multi_affiliation_allowed(self):
         dataset, report = parse_products(
@@ -568,7 +590,7 @@ class TestArchive:
 
     def test_archive_fixed_decimal_formatting(self, four_product_dataset):
         text = write_archive(four_product_dataset)
-        assert '"journal_if": 2.0,' in text
+        assert '"E", true, 4, 2.0, 2, 1]' in text  # journal_if 2.0, between citations and the author counts
         assert "2.000000" not in text
 
     def test_archive_keeps_full_float_precision(self):
@@ -732,6 +754,63 @@ RELAYOUTS = {
 }
 
 
+#: ways to damage one product row, each leaving it valid JSON
+ROW_DAMAGE = {
+    "short_row": lambda row: row[:-1],
+    "long_row": lambda row: [*row, 1],
+    "dict_row": lambda row: dict(zip(PRODUCTS_HEADER, row)),
+    "string_row": lambda row: row[0],
+    "unknown_rating_token": lambda row: [*row[:5], "Q", *row[6:]],
+    "unknown_type_token": lambda row: [*row[:4], "thesis", *row[5:]],
+    "null_required_field": lambda row: [*row[:3], None, *row[4:]],
+}
+
+_NOT_TILED = "the area index does not tile the products block"
+
+
+def _resealed_rows(order: list[int], areas: list[str]):
+    """The archive with its rows in ``order``, each under the area at the same position of ``areas``."""
+    return lambda text: reseal(text, [archive_rows(text)[i] for i in order], areas)
+
+
+def _shifted_second_start(by: int):
+    """The archive with its second area's start moved by ``by`` characters."""
+    return lambda text: reseal(text, tamper=lambda ix: [ix[0], [ix[1][0], ix[1][1] + by, ix[1][2]], *ix[2:]])
+
+
+def _separator_off_the_row_ends(text: str) -> str:
+    """The archive with a blank after BIO's last row and the index cut one
+    character early, so BIO ends at the blank and CHE starts at a line end:
+    each area's rows still decode, but the two characters between them are
+    " ,", not ",\\n"."""
+    rows = archive_rows(text)
+    rows[1] += " "
+    return reseal(text, rows, tamper=lambda ix: [[*ix[0][:2], ix[0][2] - 1], [ix[1][0], ix[1][1] - 1, ix[1][2]], ix[2]])
+
+
+#: ways to damage the area index of a sealed archive of THREE_AREA_CSV, re-sealed,
+#: and the message each gives
+INDEX_TAMPERS = {
+    "gap": (_shifted_second_start(1), _NOT_TILED),
+    "overlap": (_shifted_second_start(-2), _NOT_TILED),
+    "dropped_area": (lambda text: reseal(text, tamper=lambda ix: [ix[0], ix[2]]), _NOT_TILED),
+    "separator_off_the_row_ends": (_separator_off_the_row_ends, _NOT_TILED),
+    "dropped_last_area": (
+        lambda text: reseal(text, tamper=lambda ix: ix[:2]),
+        "the area index does not cover the whole products block",
+    ),
+    "areas_out_of_order": (_resealed_rows([3, 4, 2, 0, 1], ["MED", "MED", "CHE", "BIO", "BIO"]), _NOT_TILED),
+    "row_under_wrong_area": (
+        _resealed_rows([0, 1, 2, 3, 4], ["BIO", "BIO", "MED", "MED", "MED"]),
+        "invalid product row: ",
+    ),
+    "rows_out_of_key_order": (
+        _resealed_rows([0, 1, 2, 4, 3], ["BIO", "BIO", "CHE", "MED", "MED"]),
+        "archive rows must be in strictly increasing key order",
+    ),
+}
+
+
 class TestSealedArchive:
     @pytest.fixture()
     def sealed(self) -> str:
@@ -739,12 +818,12 @@ class TestSealedArchive:
 
     def test_writer_seals_and_indexes_each_area(self, sealed):
         doc = json.loads(sealed)
-        assert doc["format"] == "vtrkit-dataset/2" and list(doc)[-1] == "seal"
+        assert doc["format"] == "vtrkit-dataset/3" and list(doc)[-1] == "seal"
         assert [area for area, _, _ in doc["seal"]["areas"]] == ["BIO", "CHE", "MED"]
         block = sealed[sealed.index('"products": [\n') + len('"products": [\n') :]
         for area, start, end in doc["seal"]["areas"]:
-            records = json.loads("[" + block[start:end] + "]")
-            assert {record["discipline"] for record in records} == {area}
+            rows = json.loads("[" + block[start:end] + "]")
+            assert {row[PRODUCTS_HEADER.index("discipline")] for row in rows} == {area}
         assert sum(len(json.loads("[" + block[s:e] + "]")) for _, s, e in doc["seal"]["areas"]) == 5
 
     def test_write_load_write_gives_same_bytes(self, sealed):
@@ -754,12 +833,13 @@ class TestSealedArchive:
     def test_area_load_decodes_only_its_records(self, sealed, area, monkeypatch):
         import vtrkit.model as model
 
-        built = []
-        hook = model._record_product
-        monkeypatch.setattr(model, "_record_product", lambda obj: built.append(hook(obj)) or built[-1])
+        expected = load_archive(sealed).products_in(area)
+        decoded = []
+        decode = model._area_products
+        monkeypatch.setattr(model, "_area_products", lambda *args: decoded.append(args[-1]) or decode(*args))
         dataset = load_archive_area(sealed, area)
-        assert [obj for obj in built if type(obj) is Product] == list(dataset.products)
-        assert dataset.products == load_archive(sealed).products_in(area)
+        assert decoded == [area]
+        assert dataset.products == expected
 
     def test_absent_area_is_empty_discipline(self, sealed):
         with pytest.raises(PipelineError) as err:
@@ -785,10 +865,59 @@ class TestSealedArchive:
 
     @pytest.mark.parametrize("load", [load_archive, lambda text: load_archive_area(text, "CHE")], ids=["full", "area"])
     def test_changed_record_byte_in_another_area_is_bad_archive(self, sealed, load):
-        damaged = sealed.replace('"product_id": "P5"', '"product_id": "P6"')
+        damaged = sealed.replace('"P5"', '"P6"')
         assert damaged != sealed
         with pytest.raises(PipelineError) as err:
             load(damaged)
+        assert (err.value.code, str(err.value)) == ("bad_archive", "the archive's bytes do not match its seal")
+
+    def test_area_larger_than_a_decode_chunk_loads_whole(self):
+        import vtrkit.model as model
+
+        dataset = generate_exercise(SynthConfig(seed=42, disciplines=(DisciplineSpec("BIO", 60, 30, 40),)))
+        text = write_archive(dataset)
+        areas = json.loads(text)["seal"]["areas"]
+        assert max(end - start for _, start, end in areas) > 2 * model._CHUNK
+        assert load_archive(text) == dataset
+        for area in dataset.disciplines:
+            assert load_archive_area(text, area).products == dataset.products_in(area)
+
+    def test_resealing_an_undamaged_archive_gives_its_bytes(self, sealed):
+        assert reseal(sealed) == sealed
+
+    @pytest.mark.parametrize("damage", ROW_DAMAGE.values(), ids=ROW_DAMAGE.keys())
+    @pytest.mark.parametrize("load", [load_archive, lambda text: load_archive_area(text, "MED")], ids=["full", "area"])
+    def test_damaged_row_is_bad_archive(self, sealed, damage, load):
+        rows = archive_rows(sealed)
+        rows[3] = json.dumps(damage(json.loads(rows[3])))  # P4, a MED row
+        with pytest.raises(PipelineError) as err:
+            load(reseal(sealed, rows))
+        assert err.value.code == "bad_archive"
+        assert str(err.value).startswith("invalid product row: ")
+
+    @pytest.mark.parametrize(("tamper", "message"), INDEX_TAMPERS.values(), ids=INDEX_TAMPERS.keys())
+    @pytest.mark.parametrize("load", [load_archive, lambda text: load_archive_area(text, "MED")], ids=["full", "area"])
+    def test_tampered_area_index_is_bad_archive(self, sealed, tamper, message, load):
+        with pytest.raises(PipelineError) as err:
+            load(tamper(sealed))
+        assert err.value.code == "bad_archive"
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("area", ["BIO", "CHE", "MED", "PHY"])
+    def test_records_archive_loads_whole_as_before(self, sealed, area, monkeypatch):
+        """A vtrkit-dataset/2 archive, one record per line, still loads, and a
+        command on one area decodes it whole through its records."""
+        import vtrkit.model as model
+
+        dataset = parse_products(THREE_AREA_CSV)[0]
+        records = records_archive(dataset)
+        assert json.loads(records)["format"] == "vtrkit-dataset/2"
+        assert load_archive(records) == load_archive(sealed) == dataset
+        monkeypatch.setattr(model, "_area_products", None)  # the row decoder is not called
+        assert load_archive_area(records, area).products == dataset.products
+        damaged = records.replace('"P5"', '"P6"')
+        with pytest.raises(PipelineError) as err:
+            load_archive_area(damaged, area)
         assert (err.value.code, str(err.value)) == ("bad_archive", "the archive's bytes do not match its seal")
 
 
