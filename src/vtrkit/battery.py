@@ -9,8 +9,6 @@ neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .concordance import (
     AdjacentPairResult,
     ChiSquareResult,
@@ -21,19 +19,21 @@ from .concordance import (
 )
 from .model import Area, PipelineError
 from .tables import CHI_SQUARE, CONTINGENCY, PROBABILITIES, PRODUCT_SPEARMAN, as_json, contingency_rows, json_text
-from .tables import fmt, fmt_p, render
+from .tables import Assembly, fmt, fmt_p, render
 
 VARIABLE_LABELS = {"citations": "article citations", "journal_if": "journal impact factor"}
 
 
-@dataclass
-class VariableBattery:
-    variable: str
-    contingency: ContingencyTable | None = None
-    chi_square: ChiSquareResult | None = None
-    product_spearman: CorrelationResult | None = None
-    probabilities: list[AdjacentPairResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+class VariableBattery(Assembly):
+    """One area's battery on one variable: each statistic, or None and a note."""
+
+    def __init__(self, variable: str):
+        self.variable = variable
+        self.contingency: ContingencyTable | None = None
+        self.chi_square: ChiSquareResult | None = None
+        self.product_spearman: CorrelationResult | None = None
+        self.probabilities: list[AdjacentPairResult] = []
+        self.notes: list[str] = []
 
 
 def noted(call, *args):

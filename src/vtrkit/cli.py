@@ -71,7 +71,7 @@ def _min_products(args) -> int:
 
 def _report_to_stderr(report: ValidationReport) -> None:
     if report.errors or report.warnings:
-        sys.stderr.write(json.dumps(report.as_dict(), sort_keys=True) + "\n")
+        sys.stderr.writelines(report.json_parts())
 
 
 def _render_validation(report: ValidationReport, fmt: str) -> str:
@@ -180,14 +180,10 @@ def cmd_probability(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    import dataclasses
     from .synth import SynthConfig, generate_exercise, load_synth_config
-    if args.config:
-        config = load_synth_config(read_text_file(args.config))
-    else:
-        config = SynthConfig()
+    config = load_synth_config(read_text_file(args.config)) if args.config else SynthConfig()
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        config = SynthConfig(**{**vars(config), "seed": args.seed})  # the constructor checks it again
     dataset = generate_exercise(config)
     _write_out(serialize_products(dataset), args.out)
     return 0

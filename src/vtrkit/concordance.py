@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, pairwise, repeat
 from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import Area, PeerRating, PipelineError, Product, RATING_ORDER
 from .numerics import average_ranks, chi_square_upper_tail, student_t_two_sided
@@ -45,8 +44,7 @@ __all__ = [
 VARIABLES = ("citations", "journal_if")
 
 
-@dataclass(frozen=True)
-class QuartileBins:
+class QuartileBins(NamedTuple):
     """Quartile cutpoints of a sample; degenerate when cutpoints coincide
     (heavy ties)."""
 
@@ -85,8 +83,7 @@ def assign_quartile(value: float, bins: QuartileBins) -> int:
     return bisect_left(bins.cutpoints, value) + 1
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
+class ContingencyTable(NamedTuple):
     """Cross-tabulation of peer rating (rows E, G, A, L) against bibliometric
     quartile (columns 1-4)."""
 
@@ -131,8 +128,7 @@ def contingency_table(products: Sequence[Product], variable: str) -> Contingency
     return RatingSample(Area(tuple(products)), variable).contingency()
 
 
-@dataclass(frozen=True)
-class ChiSquareResult:
+class ChiSquareResult(NamedTuple):
     statistic: float
     df: int
     p_value: float
@@ -175,8 +171,7 @@ def chi_square_independence(counts: Sequence[Sequence[int]]) -> ChiSquareResult:
     )
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     coefficient: float
     p_value: float
     n: int
@@ -236,8 +231,7 @@ def peer_bibliometric_spearman(
     return RatingSample(Area(tuple(products)), variable).spearman(coding)
 
 
-@dataclass(frozen=True)
-class ProbabilityTriple:
+class ProbabilityTriple(NamedTuple):
     """P(x > y), P(x < y), P(x = y) over all ordered pairs of two value
     multisets, kept as exact rationals so the three parts always sum to 1."""
 
@@ -273,8 +267,7 @@ def pairwise_probabilities(
     )
 
 
-@dataclass(frozen=True)
-class AdjacentPairResult:
+class AdjacentPairResult(NamedTuple):
     higher: PeerRating
     lower: PeerRating
     triple: ProbabilityTriple | None

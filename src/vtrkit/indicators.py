@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import Area, Dataset, PeerRating, Product, RatingGroup
 
@@ -40,8 +39,7 @@ def ownership_degree(product: Product) -> float:
     return product.n_internal_authors / product.n_authors
 
 
-@dataclass(frozen=True)
-class GroupStats:
+class GroupStats(NamedTuple):
     """The aggregates every per-area table reports for one product group.
 
     Peer means use the committee weights (``PeerRating.weight``).  Citation
@@ -101,8 +99,7 @@ def _pooled_stats(area: Area, *groups: RatingGroup) -> GroupStats:
     )
 
 
-@dataclass(frozen=True)
-class DisciplineProfile:
+class DisciplineProfile(NamedTuple):
     """Discipline-wide aggregate row.
 
     ``mean_citations``, ``mean_if`` and ``cites_over_if`` are computed over
@@ -150,8 +147,7 @@ def discipline_profile(dataset: Dataset, discipline: str) -> DisciplineProfile:
     )
 
 
-@dataclass(frozen=True)
-class RatingBreakdown:
+class RatingBreakdown(NamedTuple):
     """Aggregates for the subset of a discipline's products with one rating.
 
     Ratio fields divide the per-rating statistic by the discipline-wide

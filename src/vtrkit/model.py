@@ -17,12 +17,11 @@ import json
 import re
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "PRODUCTS_HEADER",
@@ -164,6 +163,7 @@ _tuple_new = tuple.__new__
 _KEY_FIELDS = ("discipline", "structure_id", "product_id")
 _product_key = attrgetter(*_KEY_FIELDS)
 _DUPLICATE_PRODUCT = "duplicate (discipline, structure_id, product_id) triple {}"
+_KEY_ORDER = "products must be in key order; build the dataset with Dataset.from_products"
 
 
 class Product(namedtuple("Product", PRODUCTS_HEADER)):
@@ -268,14 +268,12 @@ class Product(namedtuple("Product", PRODUCTS_HEADER)):
     key = property(_product_key)
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     source_name: str
     source_digest: str
     ingested_at: str
 
 
-@dataclass(frozen=True)
 class Dataset:
     """Immutable, canonically ordered collection of products.
 
@@ -284,18 +282,31 @@ class Dataset:
     Keys must strictly increase; an equal pair is a duplicate product.
     """
 
-    products: tuple[Product, ...]
-    provenance: Provenance
+    def __init__(self, products: tuple[Product, ...], provenance: Provenance):
+        # neighbours compared field by field, by index: a Product is (product_id, structure_id, discipline, ...)
+        it = iter(products)
+        prev = next(it, None)
+        for p in it:
+            if prev[2] == p[2] and prev[1] == p[1]:  # one structure's products
+                if prev[0] >= p[0]:
+                    if prev[0] == p[0]:
+                        raise PipelineError("duplicate_product", _DUPLICATE_PRODUCT.format(p.key))
+                    raise ValueError(_KEY_ORDER)
+            elif (prev[2], prev[1]) > (p[2], p[1]):
+                raise ValueError(_KEY_ORDER)
+            prev = p
+        self.__dict__.update(products=products, provenance=provenance)  # past __setattr__, which refuses all
 
-    def __post_init__(self) -> None:
-        keys = map(_product_key, self.products)
-        prev = next(keys, None)
-        for key in keys:
-            if prev == key:
-                raise PipelineError("duplicate_product", _DUPLICATE_PRODUCT.format(key))
-            if prev > key:
-                raise ValueError("products must be in key order; build the dataset with Dataset.from_products")
-            prev = key
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"a Dataset is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and (self.products, self.provenance) == (other.products, other.provenance)
+
+    def __hash__(self) -> int:
+        return hash((self.products, self.provenance))
 
     @classmethod
     def from_products(cls, products: Iterable[Product], provenance: Provenance) -> "Dataset":
@@ -379,18 +390,17 @@ class Area:
         return self._parts[build]
 
 
-@dataclass(frozen=True)
-class Issue:
+class Issue(NamedTuple):
     row: int
     rule: str
     message: str
 
 
-@dataclass
 class ValidationReport:
-    errors: list[Issue] = field(default_factory=list)
-    warnings: list[Issue] = field(default_factory=list)
-    accepted_count: int = 0
+    def __init__(self, accepted_count: int = 0):
+        self.errors: list[Issue] = []
+        self.warnings: list[Issue] = []
+        self.accepted_count = accepted_count
 
     @property
     def ok(self) -> bool:
@@ -405,24 +415,32 @@ class ValidationReport:
     def as_dict(self) -> dict:
         return {
             "accepted_count": self.accepted_count,
-            "errors": [vars(i) for i in self.errors],
-            "warnings": [vars(i) for i in self.warnings],
+            "errors": [i._asdict() for i in self.errors],
+            "warnings": [i._asdict() for i in self.warnings],
         }
 
+    json_shape = as_dict
 
-@dataclass(frozen=True)
-class IngestConfig:
+    def json_parts(self) -> Iterator[str]:
+        """``json.dumps(self.as_dict(), sort_keys=True)`` and a newline, in parts: an f-string per issue
+        (int row, str rule and message), as ``_product_row`` writes a product: faster, and no dict per issue."""
+        yield f'{{"accepted_count": {self.accepted_count}, "errors": ['
+        for issues, end in ((self.errors, '], "warnings": ['), (self.warnings, "]}\n")):
+            texts = (f'{{"message": {_quote(msg)}, "row": {row}, "rule": {_quote(rule)}}}' for row, rule, msg in issues)
+            yield ", ".join(texts)
+            yield end
+
+
+class IngestConfig(NamedTuple):
     source_name: str = "<stream>"
 
 
-@dataclass(frozen=True)
-class StaffRecord:
+class StaffRecord(NamedTuple):
     structure_id: str
     kind: str  # "university" | "agency"
     avg_staff: float
 
 
-@dataclass(frozen=True)
 class SelectionPolicy:
     """Submission-cap policy: products may not exceed ``cap_fraction`` of the
     structure's full-time-equivalent researchers.
@@ -432,12 +450,10 @@ class SelectionPolicy:
     of agency staff.
     """
 
-    staff: Mapping[str, StaffRecord] | None = None
-    cap_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.cap_fraction <= _FLOAT_MAX:  # false for NaN too
-            raise PipelineError("bad_cap", f"cap must be a finite number >= 0, got {self.cap_fraction!r}")
+    def __init__(self, staff: Mapping[str, StaffRecord] | None = None, cap_fraction: float = 0.5):
+        if not 0 <= cap_fraction <= _FLOAT_MAX:  # false for NaN too
+            raise PipelineError("bad_cap", f"cap must be a finite number >= 0, got {cap_fraction!r}")
+        self.staff, self.cap_fraction = staff, cap_fraction
 
     def cap_for(self, record: StaffRecord) -> float:
         fte = 0.5 if record.kind == "university" else 1.0
@@ -746,7 +762,7 @@ def archive_lines(dataset: Dataset) -> Iterator[str]:
     products = dataset.products
     head = (
         f'{{"format": "{ARCHIVE_FORMAT if products else UNSEALED_FORMAT}",\n'
-        f'"provenance": {json.dumps(vars(dataset.provenance), sort_keys=True)},\n'
+        f'"provenance": {json.dumps(dataset.provenance._asdict(), sort_keys=True)},\n'
         '"products": [\n'
     )
     if not products:
@@ -777,7 +793,7 @@ def write_archive(dataset: Dataset) -> str:
     return "".join(archive_lines(dataset))
 
 
-_PROVENANCE_KEYS = frozenset(f.name for f in fields(Provenance))
+_PROVENANCE_KEYS = frozenset(Provenance._fields)
 
 # A sealed archive is read by its lines, so it must keep the writer's layout:
 # the format line, then the provenance and products-opening lines, and at the

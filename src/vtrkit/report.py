@@ -10,8 +10,7 @@ the battery entry points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .battery import VariableBattery, battery_md, build_battery, noted, render_battery
 from .concordance import VARIABLES, CorrelationResult, spearman
@@ -19,7 +18,7 @@ from .indicators import DisciplineProfile, RatingBreakdown, discipline_profile, 
 from .model import Dataset, validate_dataset
 from .scoring import RankComparison, Ranking, compile_ranking, rank_comparison, structure_ratings
 from .tables import BREAKDOWN, CHI_SQUARE, CONTINGENCY, PROBABILITIES, PROFILE, RANKING, STRUCTURE_CORRELATIONS, Table
-from .tables import as_json, comparison_md, contingency_rows, csv_text, json_text, ranking_md, render
+from .tables import Assembly, as_json, comparison_md, contingency_rows, csv_text, json_text, ranking_md, render
 # the rest of the table layer, re-exported for callers that take it from here
 from .tables import COMPARISON, ISSUES, fmt, fmt_p, fmt_pct, md_table, plot_data_text, round_half_up  # noqa: F401
 
@@ -43,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StructureCorrelation:
+class StructureCorrelation(NamedTuple):
     """Structure-level Spearman for one pair of ratings, or why it is absent."""
 
     pair: str
@@ -52,24 +50,24 @@ class StructureCorrelation:
     note: str | None
 
 
-@dataclass
-class DisciplineSection:
-    profile: DisciplineProfile
-    breakdown: list[RatingBreakdown]
-    batteries: list[VariableBattery]
-    ranking: Ranking | None
-    ranking_note: str | None
-    structure_correlations: list[StructureCorrelation]
-    comparison: RankComparison | None
-    comparison_note: str | None
+class DisciplineSection(Assembly):
+    def __init__(
+        self, profile: DisciplineProfile, breakdown: list[RatingBreakdown], batteries: list[VariableBattery],
+        ranking: Ranking | None, ranking_note: str | None, structure_correlations: list[StructureCorrelation],
+        comparison: RankComparison | None, comparison_note: str | None,
+    ):
+        self.profile, self.breakdown, self.batteries = profile, breakdown, batteries
+        self.ranking, self.ranking_note, self.structure_correlations = ranking, ranking_note, structure_correlations
+        self.comparison, self.comparison_note = comparison, comparison_note
 
 
-@dataclass
-class ReportBundle:
-    source_name: str
-    source_digest: str
-    validation_notes: list[str]
-    disciplines: dict[str, DisciplineSection]
+class ReportBundle(Assembly):
+    def __init__(
+        self, source_name: str, source_digest: str, validation_notes: list[str],
+        disciplines: dict[str, DisciplineSection],
+    ):
+        self.source_name, self.source_digest = source_name, source_digest
+        self.validation_notes, self.disciplines = validation_notes, disciplines
 
 
 def _structure_correlations(ratings, min_products: int) -> list[StructureCorrelation]:
@@ -121,16 +119,13 @@ def build_report(
     chosen = list(disciplines) if disciplines else list(dataset.disciplines)
     validation = validate_dataset(dataset)
     notes = [f"{i.rule}: {i.message}" for i in validation.errors + validation.warnings]
-    sections = {
-        d: build_section(dataset, d, min_products, coding) for d in sorted(chosen)
-    }
+    sections = {d: build_section(dataset, d, min_products, coding) for d in sorted(chosen)}
     return ReportBundle(
         source_name=dataset.provenance.source_name,
         source_digest=dataset.provenance.source_digest,
         validation_notes=notes,
         disciplines=sections,
     )
-
 
 
 def render_report_md(bundle: ReportBundle) -> str:

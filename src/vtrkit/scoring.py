@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import enum
 import statistics
-from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .indicators import group_stats
 from .model import Dataset, PipelineError
@@ -48,8 +47,7 @@ def size_class(n_products: int) -> SizeClass:
     return SizeClass.SMALL
 
 
-@dataclass(frozen=True)
-class StructureRating:
+class StructureRating(NamedTuple):
     """Per-structure averages within one discipline."""
 
     structure_id: str
@@ -93,8 +91,7 @@ def structure_ratings(dataset: Dataset, discipline: str) -> list[StructureRating
     return ratings
 
 
-@dataclass(frozen=True)
-class RankEntry:
+class RankEntry(NamedTuple):
     structure_id: str
     score: float
     display_rank: int
@@ -103,8 +100,7 @@ class RankEntry:
     size_class: SizeClass
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(NamedTuple):
     discipline: str
     metric: str
     min_products: int
@@ -164,16 +160,14 @@ def compile_ranking(
     )
 
 
-@dataclass(frozen=True)
-class ComparisonEntry:
+class ComparisonEntry(NamedTuple):
     structure_id: str
     rank_a: float
     rank_b: float
     delta: float  # rank_a - rank_b
 
 
-@dataclass(frozen=True)
-class RankComparison:
+class RankComparison(NamedTuple):
     metric_a: str
     metric_b: str
     entries: tuple[ComparisonEntry, ...]

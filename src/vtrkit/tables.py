@@ -4,7 +4,7 @@ Each table is declared once, as a ``Table`` of ``Column``s: a header and a
 cell function per column, with a separate CSV column list only where the flat
 CSV layout differs from the markdown one (bracketed ratios, percentages).
 ``render`` turns a table and its items into markdown or CSV.  JSON needs no
-table: ``as_json`` converts the result dataclasses field by field, or through
+table: ``as_json`` converts the result records field by field, or through
 their own ``json_shape`` method where they have one.
 
 Markdown and CSV cells use fixed precision: two decimals for table values,
@@ -22,12 +22,11 @@ import csv
 import enum
 import io
 import json
-from dataclasses import is_dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
 
-from .model import PeerRating, RATING_ORDER
+from .model import PeerRating, Product, RATING_ORDER
 
 if TYPE_CHECKING:
     from .concordance import AdjacentPairResult, ContingencyTable
@@ -268,18 +267,28 @@ STRUCTURE_CORRELATIONS = Table(
 )
 
 
+class Assembly:
+    """A mutable result: ``as_json`` gives its attributes as a JSON object, as it gives a record's fields."""
+
+    def _asdict(self) -> dict:
+        return dict(vars(self))
+
+
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def as_json(value):
-    """JSON-ready form of a result: dataclasses become their ``json_shape()``
-    if they define one, else dicts of their fields; peer ratings become their
-    tokens, other enums their values, tuples lists."""
+    """JSON-ready form of a result: a record (a ``NamedTuple`` or an
+    ``Assembly``), tested before tuples, becomes its ``json_shape()`` or a
+    dict of its fields; peer ratings become their tokens, other enums their
+    values, and tuples, a ``Product`` among them, lists."""
     if type(value) in _JSON_SCALARS:
         return value
-    if is_dataclass(value):
-        shape = getattr(value, "json_shape", None)
-        return shape() if shape is not None else {k: as_json(v) for k, v in vars(value).items()}
+    shape = getattr(value, "json_shape", None)
+    if shape is not None:
+        return shape()
+    if hasattr(value, "_asdict") and not isinstance(value, Product):
+        return {k: as_json(v) for k, v in value._asdict().items()}
     if isinstance(value, (list, tuple)):
         return [as_json(v) for v in value]
     if isinstance(value, dict):

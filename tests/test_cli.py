@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import json
 import os
@@ -15,7 +14,7 @@ import pytest
 
 from vtrkit import cli
 from vtrkit.cli import main
-from vtrkit.model import load_archive, parse_products_file, serialize_products, write_archive
+from vtrkit.model import Dataset, load_archive, parse_products_file, serialize_products, write_archive
 
 from conftest import unsealed_doc
 
@@ -110,10 +109,8 @@ class TestIngest:
         dataset, _ = parse_products_file(str(products))
         loaded = load_archive(streamed.decode("utf-8"))
         # only the ingest timestamp may differ between the two parses
-        assert dataclasses.replace(loaded.provenance, ingested_at="") == dataclasses.replace(
-            dataset.provenance, ingested_at=""
-        )
-        expected = write_archive(dataclasses.replace(dataset, provenance=loaded.provenance))
+        assert loaded.provenance._replace(ingested_at="") == dataset.provenance._replace(ingested_at="")
+        expected = write_archive(Dataset(dataset.products, loaded.provenance))
         assert streamed == expected.encode("utf-8")
 
     def test_ingest_peak_memory_is_bounded(self, tmp_path):

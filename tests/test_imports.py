@@ -32,7 +32,7 @@ COMMAND_PROBE = """
 import json, sys
 from vtrkit.cli import main
 code = main(sys.argv[1:])
-modules = sorted(m for m in sys.modules if m.startswith("vtrkit.") or m == "datetime")
+modules = sorted(m for m in sys.modules if m.startswith("vtrkit.") or m in ("datetime", "dataclasses", "inspect"))
 print(json.dumps({"code": code, "modules": modules}))
 """
 
@@ -67,6 +67,24 @@ def test_command_imports_only_what_it_runs(command, tmp_path):
     loaded = {name.removeprefix("vtrkit.") for name in child["modules"]}
     assert "model" in loaded
     assert not loaded & excluded, sorted(loaded & excluded)
+
+
+#: ``dataclasses`` imports ``inspect``, which loads ``ast``, ``dis`` and
+#: ``tokenize``; only ``synth``, whose configs are dataclasses, may pay that.
+RECORD_MACHINERY = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("command", [*sorted(COMMANDS), "report --all"])
+def test_no_command_but_synth_imports_dataclasses(command, tmp_path):
+    products = tmp_path / "products.csv"
+    products.write_text(serialize_products(load_archive(read_text_file(str(GOLDEN)))), encoding="utf-8")
+    name, *rest = command.split()
+    flags = COMMANDS[name][0] if name in COMMANDS else ["--dataset", "{golden}", *rest]
+    argv = [name, *(f.format(csv=products, golden=GOLDEN) for f in flags), "--out", str(tmp_path / "out")]
+    child = run_child(COMMAND_PROBE, *argv)
+    assert child["code"] == 0
+    loaded = RECORD_MACHINERY & set(child["modules"])
+    assert loaded == (RECORD_MACHINERY if name == "synth" else set()), sorted(loaded)
 
 
 @pytest.mark.parametrize("command", ["report", "concordance"])

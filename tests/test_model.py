@@ -486,6 +486,60 @@ class TestDatasetSemantics:
         assert err.value.code == "duplicate_product"
 
 
+class TestDatasetRecord:
+    """``Dataset`` is a plain immutable class: value equality and hashing as
+    a frozen record, no attribute assignment, and a key-order check that
+    compares neighbours field by field."""
+
+    @staticmethod
+    def product(pid: str, sid: str = "S", area: str = "BIO") -> Product:
+        return Product(pid, sid, area, 2002, ProductType.BOOK, PeerRating.GOOD, False, None, None, 2, 1)
+
+    def test_equality_and_hash_follow_the_values(self):
+        products = (self.product("P1"), self.product("P2"))
+        a = Dataset(products, Provenance("x", "y", "z"))
+        b = Dataset(tuple(products), Provenance("x", "y", "z"))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Dataset(products, Provenance("x", "y", "other"))
+        assert a != (products, Provenance("x", "y", "z"))
+
+    def test_attributes_are_read_only(self):
+        dataset = Dataset((self.product("P1"),), Provenance("x", "y", "z"))
+        for name in ("products", "provenance", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(dataset, name, ())
+        with pytest.raises(AttributeError):
+            del dataset.products
+        assert dataset.products_in("BIO") == (self.product("P1"),)  # the area cache still fills
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (("P1", "S", "MED"), ("P1", "S", "BIO")),  # discipline descends
+            (("P1", "S2", "BIO"), ("P1", "S1", "BIO")),  # structure descends
+            (("P2", "S", "BIO"), ("P1", "S", "BIO")),  # product descends
+            (("P1", "S1", "MED"), ("P2", "S2", "BIO")),  # a later field ascending does not help
+        ],
+    )
+    def test_each_key_field_is_checked_in_order(self, first, second):
+        with pytest.raises(ValueError, match="products must be in key order"):
+            Dataset((self.product(*first), self.product(*second)), Provenance("x", "y", "z"))
+
+    def test_the_first_bad_pair_decides(self):
+        p1, p2 = self.product("P1"), self.product("P2")
+        with pytest.raises(PipelineError) as err:
+            Dataset((p1, p1, p2, p1), Provenance("x", "y", "z"))
+        assert str(err.value) == "duplicate (discipline, structure_id, product_id) triple ('BIO', 'S', 'P1')"
+        with pytest.raises(ValueError):
+            Dataset((p2, p1, p1), Provenance("x", "y", "z"))
+
+    @pytest.mark.parametrize("cap", [-1, float("nan")])
+    def test_selection_policy_checks_its_cap(self, cap):
+        with pytest.raises(PipelineError) as err:
+            SelectionPolicy(cap_fraction=cap)
+        assert err.value.code == "bad_cap"
+
+
 class TestValidateDataset:
     def test_cap_exceeded_university(self):
         # 40 university staff -> 20 FTE -> cap 10 products; 12 submitted

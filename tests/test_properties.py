@@ -44,6 +44,7 @@ from vtrkit.model import (
     Product,
     ProductType,
     Provenance,
+    ValidationReport,
     _csv_rows,
     _product_row,
     load_archive,
@@ -197,6 +198,23 @@ def test_archive_record_is_the_json_of_its_fields(product):
     peer rating as their tokens and an absent value as null."""
     fields = dict(product._asdict(), product_type=product.product_type.value, peer_rating=product.peer_rating.token)
     assert _product_row(product) == json.dumps([fields[name] for name in PRODUCTS_HEADER])
+
+
+issues = st.lists(st.tuples(st.integers(0, 10**6), st.text(max_size=12), st.text(max_size=40)), max_size=6)
+
+
+@PROPERTY
+@given(issues, issues, st.integers(0, 10**6))
+@example([(3, "rule", 'a "quoted" \\ line\n\x00\u00e9\U0001f600')], [], 0)
+def test_report_json_parts_are_the_json_of_its_dict(errors, warnings, accepted):
+    """The CLI's stderr record, written an f-string per issue, is what
+    json.dumps gives for the report's dict with sorted keys."""
+    report = ValidationReport(accepted_count=accepted)
+    for row, rule, message in errors:
+        report.error(row, rule, message)
+    for row, rule, message in warnings:
+        report.warn(row, rule, message)
+    assert "".join(report.json_parts()) == json.dumps(report.as_dict(), sort_keys=True) + "\n"
 
 
 def _dataset(ps) -> Dataset:

@@ -8,9 +8,9 @@ import json
 
 import pytest
 
-from vtrkit.concordance import VARIABLES
+from vtrkit.concordance import VARIABLES, AdjacentPairResult, ChiSquareResult, CorrelationResult
 from vtrkit.indicators import discipline_profile, rating_breakdown
-from vtrkit.model import parse_products
+from vtrkit.model import PeerRating, Product, ProductType, parse_products
 from vtrkit.report import (
     BREAKDOWN,
     PROFILE,
@@ -30,7 +30,7 @@ from vtrkit.report import (
     render_report_md,
     round_half_up,
 )
-from vtrkit.scoring import compile_ranking, rank_comparison, structure_ratings
+from vtrkit.scoring import RankEntry, Ranking, SizeClass, compile_ranking, rank_comparison, structure_ratings
 from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise
 
 
@@ -80,6 +80,42 @@ class TestTableHelpers:
 
     def test_json_text_sorts_keys(self):
         assert json_text({"b": 1, "a": 2}).index('"a"') < json_text({"b": 1, "a": 2}).index('"b"')
+
+
+class TestRecordsAsJson:
+    """Result records are NamedTuples: ``as_json`` must take them as records,
+    not as the tuples they also are."""
+
+    def test_a_record_with_json_shape_converts_through_it(self):
+        pair = AdjacentPairResult(PeerRating.EXCELLENT, PeerRating.GOOD, None, "skipped")
+        assert isinstance(pair, tuple)
+        assert as_json(pair) == pair.json_shape() == {"pair": "E~G", "note": "skipped"}
+
+    def test_any_other_record_is_an_object_keyed_by_its_fields(self):
+        result = CorrelationResult(coefficient=0.5, p_value=0.25, n=10)
+        assert as_json(result) == {
+            "coefficient": 0.5, "p_value": 0.25, "n": 10, "method": "tie_corrected_spearman"
+        }
+        assert list(as_json(result)) == list(CorrelationResult._fields)
+        # nested records and enums convert too
+        entry = RankEntry("S1", 0.9, 1, 1.0, 12, SizeClass.LARGE)
+        ranking = Ranking("BIO", "peer_tr", 10, (entry,), ("S2",))
+        assert as_json(ranking)["entries"] == [
+            {"structure_id": "S1", "score": 0.9, "display_rank": 1, "average_rank": 1.0,
+             "n_products": 12, "size_class": "large"}
+        ]
+        assert as_json(ranking)["excluded"] == ["S2"]
+
+    def test_a_plain_tuple_and_a_product_stay_lists(self):
+        product = Product("P1", "S1", "BIO", 2002, ProductType.BOOK, PeerRating.GOOD, True, 3, 1.5, 2, 1)
+        assert as_json((1, "a", PeerRating.LIMITED)) == [1, "a", "L"]
+        assert as_json(product) == ["P1", "S1", "BIO", 2002, "book", "G", True, 3, 1.5, 2, 1]
+        assert as_json([product]) == [as_json(product)]
+
+    def test_a_record_equals_the_plain_tuple_of_its_values(self):
+        result = ChiSquareResult(1.5, 3, 0.5, False)
+        assert result == (1.5, 3, 0.5, False)
+        assert result._replace(df=4)._asdict() == {"statistic": 1.5, "df": 4, "p_value": 0.5, "low_expected": False}
 
 
 def md_cells(table, item) -> list:

@@ -57,3 +57,12 @@ def test_only_the_cli_imports_gc():
         if re.search(r"^\s*(import gc\b|from gc import)", path.read_text(encoding="utf-8"), re.MULTILINE)
     )
     assert importers == ["cli.py"]
+
+
+def test_only_synth_imports_dataclasses():
+    """Result records are NamedTuples and plain classes: ``dataclasses``
+    (and the ``inspect`` it loads) stays off every command's path but
+    ``synth``'s, whose config checks rely on it."""
+    pattern = re.compile(r"^\s*(import dataclasses\b|from dataclasses import)", re.MULTILINE)
+    importers = sorted(path.name for path in (SRC / "vtrkit").glob("*.py") if pattern.search(path.read_text("utf-8")))
+    assert importers == ["synth.py"]
