@@ -125,7 +125,7 @@ class ContingencyTable(NamedTuple):
 def contingency_table(products: Sequence[Product], variable: str) -> ContingencyTable:
     """Bin the discipline's TR values of ``variable`` into quartiles and
     cross-tabulate against peer rating."""
-    return RatingSample(Area(tuple(products)), variable).contingency()
+    return RatingSample(_area_of(products), variable).contingency()
 
 
 class ChiSquareResult(NamedTuple):
@@ -228,7 +228,7 @@ def peer_bibliometric_spearman(
     the rating's scale position; any strictly increasing recoding (such as
     the committee weights) yields the same coefficient.
     """
-    return RatingSample(Area(tuple(products)), variable).spearman(coding)
+    return RatingSample(_area_of(products), variable).spearman(coding)
 
 
 class ProbabilityTriple(NamedTuple):
@@ -291,7 +291,29 @@ def adjacent_rating_probabilities(
 ) -> list[AdjacentPairResult]:
     """Pairwise probabilities for the adjacent rating pairs (E,G), (G,A),
     (A,L); pairs with an empty side are skipped with a note."""
-    return RatingSample(Area(tuple(products)), variable).probabilities()
+    return RatingSample(_area_of(products), variable).probabilities()
+
+
+#: The public wrappers' last (products, Area) pair.  A battery calls them
+#: all on one tuple, and so pays one ``by_rating`` pass rather than one per
+#: call.  Only that very tuple object is reused: a tuple and its products
+#: are immutable, and ``RatingSample``'s in-place sort of the area's lists
+#: leaves sorted lists as they are.  The pair stays alive until a wrapper
+#: is called on another tuple.
+_last_area: tuple[tuple[Product, ...], Area] | None = None
+
+
+def _area_of(products: Sequence[Product]) -> Area:
+    """The ``Area`` of ``products``: the last one built when ``products`` is
+    the exact tuple it was built from, else a new one."""
+    global _last_area
+    last = _last_area
+    if last is not None and last[0] is products:
+        return last[1]
+    area = Area(tuple(products))
+    if type(products) is tuple:
+        _last_area = (products, area)
+    return area
 
 
 class RatingSample:

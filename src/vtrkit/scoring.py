@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import statistics
 from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple, Sequence
@@ -201,7 +200,9 @@ def rank_comparison(a: Ranking, b: Ranking) -> RankComparison:
         ComparisonEntry(structure_id=s, rank_a=ranks_a[s], rank_b=ranks_b[s], delta=ranks_a[s] - ranks_b[s])
         for s in common
     )
-    median_abs = statistics.median(abs(e.delta) for e in entries)
+    deltas = sorted(abs(e.delta) for e in entries)
+    half = len(deltas) // 2  # the median as statistics.median takes it, without importing it
+    median_abs = deltas[half] if len(deltas) % 2 else (deltas[half - 1] + deltas[half]) / 2
     gains_a = sorted((e for e in entries if e.delta < 0), key=lambda e: (e.delta, e.structure_id))
     gains_b = sorted((e for e in entries if e.delta > 0), key=lambda e: (-e.delta, e.structure_id))
     return RankComparison(

@@ -10,7 +10,9 @@ normal whose correlation with the quality score is configurable.
 
 Determinism contract: every product draws from its own substream keyed by
 (seed, discipline, structure, index), so generation order never changes the
-data, and the same seed always produces byte-identical output.
+data, and the same seed always produces byte-identical output, the same
+bytes in every version.  One generator is reseeded from each key in turn;
+``generate_exercise`` lists the draws a product takes from its substream.
 """
 
 from __future__ import annotations
@@ -19,16 +21,18 @@ import hashlib
 import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from statistics import NormalDist
 
 from .model import (
     KNOWN_DISCIPLINES,
+    RATING_ORDER,
     YEAR_MAX,
     YEAR_MIN,
     Dataset,
     InvalidProduct,
-    PeerRating,
     PipelineError,
     Product,
     ProductType,
@@ -39,8 +43,10 @@ __all__ = ["DisciplineSpec", "SynthConfig", "DEFAULT_DISCIPLINES", "generate_exe
 
 _NORMAL = NormalDist()
 
-#: Product-type mix for generated products that are not database-covered.
-_UNCOVERED_TYPES = (
+#: Product-type mix for generated products that are not database-covered:
+#: a draw below the i-th cumulative share picks the i-th type, and a draw
+#: past the last cut (their float sum) is OTHER.
+_UNCOVERED_MIX = (
     (ProductType.JOURNAL_ARTICLE, 0.40),
     (ProductType.BOOK, 0.30),
     (ProductType.CHAPTER, 0.14),
@@ -48,8 +54,15 @@ _UNCOVERED_TYPES = (
     (ProductType.PATENT, 0.04),
     (ProductType.OTHER, 0.02),
 )
+_UNCOVERED_CUTS = tuple(accumulate(share for _, share in _UNCOVERED_MIX))
+_UNCOVERED_TYPES = (*(ptype for ptype, _ in _UNCOVERED_MIX), ProductType.OTHER)
 
 _CITATION_LOG_MEDIAN = math.log(4.0)
+#: A uniform that enters a normal score is clamped to [_LOW, _HIGH], strictly
+#: inside (0, 1), so the score stays finite.
+_LOW, _HIGH = 1e-12, 1.0 - 1e-16
+#: The ratings from the bottom up: u takes the one at the count of quality cuts it reaches.
+_BY_QUALITY = RATING_ORDER[::-1]
 
 
 @dataclass(frozen=True)
@@ -156,107 +169,84 @@ def _is_real(value: object) -> bool:
     return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
-def _substream(*key: object) -> random.Random:
-    digest = hashlib.sha256("|".join(str(k) for k in key).encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest, "big"))
-
-
-def _uniform(rng: random.Random) -> float:
-    # keep strictly inside (0, 1) so normal scores stay finite
-    return min(max(rng.random(), 1e-12), 1.0 - 1e-16)
-
-
-def _rand_int(rng: random.Random, lo: int, hi: int) -> int:
-    return lo + min(int(rng.random() * (hi - lo + 1)), hi - lo)
-
-
-def _rand_normal(rng: random.Random) -> float:
-    return _NORMAL.inv_cdf(_uniform(rng))
-
-
-def _rating_from_quality(u: float, thresholds: tuple[float, float, float]) -> PeerRating:
-    t1, t2, t3 = thresholds
-    if u >= 1.0 - t1:
-        return PeerRating.EXCELLENT
-    if u >= 1.0 - t2:
-        return PeerRating.GOOD
-    if u >= 1.0 - t3:
-        return PeerRating.ACCEPTABLE
-    return PeerRating.LIMITED
-
-
-def _uncovered_type(rng: random.Random) -> ProductType:
-    draw = rng.random()
-    acc = 0.0
-    for ptype, share in _UNCOVERED_TYPES:
-        acc += share
-        if draw < acc:
-            return ptype
-    return ProductType.OTHER
-
-
-def _author_counts(rng: random.Random, config: SynthConfig) -> tuple[int, int]:
-    if rng.random() < config.hyperauthor_rate:
-        n_authors = _rand_int(rng, 100, 1500)
-    else:
-        n_authors = max(1, int(round(2.0 * math.exp(0.9 * abs(_rand_normal(rng))))))
-    internal = 1 + sum(
-        1 for _ in range(n_authors - 1) if rng.random() < config.internal_author_share
-    )
-    return n_authors, min(internal, n_authors)
-
-
-def _generate_product(
-    spec: DisciplineSpec, structure_id: str, index: int, config: SynthConfig
-) -> Product:
-    rng = _substream(config.seed, spec.code, structure_id, index)
-    u = _uniform(rng)
-    rating = _rating_from_quality(u, config.rating_thresholds)
-    covered = rng.random() < spec.coverage
-    year = _rand_int(rng, config.year_min, config.year_max)
-    product_type = ProductType.JOURNAL_ARTICLE if covered else _uncovered_type(rng)
-    n_authors, n_internal = _author_counts(rng, config)
-
-    citations = None
-    journal_if = None
-    if covered:
-        rho = config.target_rho
-        z_quality = _NORMAL.inv_cdf(u)
-        z_biblio = rho * z_quality + math.sqrt(1.0 - rho * rho) * _rand_normal(rng)
-        citations = int(round(math.exp(_CITATION_LOG_MEDIAN + config.citation_dispersion * z_biblio)))
-        journal_if = max(
-            0.001,
-            round(config.if_scale * math.exp(0.4 * z_biblio + 0.25 * _rand_normal(rng)), 3),
-        )
-
-    return Product(
-        f"P-{spec.code}-{structure_id}-{index:04d}",
-        structure_id,
-        spec.code,
-        year,
-        product_type,
-        rating,
-        covered,
-        citations,
-        journal_if,
-        n_authors,
-        n_internal,
-    )
-
-
 def generate_exercise(config: SynthConfig) -> Dataset:
-    """Generate a full synthetic exercise dataset from a config."""
+    """Generate a full synthetic exercise dataset from a config.
+
+    A structure's product count is one draw from the substream keyed
+    ``"{seed}|{code}|{structure}|count"``; product ``index`` reseeds from
+    ``"{seed}|{code}|{structure}|{index}"`` (sha256 of the key, as a big-endian
+    integer) and draws, in this order: the quality u, coverage, year, the type
+    if uncovered, the hyperauthor draw, the author count (a uniform or a
+    normal), one draw per co-author, then two normals if covered.
+    """
+    seed = config.seed
+    # u >= 1 - t1 is E; else u >= 1 - t2 is G; else u >= 1 - t3 is A; else L
+    quality_cuts = sorted(1.0 - t for t in config.rating_thresholds)
+    year_min, years = config.year_min, config.year_max - config.year_min + 1
+    hyperauthor_rate, internal_share = config.hyperauthor_rate, config.internal_author_share
+    rho, dispersion, if_scale = config.target_rho, config.citation_dispersion, config.if_scale
+    rho_rest = math.sqrt(1.0 - rho * rho)
+    inv_cdf, exp, sha256, from_bytes = _NORMAL.inv_cdf, math.exp, hashlib.sha256, int.from_bytes
+    rng = random.Random()
+    reseed, draw = rng.seed, rng.random
     products = []
-    for spec in config.disciplines:
-        for s in range(1, spec.n_structures + 1):
-            structure_id = f"S{s:03d}"
-            count_rng = _substream(config.seed, spec.code, structure_id, "count")
-            n_products = _rand_int(count_rng, spec.products_min, spec.products_max)
-            try:
+    append = products.append
+    try:
+        for spec in config.disciplines:
+            code, coverage, products_min = spec.code, spec.coverage, spec.products_min
+            sizes = spec.products_max - products_min + 1
+            for s in range(1, spec.n_structures + 1):
+                structure_id = f"S{s:03d}"
+                key = f"{seed}|{code}|{structure_id}|"
+                reseed(from_bytes(sha256(f"{key}count".encode()).digest(), "big"))
+                n_products = products_min + min(int(draw() * sizes), sizes - 1)
                 for index in range(1, n_products + 1):
-                    products.append(_generate_product(spec, structure_id, index, config))
-            except (InvalidProduct, OverflowError) as exc:  # extreme knobs can draw values past the bounds
-                raise PipelineError("invalid_config", f"{spec.code}: config yields an invalid product: {exc}") from None
+                    reseed(from_bytes(sha256(f"{key}{index}".encode()).digest(), "big"))
+                    if not _LOW <= (u := draw()) <= _HIGH:
+                        u = min(max(u, _LOW), _HIGH)
+                    rating = _BY_QUALITY[bisect_right(quality_cuts, u)]
+                    covered = draw() < coverage
+                    year = year_min + min(int(draw() * years), years - 1)
+                    if covered:
+                        product_type = ProductType.JOURNAL_ARTICLE
+                    else:
+                        product_type = _UNCOVERED_TYPES[bisect_right(_UNCOVERED_CUTS, draw())]
+                    if draw() < hyperauthor_rate:
+                        n_authors = 100 + min(int(draw() * 1401), 1400)
+                    else:
+                        if not _LOW <= (v := draw()) <= _HIGH:
+                            v = min(max(v, _LOW), _HIGH)
+                        n_authors = max(1, round(2.0 * exp(0.9 * abs(inv_cdf(v)))))
+                    n_internal = 1
+                    for _ in range(n_authors - 1):
+                        if draw() < internal_share:
+                            n_internal += 1
+                    citations = journal_if = None
+                    if covered:
+                        if not _LOW <= (v := draw()) <= _HIGH:
+                            v = min(max(v, _LOW), _HIGH)
+                        z_biblio = rho * inv_cdf(u) + rho_rest * inv_cdf(v)
+                        citations = round(exp(_CITATION_LOG_MEDIAN + dispersion * z_biblio))
+                        if not _LOW <= (v := draw()) <= _HIGH:
+                            v = min(max(v, _LOW), _HIGH)
+                        journal_if = max(0.001, round(if_scale * exp(0.4 * z_biblio + 0.25 * inv_cdf(v)), 3))
+                    append(
+                        Product(
+                            f"P-{code}-{structure_id}-{index:04d}",
+                            structure_id,
+                            code,
+                            year,
+                            product_type,
+                            rating,
+                            covered,
+                            citations,
+                            journal_if,
+                            n_authors,
+                            n_internal,
+                        )
+                    )
+    except (InvalidProduct, OverflowError) as exc:  # extreme knobs can draw values past the bounds
+        raise PipelineError("invalid_config", f"{spec.code}: config yields an invalid product: {exc}") from None
 
     config_digest = hashlib.sha256(repr(config).encode("utf-8")).hexdigest()
     provenance = Provenance(

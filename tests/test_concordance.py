@@ -10,8 +10,11 @@ from fractions import Fraction
 import pytest
 import scipy.stats
 
+from vtrkit import concordance
 from vtrkit.concordance import (
+    VARIABLES,
     ProbabilityTriple,
+    RatingSample,
     adjacent_rating_probabilities,
     assign_quartile,
     chi_square_independence,
@@ -22,7 +25,8 @@ from vtrkit.concordance import (
     quartile_bins,
     spearman,
 )
-from vtrkit.model import PeerRating, PipelineError, RATING_ORDER, parse_products
+from vtrkit.model import Area, PeerRating, PipelineError, RATING_ORDER, parse_products
+from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise
 
 HEADER = "product_id,structure_id,discipline,year,product_type,peer_rating,tr_indexed,citations,journal_if,n_authors,n_internal_authors"
 
@@ -366,6 +370,52 @@ class TestAdjacentRatingProbabilities:
         # A and L groups are empty: both pairs touching them are skipped
         assert results[1].triple is None and "rating A" in results[1].note
         assert results[2].triple is None and results[2].note.startswith("skipped")
+
+
+class TestWrapperArea:
+    """The wrappers share one ``Area`` between calls on the very same tuple,
+    and only on it."""
+
+    @staticmethod
+    def battery(products) -> str:
+        return repr(
+            [
+                (
+                    contingency_table(products, v),
+                    peer_bibliometric_spearman(products, v),
+                    peer_bibliometric_spearman(products, v, "raw"),
+                    adjacent_rating_probabilities(products, v),
+                )
+                for v in VARIABLES
+            ]
+        )
+
+    @staticmethod
+    def fresh_battery(products) -> str:
+        def sample(v):
+            return RatingSample(Area(tuple(products)), v)
+
+        return repr(
+            [
+                (sample(v).contingency(), sample(v).spearman(), sample(v).spearman("raw"), sample(v).probabilities())
+                for v in VARIABLES
+            ]
+        )
+
+    def test_only_the_same_tuple_shares_an_area(self):
+        products = generate_exercise(SynthConfig(seed=5, disciplines=(DisciplineSpec("BIO", 3, 20, 40, 0.8),))).products
+        expected = self.fresh_battery(products)
+        assert self.battery(products) == expected
+        area = concordance._area_of(products)
+        assert self.battery(products) == expected  # a second pass over the shared, already sorted lists
+        assert concordance._area_of(products) is area
+        equal_tuple, as_list = tuple(list(products)), list(products)
+        assert equal_tuple == products and equal_tuple is not products
+        for other in (equal_tuple, as_list):
+            assert concordance._area_of(other) is not area
+            assert self.battery(other) == expected
+        assert concordance._area_of(as_list) is not concordance._area_of(as_list)
+        assert concordance._area_of(products) is not area  # the equal tuple took the slot
 
 
 class TestBatteryErrorCodes:

@@ -32,7 +32,7 @@ COMMAND_PROBE = """
 import json, sys
 from vtrkit.cli import main
 code = main(sys.argv[1:])
-modules = sorted(m for m in sys.modules if m.startswith("vtrkit.") or m in ("datetime", "dataclasses", "inspect"))
+modules = sorted(m for m in sys.modules if m.startswith("vtrkit.") or m in ("datetime", "dataclasses", "inspect", "statistics"))
 print(json.dumps({"code": code, "modules": modules}))
 """
 
@@ -73,9 +73,12 @@ def test_command_imports_only_what_it_runs(command, tmp_path):
 #: ``tokenize``; only ``synth``, whose configs are dataclasses, may pay that.
 RECORD_MACHINERY = {"dataclasses", "inspect"}
 
+#: Every command, and ``report --all``, which reaches each statistic.
+EVERY_COMMAND = [*sorted(COMMANDS), "report --all"]
 
-@pytest.mark.parametrize("command", [*sorted(COMMANDS), "report --all"])
-def test_no_command_but_synth_imports_dataclasses(command, tmp_path):
+
+def assert_only_synth_loads(command: str, tmp_path, modules: set[str]) -> None:
+    """``synth`` loads all of ``modules``, and any other command none."""
     products = tmp_path / "products.csv"
     products.write_text(serialize_products(load_archive(read_text_file(str(GOLDEN)))), encoding="utf-8")
     name, *rest = command.split()
@@ -83,8 +86,20 @@ def test_no_command_but_synth_imports_dataclasses(command, tmp_path):
     argv = [name, *(f.format(csv=products, golden=GOLDEN) for f in flags), "--out", str(tmp_path / "out")]
     child = run_child(COMMAND_PROBE, *argv)
     assert child["code"] == 0
-    loaded = RECORD_MACHINERY & set(child["modules"])
-    assert loaded == (RECORD_MACHINERY if name == "synth" else set()), sorted(loaded)
+    loaded = modules & set(child["modules"])
+    assert loaded == (modules if name == "synth" else set()), sorted(loaded)
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND)
+def test_no_command_but_synth_imports_dataclasses(command, tmp_path):
+    assert_only_synth_loads(command, tmp_path, RECORD_MACHINERY)
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND)
+def test_no_command_but_synth_imports_statistics(command, tmp_path):
+    """``statistics`` is for ``synth``'s ``NormalDist``; a rank comparison
+    takes its median inline."""
+    assert_only_synth_loads(command, tmp_path, {"statistics"})
 
 
 @pytest.mark.parametrize("command", ["report", "concordance"])

@@ -11,12 +11,15 @@ import collections
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
 import os
+import random
 import tempfile
 from fractions import Fraction
+from statistics import NormalDist
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -57,7 +60,7 @@ from vtrkit.numerics import average_ranks, student_t_two_sided
 from vtrkit.records import _record_product
 from vtrkit.report import build_battery, build_report, render_report_json
 from vtrkit.scoring import structure_ratings
-from vtrkit.synth import DisciplineSpec, SynthConfig, load_synth_config
+from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise, load_synth_config
 
 from conftest import archive_rows, records_archive, reseal, unsealed_doc
 
@@ -703,3 +706,122 @@ def test_config_document_ends_in_a_config_or_invalid_config(doc, damage, data):
     if "disciplines" in doc:
         doc["disciplines"] = [dict({"coverage": 0.85}, **entry) for entry in entries]
     assert {key: loaded[key] for key in doc} == doc
+
+
+
+def reference_exercise(config: SynthConfig) -> list[Product]:
+    """The generator's draws written one helper per draw, with a fresh
+    ``random.Random`` per substream: the reference ``generate_exercise``
+    must match product for product."""
+    normal = NormalDist()
+
+    def substream(*key: object) -> random.Random:
+        digest = hashlib.sha256("|".join(str(k) for k in key).encode("utf-8")).digest()
+        return random.Random(int.from_bytes(digest, "big"))
+
+    def uniform(rng):
+        return min(max(rng.random(), 1e-12), 1.0 - 1e-16)
+
+    def rand_int(rng, lo, hi):
+        return lo + min(int(rng.random() * (hi - lo + 1)), hi - lo)
+
+    def rand_normal(rng):
+        return normal.inv_cdf(uniform(rng))
+
+    def rating_from_quality(u):
+        t1, t2, t3 = config.rating_thresholds
+        if u >= 1.0 - t1:
+            return PeerRating.EXCELLENT
+        if u >= 1.0 - t2:
+            return PeerRating.GOOD
+        if u >= 1.0 - t3:
+            return PeerRating.ACCEPTABLE
+        return PeerRating.LIMITED
+
+    def uncovered_type(rng):
+        draw = rng.random()
+        acc = 0.0
+        for ptype, share in (
+            (ProductType.JOURNAL_ARTICLE, 0.40),
+            (ProductType.BOOK, 0.30),
+            (ProductType.CHAPTER, 0.14),
+            (ProductType.PROCEEDINGS, 0.10),
+            (ProductType.PATENT, 0.04),
+            (ProductType.OTHER, 0.02),
+        ):
+            acc += share
+            if draw < acc:
+                return ptype
+        return ProductType.OTHER
+
+    def author_counts(rng):
+        if rng.random() < config.hyperauthor_rate:
+            n_authors = rand_int(rng, 100, 1500)
+        else:
+            n_authors = max(1, int(round(2.0 * math.exp(0.9 * abs(rand_normal(rng))))))
+        internal = 1 + sum(1 for _ in range(n_authors - 1) if rng.random() < config.internal_author_share)
+        return n_authors, min(internal, n_authors)
+
+    def generate_product(spec, structure_id, index):
+        rng = substream(config.seed, spec.code, structure_id, index)
+        u = uniform(rng)
+        rating = rating_from_quality(u)
+        covered = rng.random() < spec.coverage
+        year = rand_int(rng, config.year_min, config.year_max)
+        product_type = ProductType.JOURNAL_ARTICLE if covered else uncovered_type(rng)
+        n_authors, n_internal = author_counts(rng)
+        citations = journal_if = None
+        if covered:
+            rho = config.target_rho
+            z_biblio = rho * normal.inv_cdf(u) + math.sqrt(1.0 - rho * rho) * rand_normal(rng)
+            citations = int(round(math.exp(math.log(4.0) + config.citation_dispersion * z_biblio)))
+            journal_if = max(0.001, round(config.if_scale * math.exp(0.4 * z_biblio + 0.25 * rand_normal(rng)), 3))
+        product_id = f"P-{spec.code}-{structure_id}-{index:04d}"
+        fields = (year, product_type, rating, covered, citations, journal_if, n_authors, n_internal)
+        return Product(product_id, structure_id, spec.code, *fields)
+
+    products = []
+    for spec in config.disciplines:
+        for s in range(1, spec.n_structures + 1):
+            structure_id = f"S{s:03d}"
+            count_rng = substream(config.seed, spec.code, structure_id, "count")
+            n_products = rand_int(count_rng, spec.products_min, spec.products_max)
+            products += (generate_product(spec, structure_id, index) for index in range(1, n_products + 1))
+    return products
+
+
+#: a small config document, of one to three areas of at most 12 products
+small_config_documents = st.fixed_dictionaries(
+    {"disciplines": st.lists(discipline_entries, min_size=1, max_size=3, unique_by=lambda e: e["code"])},
+    optional=CONFIG_VALUES,
+)
+
+
+@PROPERTY
+@given(small_config_documents)
+@example(
+    {
+        "hyperauthor_rate": 1.0,
+        "internal_author_share": 0.0,
+        "target_rho": -0.9,
+        "disciplines": [{"code": "X", "n_structures": 2, "products_min": 1, "products_max": 4, "coverage": 0.0}],
+    }
+)
+@example({"citation_dispersion": 50.0, "disciplines": [{"code": "X", "n_structures": 3, "products_min": 4, "products_max": 4}]})
+def test_generator_matches_its_reference(doc):
+    """Any small config gives the reference's products, repr for repr, or
+    fails as the reference does (a draw past a product bound), as invalid_config."""
+    config = load_synth_config(json.dumps(doc))
+    try:
+        expected = reference_exercise(config)
+    except (InvalidProduct, OverflowError) as exc:
+        expected = exc
+    try:
+        generated = generate_exercise(config)
+    except PipelineError as exc:
+        assert isinstance(expected, Exception), exc
+        assert exc.code == "invalid_config" and str(exc).endswith(f": config yields an invalid product: {expected}")
+        return
+    reference = Dataset.from_products(expected, generated.provenance)
+    assert generated == reference
+    assert repr(generated.products) == repr(reference.products)

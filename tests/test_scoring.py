@@ -10,6 +10,8 @@ import pytest
 
 from vtrkit.model import RATING_ORDER, PeerRating, PipelineError, parse_products
 from vtrkit.scoring import (
+    RankEntry,
+    Ranking,
     SizeClass,
     StructureRating,
     compile_ranking,
@@ -250,6 +252,27 @@ class TestRankComparison:
         )
         assert comparison.median_abs_delta == expected
         assert comparison.median_fraction == pytest.approx(expected / 35)
+
+    @pytest.mark.parametrize(
+        "ranks_b",
+        [
+            pytest.param((3, 1, 2, 5, 4), id="odd"),
+            pytest.param((2, 1, 3, 4, 7, 8, 5, 6), id="even"),
+            pytest.param((1, 2, 3, 4), id="all_zero"),
+        ],
+    )
+    @pytest.mark.parametrize("number", [int, float])
+    def test_median_is_statistics_median(self, ranks_b, number):
+        """The median |delta| is ``statistics.median``'s, to its type: it goes
+        into the JSON report, where 1 and 1.0 print apart."""
+
+        def ranking(ranks):
+            entries = tuple(RankEntry(f"S{i}", 0.0, r, number(r), 12, size_class(12)) for i, r in enumerate(ranks))
+            return Ranking("BIO", "cites", 1, entries, ())
+
+        comparison = rank_comparison(ranking(range(1, len(ranks_b) + 1)), ranking(ranks_b))
+        expected = statistics.median(abs(e.delta) for e in comparison.entries)
+        assert (type(comparison.median_abs_delta), comparison.median_abs_delta) == (type(expected), expected)
 
     def test_intersection_and_dropped(self):
         a = self.ranking_from_scores({"S1": 3.0, "S2": 2.0, "S3": 1.0})

@@ -66,3 +66,11 @@ def test_only_synth_imports_dataclasses():
     pattern = re.compile(r"^\s*(import dataclasses\b|from dataclasses import)", re.MULTILINE)
     importers = sorted(path.name for path in (SRC / "vtrkit").glob("*.py") if pattern.search(path.read_text("utf-8")))
     assert importers == ["synth.py"]
+
+
+def test_only_synth_imports_statistics():
+    """``statistics`` costs a command ~3 ms to import; only ``synth`` uses it,
+    for ``NormalDist``, so it stays off every other command's path."""
+    pattern = re.compile(r"^\s*(import statistics\b|from statistics import)", re.MULTILINE)
+    importers = sorted(path.name for path in (SRC / "vtrkit").glob("*.py") if pattern.search(path.read_text("utf-8")))
+    assert importers == ["synth.py"]

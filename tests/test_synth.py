@@ -64,8 +64,17 @@ class TestDeterminism:
                 4000001,
                 "6c25e832dcbdd782ab5cd7a36c6e4d8f0fc4c4961d4260bff753a9a06c10fd53",
             ),
+            (
+                '{"target_rho": -0.8, "hyperauthor_rate": 1.0, "internal_author_share": 1.0,'
+                ' "rating_thresholds": [0.05, 0.5, 0.95], "citation_dispersion": 0.3, "if_scale": 7.5,'
+                ' "year_min": 1990, "year_max": 2010, "disciplines": ['
+                '{"code": "MCS", "n_structures": 3, "products_min": 1, "products_max": 9, "coverage": 0.0},'
+                ' {"code": "Q1", "n_structures": 2, "products_min": 3, "products_max": 7, "coverage": 1.0}]}',
+                31,
+                "b0a0e8021b84f0630d0219698316ab39b4e78382388ad3c428a4228e2edba9bd",
+            ),
         ],
-        ids=["default", "trial_shape"],
+        ids=["default", "trial_shape", "every_branch"],
     )
     def test_pinned_csv_digest(self, tmp_path, config, seed, digest):
         """The generated bytes for a seed are fixed across versions, not only
