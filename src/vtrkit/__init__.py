@@ -18,10 +18,10 @@ _EXPORTS = {
         peer_bibliometric_spearman quartile_bins spearman""",
     "indicators": """DisciplineProfile GroupStats RatingBreakdown discipline_profile group_stats
         h_index ownership_degree rating_breakdown""",
-    "model": """Dataset IngestConfig InvalidProduct Issue PeerRating PipelineError Product
-        ProductType Provenance RATING_ORDER SelectionPolicy StaffRecord ValidationReport
-        load_archive parse_products parse_products_file parse_staff serialize_products
-        validate_dataset write_archive""",
+    "ingest": """IngestConfig Issue SelectionPolicy StaffRecord ValidationReport parse_products
+        parse_products_file parse_staff serialize_products validate_dataset""",
+    "model": """Dataset InvalidProduct PeerRating PipelineError Product ProductType Provenance
+        RATING_ORDER load_archive write_archive""",
     "numerics": "average_ranks chi_square_upper_tail student_t_two_sided",
     "scoring": """RankComparison Ranking SizeClass StructureRating compile_ranking rank_comparison
         size_class structure_ratings""",

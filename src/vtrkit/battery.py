@@ -19,7 +19,7 @@ from .concordance import (
 )
 from .model import Area, PipelineError
 from .tables import CHI_SQUARE, CONTINGENCY, PROBABILITIES, PRODUCT_SPEARMAN, as_json, contingency_rows, json_text
-from .tables import Assembly, fmt, fmt_p, render
+from .tables import Assembly, csv_section, fmt, fmt_p, render
 
 VARIABLE_LABELS = {"citations": "article citations", "journal_if": "journal impact factor"}
 
@@ -93,16 +93,15 @@ def battery_md(battery: VariableBattery) -> str:
 
 def battery_csv(battery: VariableBattery) -> str:
     """CSV rendering: one '# <name>' section per result the battery holds."""
-    parts = []
+    sections = []
     if battery.contingency is not None:
-        parts.append("# contingency_row_percentages\n")
-        parts.append(render(CONTINGENCY, contingency_rows(battery.contingency), "csv"))
+        sections.append(("contingency_row_percentages", CONTINGENCY, contingency_rows(battery.contingency)))
     if battery.chi_square is not None:
-        parts.append("# chi_square\n" + render(CHI_SQUARE, [battery.chi_square], "csv"))
+        sections.append(("chi_square", CHI_SQUARE, [battery.chi_square]))
     if battery.product_spearman is not None:
-        parts.append("# product_spearman\n" + render(PRODUCT_SPEARMAN, [battery.product_spearman], "csv"))
-    parts.append("# probabilities\n" + render(PROBABILITIES, battery.probabilities, "csv"))
-    return "".join(parts)
+        sections.append(("product_spearman", PRODUCT_SPEARMAN, [battery.product_spearman]))
+    sections.append(("probabilities", PROBABILITIES, battery.probabilities))
+    return "".join(csv_section(name, table, (), [((), item) for item in items]) for name, table, items in sections)
 
 
 def render_battery(battery: VariableBattery, fmt: str, discipline: str) -> str:

@@ -6,12 +6,12 @@ pipeline or internal errors, 2 usage errors.  Every failure prints a
 machine-readable JSON error record to stderr.
 
 At module level this imports only ``model``; each command imports the modules
-it runs inside its own function, so ``ingest`` loads no statistics and a
-single table loads no report builder.  ``run``, the program, is the only
-code that touches the garbage collector: a command makes no cyclic garbage
-that grows with its data, so the program runs it with the collector off.
-``main``, which callers may run in their own process, leaves the collector
-alone.
+it runs inside its own function, so ``ingest`` loads no statistics, a single
+table loads no report builder, and no query on an archive loads the CSV code
+of ``ingest``.  ``run``, the program, is the only code that touches the
+garbage collector: a command makes no cyclic garbage that grows with its
+data, so the program runs it with the collector off.  ``main``, which
+callers may run in their own process, leaves the collector alone.
 """
 
 from __future__ import annotations
@@ -21,19 +21,7 @@ import gc
 import json
 import sys
 
-from .model import (
-    PipelineError,
-    SelectionPolicy,
-    ValidationReport,
-    archive_lines,
-    load_archive,
-    load_archive_area,
-    parse_products_file,
-    parse_staff,
-    read_text_file,
-    serialize_products,
-    validate_dataset,
-)
+from .model import PipelineError, archive_lines, load_archive, read_text_file
 
 VARIABLE_BY_FLAG = {"cites": "citations", "if": "journal_if"}
 METRIC_BY_FLAG = {"peer": "peer_all", "peer-tr": "peer_tr", "cites": "cites", "if": "impact"}
@@ -51,15 +39,11 @@ def _write_out(text: str, out: str | None) -> None:
     _write_lines((text,), out)
 
 
-def _load_dataset(path: str):
+def _load_dataset(path: str, discipline: str | None = None):
+    """The archive at ``path``; given ``discipline``, for a command that reads
+    only that area, a ``vtrkit-dataset/3`` archive decodes its rows alone."""
     # line ends are read as written (newline=""), so a seal covers them too
-    return load_archive(read_text_file(path, newline=""))
-
-
-def _load_area(path: str, discipline: str):
-    """The archive at ``path`` for a command that reads only ``discipline``:
-    a ``vtrkit-dataset/3`` archive decodes that area's rows alone."""
-    return load_archive_area(read_text_file(path, newline=""), discipline)
+    return load_archive(read_text_file(path, newline=""), discipline)
 
 
 def _min_products(args) -> int:
@@ -69,12 +53,7 @@ def _min_products(args) -> int:
     return args.min_products
 
 
-def _report_to_stderr(report: ValidationReport) -> None:
-    if report.errors or report.warnings:
-        sys.stderr.writelines(report.json_parts())
-
-
-def _render_validation(report: ValidationReport, fmt: str) -> str:
+def _render_validation(report, fmt: str) -> str:  # report: an ingest.ValidationReport
     from .tables import ISSUES, render
     issues = [("error", i) for i in report.errors] + [("warning", i) for i in report.warnings]
     text = render(ISSUES, issues, fmt, payload=report)
@@ -84,8 +63,10 @@ def _render_validation(report: ValidationReport, fmt: str) -> str:
 
 
 def cmd_ingest(args) -> int:
+    from .ingest import parse_products_file
     dataset, report = parse_products_file(args.products)
-    _report_to_stderr(report)
+    if report.errors or report.warnings:
+        sys.stderr.writelines(report.json_parts())
     if dataset is None:
         return 1
     _write_lines(archive_lines(dataset), args.out)
@@ -93,6 +74,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .ingest import SelectionPolicy, parse_staff, validate_dataset
     dataset = _load_dataset(args.dataset)
     staff = None
     if args.staff:
@@ -106,11 +88,8 @@ def cmd_validate(args) -> int:
 def cmd_profile(args) -> int:
     from .indicators import discipline_profile
     from .tables import PROFILE, render
-    if args.discipline:
-        dataset, disciplines = _load_area(args.dataset, args.discipline), [args.discipline]
-    else:
-        dataset = _load_dataset(args.dataset)
-        disciplines = dataset.disciplines
+    dataset = _load_dataset(args.dataset, args.discipline or None)
+    disciplines = [args.discipline] if args.discipline else dataset.disciplines
     profiles = [discipline_profile(dataset, d) for d in disciplines]
     _write_out(render(PROFILE, profiles, args.format), args.out)
     return 0
@@ -119,7 +98,7 @@ def cmd_profile(args) -> int:
 def cmd_breakdown(args) -> int:
     from .indicators import rating_breakdown
     from .tables import BREAKDOWN, render
-    dataset = _load_area(args.dataset, args.discipline)
+    dataset = _load_dataset(args.dataset, args.discipline)
     rows = rating_breakdown(dataset, args.discipline)
     _write_out(render(BREAKDOWN, rows, args.format), args.out)
     return 0
@@ -129,7 +108,7 @@ def cmd_rank(args) -> int:
     from .scoring import compile_ranking, structure_ratings
     from .tables import RANKING, ranking_md, render
     min_products = _min_products(args)
-    dataset = _load_area(args.dataset, args.discipline)
+    dataset = _load_dataset(args.dataset, args.discipline)
     ratings = structure_ratings(dataset, args.discipline)
     ranking = compile_ranking(ratings, METRIC_BY_FLAG[args.metric], min_products)
     if args.format == "md":
@@ -144,7 +123,7 @@ def cmd_compare_ranks(args) -> int:
     from .scoring import compile_ranking, rank_comparison, structure_ratings
     from .tables import COMPARISON, comparison_md, plot_data_text, render
     min_products = _min_products(args)
-    dataset = _load_area(args.dataset, args.discipline)
+    dataset = _load_dataset(args.dataset, args.discipline)
     ratings = structure_ratings(dataset, args.discipline)
     ranking_a = compile_ranking(ratings, METRIC_BY_FLAG[args.metric], min_products)
     ranking_b = compile_ranking(ratings, METRIC_BY_FLAG[args.against], min_products)
@@ -163,7 +142,7 @@ def cmd_compare_ranks(args) -> int:
 
 def cmd_concordance(args) -> int:
     from .battery import build_battery, render_battery
-    dataset = _load_area(args.dataset, args.discipline)
+    dataset = _load_dataset(args.dataset, args.discipline)
     battery = build_battery(dataset.area(args.discipline), VARIABLE_BY_FLAG[args.variable], args.coding)
     _write_out(render_battery(battery, args.format, args.discipline), args.out)
     return 0
@@ -172,7 +151,7 @@ def cmd_concordance(args) -> int:
 def cmd_probability(args) -> int:
     from .concordance import adjacent_rating_probabilities
     from .tables import PROBABILITIES, render
-    dataset = _load_area(args.dataset, args.discipline)
+    dataset = _load_dataset(args.dataset, args.discipline)
     products = dataset.products_in(args.discipline)
     pairs = adjacent_rating_probabilities(products, VARIABLE_BY_FLAG[args.variable])
     _write_out(render(PROBABILITIES, pairs, args.format), args.out)
@@ -180,6 +159,7 @@ def cmd_probability(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .ingest import serialize_products
     from .synth import SynthConfig, generate_exercise, load_synth_config
     config = load_synth_config(read_text_file(args.config)) if args.config else SynthConfig()
     if args.seed is not None:

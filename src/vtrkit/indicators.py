@@ -137,7 +137,7 @@ def discipline_profile(dataset: Dataset, discipline: str) -> DisciplineProfile:
         size=stats.n,
         coverage=stats.n_tr / stats.n,
         mean_authors=_mean([p.n_authors for p in products]),
-        mean_ownership=_mean([ownership_degree(p) for p in products]),
+        mean_ownership=_mean([p.n_internal_authors / p.n_authors for p in products]),  # ownership_degree, inline
         peer_all=stats.peer_all,
         peer_tr=stats.peer_tr,
         mean_citations=stats.mean_citations,

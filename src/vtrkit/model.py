@@ -1,18 +1,20 @@
-"""Domain model, file ingestion, and dataset validation.
+"""Domain model and the dataset archive.
 
 A *product* is one research output submitted for assessment by a structure
 (university or research agency) under a disciplinary area.  Each product
 carries a peer rating on the four-point E/G/A/L scale and, when the product
 is covered by the citation database, optional bibliometric values (citation
 count and journal impact factor).
+
+The archive, in each of its three formats, is the one file format this
+module reads and writes.  The CSV inputs are ``ingest``'s, which no query on
+an archive imports.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 import hashlib
-import io
 import json
 import re
 import sys
@@ -21,11 +23,10 @@ from functools import cached_property
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 __all__ = [
     "PRODUCTS_HEADER",
-    "STAFF_HEADER",
     "KNOWN_DISCIPLINES",
     "YEAR_MIN",
     "YEAR_MAX",
@@ -42,21 +43,10 @@ __all__ = [
     "Provenance",
     "Dataset",
     "Area",
-    "Issue",
-    "ValidationReport",
-    "IngestConfig",
-    "StaffRecord",
-    "SelectionPolicy",
-    "parse_products",
     "read_text_file",
-    "parse_products_file",
-    "serialize_products",
-    "parse_staff",
-    "validate_dataset",
     "archive_lines",
     "write_archive",
     "load_archive",
-    "load_archive_area",
 ]
 
 PRODUCTS_HEADER = (
@@ -72,8 +62,6 @@ PRODUCTS_HEADER = (
     "n_authors",
     "n_internal_authors",
 )
-
-STAFF_HEADER = ("structure_id", "kind", "avg_staff")
 
 #: Disciplinary areas covered by the reference analysis; other codes are
 #: accepted at ingestion with a warning.
@@ -97,7 +85,9 @@ ARCHIVE_FORMAT = "vtrkit-dataset/3"
 RECORDS_FORMAT = "vtrkit-dataset/2"
 UNSEALED_FORMAT = "vtrkit-dataset/1"
 
-_FLOAT_MAX = sys.float_info.max
+#: The largest finite float: ``not -FLOAT_MAX <= x <= FLOAT_MAX`` holds for
+#: NaN, the infinities and integers beyond float range.
+FLOAT_MAX = sys.float_info.max
 
 
 class PipelineError(Exception):
@@ -135,12 +125,13 @@ class PeerRating(enum.IntEnum):
     @classmethod
     def from_token(cls, token: str) -> "PeerRating":
         try:
-            return _TOKEN_RATINGS[token]
+            return TOKEN_RATINGS[token]
         except KeyError:
             raise ValueError(f"unknown peer rating token {token!r}") from None
 
 
-_TOKEN_RATINGS = {r.token: r for r in PeerRating}
+#: Each rating by its token, in the products file and the archive.
+TOKEN_RATINGS = {r.token: r for r in PeerRating}
 
 #: Display order used by every report: best rating first.
 RATING_ORDER = tuple(PeerRating)
@@ -155,14 +146,16 @@ class ProductType(enum.Enum):
     OTHER = "other"
 
 
-_PRODUCT_TYPES = {t.value: t for t in ProductType}
+#: Each product type by its token, its value.
+PRODUCT_TYPES = {t.value: t for t in ProductType}
 
 _tuple_new = tuple.__new__
 
 #: a product's identity, and the order of a Dataset's products
 _KEY_FIELDS = ("discipline", "structure_id", "product_id")
 _product_key = attrgetter(*_KEY_FIELDS)
-_DUPLICATE_PRODUCT = "duplicate (discipline, structure_id, product_id) triple {}"
+#: the message of a repeated key, filled with the key
+DUPLICATE_PRODUCT = "duplicate (discipline, structure_id, product_id) triple {}"
 _KEY_ORDER = "products must be in key order; build the dataset with Dataset.from_products"
 
 
@@ -227,7 +220,7 @@ class Product(namedtuple("Product", PRODUCTS_HEADER)):
             if type(journal_if) is not float and type(journal_if) is not int:
                 raise InvalidProduct("malformed_number", f"journal_if must be a number, got {journal_if!r}")
             # false for NaN, the infinities and integers beyond float range
-            if not -_FLOAT_MAX <= journal_if <= _FLOAT_MAX:
+            if not -FLOAT_MAX <= journal_if <= FLOAT_MAX:
                 raise InvalidProduct("non_finite_number", f"journal_if must be finite, got {journal_if!r}")
             if journal_if < 0:
                 raise InvalidProduct("malformed_number", f"journal_if must be >= 0, got {journal_if}")
@@ -290,7 +283,7 @@ class Dataset:
             if prev[2] == p[2] and prev[1] == p[1]:  # one structure's products
                 if prev[0] >= p[0]:
                     if prev[0] == p[0]:
-                        raise PipelineError("duplicate_product", _DUPLICATE_PRODUCT.format(p.key))
+                        raise PipelineError("duplicate_product", DUPLICATE_PRODUCT.format(p.key))
                     raise ValueError(_KEY_ORDER)
             elif (prev[2], prev[1]) > (p[2], p[1]):
                 raise ValueError(_KEY_ORDER)
@@ -310,7 +303,7 @@ class Dataset:
 
     @classmethod
     def from_products(cls, products: Iterable[Product], provenance: Provenance) -> "Dataset":
-        return cls(products=tuple(_key_sorted(list(products))), provenance=provenance)
+        return cls(products=tuple(key_sorted(list(products))), provenance=provenance)
 
     def __len__(self) -> int:
         return len(self.products)
@@ -337,7 +330,7 @@ class Dataset:
         return self.area(discipline).products
 
 
-def _key_sorted(products: list[Product]) -> list[Product]:
+def key_sorted(products: list[Product]) -> list[Product]:
     """``products``, sorted in place into key order: one stable sort per key
     field, the least significant first, so that no key tuple is built per
     product."""
@@ -390,109 +383,6 @@ class Area:
         return self._parts[build]
 
 
-class Issue(NamedTuple):
-    row: int
-    rule: str
-    message: str
-
-
-class ValidationReport:
-    def __init__(self, accepted_count: int = 0):
-        self.errors: list[Issue] = []
-        self.warnings: list[Issue] = []
-        self.accepted_count = accepted_count
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def error(self, row: int, rule: str, message: str) -> None:
-        self.errors.append(Issue(row, rule, message))
-
-    def warn(self, row: int, rule: str, message: str) -> None:
-        self.warnings.append(Issue(row, rule, message))
-
-    def as_dict(self) -> dict:
-        return {
-            "accepted_count": self.accepted_count,
-            "errors": [i._asdict() for i in self.errors],
-            "warnings": [i._asdict() for i in self.warnings],
-        }
-
-    json_shape = as_dict
-
-    def json_parts(self) -> Iterator[str]:
-        """``json.dumps(self.as_dict(), sort_keys=True)`` and a newline, in parts: an f-string per issue
-        (int row, str rule and message), as ``_product_row`` writes a product: faster, and no dict per issue."""
-        yield f'{{"accepted_count": {self.accepted_count}, "errors": ['
-        for issues, end in ((self.errors, '], "warnings": ['), (self.warnings, "]}\n")):
-            texts = (f'{{"message": {_quote(msg)}, "row": {row}, "rule": {_quote(rule)}}}' for row, rule, msg in issues)
-            yield ", ".join(texts)
-            yield end
-
-
-class IngestConfig(NamedTuple):
-    source_name: str = "<stream>"
-
-
-class StaffRecord(NamedTuple):
-    structure_id: str
-    kind: str  # "university" | "agency"
-    avg_staff: float
-
-
-class SelectionPolicy:
-    """Submission-cap policy: products may not exceed ``cap_fraction`` of the
-    structure's full-time-equivalent researchers.
-
-    A university researcher counts as 0.5 FTE (teaching duties), an agency
-    researcher as 1.0, so the default cap is 25% of university staff and 50%
-    of agency staff.
-    """
-
-    def __init__(self, staff: Mapping[str, StaffRecord] | None = None, cap_fraction: float = 0.5):
-        if not 0 <= cap_fraction <= _FLOAT_MAX:  # false for NaN too
-            raise PipelineError("bad_cap", f"cap must be a finite number >= 0, got {cap_fraction!r}")
-        self.staff, self.cap_fraction = staff, cap_fraction
-
-    def cap_for(self, record: StaffRecord) -> float:
-        fte = 0.5 if record.kind == "university" else 1.0
-        return self.cap_fraction * fte * record.avg_staff
-
-
-_BOOLEAN_TOKENS = {"true": True, "false": False}
-
-# the lines io.StringIO would give (split after each "\n"), as slices of the
-# text instead of a second, four-bytes-per-character copy of it
-_LINE = re.compile(r"[^\n]*\n|[^\n]+")
-
-# what int() and float() accept beyond a plain ASCII number: surrounding
-# whitespace, digit separators, non-ASCII digits, a leading "+", and an integer's
-# leading zeros or "-0"; searched in the tokens joined by "," (which neither
-# accepts), journal_if first, so each token's start shows and only integers follow a ","
-_LAX_NUMBER = re.compile(r"[\s_]|[^\x00-\x7f]|(?:^|,)\+|,(?:-0|0[0-9])")
-
-
-def _csv_rows(text: str) -> Iterator[list[str]]:
-    return csv.reader(map(re.Match.group, _LINE.finditer(text)))
-
-
-def _csv_records(text: str) -> Iterator[tuple[int, list[str] | csv.Error]]:
-    """The rows of ``_csv_rows``, each with the line it starts on (the first
-    line is 1), and with each record csv cannot split (such as a lone carriage
-    return in an unquoted field) given as its ``csv.Error``; reading goes on at
-    the next line."""
-    reader = _csv_rows(text)
-    while True:
-        line = reader.line_num + 1
-        try:
-            yield line, next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            yield line, exc
-
-
 def read_text_file(path: str, newline: str | None = None) -> str:
     """The text of the UTF-8 file at ``path``, with ``open``'s ``newline``
     handling; a file that is not UTF-8 is a ``bad_encoding`` PipelineError."""
@@ -502,238 +392,6 @@ def read_text_file(path: str, newline: str | None = None) -> str:
         except UnicodeDecodeError as exc:
             raise PipelineError("bad_encoding", f"input is not UTF-8 text: {exc}") from None
 
-
-def _records_after_header(text: str) -> Iterator[tuple[int, list[str] | csv.Error]] | None:
-    """The records of ``_csv_records`` after the header, or None when the
-    header is not ``PRODUCTS_HEADER``."""
-    rows = _csv_records(text)
-    _, header = next(rows, (1, None))
-    return rows if isinstance(header, list) and tuple(header) == PRODUCTS_HEADER else None
-
-
-def _accepted(
-    rows: Iterator[tuple[int, list[str] | csv.Error]], report: ValidationReport, seen: set | None = None
-) -> Iterator[Product]:
-    """The product of each accepted row, in file order.  A rejected row's
-    errors go to ``report``, as do an accepted row's warnings.  Given ``seen``,
-    the keys accepted so far, a row whose key is in it is a ``duplicate_product``
-    error instead."""
-    for lineno, row in rows:
-        if isinstance(row, csv.Error):
-            report.error(lineno, "malformed_csv", f"malformed CSV: {row}")
-            continue
-        if not row:
-            continue
-        if len(row) != len(PRODUCTS_HEADER):
-            report.error(lineno, "field_count", f"expected {len(PRODUCTS_HEADER)} fields, got {len(row)}")
-            continue
-        (
-            product_id,
-            structure_id,
-            discipline,
-            year_tok,
-            type_tok,
-            rating_tok,
-            tr_tok,
-            cit_tok,
-            if_tok,
-            na_tok,
-            ni_tok,
-        ) = row
-
-        bad = False
-        rating = _TOKEN_RATINGS.get(rating_tok)
-        if rating is None:
-            report.error(lineno, "unknown_rating", f"unknown peer rating token {rating_tok!r}")
-            bad = True
-
-        ptype = _PRODUCT_TYPES.get(type_tok)
-        if ptype is None:
-            report.error(lineno, "unknown_product_type", f"unknown product type {type_tok!r}")
-            bad = True
-
-        tr_indexed = _BOOLEAN_TOKENS.get(tr_tok)
-        if tr_indexed is None:
-            report.error(lineno, "malformed_boolean", f"tr_indexed must be true|false, got {tr_tok!r}")
-            bad = True
-
-        try:
-            year = int(year_tok)
-            citations = None if cit_tok == "" else int(cit_tok)
-            journal_if = None if if_tok == "" else float(if_tok)
-            n_authors = int(na_tok)
-            n_internal = int(ni_tok)
-            if _LAX_NUMBER.search(",".join((if_tok, year_tok, cit_tok, na_tok, ni_tok))):
-                raise ValueError(
-                    "year, citations, journal_if, n_authors and n_internal_authors must be plain ASCII numbers, "
-                    "without whitespace, '_', a leading '+' or an integer's leading zeros or '-0', "
-                    f"got {(year_tok, cit_tok, if_tok, na_tok, ni_tok)!r}"
-                )
-        except ValueError as exc:
-            report.error(lineno, "malformed_number", str(exc))
-            bad = True
-        if bad:
-            continue
-
-        try:
-            product = Product(
-                product_id,
-                structure_id,
-                discipline,
-                year,
-                ptype,
-                rating,
-                tr_indexed,
-                citations,
-                journal_if,
-                n_authors,
-                n_internal,
-            )
-        except InvalidProduct as exc:
-            report.error(lineno, exc.rule, str(exc))
-            continue
-
-        if seen is not None:
-            key = product.key
-            if key in seen:
-                report.error(lineno, "duplicate_product", _DUPLICATE_PRODUCT.format(key))
-                continue
-            seen.add(key)
-
-        if discipline not in KNOWN_DISCIPLINES:
-            report.warn(lineno, "unknown_discipline", f"discipline code {discipline!r} is not a known area")
-        if tr_indexed and citations is None:
-            report.warn(
-                lineno,
-                "tr_missing_citations",
-                f"product {product_id!r} is TR-indexed but has no citation count; "
-                "it is excluded from citation means",
-            )
-        yield product
-
-
-def parse_products(text: str, config: IngestConfig = IngestConfig()) -> tuple[Dataset | None, ValidationReport]:
-    """Parse the products file format into a Dataset.
-
-    Every accepted row becomes exactly one product; rejected rows are listed
-    in the report with a row number and rule id.  If any error is recorded no
-    dataset is produced.
-    """
-    report = ValidationReport()
-    # rows are read one at a time: only the accepted products are kept
-    rows = _records_after_header(text)
-    if rows is None:
-        report.error(1, "bad_header", f"header must be exactly {','.join(PRODUCTS_HEADER)}")
-        return None, report
-
-    products = _key_sorted(list(_accepted(rows, report)))
-
-    from datetime import datetime, timezone  # only ingestion stamps a time; no archive query imports it
-
-    provenance = Provenance(
-        source_name=config.source_name,
-        source_digest=_sha256(text, len(text)),
-        ingested_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
-    try:
-        dataset = Dataset(products=tuple(products), provenance=provenance)
-    except PipelineError:
-        # rare: a key repeats.  Scan the file again in its order, keeping each
-        # key seen, so that every repeat is reported on its own line, among
-        # the other errors, and without the warnings of an accepted row.
-        report = ValidationReport()
-        products = list(_accepted(_records_after_header(text), report, seen=set()))
-        dataset = None
-    report.accepted_count = len(products)
-    return (dataset if report.ok else None), report
-
-
-def parse_products_file(path: str) -> tuple[Dataset | None, ValidationReport]:
-    return parse_products(read_text_file(path, newline=""), IngestConfig(source_name=path))
-
-
-def serialize_products(dataset: Dataset) -> str:
-    """Render a dataset back to the products file format in canonical order."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(PRODUCTS_HEADER)
-    for p in dataset.products:
-        writer.writerow(
-            [
-                p.product_id,
-                p.structure_id,
-                p.discipline,
-                p.year,
-                p.product_type.value,
-                p.peer_rating.token,
-                "true" if p.tr_indexed else "false",
-                "" if p.citations is None else p.citations,
-                "" if p.journal_if is None else repr(float(p.journal_if)),  # shortest round-trip form
-                p.n_authors,
-                p.n_internal_authors,
-            ]
-        )
-    return out.getvalue()
-
-
-def parse_staff(text: str) -> dict[str, StaffRecord]:
-    """Parse the optional staff table (structure_id,kind,avg_staff)."""
-    rows = _csv_records(text)
-    _, header = next(rows, (1, None))
-    if not isinstance(header, list) or tuple(header) != STAFF_HEADER:
-        raise PipelineError("bad_staff_header", f"staff header must be {','.join(STAFF_HEADER)}")
-    records: dict[str, StaffRecord] = {}
-    for lineno, row in rows:
-        if isinstance(row, csv.Error):
-            raise PipelineError("bad_staff_row", f"row {lineno}: malformed CSV: {row}")
-        if not row:
-            continue
-        if len(row) != 3:
-            raise PipelineError("bad_staff_row", f"row {lineno}: expected 3 fields")
-        structure_id, kind, staff_tok = row
-        if kind not in ("university", "agency"):
-            raise PipelineError("bad_staff_kind", f"row {lineno}: kind must be university|agency")
-        try:
-            avg_staff = float(staff_tok)
-        except ValueError:
-            raise PipelineError("bad_staff_number", f"row {lineno}: avg_staff must be numeric") from None
-        if not 0 <= avg_staff <= _FLOAT_MAX:  # false for NaN too
-            raise PipelineError("bad_staff_number", f"row {lineno}: avg_staff must be a finite number >= 0")
-        if structure_id in records:
-            raise PipelineError("bad_staff_row", f"row {lineno}: structure {structure_id!r} is listed twice")
-        records[structure_id] = StaffRecord(structure_id, kind, avg_staff)
-    return records
-
-
-def validate_dataset(dataset: Dataset, policy: SelectionPolicy | None = None) -> ValidationReport:
-    """Flag TR-indexed products without citations and audit submission caps.
-
-    Cap violations are warnings, never errors: the tool audits historic or
-    synthetic data rather than enforcing submission rules.
-    """
-    report = ValidationReport(accepted_count=len(dataset))
-    for p in dataset.products:
-        if p.tr_indexed and p.citations is None:
-            report.warn(0, "tr_missing_citations", f"product {p.product_id!r} is TR-indexed without a citation count")
-
-    if policy is not None and policy.staff:
-        submitted: dict[str, set[str]] = {}
-        for p in dataset.products:
-            submitted.setdefault(p.structure_id, set()).add(p.product_id)
-        for structure_id in sorted(submitted):
-            record = policy.staff.get(structure_id)
-            if record is None:
-                continue
-            cap = policy.cap_for(record)
-            count = len(submitted[structure_id])
-            if count > cap:
-                report.warn(
-                    0,
-                    "cap_exceeded",
-                    f"structure {structure_id!r} submitted {count} products, cap is {cap:g} "
-                    f"({record.kind}, avg staff {record.avg_staff:g})",
-                )
-    return report
 
 
 def _product_row(p: Product) -> str:
@@ -829,12 +487,13 @@ def _sealed_format(text: str) -> str | None:
     return next((fmt for fmt, head in _SEALED_HEADS.items() if text.startswith(head)), None)
 
 
-def _sha256(text: str, end: int, errors: str = "strict") -> str:
-    """The sha256 of ``text[:end]`` in UTF-8, with ``str.encode``'s ``errors``
-    handling.  The text is hashed a chunk at a time, so it is never copied whole."""
+def text_sha256(text: str, end: int) -> str:
+    """The sha256 of ``text[:end]`` in UTF-8, a lone surrogate encoded as its
+    code point (``"surrogatepass"``), so that any ``str`` has a digest.  The
+    text is hashed a chunk at a time, so it is never copied whole."""
     digest = hashlib.sha256()
     for at in range(0, end, _CHUNK):
-        digest.update(text[at : min(at + _CHUNK, end)].encode("utf-8", errors))
+        digest.update(text[at : min(at + _CHUNK, end)].encode("utf-8", "surrogatepass"))
     return digest.hexdigest()
 
 
@@ -848,7 +507,7 @@ def _unseal(text: str, fmt: str) -> tuple[str, int, int, str]:
     tail = _SEALED_TAIL.fullmatch(text, max(last_line - len("],\n"), 0))
     if not text.startswith(_SEALED_HEADS[fmt]) or head is None or tail is None:
         raise PipelineError("bad_archive", _LAYOUT_ERROR)
-    if _sha256(text, tail.start(2), "surrogatepass") != tail[2]:
+    if text_sha256(text, tail.start(2)) != tail[2]:
         raise PipelineError("bad_archive", "the archive's bytes do not match its seal")
     return head[1], head.end(), tail.start(), tail[1]
 
@@ -901,7 +560,7 @@ def _area_products(text: str, start: int, stop: int, area: str) -> list[Product]
                 pid, sid, discipline, year, ptype, rating, tr, cites, impact, n_au, n_in = row
                 if discipline != area:
                     raise ValueError(f"a row under area {area!r} has the discipline {discipline!r}")
-                ptype, rating = _PRODUCT_TYPES[ptype], _TOKEN_RATINGS[rating]
+                ptype, rating = PRODUCT_TYPES[ptype], TOKEN_RATINGS[rating]
                 products.append(Product(pid, sid, discipline, year, ptype, rating, tr, cites, impact, n_au, n_in))
         except (KeyError, TypeError, ValueError) as exc:  # KeyError, TypeError: an unknown or unhashable token
             raise PipelineError("bad_archive", f"invalid product row: {exc}") from None
@@ -909,7 +568,7 @@ def _area_products(text: str, start: int, stop: int, area: str) -> list[Product]
     return products
 
 
-def _load_rows(text: str, discipline: str | None = None) -> Dataset:
+def _load_rows(text: str, discipline: str | None) -> Dataset:
     """The dataset of an ``ARCHIVE_FORMAT`` archive, or of ``discipline``'s
     products alone.  The seal and the area index are checked whole first; then
     each area's rows are decoded and built before the next area's are decoded."""
@@ -925,25 +584,82 @@ def _load_rows(text: str, discipline: str | None = None) -> Dataset:
         raise PipelineError("bad_archive", f"archive rows must be in strictly increasing key order: {exc}") from None
 
 
-def load_archive(text: str) -> Dataset:
+#: The keys of a product record in the two formats before ``ARCHIVE_FORMAT``;
+#: all but ``citations`` and ``journal_if`` are always written.
+_RECORD_KEYS = frozenset(PRODUCTS_HEADER)
+_REQUIRED_RECORD_KEYS = len(_RECORD_KEYS) - 2
+_FORMAT_KEYS = {
+    UNSEALED_FORMAT: frozenset(("format", "provenance", "products")),
+    RECORDS_FORMAT: frozenset(("format", "provenance", "products", "seal")),
+}
+
+
+def _record_product(obj: dict):
+    """``_load_records``' object hook: a JSON object with a ``product_id`` key
+    becomes its Product as soon as it is decoded, and fails on a key that is
+    not a product field; any other object is kept."""
+    if "product_id" not in obj:
+        return obj
+    # a missing key fails its lookup below, so any key beyond those read is unknown
+    if len(obj) > _REQUIRED_RECORD_KEYS + ("citations" in obj) + ("journal_if" in obj):
+        raise ValueError(f"unknown keys {sorted(obj.keys() - _RECORD_KEYS)}")
+    return Product(
+        obj["product_id"],
+        obj["structure_id"],
+        obj["discipline"],
+        obj["year"],
+        PRODUCT_TYPES[obj["product_type"]],
+        TOKEN_RATINGS[obj["peer_rating"]],
+        obj["tr_indexed"],
+        obj.get("citations"),
+        obj.get("journal_if"),
+        obj["n_authors"],
+        obj["n_internal_authors"],
+    )
+
+
+def _load_records(text: str, sealed: str | None) -> Dataset:
+    """The dataset of an archive of a format before ``ARCHIVE_FORMAT``, whose
+    products are records, JSON objects keyed by the products-file columns:
+    ``RECORDS_FORMAT``, sealed (``sealed``), or ``UNSEALED_FORMAT``.  A seal
+    is checked, then the whole document is decoded, each product record built
+    as soon as it is decoded, so the decoded records are never held at once."""
+    if sealed is not None:
+        _unseal(text, sealed)
+    try:
+        doc = json.loads(text, object_hook=_record_product)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
+        raise PipelineError("bad_archive", f"archive is not valid JSON: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers InvalidProduct
+        raise PipelineError("bad_archive", f"invalid product record: {exc}") from None
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt in _SEALED_HEADS and sealed is None:
+        raise PipelineError("bad_archive", _LAYOUT_ERROR)
+    if fmt not in _FORMAT_KEYS:
+        raise PipelineError(
+            "bad_archive", f"expected archive format {ARCHIVE_FORMAT!r}, {RECORDS_FORMAT!r} or {UNSEALED_FORMAT!r}"
+        )
+    # every archive the writer has produced carries exactly these keys, so a
+    # missing key is as bad as an unknown one
+    if doc.keys() != _FORMAT_KEYS[fmt]:
+        raise PipelineError(
+            "bad_archive", f"{fmt} archive keys must be exactly {sorted(_FORMAT_KEYS[fmt])}, got {sorted(doc)}"
+        )
+    products = doc["products"]
+    if not isinstance(products, list) or not all(type(p) is Product for p in products):
+        raise PipelineError("bad_archive", "archive products must be a list of product records")
+    return Dataset.from_products(products, _provenance(doc["provenance"]))
+
+
+def load_archive(text: str, discipline: str | None = None) -> Dataset:
     """The dataset of an archive: every product is built and checked, and a
     sealed archive's seal too.  An ``ARCHIVE_FORMAT`` archive is decoded one
-    area at a time; an archive of an earlier format goes through
-    ``records.load_records``, imported only then."""
-    if _sealed_format(text) == ARCHIVE_FORMAT:
-        return _load_rows(text)
-    from .records import load_records
-
-    return load_records(text)
-
-
-def load_archive_area(text: str, discipline: str) -> Dataset:
-    """The dataset of ``discipline``'s products alone, for a command that reads
-    one area.  An ``ARCHIVE_FORMAT`` archive is checked whole through its seal
-    and its area index, and then only the area's rows are decoded; an archive
-    of an earlier format goes through ``load_archive``.  Either way
-    ``products_in(discipline)`` gives the area's products, or the
+    area at a time, and given a ``discipline``, for a command that reads one
+    area, only that area's rows are decoded, after the seal and the area index
+    are checked whole.  An archive of an earlier format is decoded whole.
+    Either way ``products_in(discipline)`` gives the area's products, or the
     ``empty_discipline`` error when it has none."""
-    if _sealed_format(text) != ARCHIVE_FORMAT:
-        return load_archive(text)
-    return _load_rows(text, discipline)
+    sealed = _sealed_format(text)
+    if sealed == ARCHIVE_FORMAT:
+        return _load_rows(text, discipline)
+    return _load_records(text, sealed)

@@ -4,42 +4,24 @@ and JSON rendering.
 ``build_report`` runs every builder on every chosen area: the profile and
 rating breakdown (``indicators``), the battery per variable (``battery``),
 the ranking and rank comparison (``scoring``).  The table specs, formatters
-and ``as_json`` live in ``tables``, which this module re-exports together with
-the battery entry points.
+and ``as_json`` live in ``tables``, and the battery's entry points in
+``battery``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .battery import VariableBattery, battery_md, build_battery, noted, render_battery
+from .battery import VariableBattery, battery_md, build_battery, noted
 from .concordance import VARIABLES, CorrelationResult, spearman
 from .indicators import DisciplineProfile, RatingBreakdown, discipline_profile, rating_breakdown
-from .model import Dataset, validate_dataset
+from .ingest import validate_dataset
+from .model import Dataset
 from .scoring import RankComparison, Ranking, compile_ranking, rank_comparison, structure_ratings
-from .tables import BREAKDOWN, CHI_SQUARE, CONTINGENCY, PROBABILITIES, PROFILE, RANKING, STRUCTURE_CORRELATIONS, Table
-from .tables import Assembly, as_json, comparison_md, contingency_rows, csv_text, json_text, ranking_md, render
-# the rest of the table layer, re-exported for callers that take it from here
-from .tables import COMPARISON, ISSUES, fmt, fmt_p, fmt_pct, md_table, plot_data_text, round_half_up  # noqa: F401
+from .tables import BREAKDOWN, CHI_SQUARE, CONTINGENCY, PROBABILITIES, PROFILE, RANKING, STRUCTURE_CORRELATIONS
+from .tables import Assembly, as_json, comparison_md, contingency_rows, csv_section, json_text, ranking_md, render
 
-__all__ = [
-    "render",
-    "PROFILE",
-    "BREAKDOWN",
-    "PROBABILITIES",
-    "RANKING",
-    "COMPARISON",
-    "ISSUES",
-    "ranking_md",
-    "comparison_md",
-    "plot_data_text",
-    "build_battery",
-    "render_battery",
-    "build_report",
-    "render_report_md",
-    "render_report_json",
-    "render_report_csv",
-]
+__all__ = ["build_report", "render_report_md", "render_report_json", "render_report_csv"]
 
 
 class StructureCorrelation(NamedTuple):
@@ -169,14 +151,6 @@ def render_report_json(bundle: ReportBundle) -> str:
     return json_text(as_json(bundle))
 
 
-def _csv_section(name: str, table: Table, keys: Sequence[str], rows: Iterable[tuple]) -> str:
-    """A '# <name>' section: key columns, then the table's CSV columns; rows
-    are (key values, item) pairs."""
-    columns = table.csv or table.columns
-    body = [[*key_values, *(c.cell(item) for c in columns)] for key_values, item in rows]
-    return f"# {name}\n" + csv_text([*keys, *(c.header for c in columns)], body)
-
-
 def render_report_csv(bundle: ReportBundle) -> str:
     """CSV rendering: flat sections separated by '# <name>' marker lines."""
     sections = bundle.disciplines.items()
@@ -193,11 +167,11 @@ def render_report_csv(bundle: ReportBundle) -> str:
     ]
     return "".join(
         [
-            _csv_section("profiles", PROFILE, (), [((), s.profile) for _, s in sections]),
-            _csv_section("breakdowns", BREAKDOWN, ("discipline",), breakdowns),
-            _csv_section("contingency_row_percentages", CONTINGENCY, by_variable, contingency),
-            _csv_section("chi_square", CHI_SQUARE, by_variable, chi_square),
-            _csv_section("probabilities", PROBABILITIES, by_variable, probabilities),
-            _csv_section("rankings", RANKING, ("discipline", "metric"), rankings),
+            csv_section("profiles", PROFILE, (), [((), s.profile) for _, s in sections]),
+            csv_section("breakdowns", BREAKDOWN, ("discipline",), breakdowns),
+            csv_section("contingency_row_percentages", CONTINGENCY, by_variable, contingency),
+            csv_section("chi_square", CHI_SQUARE, by_variable, chi_square),
+            csv_section("probabilities", PROBABILITIES, by_variable, probabilities),
+            csv_section("rankings", RANKING, ("discipline", "metric"), rankings),
         ]
     )

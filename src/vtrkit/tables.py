@@ -111,6 +111,14 @@ def render(table: Table, items: Iterable, fmt: str, payload=None, **names: str) 
     return csv_text(headers, rows) if fmt == "csv" else md_table(headers, rows)
 
 
+def csv_section(name: str, table: Table, keys: Sequence[str], rows: Iterable[tuple]) -> str:
+    """A '# <name>' section of a CSV report: key columns, then the table's CSV
+    columns; rows are (key values, item) pairs."""
+    columns = table.csv or table.columns
+    body = [[*key_values, *(c.cell(item) for c in columns)] for key_values, item in rows]
+    return f"# {name}\n" + csv_text([*keys, *(c.header for c in columns)], body)
+
+
 def _attr(name: str, header: str | None = None) -> Column:
     return Column(header or name, attrgetter(name))
 

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from vtrkit.model import ARCHIVE_FORMAT, PRODUCTS_HEADER, RECORDS_FORMAT, UNSEALED_FORMAT, parse_products, write_archive
+from vtrkit.ingest import parse_products
+from vtrkit.model import ARCHIVE_FORMAT, PRODUCTS_HEADER, RECORDS_FORMAT, UNSEALED_FORMAT, write_archive
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -34,8 +34,8 @@ from vtrkit.concordance import (
 from vtrkit.indicators import h_index
 from vtrkit.model import load_archive
 from vtrkit.numerics import chi_square_upper_tail, student_t_two_sided
-from vtrkit.report import fmt
 from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise
+from vtrkit.tables import fmt
 
 
 def announce(label: str, ok: bool, detail: str) -> None:

@@ -14,7 +14,8 @@ import pytest
 
 from vtrkit import cli
 from vtrkit.cli import main
-from vtrkit.model import Dataset, load_archive, parse_products_file, serialize_products, write_archive
+from vtrkit.ingest import parse_products_file, serialize_products
+from vtrkit.model import Dataset, load_archive, write_archive
 
 from conftest import unsealed_doc
 
@@ -161,7 +162,7 @@ class TestFaults:
         assert json.loads(capsys.readouterr().err)["error"] == "bad_archive"
 
     def test_unexpected_exception_is_internal_error(self, archive, capsys, monkeypatch):
-        def broken(text):
+        def broken(text, discipline=None):
             raise RuntimeError("boom")
 
         monkeypatch.setattr("vtrkit.cli.load_archive", broken)

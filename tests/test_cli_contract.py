@@ -24,7 +24,8 @@ from pathlib import Path
 import pytest
 
 from vtrkit.cli import main
-from vtrkit.model import IngestConfig, parse_products, write_archive
+from vtrkit.ingest import IngestConfig, parse_products
+from vtrkit.model import write_archive
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CONTRACT = FIXTURES / "cli_outputs.json"

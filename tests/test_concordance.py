@@ -25,7 +25,8 @@ from vtrkit.concordance import (
     quartile_bins,
     spearman,
 )
-from vtrkit.model import Area, PeerRating, PipelineError, RATING_ORDER, parse_products
+from vtrkit.ingest import parse_products
+from vtrkit.model import Area, PeerRating, PipelineError, RATING_ORDER
 from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise
 
 HEADER = "product_id,structure_id,discipline,year,product_type,peer_rating,tr_indexed,citations,journal_if,n_authors,n_internal_authors"

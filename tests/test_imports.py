@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from vtrkit.model import load_archive, read_text_file, serialize_products
+from vtrkit.ingest import serialize_products
+from vtrkit.model import load_archive, read_text_file
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_dataset.json"
@@ -102,20 +103,38 @@ def test_no_command_but_synth_imports_statistics(command, tmp_path):
     assert_only_synth_loads(command, tmp_path, {"statistics"})
 
 
-@pytest.mark.parametrize("command", ["report", "concordance"])
-def test_a_current_archive_loads_without_the_record_decoder(command, tmp_path):
-    """Only an archive of an earlier format imports ``records``; the golden
-    fixture is one, and the archive ingest writes from it is not."""
+def current_archive(tmp_path) -> Path:
+    """The golden fixture's products, ingested into an archive of the current format."""
     products, archive = tmp_path / "products.csv", tmp_path / "dataset.json"
     products.write_text(serialize_products(load_archive(read_text_file(str(GOLDEN)))), encoding="utf-8")
     run_child(COMMAND_PROBE, "ingest", "--products", str(products), "--out", str(archive))
-    flags = ["--all"] if command == "report" else ["--discipline", "BIO"]
-    loaded = {}
-    for name, path in (("current", archive), ("golden", GOLDEN)):
-        child = run_child(COMMAND_PROBE, command, "--dataset", str(path), *flags, "--out", str(tmp_path / "out"))
+    return archive
+
+
+@pytest.mark.parametrize("command", ["profile", "breakdown", "rank", "compare-ranks", "concordance", "probability"])
+def test_no_query_imports_ingest(command, tmp_path):
+    """The CSV code lives in ``ingest``, which no query loads, on an archive
+    of the current format or on the golden ``vtrkit-dataset/1`` one."""
+    for path in (current_archive(tmp_path), GOLDEN):
+        flags = [f.format(golden=path) for f in COMMANDS[command][0]]
+        child = run_child(COMMAND_PROBE, command, *flags, "--out", str(tmp_path / "out"))
         assert child["code"] == 0
-        loaded[name] = "vtrkit.records" in child["modules"]
-    assert loaded == {"current": False, "golden": True}
+        assert "vtrkit.ingest" not in child["modules"]
+
+
+@pytest.mark.parametrize("command", ["report --all", "concordance --discipline BIO"], ids=["report", "concordance"])
+def test_the_golden_legacy_archive_loads(command, tmp_path):
+    """``model`` decodes the earlier formats too: a command on the golden
+    ``vtrkit-dataset/1`` fixture gives what it gives on the current archive of
+    the same products, but for the report's source lines."""
+    name, *flags = command.split()
+    outputs = []
+    for path in (current_archive(tmp_path), GOLDEN):
+        child = run_child(COMMAND_PROBE, name, "--dataset", str(path), *flags, "--out", str(tmp_path / "out"))
+        assert child["code"] == 0
+        lines = (tmp_path / "out").read_text("utf-8").splitlines()
+        outputs.append([line for line in lines if not line.startswith(("- source: ", "- digest: "))])
+    assert outputs[0] == outputs[1]
 
 
 #: What ``vtrkit`` exported when it imported every module eagerly, by the
@@ -126,9 +145,10 @@ EXPORTED = {
         flag_probability_rows pairwise_probabilities peer_bibliometric_spearman quartile_bins spearman""",
     "indicators": """DisciplineProfile GroupStats RatingBreakdown discipline_profile group_stats h_index
         ownership_degree rating_breakdown""",
-    "model": """Dataset IngestConfig InvalidProduct Issue PeerRating PipelineError Product ProductType Provenance
-        RATING_ORDER SelectionPolicy StaffRecord ValidationReport load_archive parse_products parse_products_file
-        parse_staff serialize_products validate_dataset write_archive""",
+    "ingest": """IngestConfig Issue SelectionPolicy StaffRecord ValidationReport parse_products parse_products_file
+        parse_staff serialize_products validate_dataset""",
+    "model": """Dataset InvalidProduct PeerRating PipelineError Product ProductType Provenance RATING_ORDER load_archive
+        write_archive""",
     "numerics": "average_ranks chi_square_upper_tail student_t_two_sided",
     "scoring": """RankComparison Ranking SizeClass StructureRating compile_ranking rank_comparison size_class
         structure_ratings""",

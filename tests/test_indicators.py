@@ -13,7 +13,8 @@ from vtrkit.indicators import (
     ownership_degree,
     rating_breakdown,
 )
-from vtrkit.model import PeerRating, PipelineError, parse_products
+from vtrkit.ingest import parse_products
+from vtrkit.model import PeerRating, PipelineError
 
 
 def h_index_brute_force(citations) -> int:

@@ -24,6 +24,7 @@ from statistics import NormalDist
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vtrkit.battery import build_battery
 from vtrkit.cli import main
 from vtrkit.concordance import (
     VARIABLES,
@@ -33,6 +34,7 @@ from vtrkit.concordance import (
     peer_bibliometric_spearman,
 )
 from vtrkit.indicators import discipline_profile, group_stats, rating_breakdown
+from vtrkit.ingest import ValidationReport, _csv_rows, parse_products, serialize_products
 from vtrkit.model import (
     AUTHORS_MAX,
     CITATIONS_MAX,
@@ -47,18 +49,13 @@ from vtrkit.model import (
     Product,
     ProductType,
     Provenance,
-    ValidationReport,
-    _csv_rows,
     _product_row,
+    _record_product,
     load_archive,
-    load_archive_area,
-    parse_products,
-    serialize_products,
     write_archive,
 )
 from vtrkit.numerics import average_ranks, student_t_two_sided
-from vtrkit.records import _record_product
-from vtrkit.report import build_battery, build_report, render_report_json
+from vtrkit.report import build_report, render_report_json
 from vtrkit.scoring import structure_ratings
 from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise, load_synth_config
 
@@ -252,8 +249,8 @@ def test_records_and_rows_archives_load_alike(dataset):
     rows, records = write_archive(dataset), records_archive(dataset)
     assert load_archive(records) == load_archive(rows) == dataset
     for area in [*dataset.disciplines, "PHY"]:
-        assert _outcome(load_archive_area(records, area).products_in, area) == _outcome(
-            load_archive_area(rows, area).products_in, area
+        assert _outcome(load_archive(records, area).products_in, area) == _outcome(
+            load_archive(rows, area).products_in, area
         )
 
 
@@ -552,7 +549,7 @@ def test_damaged_row_raises_only_pipeline_error(at, field, value):
     row[field] = value
     rows[at] = json.dumps(row)
     damaged = reseal(ARCHIVE, rows)
-    for load in (load_archive, lambda text: load_archive_area(text, "BIO")):
+    for load in (load_archive, lambda text: load_archive(text, "BIO")):
         try:
             load(damaged)
         except PipelineError:
@@ -567,7 +564,7 @@ def test_area_load_equals_full_load(dataset):
     archive = write_archive(dataset)
     full = load_archive(archive)
     for area in [*full.disciplines, "PHY"]:
-        scoped = load_archive_area(archive, area)
+        scoped = load_archive(archive, area)
         assert scoped.provenance == full.provenance
         assert _outcome(scoped.products_in, area) == _outcome(full.products_in, area)
 

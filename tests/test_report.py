@@ -10,14 +10,16 @@ import pytest
 
 from vtrkit.concordance import VARIABLES, AdjacentPairResult, ChiSquareResult, CorrelationResult
 from vtrkit.indicators import discipline_profile, rating_breakdown
-from vtrkit.model import PeerRating, Product, ProductType, parse_products
-from vtrkit.report import (
+from vtrkit.battery import build_battery
+from vtrkit.ingest import parse_products
+from vtrkit.model import PeerRating, Product, ProductType
+from vtrkit.report import build_report, build_section, render_report_json, render_report_md
+from vtrkit.scoring import RankEntry, Ranking, SizeClass, compile_ranking, rank_comparison, structure_ratings
+from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise
+from vtrkit.tables import (
     BREAKDOWN,
     PROFILE,
     as_json,
-    build_battery,
-    build_report,
-    build_section,
     csv_text,
     fmt,
     fmt_p,
@@ -26,12 +28,8 @@ from vtrkit.report import (
     md_table,
     plot_data_text,
     render,
-    render_report_json,
-    render_report_md,
     round_half_up,
 )
-from vtrkit.scoring import RankEntry, Ranking, SizeClass, compile_ranking, rank_comparison, structure_ratings
-from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise
 
 
 class TestNumberFormatting:

@@ -8,7 +8,8 @@ import statistics
 
 import pytest
 
-from vtrkit.model import RATING_ORDER, PeerRating, PipelineError, parse_products
+from vtrkit.ingest import parse_products
+from vtrkit.model import RATING_ORDER, PeerRating, PipelineError
 from vtrkit.scoring import (
     RankEntry,
     Ranking,

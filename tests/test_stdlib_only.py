@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -74,3 +75,18 @@ def test_only_synth_imports_statistics():
     pattern = re.compile(r"^\s*(import statistics\b|from statistics import)", re.MULTILINE)
     importers = sorted(path.name for path in (SRC / "vtrkit").glob("*.py") if pattern.search(path.read_text("utf-8")))
     assert importers == ["synth.py"]
+
+
+def test_no_module_imports_another_modules_private_name():
+    """Each module keeps its underscore names to itself: what another module
+    needs of it is public, so a file format's code can move without breaking
+    a reader of its internals."""
+    private = sorted(
+        f"{path.name}: {node.module}.{alias.name}"
+        for path in (SRC / "vtrkit").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("vtrkit"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert private == []

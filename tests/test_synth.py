@@ -13,7 +13,8 @@ import scipy.stats
 
 from vtrkit.cli import main
 from vtrkit.concordance import pairwise_probabilities, peer_bibliometric_spearman
-from vtrkit.model import PipelineError, serialize_products, write_archive
+from vtrkit.ingest import serialize_products
+from vtrkit.model import PipelineError, write_archive
 from vtrkit.synth import (
     DEFAULT_DISCIPLINES,
     DisciplineSpec,
