@@ -88,8 +88,8 @@ def cmd_validate(args) -> int:
 def cmd_profile(args) -> int:
     from .indicators import discipline_profile
     from .tables import PROFILE, render
-    dataset = _load_dataset(args.dataset, args.discipline or None)
-    disciplines = [args.discipline] if args.discipline else dataset.disciplines
+    dataset = _load_dataset(args.dataset, args.discipline)
+    disciplines = [args.discipline] if args.discipline is not None else dataset.disciplines
     profiles = [discipline_profile(dataset, d) for d in disciplines]
     _write_out(render(PROFILE, profiles, args.format), args.out)
     return 0
@@ -173,7 +173,7 @@ def cmd_report(args) -> int:
     from . import report as rpt
     min_products = _min_products(args)
     dataset = _load_dataset(args.dataset)
-    disciplines = None if args.all or not args.discipline else [args.discipline]
+    disciplines = None if args.all or args.discipline is None else [args.discipline]
     bundle = rpt.build_report(dataset, disciplines, min_products=min_products, coding=args.coding)
     renderers = {"md": rpt.render_report_md, "csv": rpt.render_report_csv, "json": rpt.render_report_json}
     _write_out(renderers[args.format](bundle), args.out)

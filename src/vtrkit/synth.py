@@ -8,11 +8,11 @@ rating comes from quality thresholds anchored at the published scale shares
 covered products attach citations and impact factor through a bivariate
 normal whose correlation with the quality score is configurable.
 
-Determinism contract: every product draws from its own substream keyed by
-(seed, discipline, structure, index), so generation order never changes the
-data, and the same seed always produces byte-identical output, the same
-bytes in every version.  One generator is reseeded from each key in turn;
-``generate_exercise`` lists the draws a product takes from its substream.
+Determinism contract: every structure draws from its own stream keyed by
+(seed, discipline, structure), so neither the order of the areas nor the
+other structures change its products, and within a generator version
+(``GENERATOR``) the same seed always produces byte-identical output.
+``generate_exercise`` lists the draws a structure takes from its stream.
 """
 
 from __future__ import annotations
@@ -39,7 +39,18 @@ from .model import (
     Provenance,
 )
 
-__all__ = ["DisciplineSpec", "SynthConfig", "DEFAULT_DISCIPLINES", "generate_exercise", "load_synth_config"]
+__all__ = [
+    "GENERATOR",
+    "DisciplineSpec",
+    "SynthConfig",
+    "DEFAULT_DISCIPLINES",
+    "generate_exercise",
+    "load_synth_config",
+]
+
+#: The generator version, covered by the provenance digest: a change to the
+#: data a seed gives is a new version, so one digest never names two datasets.
+GENERATOR = "vtrkit-synth/2"
 
 _NORMAL = NormalDist()
 
@@ -172,12 +183,12 @@ def _is_real(value: object) -> bool:
 def generate_exercise(config: SynthConfig) -> Dataset:
     """Generate a full synthetic exercise dataset from a config.
 
-    A structure's product count is one draw from the substream keyed
-    ``"{seed}|{code}|{structure}|count"``; product ``index`` reseeds from
-    ``"{seed}|{code}|{structure}|{index}"`` (sha256 of the key, as a big-endian
-    integer) and draws, in this order: the quality u, coverage, year, the type
-    if uncovered, the hyperauthor draw, the author count (a uniform or a
-    normal), one draw per co-author, then two normals if covered.
+    Each structure seeds one stream from ``"{seed}|{code}|{structure}"`` (sha256
+    of the key, as a big-endian integer).  Its first draw is the structure's
+    product count; then each product, in index order, draws from the same
+    stream, in this order: the quality u, coverage, year, the type if
+    uncovered, the hyperauthor draw, the author count (a uniform or a normal),
+    one draw per co-author, then two normals if covered.
     """
     seed = config.seed
     # u >= 1 - t1 is E; else u >= 1 - t2 is G; else u >= 1 - t3 is A; else L
@@ -187,8 +198,7 @@ def generate_exercise(config: SynthConfig) -> Dataset:
     rho, dispersion, if_scale = config.target_rho, config.citation_dispersion, config.if_scale
     rho_rest = math.sqrt(1.0 - rho * rho)
     inv_cdf, exp, sha256, from_bytes = _NORMAL.inv_cdf, math.exp, hashlib.sha256, int.from_bytes
-    rng = random.Random()
-    reseed, draw = rng.seed, rng.random
+    Random = random.Random
     products = []
     append = products.append
     try:
@@ -197,11 +207,9 @@ def generate_exercise(config: SynthConfig) -> Dataset:
             sizes = spec.products_max - products_min + 1
             for s in range(1, spec.n_structures + 1):
                 structure_id = f"S{s:03d}"
-                key = f"{seed}|{code}|{structure_id}|"
-                reseed(from_bytes(sha256(f"{key}count".encode()).digest(), "big"))
+                draw = Random(from_bytes(sha256(f"{seed}|{code}|{structure_id}".encode()).digest(), "big")).random
                 n_products = products_min + min(int(draw() * sizes), sizes - 1)
                 for index in range(1, n_products + 1):
-                    reseed(from_bytes(sha256(f"{key}{index}".encode()).digest(), "big"))
                     if not _LOW <= (u := draw()) <= _HIGH:
                         u = min(max(u, _LOW), _HIGH)
                     rating = _BY_QUALITY[bisect_right(quality_cuts, u)]
@@ -248,7 +256,7 @@ def generate_exercise(config: SynthConfig) -> Dataset:
     except (InvalidProduct, OverflowError) as exc:  # extreme knobs can draw values past the bounds
         raise PipelineError("invalid_config", f"{spec.code}: config yields an invalid product: {exc}") from None
 
-    config_digest = hashlib.sha256(repr(config).encode("utf-8")).hexdigest()
+    config_digest = hashlib.sha256(f"{GENERATOR}|{config!r}".encode("utf-8")).hexdigest()
     provenance = Provenance(
         source_name=f"synth:seed={config.seed}",
         source_digest=config_digest,

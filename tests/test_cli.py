@@ -278,6 +278,15 @@ class TestTables:
         assert main(["breakdown", "--dataset", str(archive), "--discipline", "PHY"]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "empty_discipline"
 
+    @pytest.mark.parametrize("command", ["profile", "report"])
+    def test_empty_discipline_is_not_every_discipline(self, archive, capsys, command):
+        """An empty ``--discipline`` names an area with no products, as it does
+        for the single-area commands; only an absent flag means every area."""
+        assert main([command, "--dataset", str(archive), "--discipline", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "empty_discipline"
+
 
 class TestRankingCommands:
     def test_rank_table(self, archive, capsys):

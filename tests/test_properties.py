@@ -708,8 +708,9 @@ def test_config_document_ends_in_a_config_or_invalid_config(doc, damage, data):
 
 def reference_exercise(config: SynthConfig) -> list[Product]:
     """The generator's draws written one helper per draw, with a fresh
-    ``random.Random`` per substream: the reference ``generate_exercise``
-    must match product for product."""
+    ``random.Random`` per structure's substream, shared by its count and its
+    products: the reference ``generate_exercise`` must match product for
+    product."""
     normal = NormalDist()
 
     def substream(*key: object) -> random.Random:
@@ -759,8 +760,7 @@ def reference_exercise(config: SynthConfig) -> list[Product]:
         internal = 1 + sum(1 for _ in range(n_authors - 1) if rng.random() < config.internal_author_share)
         return n_authors, min(internal, n_authors)
 
-    def generate_product(spec, structure_id, index):
-        rng = substream(config.seed, spec.code, structure_id, index)
+    def generate_product(rng, spec, structure_id, index):
         u = uniform(rng)
         rating = rating_from_quality(u)
         covered = rng.random() < spec.coverage
@@ -781,9 +781,9 @@ def reference_exercise(config: SynthConfig) -> list[Product]:
     for spec in config.disciplines:
         for s in range(1, spec.n_structures + 1):
             structure_id = f"S{s:03d}"
-            count_rng = substream(config.seed, spec.code, structure_id, "count")
-            n_products = rand_int(count_rng, spec.products_min, spec.products_max)
-            products += (generate_product(spec, structure_id, index) for index in range(1, n_products + 1))
+            rng = substream(config.seed, spec.code, structure_id)
+            n_products = rand_int(rng, spec.products_min, spec.products_max)
+            products += (generate_product(rng, spec, structure_id, index) for index in range(1, n_products + 1))
     return products
 
 

@@ -5,12 +5,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from vtrkit import synth
 from vtrkit.cli import main
 from vtrkit.concordance import pairwise_probabilities, peer_bibliometric_spearman
 from vtrkit.ingest import serialize_products
@@ -58,12 +60,12 @@ class TestDeterminism:
     @pytest.mark.parametrize(
         "config, seed, digest",
         [
-            (None, 42, "5df7d559486f8f0ff458e8bd4e13ffc1c9247e79f11039818ac5d0273b6e8a2c"),
+            (None, 42, "6205d7f59a9c58276230315f6db19dafbf6cb21b5e00aa01ef62b5a28dd2bd53"),
             (
                 '{"target_rho": 0.6, "disciplines": [{"code": "BIO", "n_structures": 10,'
                 ' "products_min": 50, "products_max": 50, "coverage": 1.0}]}',
                 4000001,
-                "6c25e832dcbdd782ab5cd7a36c6e4d8f0fc4c4961d4260bff753a9a06c10fd53",
+                "f9faa5235a698af9b20f5aa62ae4598034020248de519479c3c600ff40c3821e",
             ),
             (
                 '{"target_rho": -0.8, "hyperauthor_rate": 1.0, "internal_author_share": 1.0,'
@@ -72,14 +74,14 @@ class TestDeterminism:
                 '{"code": "MCS", "n_structures": 3, "products_min": 1, "products_max": 9, "coverage": 0.0},'
                 ' {"code": "Q1", "n_structures": 2, "products_min": 3, "products_max": 7, "coverage": 1.0}]}',
                 31,
-                "b0a0e8021b84f0630d0219698316ab39b4e78382388ad3c428a4228e2edba9bd",
+                "de207b0db31f4247a743e53ff0b739e1352274a561015e3577ba547d707ca09a",
             ),
         ],
         ids=["default", "trial_shape", "every_branch"],
     )
     def test_pinned_csv_digest(self, tmp_path, config, seed, digest):
-        """The generated bytes for a seed are fixed across versions, not only
-        between two runs of one version."""
+        """The generated bytes for a seed are fixed across code changes within
+        a generator version, not only between two runs of one build."""
         out = tmp_path / "products.csv"
         argv = ["synth", "--seed", str(seed), "--out", str(out)]
         if config is not None:
@@ -94,8 +96,9 @@ class TestDeterminism:
         assert a != b
 
     def test_discipline_order_irrelevant(self):
-        """Substreams are keyed by (seed, discipline, structure, index), so
-        spec order cannot change any product."""
+        """Streams are keyed by (seed, discipline, structure), so neither spec
+        order nor the other areas change an area's products: generated alone,
+        it has the products it has listed first or last."""
         specs = (
             DisciplineSpec("BIO", 3, 5, 15, coverage=0.9),
             DisciplineSpec("MCS", 2, 5, 15, coverage=0.7),
@@ -103,6 +106,51 @@ class TestDeterminism:
         forward = generate_exercise(small_config(seed=9, disciplines=specs))
         backward = generate_exercise(small_config(seed=9, disciplines=specs[::-1]))
         assert forward.products == backward.products
+        for spec in specs:
+            alone = generate_exercise(small_config(seed=9, disciplines=(spec,)))
+            assert alone.products == forward.products_in(spec.code) == backward.products_in(spec.code)
+
+    def test_other_structures_irrelevant(self):
+        """A structure's products do not depend on how many structures follow it."""
+        three = generate_exercise(small_config(seed=9, disciplines=(DisciplineSpec("BIO", 3, 5, 15),)))
+        five = generate_exercise(small_config(seed=9, disciplines=(DisciplineSpec("BIO", 5, 5, 15),)))
+        assert {p.structure_id for p in three.products} == {"S001", "S002", "S003"}
+        assert three.products == tuple(p for p in five.products if p.structure_id <= "S003")
+
+    def test_structure_sizes_ignore_the_product_draws(self):
+        """A structure's product count is its stream's first draw, so knobs that
+        change how many draws a product takes change no structure's size."""
+
+        def sizes(**kwargs) -> Counter:
+            return Counter(p.structure_id for p in generate_exercise(small_config(seed=9, **kwargs)).products)
+
+        fewer_draws = (DisciplineSpec("BIO", 4, 10, 30, coverage=0.1),)
+        assert sizes() == sizes(internal_author_share=0.2, hyperauthor_rate=0.3) == sizes(disciplines=fewer_draws)
+
+    def test_provenance_digest_covers_the_generator_version(self, monkeypatch):
+        """The same digest never names the data of two generator versions."""
+        config = small_config(seed=3)
+        digest = generate_exercise(config).provenance.source_digest
+        assert digest != hashlib.sha256(repr(config).encode("utf-8")).hexdigest()
+        monkeypatch.setattr(synth, "GENERATOR", "vtrkit-synth/0")
+        assert generate_exercise(config).provenance.source_digest != digest
+
+    def test_one_seeding_per_structure(self, monkeypatch):
+        """The generator seeds the Mersenne Twister once per structure, not
+        once per product."""
+        seedings = []
+
+        class CountingRandom(random.Random):
+            def seed(self, *args, **kwargs):
+                seedings.append(args)
+                super().seed(*args, **kwargs)
+
+        specs = (DisciplineSpec("BIO", 4, 10, 30), DisciplineSpec("MCS", 3, 1, 5))
+        expected = generate_exercise(small_config(seed=9, disciplines=specs))
+        monkeypatch.setattr(synth.random, "Random", CountingRandom)
+        dataset = generate_exercise(small_config(seed=9, disciplines=specs))
+        assert len(seedings) == 4 + 3
+        assert dataset.products == expected.products
 
 
 class TestGeneratedData:
