@@ -26,7 +26,6 @@ from .model import (
     PipelineError,
     Product,
     Provenance,
-    key_sorted,
     read_text_file,
     text_sha256,
 )
@@ -127,137 +126,134 @@ _LINE = re.compile(r"[^\n]*\n|[^\n]+")
 # what int() and float() accept beyond a plain ASCII number: surrounding
 # whitespace, digit separators, non-ASCII digits, a leading "+", and an integer's
 # leading zeros or "-0"; searched in the tokens joined by "," (which neither
-# accepts), journal_if first, so each token's start shows and only integers follow a ","
-_LAX_NUMBER = re.compile(r"[\s_]|[^\x00-\x7f]|(?:^|,)\+|,(?:-0|0[0-9])")
+# accepts), journal_if first, so each token's start shows and only integers follow
+# a ","; the set is every character but the ASCII ones that are neither whitespace
+# (for str.isspace and re's \s: \t to \r, \x1c to \x1f and " ") nor "_": one
+# bitmap test per position, where a set with \s or a range up to \U0010FFFF is
+# slower to search or to compile
+_LAX_NUMBER = re.compile(r"^\+|[^\x00-\x08\x0e-\x1b\x21-\x5e\x60-\x7f]|,(?:[+]|-0|0[0-9])")
 
 
 def _csv_rows(text: str) -> Iterator[list[str]]:
     return csv.reader(map(re.Match.group, _LINE.finditer(text)))
 
 
-def _csv_records(text: str) -> Iterator[tuple[int, list[str] | csv.Error]]:
-    """The rows of ``_csv_rows``, each with the line it starts on (the first
-    line is 1), and with each record csv cannot split (such as a lone carriage
-    return in an unquoted field) given as its ``csv.Error``; reading goes on at
-    the next line."""
+def _rows_after_header(text: str, header: tuple[str, ...]):
+    """The ``_csv_rows`` reader of ``text``, past its first record, or None
+    when that record is not ``header``."""
     reader = _csv_rows(text)
+    try:
+        first = next(reader, None)
+    except csv.Error:
+        return None
+    return reader if first is not None and tuple(first) == header else None
+
+
+def _accepted(reader, report: ValidationReport, seen: set | None = None) -> Iterator[Product]:
+    """The product of each accepted row of the ``_csv_rows`` reader, in file
+    order.  A rejected row's errors go to ``report``, as do an accepted row's
+    warnings, each at the line its record starts on.  A record csv cannot
+    split (such as a lone carriage return in an unquoted field) is a
+    ``malformed_csv`` error, and reading goes on at the next line.  Given
+    ``seen``, the keys accepted so far, a row whose key is in it is a
+    ``duplicate_product`` error instead."""
+    end = reader.line_num  # the line the previous record ends on
     while True:
-        line = reader.line_num + 1
         try:
-            yield line, next(reader)
-        except StopIteration:
+            for row in reader:
+                lineno, end = end + 1, reader.line_num
+                if not row:
+                    continue
+                if len(row) != len(PRODUCTS_HEADER):
+                    report.error(lineno, "field_count", f"expected {len(PRODUCTS_HEADER)} fields, got {len(row)}")
+                    continue
+                (
+                    product_id,
+                    structure_id,
+                    discipline,
+                    year_tok,
+                    type_tok,
+                    rating_tok,
+                    tr_tok,
+                    cit_tok,
+                    if_tok,
+                    na_tok,
+                    ni_tok,
+                ) = row
+
+                bad = False
+                rating = TOKEN_RATINGS.get(rating_tok)
+                if rating is None:
+                    report.error(lineno, "unknown_rating", f"unknown peer rating token {rating_tok!r}")
+                    bad = True
+
+                ptype = PRODUCT_TYPES.get(type_tok)
+                if ptype is None:
+                    report.error(lineno, "unknown_product_type", f"unknown product type {type_tok!r}")
+                    bad = True
+
+                tr_indexed = _BOOLEAN_TOKENS.get(tr_tok)
+                if tr_indexed is None:
+                    report.error(lineno, "malformed_boolean", f"tr_indexed must be true|false, got {tr_tok!r}")
+                    bad = True
+
+                try:
+                    year = int(year_tok)
+                    citations = None if cit_tok == "" else int(cit_tok)
+                    journal_if = None if if_tok == "" else float(if_tok)
+                    n_authors = int(na_tok)
+                    n_internal = int(ni_tok)
+                    if _LAX_NUMBER.search(",".join((if_tok, year_tok, cit_tok, na_tok, ni_tok))):
+                        raise ValueError(
+                            "year, citations, journal_if, n_authors and n_internal_authors must be plain ASCII "
+                            "numbers, without whitespace, '_', a leading '+' or an integer's leading zeros or '-0', "
+                            f"got {(year_tok, cit_tok, if_tok, na_tok, ni_tok)!r}"
+                        )
+                except ValueError as exc:
+                    report.error(lineno, "malformed_number", str(exc))
+                    bad = True
+                if bad:
+                    continue
+
+                try:
+                    product = Product(
+                        product_id,
+                        structure_id,
+                        discipline,
+                        year,
+                        ptype,
+                        rating,
+                        tr_indexed,
+                        citations,
+                        journal_if,
+                        n_authors,
+                        n_internal,
+                    )
+                except InvalidProduct as exc:
+                    report.error(lineno, exc.rule, str(exc))
+                    continue
+
+                if seen is not None:
+                    key = product.key
+                    if key in seen:
+                        report.error(lineno, "duplicate_product", DUPLICATE_PRODUCT.format(key))
+                        continue
+                    seen.add(key)
+
+                if discipline not in KNOWN_DISCIPLINES:
+                    report.warn(lineno, "unknown_discipline", f"discipline code {discipline!r} is not a known area")
+                if tr_indexed and citations is None:
+                    report.warn(
+                        lineno,
+                        "tr_missing_citations",
+                        f"product {product_id!r} is TR-indexed but has no citation count; "
+                        "it is excluded from citation means",
+                    )
+                yield product
             return
         except csv.Error as exc:
-            yield line, exc
-
-
-def _records_after_header(text: str) -> Iterator[tuple[int, list[str] | csv.Error]] | None:
-    """The records of ``_csv_records`` after the header, or None when the
-    header is not ``PRODUCTS_HEADER``."""
-    rows = _csv_records(text)
-    _, header = next(rows, (1, None))
-    return rows if isinstance(header, list) and tuple(header) == PRODUCTS_HEADER else None
-
-
-def _accepted(
-    rows: Iterator[tuple[int, list[str] | csv.Error]], report: ValidationReport, seen: set | None = None
-) -> Iterator[Product]:
-    """The product of each accepted row, in file order.  A rejected row's
-    errors go to ``report``, as do an accepted row's warnings.  Given ``seen``,
-    the keys accepted so far, a row whose key is in it is a ``duplicate_product``
-    error instead."""
-    for lineno, row in rows:
-        if isinstance(row, csv.Error):
-            report.error(lineno, "malformed_csv", f"malformed CSV: {row}")
-            continue
-        if not row:
-            continue
-        if len(row) != len(PRODUCTS_HEADER):
-            report.error(lineno, "field_count", f"expected {len(PRODUCTS_HEADER)} fields, got {len(row)}")
-            continue
-        (
-            product_id,
-            structure_id,
-            discipline,
-            year_tok,
-            type_tok,
-            rating_tok,
-            tr_tok,
-            cit_tok,
-            if_tok,
-            na_tok,
-            ni_tok,
-        ) = row
-
-        bad = False
-        rating = TOKEN_RATINGS.get(rating_tok)
-        if rating is None:
-            report.error(lineno, "unknown_rating", f"unknown peer rating token {rating_tok!r}")
-            bad = True
-
-        ptype = PRODUCT_TYPES.get(type_tok)
-        if ptype is None:
-            report.error(lineno, "unknown_product_type", f"unknown product type {type_tok!r}")
-            bad = True
-
-        tr_indexed = _BOOLEAN_TOKENS.get(tr_tok)
-        if tr_indexed is None:
-            report.error(lineno, "malformed_boolean", f"tr_indexed must be true|false, got {tr_tok!r}")
-            bad = True
-
-        try:
-            year = int(year_tok)
-            citations = None if cit_tok == "" else int(cit_tok)
-            journal_if = None if if_tok == "" else float(if_tok)
-            n_authors = int(na_tok)
-            n_internal = int(ni_tok)
-            if _LAX_NUMBER.search(",".join((if_tok, year_tok, cit_tok, na_tok, ni_tok))):
-                raise ValueError(
-                    "year, citations, journal_if, n_authors and n_internal_authors must be plain ASCII numbers, "
-                    "without whitespace, '_', a leading '+' or an integer's leading zeros or '-0', "
-                    f"got {(year_tok, cit_tok, if_tok, na_tok, ni_tok)!r}"
-                )
-        except ValueError as exc:
-            report.error(lineno, "malformed_number", str(exc))
-            bad = True
-        if bad:
-            continue
-
-        try:
-            product = Product(
-                product_id,
-                structure_id,
-                discipline,
-                year,
-                ptype,
-                rating,
-                tr_indexed,
-                citations,
-                journal_if,
-                n_authors,
-                n_internal,
-            )
-        except InvalidProduct as exc:
-            report.error(lineno, exc.rule, str(exc))
-            continue
-
-        if seen is not None:
-            key = product.key
-            if key in seen:
-                report.error(lineno, "duplicate_product", DUPLICATE_PRODUCT.format(key))
-                continue
-            seen.add(key)
-
-        if discipline not in KNOWN_DISCIPLINES:
-            report.warn(lineno, "unknown_discipline", f"discipline code {discipline!r} is not a known area")
-        if tr_indexed and citations is None:
-            report.warn(
-                lineno,
-                "tr_missing_citations",
-                f"product {product_id!r} is TR-indexed but has no citation count; "
-                "it is excluded from citation means",
-            )
-        yield product
+            report.error(end + 1, "malformed_csv", f"malformed CSV: {exc}")
+            end = reader.line_num
 
 
 def parse_products(text: str, config: IngestConfig = IngestConfig()) -> tuple[Dataset | None, ValidationReport]:
@@ -269,12 +265,12 @@ def parse_products(text: str, config: IngestConfig = IngestConfig()) -> tuple[Da
     """
     report = ValidationReport()
     # rows are read one at a time: only the accepted products are kept
-    rows = _records_after_header(text)
-    if rows is None:
+    reader = _rows_after_header(text, PRODUCTS_HEADER)
+    if reader is None:
         report.error(1, "bad_header", f"header must be exactly {','.join(PRODUCTS_HEADER)}")
         return None, report
 
-    products = key_sorted(list(_accepted(rows, report)))
+    products = tuple(_accepted(reader, report))
 
     from datetime import datetime, timezone  # only ingestion stamps a time; no archive query imports it
 
@@ -284,13 +280,13 @@ def parse_products(text: str, config: IngestConfig = IngestConfig()) -> tuple[Da
         ingested_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
     try:
-        dataset = Dataset(products=tuple(products), provenance=provenance)
+        dataset = Dataset.from_products(products, provenance)
     except PipelineError:
         # rare: a key repeats.  Scan the file again in its order, keeping each
         # key seen, so that every repeat is reported on its own line, among
         # the other errors, and without the warnings of an accepted row.
         report = ValidationReport()
-        products = list(_accepted(_records_after_header(text), report, seen=set()))
+        products = tuple(_accepted(_rows_after_header(text, PRODUCTS_HEADER), report, seen=set()))
         dataset = None
     report.accepted_count = len(products)
     return (dataset if report.ok else None), report
@@ -305,51 +301,54 @@ def serialize_products(dataset: Dataset) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(PRODUCTS_HEADER)
-    for p in dataset.products:
-        writer.writerow(
-            [
-                p.product_id,
-                p.structure_id,
-                p.discipline,
-                p.year,
-                p.product_type.value,
-                p.peer_rating.token,
-                "true" if p.tr_indexed else "false",
-                "" if p.citations is None else p.citations,
-                "" if p.journal_if is None else repr(float(p.journal_if)),  # shortest round-trip form
-                p.n_authors,
-                p.n_internal_authors,
-            ]
+    # a product type's token is read as its _value_, past the slower enum descriptor ``value``
+    writer.writerows(
+        (
+            pid,
+            sid,
+            discipline,
+            year,
+            ptype._value_,
+            rating.token,
+            "true" if tr else "false",
+            "" if cites is None else cites,
+            "" if impact is None else repr(float(impact)),  # shortest round-trip form
+            n_au,
+            n_in,
         )
+        for pid, sid, discipline, year, ptype, rating, tr, cites, impact, n_au, n_in in dataset.products
+    )
     return out.getvalue()
 
 
 def parse_staff(text: str) -> dict[str, StaffRecord]:
     """Parse the optional staff table (structure_id,kind,avg_staff)."""
-    rows = _csv_records(text)
-    _, header = next(rows, (1, None))
-    if not isinstance(header, list) or tuple(header) != STAFF_HEADER:
+    reader = _rows_after_header(text, STAFF_HEADER)
+    if reader is None:
         raise PipelineError("bad_staff_header", f"staff header must be {','.join(STAFF_HEADER)}")
     records: dict[str, StaffRecord] = {}
-    for lineno, row in rows:
-        if isinstance(row, csv.Error):
-            raise PipelineError("bad_staff_row", f"row {lineno}: malformed CSV: {row}")
-        if not row:
-            continue
-        if len(row) != 3:
-            raise PipelineError("bad_staff_row", f"row {lineno}: expected 3 fields")
-        structure_id, kind, staff_tok = row
-        if kind not in ("university", "agency"):
-            raise PipelineError("bad_staff_kind", f"row {lineno}: kind must be university|agency")
-        try:
-            avg_staff = float(staff_tok)
-        except ValueError:
-            raise PipelineError("bad_staff_number", f"row {lineno}: avg_staff must be numeric") from None
-        if not 0 <= avg_staff <= FLOAT_MAX:  # false for NaN too
-            raise PipelineError("bad_staff_number", f"row {lineno}: avg_staff must be a finite number >= 0")
-        if structure_id in records:
-            raise PipelineError("bad_staff_row", f"row {lineno}: structure {structure_id!r} is listed twice")
-        records[structure_id] = StaffRecord(structure_id, kind, avg_staff)
+    end = reader.line_num  # the line the previous record ends on
+    try:
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
+            if not row:
+                continue
+            if len(row) != 3:
+                raise PipelineError("bad_staff_row", f"row {lineno}: expected 3 fields")
+            structure_id, kind, staff_tok = row
+            if kind not in ("university", "agency"):
+                raise PipelineError("bad_staff_kind", f"row {lineno}: kind must be university|agency")
+            try:
+                avg_staff = float(staff_tok)
+            except ValueError:
+                raise PipelineError("bad_staff_number", f"row {lineno}: avg_staff must be numeric") from None
+            if not 0 <= avg_staff <= FLOAT_MAX:  # false for NaN too
+                raise PipelineError("bad_staff_number", f"row {lineno}: avg_staff must be a finite number >= 0")
+            if structure_id in records:
+                raise PipelineError("bad_staff_row", f"row {lineno}: structure {structure_id!r} is listed twice")
+            records[structure_id] = StaffRecord(structure_id, kind, avg_staff)
+    except csv.Error as exc:
+        raise PipelineError("bad_staff_row", f"row {end + 1}: malformed CSV: {exc}") from None
     return records
 
 

@@ -303,7 +303,13 @@ class Dataset:
 
     @classmethod
     def from_products(cls, products: Iterable[Product], provenance: Provenance) -> "Dataset":
-        return cls(products=tuple(key_sorted(list(products))), provenance=provenance)
+        """The dataset of ``products`` in any order: they are sorted into key
+        order only when the order check finds them out of it."""
+        products = tuple(products)
+        try:
+            return cls(products=products, provenance=provenance)
+        except ValueError:  # out of key order: _KEY_ORDER
+            return cls(products=tuple(key_sorted(list(products))), provenance=provenance)
 
     def __len__(self) -> int:
         return len(self.products)
@@ -400,23 +406,26 @@ def _product_row(p: Product) -> str:
     rating as their tokens and an absent value as ``null``.  It is written in
     one f-string, which is faster than ``json.dumps``: every value is an exact
     int, bool, finite float or str (``Product`` checks), so ``repr`` and
-    ``_quote`` give the same bytes."""
+    ``_quote`` give the same bytes.  The product type's token is read as its
+    ``_value_``, past the slower enum descriptor ``value``."""
     product_id, structure_id, discipline, year, ptype, rating, tr_indexed, citations, journal_if, n_au, n_in = p
     return (
         f"[{_quote(product_id)}, {_quote(structure_id)}, {_quote(discipline)}, {year}, "
-        f'"{ptype.value}", "{rating.token}", {"true" if tr_indexed else "false"}, '
+        f'"{ptype._value_}", "{rating.token}", {"true" if tr_indexed else "false"}, '
         f'{"null" if citations is None else citations}, {"null" if journal_if is None else repr(float(journal_if))}, '
         f"{n_au}, {n_in}]"
     )
 
 
 def archive_lines(dataset: Dataset) -> Iterator[str]:
-    """The canonical archive, line by line: a JSON document with the format
-    and provenance first, then one product row per line, floats in their
-    shortest round-trip form, so re-emitting a loaded archive gives the same
-    bytes.  A trailing seal indexes each area's rows and holds the sha256 of
-    every byte before it.  A dataset without products has nothing to index
-    and is written unsealed, as ``UNSEALED_FORMAT``."""
+    """The canonical archive, in pieces: a JSON document with the format and
+    provenance first, then one product row per line, floats in their shortest
+    round-trip form, so re-emitting a loaded archive gives the same bytes.  A
+    trailing seal indexes each area's rows and holds the sha256 of every byte
+    before it.  The rows are joined into pieces of about ``_CHUNK``
+    characters, each hashed as it is yielded, so the text held at once stays
+    small whatever the dataset's size.  A dataset without products has
+    nothing to index and is written unsealed, as ``UNSEALED_FORMAT``."""
     products = dataset.products
     head = (
         f'{{"format": "{ARCHIVE_FORMAT if products else UNSEALED_FORMAT}",\n'
@@ -429,15 +438,27 @@ def archive_lines(dataset: Dataset) -> Iterator[str]:
     yield head
     digest = hashlib.sha256(head.encode("utf-8"))
     starts: list[tuple[str, int]] = []  # each area, and where its first row starts in the products block
-    area, at, last = None, 0, len(products) - 1
-    for i, p in enumerate(products):
-        line = _product_row(p) + (",\n" if i < last else "\n")
-        if p.discipline != area:
-            area = p.discipline
-            starts.append((area, at))
-        at += len(line)
-        digest.update(line.encode("utf-8"))
-        yield line
+    area = None
+    rows: list[str] = []  # the rows of the piece being joined
+    at = size = 0  # where the piece starts in the products block, and its size with a ",\n" after each row
+    for p in products:
+        if size >= _CHUNK:
+            piece = ",\n".join(rows) + ",\n"
+            digest.update(piece.encode("utf-8"))
+            yield piece
+            rows.clear()
+            at, size = at + size, 0
+        row = _product_row(p)
+        if p[2] != area:  # p.discipline
+            area = p[2]
+            starts.append((area, at + size))
+        rows.append(row)
+        size += len(row) + 2
+    # the last piece is never empty: it ends the block, with "\n" in place of ",\n"
+    piece = ",\n".join(rows) + "\n"
+    digest.update(piece.encode("utf-8"))
+    yield piece
+    at += size - 1
     # an area's rows end where the next area's start, less the ",\n" between them
     ends = [start - 2 for _, start in starts[1:]] + [at - 1]
     areas = [[area, start, end] for (area, start), end in zip(starts, ends)]
@@ -460,9 +481,9 @@ _SEALED_HEADS = {fmt: f'{{"format": "{fmt}",\n' for fmt in (ARCHIVE_FORMAT, RECO
 _SEALED_HEAD_REST = re.compile(r'"provenance": (\{[^\n]*\}),\n"products": \[\n')
 _SEALED_TAIL = re.compile(r'\],\n"seal": \{"areas": (\[[^\n]*\]), "sha256": "([0-9a-f]{64})"\}\}\n')
 _LAYOUT_ERROR = f"a {ARCHIVE_FORMAT} or {RECORDS_FORMAT} archive must keep the canonical line layout of its writer"
-#: characters hashed, or rows decoded, at a time: checking a seal never copies
-#: the whole text, and a chunk this small is reused from the heap instead of
-#: raising peak memory
+#: characters hashed, rows written, or rows decoded, at a time: checking a
+#: seal never copies the whole text, and a chunk this small is reused from the
+#: heap instead of raising peak memory
 _CHUNK = 1 << 13
 
 

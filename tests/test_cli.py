@@ -115,7 +115,7 @@ class TestIngest:
         assert streamed == expected.encode("utf-8")
 
     def test_ingest_peak_memory_is_bounded(self, tmp_path):
-        """Ingest reads the CSV row by row and writes the archive line by line."""
+        """Ingest reads the CSV record by record and writes the archive in pieces of about 8 KiB."""
         products = tmp_path / "products.csv"
         assert main(["synth", "--seed", "42", "--out", str(products)]) == 0
         tracemalloc.start()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import hashlib
 import json
 import pickle
 import random
@@ -33,6 +34,8 @@ from vtrkit.model import (
     Product,
     ProductType,
     Provenance,
+    _product_row,
+    archive_lines,
     load_archive,
     write_archive,
 )
@@ -114,7 +117,7 @@ class TestParseProducts:
         assert report.errors[0].message == "duplicate (discipline, structure_id, product_id) triple ('BIO', 'S1', 'P1')"
 
     def test_duplicates_among_other_issues_keep_their_lines_and_order(self):
-        """A repeated key is found after the sort; the errors and warnings are
+        """A repeated key is found by the key-order check; the errors and warnings are
         still those of a scan in file order: each repeat on its own line,
         among the other errors, and without the warnings of an accepted row."""
         dataset, report = parse_products(
@@ -365,6 +368,23 @@ class TestDatasetSemantics:
         assert forward.products == backward.products
         assert forward.disciplines == backward.disciplines == ("BIO", "MED")
         assert sorted({p.structure_id for p in forward.products}) == ["S1", "S2"]
+
+    def test_rows_are_sorted_only_out_of_key_order(self, monkeypatch):
+        import vtrkit.model as model
+
+        calls = []
+        key_sorted = model.key_sorted
+        monkeypatch.setattr(model, "key_sorted", lambda products: calls.append(1) or key_sorted(products))
+        rows = [
+            "P1,S1,BIO,2002,journal_article,E,true,5,2.0,3,1",
+            "P2,S1,BIO,2002,book,G,false,,,2,2",
+            "P1,S2,BIO,2002,book,G,false,,,2,2",
+            "P3,S1,MED,2003,journal_article,A,true,1,0.5,4,2",
+        ]
+        forward, _ = parse_products(make_csv(*rows))
+        assert calls == []
+        backward, _ = parse_products(make_csv(*reversed(rows)))
+        assert calls == [1] and forward.products == backward.products
 
     def test_products_in_is_the_discipline_run(self):
         dataset, _ = parse_products(
@@ -638,6 +658,9 @@ class TestStaffFile:
             parse_staff('structure_id,kind,avg_staff\n"S\n1",agency,1\nS2,museum,1\n')
         assert err.value.code == "bad_staff_kind"
         assert str(err.value).startswith("row 4:")
+        with pytest.raises(PipelineError) as err:
+            parse_staff('structure_id,kind,avg_staff\nS1,agency,1\n"S\n2",museum,1\n')
+        assert str(err.value).startswith("row 3:")
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-1"])
     def test_non_finite_or_negative_staff_rejected(self, token):
@@ -1004,6 +1027,86 @@ class TestSealedArchive:
         with pytest.raises(PipelineError) as err:
             load_archive(damaged, area)
         assert (err.value.code, str(err.value)) == ("bad_archive", "the archive's bytes do not match its seal")
+
+
+def reference_archive(dataset: Dataset) -> str:
+    """The sealed archive of a dataset with products, written and hashed row
+    by row: the reference for ``archive_lines``, which joins and hashes rows a
+    piece at a time."""
+    head = (
+        '{"format": "vtrkit-dataset/3",\n'
+        f'"provenance": {json.dumps(dataset.provenance._asdict(), sort_keys=True)},\n'
+        '"products": [\n'
+    )
+    digest = hashlib.sha256(head.encode("utf-8"))
+    lines, starts, at = [head], {}, 0
+    for i, p in enumerate(dataset.products):
+        line = _product_row(p) + (",\n" if i < len(dataset) - 1 else "\n")
+        starts.setdefault(p.discipline, at)
+        at += len(line)
+        digest.update(line.encode("utf-8"))
+        lines.append(line)
+    ends = [start - 2 for start in list(starts.values())[1:]] + [at - 1]
+    areas = [[area, start, end] for (area, start), end in zip(starts.items(), ends)]
+    seal = f'],\n"seal": {{"areas": {json.dumps(areas)}, "sha256": "'
+    digest.update(seal.encode("utf-8"))
+    return "".join(lines) + seal + digest.hexdigest() + '"}}\n'
+
+
+def _area_rows(area: str, n: int) -> list[Product]:
+    return [
+        Product(f"P{i:05d}", "S1", area, 2002, ProductType.BOOK, PeerRating.GOOD, False, None, None, 2, 1)
+        for i in range(n)
+    ]
+
+
+def _edge_datasets() -> dict[str, Dataset]:
+    """Datasets whose products block spans several of the writer's pieces,
+    with the second area starting exactly at the edge after the first piece,
+    or one row past it; one with a single product; and a generated one."""
+    import vtrkit.model as model
+
+    provenance = Provenance("edges.csv", "d" * 64, "2001-01-01T00:00:00+00:00")
+    first = _area_rows("BIO", 4 * model._CHUNK // 60)
+    pieces = list(archive_lines(Dataset(tuple(first), provenance)))[1:-1]
+    assert len(pieces) > 3
+    edge = pieces[0].count("\n")  # rows in the first piece
+    second = _area_rows("MED", 3 * model._CHUNK // 60)
+    areas = (DisciplineSpec("BIO", 30, 4, 40), DisciplineSpec("CHE", 1, 1, 1), DisciplineSpec("MED", 30, 4, 40))
+    return {
+        "at_edge": Dataset(tuple(first[:edge] + second), provenance),
+        "row_after_edge": Dataset(tuple(first[: edge + 1] + second), provenance),
+        "one_product": Dataset(tuple(first[:1]), provenance),
+        "generated": generate_exercise(SynthConfig(seed=5, disciplines=areas)),
+    }
+
+
+EDGE_DATASETS = _edge_datasets()
+
+
+class TestArchivePieces:
+    @pytest.mark.parametrize("dataset", EDGE_DATASETS.values(), ids=EDGE_DATASETS.keys())
+    def test_pieces_give_the_row_by_row_archive(self, dataset):
+        text = "".join(archive_lines(dataset))
+        assert text == reference_archive(dataset)
+        for area in dataset.disciplines:
+            assert load_archive(text, area).products == dataset.products_in(area)
+        assert load_archive(text) == dataset
+
+    @pytest.mark.parametrize(("name", "rows_before"), [("at_edge", 0), ("row_after_edge", 1)])
+    def test_second_area_starts_its_rows_into_a_piece(self, name, rows_before):
+        pieces = list(archive_lines(EDGE_DATASETS[name]))[1:-1]
+        piece = next(piece for piece in pieces if '"MED"' in piece)
+        assert piece is not pieces[0]
+        assert ['"MED"' in row for row in piece.split(",\n")[: rows_before + 1]] == [False] * rows_before + [True]
+
+    @pytest.mark.parametrize("dataset", EDGE_DATASETS.values(), ids=EDGE_DATASETS.keys())
+    def test_pieces_stay_near_the_chunk_size(self, dataset):
+        import vtrkit.model as model
+
+        longest_row = max(len(_product_row(p)) for p in dataset.products)
+        pieces = list(archive_lines(dataset))[1:-1]
+        assert all(len(piece) < model._CHUNK + longest_row + 2 for piece in pieces)
 
 
 def test_builds_leave_the_callers_gc_freeze_count():

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import random
+import re
 import tempfile
 from fractions import Fraction
 from statistics import NormalDist
@@ -34,7 +35,7 @@ from vtrkit.concordance import (
     peer_bibliometric_spearman,
 )
 from vtrkit.indicators import discipline_profile, group_stats, rating_breakdown
-from vtrkit.ingest import ValidationReport, _csv_rows, parse_products, serialize_products
+from vtrkit.ingest import _LAX_NUMBER, ValidationReport, _csv_rows, parse_products, serialize_products
 from vtrkit.model import (
     AUTHORS_MAX,
     CITATIONS_MAX,
@@ -506,6 +507,62 @@ def test_csv_rows_equal_stringio_rows(text):
             return str(exc)
 
     assert read(_csv_rows(text)) == read(csv.reader(io.StringIO(text)))
+
+
+#: the lax-number pattern as first written, one alternative per case it rejects
+REFERENCE_LAX_NUMBER = re.compile(r"[\s_]|[^\x00-\x7f]|(?:^|,)\+|,(?:-0|0[0-9])")
+number_tokens = st.text(alphabet=st.sampled_from("0123456789-+.e_ \t\x1c\u0662,") | st.characters(), max_size=6)
+
+
+@PROPERTY
+@given(st.lists(number_tokens, min_size=5, max_size=5))
+@example([" 2002 ", "2002", "1", "3", "2"])
+@example(["1_000", "2002", "1", "3", "2"])
+@example(["4.5", "\u0662\u0660\u0660\u0662", "1", "3", "2"])
+@example(["4.5", "2002", "+12", "3", "2"])
+@example(["+12", "2002", "1", "3", "2"])
+@example(["4.5", "02002", "-0", "003", "2"])
+@example(["1e+16", "2002", "1", "3", "2"])
+@example(["02.50", "2002", "0", "3", "2"])
+def test_lax_number_pattern_equals_its_reference(tokens):
+    """The parser's lax-number check, on the numeric tokens joined as it joins
+    them (journal_if first), flags exactly what the reference pattern flags."""
+    joined = ",".join(tokens)
+    assert bool(_LAX_NUMBER.search(joined)) == bool(REFERENCE_LAX_NUMBER.search(joined))
+
+
+def test_lax_number_pattern_equals_its_reference_on_each_ascii_character():
+    for text in (f"{a}{b}" for a in map(chr, range(128)) for b in ("", "1", "0", ",")):
+        for joined in (text, "1," + text, "1" + text):
+            assert bool(_LAX_NUMBER.search(joined)) == bool(REFERENCE_LAX_NUMBER.search(joined)), joined
+
+
+def _record_start_lines(text: str) -> list[int]:
+    """The line each non-empty record of ``text`` after the first starts on,
+    read one record at a time, as a reference for the parser's issue rows;
+    reading goes on after a record csv cannot split."""
+    reader, lines = csv.reader(io.StringIO(text)), []
+    while True:
+        line = reader.line_num + 1
+        try:
+            if next(reader):
+                lines.append(line)
+        except StopIteration:
+            return lines[1:]
+        except csv.Error:
+            lines.append(line)
+
+
+@PROPERTY
+@given(st.text(alphabet='Q,"\n\r', max_size=40))
+@example('Q\rQ\nQ\n"Q\nQ"\nQ\n')
+def test_issue_rows_are_record_start_lines(body):
+    """Every record of a products file that no row can be accepted from gets
+    its issues at the line the record starts on, after quoted line breaks and
+    after records csv cannot split."""
+    text = ",".join(PRODUCTS_HEADER) + "\n" + body
+    _, report = parse_products(text)
+    assert sorted({issue.row for issue in report.errors}) == _record_start_lines(text)
 
 
 json_values = st.recursive(

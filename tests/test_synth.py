@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from vtrkit import synth
+from vtrkit import model, synth
 from vtrkit.cli import main
 from vtrkit.concordance import pairwise_probabilities, peer_bibliometric_spearman
 from vtrkit.ingest import serialize_products
@@ -184,6 +184,30 @@ class TestGeneratedData:
         dataset = generate_exercise(config)
         covered = sum(1 for p in dataset.products if p.tr_indexed)
         assert covered / len(dataset) == pytest.approx(0.5, abs=0.02)
+
+    @pytest.mark.parametrize(
+        ("areas", "sorts"),
+        [
+            # areas come in config order, and the default order is not alphabetical
+            (DEFAULT_DISCIPLINES[:3], 1),
+            # S1000 sorts before S999
+            ((DisciplineSpec("BIO", 1000, 1, 1),), 1),
+            # a product index of 10000 sorts before 9999
+            ((DisciplineSpec("BIO", 1, 10_000, 10_000),), 1),
+            # each id below those widths, areas in alphabetical order: already in key order
+            ((DisciplineSpec("BIO", 999, 1, 1), DisciplineSpec("MED", 1, 9_999, 9_999)), 0),
+        ],
+        ids=["config_order", "wide_structure_id", "wide_product_index", "in_key_order"],
+    )
+    def test_key_order_and_sorts(self, areas, sorts, monkeypatch):
+        """Generated products end in key order, and are sorted only when a
+        shape generates them out of it."""
+        calls = []
+        key_sorted = model.key_sorted
+        monkeypatch.setattr(model, "key_sorted", lambda products: calls.append(1) or key_sorted(products))
+        dataset = generate_exercise(small_config(seed=2, disciplines=areas))
+        keys = [p.key for p in dataset.products]
+        assert keys == sorted(keys) and len(calls) == sorts
 
     def test_structure_count_and_ids(self):
         dataset = generate_exercise(small_config(seed=5))
