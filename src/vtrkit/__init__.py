@@ -14,10 +14,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "concordance": """AdjacentPairResult ChiSquareResult ContingencyTable CorrelationResult
         ProbabilityTriple QuartileBins adjacent_rating_probabilities assign_quartile
-        chi_square_independence contingency_table flag_probability_rows pairwise_probabilities
-        peer_bibliometric_spearman quartile_bins spearman""",
-    "indicators": """DisciplineProfile GroupStats RatingBreakdown discipline_profile group_stats
-        h_index ownership_degree rating_breakdown""",
+        chi_square_independence contingency_table pairwise_probabilities peer_bibliometric_spearman
+        spearman""",
+    "indicators": "DisciplineProfile GroupStats RatingBreakdown discipline_profile h_index rating_breakdown",
     "ingest": """IngestConfig Issue SelectionPolicy StaffRecord ValidationReport parse_products
         parse_products_file parse_staff serialize_products validate_dataset""",
     "model": """Dataset InvalidProduct PeerRating PipelineError Product ProductType Provenance

@@ -22,7 +22,6 @@ from .numerics import average_ranks, chi_square_upper_tail, student_t_two_sided
 __all__ = [
     "VARIABLES",
     "QuartileBins",
-    "quartile_bins",
     "assign_quartile",
     "ContingencyTable",
     "contingency_table",
@@ -36,8 +35,6 @@ __all__ = [
     "AdjacentPairResult",
     "adjacent_rating_probabilities",
     "RatingSample",
-    "probability_sum_deviation",
-    "flag_probability_rows",
 ]
 
 #: Bibliometric variables the battery runs on.
@@ -69,13 +66,6 @@ def _interpolated_quantile(ordered: Sequence[float], p: float) -> float:
     if frac == 0.0:
         return float(ordered[lo])
     return ordered[lo] + frac * (ordered[lo + 1] - ordered[lo])
-
-
-def quartile_bins(values: Sequence[float]) -> QuartileBins:
-    if not values:
-        raise PipelineError("empty_sample", "cannot compute quartiles of an empty sample")
-    ordered = sorted(values)
-    return QuartileBins(*(_interpolated_quantile(ordered, p) for p in (0.25, 0.50, 0.75)))
 
 
 def assign_quartile(value: float, bins: QuartileBins) -> int:
@@ -390,24 +380,3 @@ def _table_spearman(table: ContingencyTable) -> CorrelationResult:
     sxy = sum(c * a * b for row, a in zip(table.counts, dx[::-1]) for c, b in zip(row, dy))
     sxx, syy = (sum(c * d * d for c, d in zip(m, ds)) for m, ds in ((rows, dx), (columns, dy)))
     return _rank_correlation(sxy / 4, sxx / 4, syy / 4, n)
-
-
-def probability_sum_deviation(p_greater: float, p_less: float, p_equal: float) -> float:
-    """How far a reported probability triple strays from the sum identity."""
-    return abs(p_greater + p_less + p_equal - 1.0)
-
-
-def flag_probability_rows(
-    rows: Sequence[tuple[float, float, float]], tolerance: float = 0.02
-) -> list[int]:
-    """Indices of reported triples violating the sum identity beyond
-    ``tolerance`` (inclusive, guarded against float fuzz).
-
-    Published tables carry rounded values, so a small tolerance is expected;
-    anything beyond it indicates an inconsistent row.
-    """
-    return [
-        i
-        for i, (pg, pl, pe) in enumerate(rows)
-        if probability_sum_deviation(pg, pl, pe) > tolerance + 1e-12
-    ]

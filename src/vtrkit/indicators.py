@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
-from .model import Area, Dataset, PeerRating, Product, RatingGroup
+from .model import Area, Dataset, PeerRating, RatingGroup
 
 __all__ = [
     "h_index",
-    "ownership_degree",
     "GroupStats",
-    "group_stats",
+    "pooled_stats",
     "DisciplineProfile",
     "discipline_profile",
     "RatingBreakdown",
@@ -34,13 +33,9 @@ def h_index(citations: Iterable[int]) -> int:
     return h
 
 
-def ownership_degree(product: Product) -> float:
-    """Share of the product's authors affiliated with the submitting structure."""
-    return product.n_internal_authors / product.n_authors
-
-
 class GroupStats(NamedTuple):
-    """The aggregates every per-area table reports for one product group.
+    """The aggregates every per-area table reports for one product group: an
+    area, one of its rating classes, or one of its structures.
 
     Peer means use the committee weights (``PeerRating.weight``).  Citation
     and impact means are over TR products carrying the value, and the h index
@@ -61,42 +56,28 @@ def _mean(values: list[float]) -> float | None:
     return math.fsum(values) / len(values) if values else None
 
 
-def group_stats(products: Sequence[Product]) -> GroupStats:
-    """Size, TR count, peer means, TR citation and IF means, and h of a group."""
-    tr = [p for p in products if p.tr_indexed]
-    cites = [p.citations for p in tr if p.citations is not None]
-    impact = [p.journal_if for p in tr if p.journal_if is not None]
-    return GroupStats(
-        n=len(products),
-        n_tr=len(tr),
-        peer_all=_mean([p.peer_rating.weight for p in products]),
-        peer_tr=_mean([p.peer_rating.weight for p in tr]),
-        mean_citations=_mean(cites),
-        mean_if=_mean(impact),
-        h=h_index(cites),
-    )
-
-
-def _pooled_stats(area: Area, *groups: RatingGroup) -> GroupStats:
-    """``group_stats`` of the products in ``groups``, by default all the
-    area's, from their counts and values.  ``math.fsum`` is correctly
-    rounded, so pooled values give the means a list per product gives, in
-    any order, and a weight repeated ``n`` times sums as ``n`` products' weights."""
+def pooled_stats(groups: Iterable[RatingGroup]) -> GroupStats:
+    """The ``GroupStats`` of the products in ``groups`` (``rating_groups``),
+    from their counts and values.  ``math.fsum`` is correctly rounded, so
+    pooled values give the means a list per product gives, in any order, and a
+    weight repeated ``n`` times sums as ``n`` products' weights."""
     weights, tr_weights, cites, impact = [], [], [], []
-    for group in groups or area.by_rating:
-        weights += [group.rating.weight] * group.n
-        tr_weights += [group.rating.weight] * group.n_tr
+    for group in groups:
+        weight = group.rating.weight
+        weights += [weight] * group.n
+        tr_weights += [weight] * group.n_tr
         cites += group.citations
         impact += group.journal_if
+    # positional: a NamedTuple built by keyword costs twice as much, once per structure
     return GroupStats(
-        n=len(weights),
-        n_tr=len(tr_weights),
-        peer_all=_mean(weights),
-        peer_tr=_mean(tr_weights),
-        mean_citations=_mean(cites),
-        mean_if=_mean(impact),
-        h=h_index(cites),
+        len(weights), len(tr_weights), _mean(weights), _mean(tr_weights), _mean(cites), _mean(impact), h_index(cites)
     )
+
+
+def _area_stats(area: Area) -> GroupStats:
+    """The stats of all the area's products, which the profile and the
+    breakdown share through ``Area.part``."""
+    return pooled_stats(area.by_rating)
 
 
 class DisciplineProfile(NamedTuple):
@@ -128,7 +109,7 @@ def discipline_profile(dataset: Dataset, discipline: str) -> DisciplineProfile:
     """
     area = dataset.area(discipline)
     products = area.products
-    stats = area.part(_pooled_stats)
+    stats = area.part(_area_stats)
     cites_over_if = None
     if stats.mean_citations is not None and stats.mean_if:
         cites_over_if = stats.mean_citations / stats.mean_if
@@ -137,7 +118,7 @@ def discipline_profile(dataset: Dataset, discipline: str) -> DisciplineProfile:
         size=stats.n,
         coverage=stats.n_tr / stats.n,
         mean_authors=_mean([p.n_authors for p in products]),
-        mean_ownership=_mean([p.n_internal_authors / p.n_authors for p in products]),  # ownership_degree, inline
+        mean_ownership=_mean([p.n_internal_authors / p.n_authors for p in products]),
         peer_all=stats.peer_all,
         peer_tr=stats.peer_tr,
         mean_citations=stats.mean_citations,
@@ -169,7 +150,7 @@ class RatingBreakdown(NamedTuple):
 def rating_breakdown(dataset: Dataset, discipline: str) -> list[RatingBreakdown]:
     """One row per peer rating in E, G, A, L order."""
     area = dataset.area(discipline)
-    total = area.part(_pooled_stats)
+    total = area.part(_area_stats)
 
     def ratio(value: float | None, base: float | None) -> float | None:
         if value is None or not base:
@@ -178,7 +159,7 @@ def rating_breakdown(dataset: Dataset, discipline: str) -> list[RatingBreakdown]
 
     rows = []
     for group in area.by_rating:
-        stats = _pooled_stats(area, group)
+        stats = pooled_stats((group,))
         rows.append(
             RatingBreakdown(
                 rating=group.rating,

@@ -118,6 +118,8 @@ class SelectionPolicy:
 
 
 _BOOLEAN_TOKENS = {"true": True, "false": False}
+#: ``KNOWN_DISCIPLINES`` as a set, for the per-row warning check
+_KNOWN_DISCIPLINES = frozenset(KNOWN_DISCIPLINES)
 
 # the lines io.StringIO would give (split after each "\n"), as slices of the
 # text instead of a second, four-bytes-per-character copy of it
@@ -240,7 +242,7 @@ def _accepted(reader, report: ValidationReport, seen: set | None = None) -> Iter
                         continue
                     seen.add(key)
 
-                if discipline not in KNOWN_DISCIPLINES:
+                if discipline not in _KNOWN_DISCIPLINES:
                     report.warn(lineno, "unknown_discipline", f"discipline code {discipline!r} is not a known area")
                 if tr_indexed and citations is None:
                     report.warn(

@@ -6,7 +6,7 @@ carries a peer rating on the four-point E/G/A/L scale and, when the product
 is covered by the citation database, optional bibliometric values (citation
 count and journal impact factor).
 
-The archive, in each of its three formats, is the one file format this
+The archive, in each of its two formats, is the one file format this
 module reads and writes.  The CSV inputs are ``ingest``'s, which no query on
 an archive imports.
 """
@@ -42,6 +42,7 @@ __all__ = [
     "Product",
     "Provenance",
     "Dataset",
+    "rating_groups",
     "Area",
     "read_text_file",
     "archive_lines",
@@ -79,10 +80,10 @@ JOURNAL_IF_MIN = 1e-6
 JOURNAL_IF_MAX = 1e6
 
 #: The format ``archive_lines`` writes: sealed, one product row (a JSON
-#: array) per line.  Archives of the two formats before it still load: sealed
-#: with one product record (a JSON object) per line, and unsealed.
+#: array) per line.  ``UNSEALED_FORMAT`` archives, one product record (a JSON
+#: object) per product and no seal, still load: every writer writes an empty
+#: dataset so.
 ARCHIVE_FORMAT = "vtrkit-dataset/3"
-RECORDS_FORMAT = "vtrkit-dataset/2"
 UNSEALED_FORMAT = "vtrkit-dataset/1"
 
 #: The largest finite float: ``not -FLOAT_MAX <= x <= FLOAT_MAX`` holds for
@@ -121,13 +122,6 @@ class PeerRating(enum.IntEnum):
         member.token = token
         member.weight = weight
         return member
-
-    @classmethod
-    def from_token(cls, token: str) -> "PeerRating":
-        try:
-            return TOKEN_RATINGS[token]
-        except KeyError:
-            raise ValueError(f"unknown peer rating token {token!r}") from None
 
 
 #: Each rating by its token, in the products file and the archive.
@@ -358,6 +352,21 @@ class RatingGroup:
         self.journal_if: list[float] = []
 
 
+def rating_groups(products: Iterable[Product]) -> tuple[RatingGroup, ...]:
+    """The rating groups of ``products`` in ``RATING_ORDER``, from one pass over them."""
+    groups = {rating: RatingGroup(rating) for rating in RATING_ORDER}
+    for p in products:
+        group = groups[p.peer_rating]
+        group.n += 1
+        if p.tr_indexed:  # Product's bibliometrics_on_uncovered rule: only TR products carry values
+            group.n_tr += 1
+            if (citations := p.citations) is not None:
+                group.citations.append(citations)
+            if (journal_if := p.journal_if) is not None:
+                group.journal_if.append(journal_if)
+    return tuple(groups.values())
+
+
 class Area:
     """One area's products in key order, and the parts the per-area builders
     derive from them, each built on first use and kept, so a report reads
@@ -369,18 +378,8 @@ class Area:
 
     @cached_property
     def by_rating(self) -> tuple[RatingGroup, ...]:
-        """The rating groups in ``RATING_ORDER``, from one pass over the products."""
-        groups = {rating: RatingGroup(rating) for rating in RATING_ORDER}
-        for p in self.products:
-            group = groups[p.peer_rating]
-            group.n += 1
-            if p.tr_indexed:  # Product's bibliometrics_on_uncovered rule: only TR products carry values
-                group.n_tr += 1
-                if (citations := p.citations) is not None:
-                    group.citations.append(citations)
-                if (journal_if := p.journal_if) is not None:
-                    group.journal_if.append(journal_if)
-        return tuple(groups.values())
+        """The area's rating groups."""
+        return rating_groups(self.products)
 
     def part(self, build: Callable):
         """``build(self)``, built on first use and kept."""
@@ -477,10 +476,10 @@ _PROVENANCE_KEYS = frozenset(Provenance._fields)
 # A sealed archive is read by its lines, so it must keep the writer's layout:
 # the format line, then the provenance and products-opening lines, and at the
 # end the line that closes the products and the seal line.
-_SEALED_HEADS = {fmt: f'{{"format": "{fmt}",\n' for fmt in (ARCHIVE_FORMAT, RECORDS_FORMAT)}
+_SEALED_HEAD = f'{{"format": "{ARCHIVE_FORMAT}",\n'
 _SEALED_HEAD_REST = re.compile(r'"provenance": (\{[^\n]*\}),\n"products": \[\n')
 _SEALED_TAIL = re.compile(r'\],\n"seal": \{"areas": (\[[^\n]*\]), "sha256": "([0-9a-f]{64})"\}\}\n')
-_LAYOUT_ERROR = f"a {ARCHIVE_FORMAT} or {RECORDS_FORMAT} archive must keep the canonical line layout of its writer"
+_LAYOUT_ERROR = f"a {ARCHIVE_FORMAT} archive must keep the canonical line layout of its writer"
 #: characters hashed, rows written, or rows decoded, at a time: checking a
 #: seal never copies the whole text, and a chunk this small is reused from the
 #: heap instead of raising peak memory
@@ -503,11 +502,6 @@ def _provenance(prov) -> Provenance:
     return Provenance(**prov)
 
 
-def _sealed_format(text: str) -> str | None:
-    """The sealed format whose first line ``text`` starts with, if any."""
-    return next((fmt for fmt, head in _SEALED_HEADS.items() if text.startswith(head)), None)
-
-
 def text_sha256(text: str, end: int) -> str:
     """The sha256 of ``text[:end]`` in UTF-8, a lone surrogate encoded as its
     code point (``"surrogatepass"``), so that any ``str`` has a digest.  The
@@ -518,15 +512,15 @@ def text_sha256(text: str, end: int) -> str:
     return digest.hexdigest()
 
 
-def _unseal(text: str, fmt: str) -> tuple[str, int, int, str]:
-    r"""Check the layout and the seal of a sealed archive of format ``fmt``.
-    Returns the JSON text of its provenance, the offsets its products block
-    starts and ends at (the end is that of the block's last "\n"), and the
-    JSON text of its area index."""
+def _unseal(text: str) -> tuple[str, int, int, str]:
+    r"""Check the layout and the seal of a sealed archive.  Returns the JSON
+    text of its provenance, the offsets its products block starts and ends at
+    (the end is that of the block's last "\n"), and the JSON text of its area
+    index."""
     last_line = text.rfind("\n", 0, len(text) - 1) + 1
-    head = _SEALED_HEAD_REST.match(text, len(_SEALED_HEADS[fmt]))
+    head = _SEALED_HEAD_REST.match(text, len(_SEALED_HEAD))
     tail = _SEALED_TAIL.fullmatch(text, max(last_line - len("],\n"), 0))
-    if not text.startswith(_SEALED_HEADS[fmt]) or head is None or tail is None:
+    if head is None or tail is None:
         raise PipelineError("bad_archive", _LAYOUT_ERROR)
     if text_sha256(text, tail.start(2)) != tail[2]:
         raise PipelineError("bad_archive", "the archive's bytes do not match its seal")
@@ -593,7 +587,7 @@ def _load_rows(text: str, discipline: str | None) -> Dataset:
     """The dataset of an ``ARCHIVE_FORMAT`` archive, or of ``discipline``'s
     products alone.  The seal and the area index are checked whole first; then
     each area's rows are decoded and built before the next area's are decoded."""
-    provenance_json, block, end, index = _unseal(text, ARCHIVE_FORMAT)
+    provenance_json, block, end, index = _unseal(text)
     products: list[Product] = []
     for area, start, stop in _area_index(text, block, end, index):
         if discipline is None or area == discipline:
@@ -605,14 +599,11 @@ def _load_rows(text: str, discipline: str | None) -> Dataset:
         raise PipelineError("bad_archive", f"archive rows must be in strictly increasing key order: {exc}") from None
 
 
-#: The keys of a product record in the two formats before ``ARCHIVE_FORMAT``;
-#: all but ``citations`` and ``journal_if`` are always written.
+#: The keys of a product record in ``UNSEALED_FORMAT``; all but ``citations``
+#: and ``journal_if`` are always written.
 _RECORD_KEYS = frozenset(PRODUCTS_HEADER)
 _REQUIRED_RECORD_KEYS = len(_RECORD_KEYS) - 2
-_FORMAT_KEYS = {
-    UNSEALED_FORMAT: frozenset(("format", "provenance", "products")),
-    RECORDS_FORMAT: frozenset(("format", "provenance", "products", "seal")),
-}
+_UNSEALED_KEYS = frozenset(("format", "provenance", "products"))
 
 
 def _record_product(obj: dict):
@@ -639,14 +630,11 @@ def _record_product(obj: dict):
     )
 
 
-def _load_records(text: str, sealed: str | None) -> Dataset:
-    """The dataset of an archive of a format before ``ARCHIVE_FORMAT``, whose
-    products are records, JSON objects keyed by the products-file columns:
-    ``RECORDS_FORMAT``, sealed (``sealed``), or ``UNSEALED_FORMAT``.  A seal
-    is checked, then the whole document is decoded, each product record built
-    as soon as it is decoded, so the decoded records are never held at once."""
-    if sealed is not None:
-        _unseal(text, sealed)
+def _load_records(text: str) -> Dataset:
+    """The dataset of an ``UNSEALED_FORMAT`` archive, whose products are
+    records, JSON objects keyed by the products-file columns.  The whole
+    document is decoded, each product record built as soon as it is decoded,
+    so the decoded records are never held at once."""
     try:
         doc = json.loads(text, object_hook=_record_product)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
@@ -654,17 +642,19 @@ def _load_records(text: str, sealed: str | None) -> Dataset:
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers InvalidProduct
         raise PipelineError("bad_archive", f"invalid product record: {exc}") from None
     fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt in _SEALED_HEADS and sealed is None:
+    if fmt == ARCHIVE_FORMAT:
         raise PipelineError("bad_archive", _LAYOUT_ERROR)
-    if fmt not in _FORMAT_KEYS:
+    if fmt != UNSEALED_FORMAT:
         raise PipelineError(
-            "bad_archive", f"expected archive format {ARCHIVE_FORMAT!r}, {RECORDS_FORMAT!r} or {UNSEALED_FORMAT!r}"
+            "bad_archive",
+            f"expected archive format {ARCHIVE_FORMAT!r} or {UNSEALED_FORMAT!r}, got {fmt!r}: "
+            "ingest the products CSV again to write a current archive",
         )
     # every archive the writer has produced carries exactly these keys, so a
     # missing key is as bad as an unknown one
-    if doc.keys() != _FORMAT_KEYS[fmt]:
+    if doc.keys() != _UNSEALED_KEYS:
         raise PipelineError(
-            "bad_archive", f"{fmt} archive keys must be exactly {sorted(_FORMAT_KEYS[fmt])}, got {sorted(doc)}"
+            "bad_archive", f"{fmt} archive keys must be exactly {sorted(_UNSEALED_KEYS)}, got {sorted(doc)}"
         )
     products = doc["products"]
     if not isinstance(products, list) or not all(type(p) is Product for p in products):
@@ -677,10 +667,10 @@ def load_archive(text: str, discipline: str | None = None) -> Dataset:
     sealed archive's seal too.  An ``ARCHIVE_FORMAT`` archive is decoded one
     area at a time, and given a ``discipline``, for a command that reads one
     area, only that area's rows are decoded, after the seal and the area index
-    are checked whole.  An archive of an earlier format is decoded whole.
-    Either way ``products_in(discipline)`` gives the area's products, or the
+    are checked whole.  An ``UNSEALED_FORMAT`` archive is decoded whole; an
+    archive of any other format is ``bad_archive``.  Either way
+    ``products_in(discipline)`` gives the area's products, or the
     ``empty_discipline`` error when it has none."""
-    sealed = _sealed_format(text)
-    if sealed == ARCHIVE_FORMAT:
+    if text.startswith(_SEALED_HEAD):
         return _load_rows(text, discipline)
-    return _load_records(text, sealed)
+    return _load_records(text)

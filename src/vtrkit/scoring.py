@@ -7,8 +7,8 @@ from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
-from .indicators import group_stats
-from .model import Dataset, PipelineError
+from .indicators import pooled_stats
+from .model import Dataset, PipelineError, rating_groups
 from .numerics import average_ranks
 
 __all__ = [
@@ -73,7 +73,7 @@ def structure_ratings(dataset: Dataset, discipline: str) -> list[StructureRating
     ratings = []
     # key order keeps each structure's products in one run, structures sorted
     for structure_id, run in groupby(dataset.products_in(discipline), attrgetter("structure_id")):
-        stats = group_stats(tuple(run))
+        stats = pooled_stats(rating_groups(run))
         ratings.append(
             StructureRating(
                 structure_id=structure_id,

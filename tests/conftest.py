@@ -1,17 +1,21 @@
-"""Shared fixtures: published-value tables and small hand datasets."""
+"""Shared fixtures: published-value tables and small hand datasets, archive
+helpers, and the per-product references the library's statistics are
+checked against."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
-from json.encoder import encode_basestring_ascii as _quote
+import math
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
+from vtrkit.indicators import GroupStats, h_index
 from vtrkit.ingest import parse_products
-from vtrkit.model import ARCHIVE_FORMAT, PRODUCTS_HEADER, RECORDS_FORMAT, UNSEALED_FORMAT, write_archive
+from vtrkit.model import PRODUCTS_HEADER, UNSEALED_FORMAT, Product
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -64,29 +68,47 @@ def reseal(archive: str, rows: list[str] | None = None, areas: list[str] | None 
     return text + hashlib.sha256(text.encode("utf-8")).hexdigest() + '"}}\n'
 
 
-def _product_record(p) -> str:
-    """The product's record in a vtrkit-dataset/2 archive: the JSON of its
-    fields with sorted keys, ``citations`` and ``journal_if`` left out when
-    absent, as that format's writer wrote it."""
-    citations = "" if p.citations is None else f'"citations": {p.citations}, '
-    journal_if = "" if p.journal_if is None else f'"journal_if": {float(p.journal_if)!r}, '
-    return (
-        f'{{{citations}"discipline": {_quote(p.discipline)}, {journal_if}"n_authors": {p.n_authors}, '
-        f'"n_internal_authors": {p.n_internal_authors}, "peer_rating": "{p.peer_rating.token}", '
-        f'"product_id": {_quote(p.product_id)}, "product_type": "{p.product_type.value}", '
-        f'"structure_id": {_quote(p.structure_id)}, "tr_indexed": {"true" if p.tr_indexed else "false"}, '
-        f'"year": {p.year}}}'
+def _mean(values: list[float]) -> float | None:
+    return math.fsum(values) / len(values) if values else None
+
+
+def group_stats(products: Sequence[Product]) -> GroupStats:
+    """The per-product reference for ``pooled_stats``: size, TR count, peer
+    means, TR citation and IF means, and h of a group, from one list per
+    statistic over the products."""
+    tr = [p for p in products if p.tr_indexed]
+    cites = [p.citations for p in tr if p.citations is not None]
+    impact = [p.journal_if for p in tr if p.journal_if is not None]
+    return GroupStats(
+        n=len(products),
+        n_tr=len(tr),
+        peer_all=_mean([p.peer_rating.weight for p in products]),
+        peer_tr=_mean([p.peer_rating.weight for p in tr]),
+        mean_citations=_mean(cites),
+        mean_if=_mean(impact),
+        h=h_index(cites),
     )
 
 
-def records_archive(dataset) -> str:
-    """The vtrkit-dataset/2 archive of ``dataset``: the bytes that format's
-    writer wrote, one product record per line.  A dataset without products is
-    written unsealed, as by every writer."""
-    archive = write_archive(dataset)
-    if not dataset.products:
-        return archive
-    return reseal(archive.replace(ARCHIVE_FORMAT, RECORDS_FORMAT, 1), [_product_record(p) for p in dataset.products])
+def probability_sum_deviation(p_greater: float, p_less: float, p_equal: float) -> float:
+    """How far a reported probability triple strays from the sum identity."""
+    return abs(p_greater + p_less + p_equal - 1.0)
+
+
+def flag_probability_rows(
+    rows: Sequence[tuple[float, float, float]], tolerance: float = 0.02
+) -> list[int]:
+    """Indices of reported triples violating the sum identity beyond
+    ``tolerance`` (inclusive, guarded against float fuzz).
+
+    Published tables carry rounded values, so a small tolerance is expected;
+    anything beyond it indicates an inconsistent row.
+    """
+    return [
+        i
+        for i, (pg, pl, pe) in enumerate(rows)
+        if probability_sum_deviation(pg, pl, pe) > tolerance + 1e-12
+    ]
 
 
 def load_fixture(name: str) -> list[dict]:

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import flag_probability_rows
 from test_numerics import CHI2_GRID, T_GRID, chi2_upper_oracle, t_two_sided_oracle
 
 from vtrkit.cli import main
@@ -26,7 +27,6 @@ from vtrkit.concordance import (
     adjacent_rating_probabilities,
     chi_square_independence,
     contingency_table,
-    flag_probability_rows,
     pairwise_probabilities,
     peer_bibliometric_spearman,
     spearman,

@@ -10,23 +10,24 @@ from fractions import Fraction
 import pytest
 import scipy.stats
 
+from conftest import flag_probability_rows
+
 from vtrkit import concordance
 from vtrkit.concordance import (
     VARIABLES,
     ProbabilityTriple,
+    QuartileBins,
     RatingSample,
     adjacent_rating_probabilities,
     assign_quartile,
     chi_square_independence,
     contingency_table,
-    flag_probability_rows,
     pairwise_probabilities,
     peer_bibliometric_spearman,
-    quartile_bins,
     spearman,
 )
 from vtrkit.ingest import parse_products
-from vtrkit.model import Area, PeerRating, PipelineError, RATING_ORDER
+from vtrkit.model import Area, PeerRating, PipelineError, Product, ProductType, RATING_ORDER
 from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise
 
 HEADER = "product_id,structure_id,discipline,year,product_type,peer_rating,tr_indexed,citations,journal_if,n_authors,n_internal_authors"
@@ -46,6 +47,17 @@ def brute_force_triple(xs, ys) -> ProbabilityTriple:
     )
 
 
+def quartile_bins(values, variable="citations") -> QuartileBins:
+    """The cutpoints the battery bins an area by, when its TR products carry
+    ``values`` of ``variable``, the ratings taken in turn."""
+    products = tuple(
+        Product(f"P{i}", "S1", "BIO", 2002, ProductType.JOURNAL_ARTICLE, RATING_ORDER[i % 4], True, None, None, 2, 1)
+        ._replace(**{variable: v})
+        for i, v in enumerate(values)
+    )
+    return contingency_table(products, variable).bins
+
+
 class TestQuartileBins:
     def test_eight_point_sample(self):
         bins = quartile_bins([1, 2, 3, 4, 5, 6, 7, 8])
@@ -62,11 +74,6 @@ class TestQuartileBins:
 
     def test_order_invariance(self):
         assert quartile_bins([8, 1, 5, 3, 7, 2, 6, 4]) == quartile_bins(list(range(1, 9)))
-
-    def test_empty_sample(self):
-        with pytest.raises(PipelineError) as err:
-            quartile_bins([])
-        assert err.value.code == "empty_sample"
 
 
 class TestAssignQuartile:
@@ -102,7 +109,7 @@ class TestAssignQuartile:
     def test_exact_quarter_split_without_ties(self):
         """Tie-free sample with n divisible by 4 splits exactly."""
         values = [float(v) for v in range(1, 41)]
-        bins = quartile_bins(values)
+        bins = quartile_bins(values, "journal_if")
         counts = [0, 0, 0, 0]
         for v in values:
             counts[assign_quartile(v, bins) - 1] += 1

@@ -6,18 +6,23 @@ Every check runs in a child interpreter, so ``sys.modules`` starts clean.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import vtrkit
 from vtrkit.ingest import serialize_products
 from vtrkit.model import load_archive, read_text_file
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCH = SRC.parent / "bench"
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_dataset.json"
 
 
@@ -138,13 +143,13 @@ def test_the_golden_legacy_archive_loads(command, tmp_path):
 
 
 #: What ``vtrkit`` exported when it imported every module eagerly, by the
-#: module that defines each name.
+#: module that defines each name, less the names only tests used, which the
+#: package no longer holds.
 EXPORTED = {
     "concordance": """AdjacentPairResult ChiSquareResult ContingencyTable CorrelationResult ProbabilityTriple
         QuartileBins adjacent_rating_probabilities assign_quartile chi_square_independence contingency_table
-        flag_probability_rows pairwise_probabilities peer_bibliometric_spearman quartile_bins spearman""",
-    "indicators": """DisciplineProfile GroupStats RatingBreakdown discipline_profile group_stats h_index
-        ownership_degree rating_breakdown""",
+        pairwise_probabilities peer_bibliometric_spearman spearman""",
+    "indicators": "DisciplineProfile GroupStats RatingBreakdown discipline_profile h_index rating_breakdown",
     "ingest": """IngestConfig Issue SelectionPolicy StaffRecord ValidationReport parse_products parse_products_file
         parse_staff serialize_products validate_dataset""",
     "model": """Dataset InvalidProduct PeerRating PipelineError Product ProductType Provenance RATING_ORDER load_archive
@@ -188,3 +193,56 @@ def test_lazy_public_surface():
     assert names <= set(facts["dir"])
     assert facts["unknown"] == "module 'vtrkit' has no attribute 'no_such_name'"
     assert facts["same"] == dict.fromkeys(names, True)
+
+
+def name_uses(source: str) -> Counter:
+    """How often the module ``source`` uses each name: its name tokens, less
+    those a ``def``, a ``class`` or a module-level assignment binds.  Comments,
+    docstrings and the strings of an export list are not uses."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    tokens = [t for t in tokens if t.type in (tokenize.NAME, tokenize.OP)]
+    uses = Counter()
+    for before, token, after in zip([None, *tokens], tokens, [*tokens[1:], None]):
+        binds = (before is not None and before.string in ("def", "class")) or (
+            token.start[1] == 0 and after is not None and after.string in ("=", ":")
+        )
+        if token.type == tokenize.NAME and not binds:
+            uses[token.string] += 1
+    return uses
+
+
+def test_name_uses_counts_code_only():
+    """A comment, a docstring, an export list's string, a definition and a
+    module-level assignment are not uses; a call, an annotation, an import
+    and a keyword argument are."""
+    source = '''
+__all__ = ["f", "g"]
+LIMIT: int = 3
+ORDER = (1, 2)
+
+
+def f(x: Shape) -> int:
+    """g and ORDER are mentioned here only."""
+    return x  # g is inline
+
+
+class Shape:
+    pass
+
+
+from mod import helper
+helper(limit=LIMIT)
+'''
+    uses = name_uses(source)
+    assert (uses["f"], uses["g"], uses["ORDER"]) == (0, 0, 0)
+    assert (uses["Shape"], uses["helper"], uses["LIMIT"], uses["limit"]) == (1, 2, 1, 1)
+
+
+def test_every_export_is_used_by_the_library_or_the_benchmark():
+    """A name the package exports is used by some library module beyond its
+    own definition, or by the benchmark: code that only tests call belongs in
+    the tests."""
+    uses = Counter()
+    for path in [*(SRC / "vtrkit").glob("*.py"), *BENCH.glob("*.py")]:
+        uses += name_uses(path.read_text("utf-8"))
+    assert sorted(name for name in vtrkit.__all__ if not uses[name]) == []

@@ -10,11 +10,10 @@ import pytest
 from vtrkit.indicators import (
     discipline_profile,
     h_index,
-    ownership_degree,
     rating_breakdown,
 )
 from vtrkit.ingest import parse_products
-from vtrkit.model import PeerRating, PipelineError
+from vtrkit.model import Dataset, PeerRating, PipelineError, Product, ProductType, Provenance
 
 
 def h_index_brute_force(citations) -> int:
@@ -60,13 +59,13 @@ class TestOwnershipDegree:
         [(4, 3, 0.75), (1, 1, 1.0), (1412, 0, 0.0)],
     )
     def test_values(self, n_authors, n_internal, expected):
-        from vtrkit.model import Product, ProductType
-
+        """A product's ownership degree is the mean ownership of an area of that product alone."""
         product = Product(
             "P", "S", "BIO", 2002, ProductType.JOURNAL_ARTICLE, PeerRating.GOOD,
             False, None, None, n_authors, n_internal,
         )
-        assert ownership_degree(product) == expected
+        dataset = Dataset((product,), Provenance("hand", "", ""))
+        assert discipline_profile(dataset, "BIO").mean_ownership == expected
 
 
 class TestDisciplineProfile:
@@ -91,7 +90,7 @@ class TestDisciplineProfile:
     def test_mean_ownership_consistency(self, four_product_dataset):
         p = discipline_profile(four_product_dataset, "BIO")
         products = four_product_dataset.products_in("BIO")
-        expected = sum(ownership_degree(x) for x in products) / len(products)
+        expected = sum(x.n_internal_authors / x.n_authors for x in products) / len(products)
         assert p.mean_ownership == pytest.approx(expected)
 
     def test_permutation_invariance(self):

@@ -41,7 +41,7 @@ from vtrkit.model import (
 )
 from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise
 
-from conftest import archive_rows, records_archive, reseal, unsealed_doc
+from conftest import archive_rows, reseal, unsealed_doc
 
 HEADER = "product_id,structure_id,discipline,year,product_type,peer_rating,tr_indexed,citations,journal_if,n_authors,n_internal_authors"
 
@@ -934,14 +934,13 @@ class TestSealedArchive:
         assert decoded == [area]
         assert dataset.products == expected
 
-    @pytest.mark.parametrize("fmt", ["vtrkit-dataset/1", "vtrkit-dataset/2", "vtrkit-dataset/3"])
+    @pytest.mark.parametrize("fmt", ["vtrkit-dataset/1", "vtrkit-dataset/3"])
     def test_area_load_of_each_format(self, sealed, fmt):
-        """Given an area, an archive of an earlier format loads whole and a
-        current one loads that area alone; an absent area is empty_discipline."""
+        """Given an area, an unsealed archive loads whole and a current one
+        loads that area alone; an absent area is empty_discipline."""
         dataset = load_archive(sealed)
         text = {
             "vtrkit-dataset/1": json.dumps(unsealed_doc(sealed)),
-            "vtrkit-dataset/2": records_archive(dataset),
             "vtrkit-dataset/3": sealed,
         }[fmt]
         assert json.loads(text)["format"] == fmt
@@ -1011,23 +1010,21 @@ class TestSealedArchive:
         assert err.value.code == "bad_archive"
         assert str(err.value).startswith(message)
 
-    @pytest.mark.parametrize("area", ["BIO", "CHE", "MED", "PHY"])
-    def test_records_archive_loads_whole_as_before(self, sealed, area, monkeypatch):
-        """A vtrkit-dataset/2 archive, one record per line, still loads, and a
-        command on one area decodes it whole through its records."""
-        import vtrkit.model as model
-
-        dataset = parse_products(THREE_AREA_CSV)[0]
-        records = records_archive(dataset)
-        assert json.loads(records)["format"] == "vtrkit-dataset/2"
-        assert load_archive(records) == load_archive(sealed) == dataset
-        monkeypatch.setattr(model, "_area_products", None)  # the row decoder is not called
-        assert load_archive(records, area).products == dataset.products
-        damaged = records.replace('"P5"', '"P6"')
+    @pytest.mark.parametrize("area", [None, "BIO", "CHE", "MED", "PHY"])
+    def test_records_archive_is_bad_archive(self, sealed, area):
+        """A vtrkit-dataset/2 archive, sealed with one product record per line
+        as its writer wrote it, no longer loads, whole or for one area, present
+        or not: the error says to ingest the products CSV again."""
+        records = [json.dumps(record, sort_keys=True) for record in unsealed_doc(sealed)["products"]]
+        text = reseal(sealed.replace("vtrkit-dataset/3", "vtrkit-dataset/2", 1), records)
+        assert json.loads(text)["format"] == "vtrkit-dataset/2"
         with pytest.raises(PipelineError) as err:
-            load_archive(damaged, area)
-        assert (err.value.code, str(err.value)) == ("bad_archive", "the archive's bytes do not match its seal")
-
+            load_archive(text, area)
+        assert (err.value.code, str(err.value)) == (
+            "bad_archive",
+            "expected archive format 'vtrkit-dataset/3' or 'vtrkit-dataset/1', got 'vtrkit-dataset/2': "
+            "ingest the products CSV again to write a current archive",
+        )
 
 def reference_archive(dataset: Dataset) -> str:
     """The sealed archive of a dataset with products, written and hashed row

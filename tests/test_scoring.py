@@ -9,7 +9,7 @@ import statistics
 import pytest
 
 from vtrkit.ingest import parse_products
-from vtrkit.model import RATING_ORDER, PeerRating, PipelineError
+from vtrkit.model import RATING_ORDER, TOKEN_RATINGS, PeerRating, PipelineError
 from vtrkit.scoring import (
     RankEntry,
     Ranking,
@@ -52,12 +52,10 @@ class TestWeights:
     def test_scale_tokens_and_order(self):
         assert [(r.token, int(r)) for r in RATING_ORDER] == [("E", 4), ("G", 3), ("A", 2), ("L", 1)]
         for rating in PeerRating:
-            assert PeerRating.from_token(rating.token) is rating
+            assert TOKEN_RATINGS[rating.token] is rating
             assert PeerRating(int(rating)) is rating
             assert pickle.loads(pickle.dumps(rating)) is rating
         assert repr(PeerRating.GOOD) == "<PeerRating.GOOD: 3>"
-        with pytest.raises(ValueError, match="unknown peer rating token 'X'"):
-            PeerRating.from_token("X")
 
     def test_strictly_order_preserving(self):
         ratings = sorted(PeerRating, reverse=True)
