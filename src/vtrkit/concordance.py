@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, pairwise, repeat
@@ -240,14 +241,19 @@ def pairwise_probabilities(
     """Exact pair-counting probabilities that a random draw from ``x_values``
     exceeds / trails / ties a random draw from ``y_values``.
 
-    Counting is done by sorting one side and locating each value of the other
-    (O(n log n)); the result equals the full quadratic enumeration exactly.
+    Counting is done by sorting one side and locating each distinct value of
+    the other, weighted by its multiplicity (O(n log n)); the result equals
+    the full quadratic enumeration exactly.
     """
     if not x_values or not y_values:
         raise PipelineError("empty_group", "both value groups must be nonempty")
     ys = sorted(y_values)
-    greater = sum(bisect_left(ys, x) for x in x_values)
-    equal = sum(bisect_right(ys, x) for x in x_values) - greater
+    greater = greater_or_equal = 0
+    for x, count in Counter(x_values).items():
+        below = bisect_left(ys, x)
+        greater += count * below
+        greater_or_equal += count * bisect_right(ys, x, below)
+    equal = greater_or_equal - greater
     total = len(x_values) * len(ys)
     return ProbabilityTriple(
         p_greater=Fraction(greater, total),

@@ -480,6 +480,13 @@ _SEALED_HEAD = f'{{"format": "{ARCHIVE_FORMAT}",\n'
 _SEALED_HEAD_REST = re.compile(r'"provenance": (\{[^\n]*\}),\n"products": \[\n')
 _SEALED_TAIL = re.compile(r'\],\n"seal": \{"areas": (\[[^\n]*\]), "sha256": "([0-9a-f]{64})"\}\}\n')
 _LAYOUT_ERROR = f"a {ARCHIVE_FORMAT} archive must keep the canonical line layout of its writer"
+_FORMAT_ERROR = (
+    f"expected archive format {ARCHIVE_FORMAT!r} or {UNSEALED_FORMAT!r}, got {{!r}}: "
+    "ingest the products CSV again to write a current archive"
+)
+#: The format string that opens an archive in its writers' layout, when it
+#: needs no JSON escape: the format that decoding the whole document reads.
+_FORMAT_HEAD = re.compile(r'\{"format": "([^"\\\x00-\x1f]*)"')
 #: characters hashed, rows written, or rows decoded, at a time: checking a
 #: seal never copies the whole text, and a chunk this small is reused from the
 #: heap instead of raising peak memory
@@ -632,9 +639,13 @@ def _record_product(obj: dict):
 
 def _load_records(text: str) -> Dataset:
     """The dataset of an ``UNSEALED_FORMAT`` archive, whose products are
-    records, JSON objects keyed by the products-file columns.  The whole
-    document is decoded, each product record built as soon as it is decoded,
-    so the decoded records are never held at once."""
+    records, JSON objects keyed by the products-file columns.  An archive
+    that opens with another format is rejected before any record is decoded.
+    Otherwise the whole document is decoded, each product record built as
+    soon as it is decoded, so the decoded records are never held at once."""
+    head = _FORMAT_HEAD.match(text)
+    if head is not None and head[1] not in (ARCHIVE_FORMAT, UNSEALED_FORMAT):
+        raise PipelineError("bad_archive", _FORMAT_ERROR.format(head[1]))
     try:
         doc = json.loads(text, object_hook=_record_product)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
@@ -645,11 +656,7 @@ def _load_records(text: str) -> Dataset:
     if fmt == ARCHIVE_FORMAT:
         raise PipelineError("bad_archive", _LAYOUT_ERROR)
     if fmt != UNSEALED_FORMAT:
-        raise PipelineError(
-            "bad_archive",
-            f"expected archive format {ARCHIVE_FORMAT!r} or {UNSEALED_FORMAT!r}, got {fmt!r}: "
-            "ingest the products CSV again to write a current archive",
-        )
+        raise PipelineError("bad_archive", _FORMAT_ERROR.format(fmt))
     # every archive the writer has produced carries exactly these keys, so a
     # missing key is as bad as an unknown one
     if doc.keys() != _UNSEALED_KEYS:

@@ -24,7 +24,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from statistics import NormalDist
+from statistics import _normal_dist_inv_cdf
 
 from .model import (
     KNOWN_DISCIPLINES,
@@ -51,8 +51,6 @@ __all__ = [
 #: The generator version, covered by the provenance digest: a change to the
 #: data a seed gives is a new version, so one digest never names two datasets.
 GENERATOR = "vtrkit-synth/2"
-
-_NORMAL = NormalDist()
 
 #: Product-type mix for generated products that are not database-covered:
 #: a draw below the i-th cumulative share picks the i-th type, and a draw
@@ -197,19 +195,24 @@ def generate_exercise(config: SynthConfig) -> Dataset:
     hyperauthor_rate, internal_share = config.hyperauthor_rate, config.internal_author_share
     rho, dispersion, if_scale = config.target_rho, config.citation_dispersion, config.if_scale
     rho_rest = math.sqrt(1.0 - rho * rho)
-    inv_cdf, exp, sha256, from_bytes = _NORMAL.inv_cdf, math.exp, hashlib.sha256, int.from_bytes
+    # inv_cdf is NormalDist().inv_cdf's kernel, without the range checks the clamp already meets
+    inv_cdf, exp, sha256, from_bytes = _normal_dist_inv_cdf, math.exp, hashlib.sha256, int.from_bytes
     Random = random.Random
     products = []
     append = products.append
+    indices: list[str] = []  # f"{i + 1:04d}" at i, up to the largest product count drawn so far
     try:
         for spec in config.disciplines:
             code, coverage, products_min = spec.code, spec.coverage, spec.products_min
             sizes = spec.products_max - products_min + 1
             for s in range(1, spec.n_structures + 1):
                 structure_id = f"S{s:03d}"
+                prefix = f"P-{code}-{structure_id}-"
                 draw = Random(from_bytes(sha256(f"{seed}|{code}|{structure_id}".encode()).digest(), "big")).random
                 n_products = products_min + min(int(draw() * sizes), sizes - 1)
-                for index in range(1, n_products + 1):
+                if n_products > len(indices):
+                    indices += [f"{i:04d}" for i in range(len(indices) + 1, n_products + 1)]
+                for index in indices[:n_products]:
                     if not _LOW <= (u := draw()) <= _HIGH:
                         u = min(max(u, _LOW), _HIGH)
                     rating = _BY_QUALITY[bisect_right(quality_cuts, u)]
@@ -224,7 +227,7 @@ def generate_exercise(config: SynthConfig) -> Dataset:
                     else:
                         if not _LOW <= (v := draw()) <= _HIGH:
                             v = min(max(v, _LOW), _HIGH)
-                        n_authors = max(1, round(2.0 * exp(0.9 * abs(inv_cdf(v)))))
+                        n_authors = max(1, round(2.0 * exp(0.9 * abs(inv_cdf(v, 0.0, 1.0)))))
                     n_internal = 1
                     for _ in range(n_authors - 1):
                         if draw() < internal_share:
@@ -233,14 +236,14 @@ def generate_exercise(config: SynthConfig) -> Dataset:
                     if covered:
                         if not _LOW <= (v := draw()) <= _HIGH:
                             v = min(max(v, _LOW), _HIGH)
-                        z_biblio = rho * inv_cdf(u) + rho_rest * inv_cdf(v)
+                        z_biblio = rho * inv_cdf(u, 0.0, 1.0) + rho_rest * inv_cdf(v, 0.0, 1.0)
                         citations = round(exp(_CITATION_LOG_MEDIAN + dispersion * z_biblio))
                         if not _LOW <= (v := draw()) <= _HIGH:
                             v = min(max(v, _LOW), _HIGH)
-                        journal_if = max(0.001, round(if_scale * exp(0.4 * z_biblio + 0.25 * inv_cdf(v)), 3))
+                        journal_if = max(0.001, round(if_scale * exp(0.4 * z_biblio + 0.25 * inv_cdf(v, 0.0, 1.0)), 3))
                     append(
                         Product(
-                            f"P-{code}-{structure_id}-{index:04d}",
+                            prefix + index,
                             structure_id,
                             code,
                             year,

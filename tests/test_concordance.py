@@ -337,6 +337,28 @@ class TestPairwiseProbabilities:
             ys = [rng.randint(0, 8) for _ in range(rng.randint(1, 200))]
             assert pairwise_probabilities(xs, ys) == brute_force_triple(xs, ys)
 
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng, n: [rng.choice((0.5, 1.25, 2.0, 3.75, 1e-3)) for _ in range(n)],
+            lambda rng, n: [rng.choice((0.0, -0.0, 0.0, 1.5, -2.5)) for _ in range(n)],
+            lambda rng, n: [rng.choice((2, 2.0, 1, 1.0, 3, 0.5)) for _ in range(n)],
+            lambda rng, n: [rng.random() for _ in range(n)],
+            lambda rng, n: [rng.choice((0.25, -0.0, 7.0, 7))],
+        ],
+        ids=["float_ties", "signed_zeros", "int_equals_float", "distinct_floats", "one_element"],
+    )
+    def test_matches_brute_force_beyond_small_integers(self, draw):
+        """Counting runs over the distinct values of one side, weighted by
+        their multiplicity: equal values of either type or sign count as one
+        value, and each side may be a single value."""
+        rng = random.Random(47)
+        for _ in range(100):
+            xs, ys = draw(rng, rng.randint(1, 60)), draw(rng, rng.randint(1, 60))
+            assert pairwise_probabilities(xs, ys) == brute_force_triple(xs, ys)
+            assert pairwise_probabilities(xs, [ys[0]]) == brute_force_triple(xs, [ys[0]])
+            assert pairwise_probabilities([xs[0]], ys) == brute_force_triple([xs[0]], ys)
+
     def test_empty_group(self):
         with pytest.raises(PipelineError) as err:
             pairwise_probabilities([], [1])

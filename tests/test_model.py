@@ -1026,6 +1026,34 @@ class TestSealedArchive:
             "ingest the products CSV again to write a current archive",
         )
 
+    @pytest.mark.parametrize("area", [None, "BIO"])
+    def test_records_archive_is_rejected_before_its_records_are_built(self, sealed, area, monkeypatch):
+        """The format a /2 archive opens with rejects it before any product
+        record is decoded; a head in another layout is decoded whole first,
+        with the same error."""
+        import vtrkit.model as model
+
+        records = [json.dumps(record, sort_keys=True) for record in unsealed_doc(sealed)["products"]]
+        text = reseal(sealed.replace("vtrkit-dataset/3", "vtrkit-dataset/2", 1), records)
+        message = (
+            "expected archive format 'vtrkit-dataset/3' or 'vtrkit-dataset/1', got 'vtrkit-dataset/2': "
+            "ingest the products CSV again to write a current archive"
+        )
+        relaid_out = json.dumps(json.loads(text), indent=1)
+        assert not relaid_out.startswith('{"format"')
+        with pytest.raises(PipelineError) as err:
+            load_archive(relaid_out, area)
+        assert (err.value.code, str(err.value)) == ("bad_archive", message)
+
+        def no_record(obj):
+            raise AssertionError("a product record was built")
+
+        monkeypatch.setattr(model, "_record_product", no_record)
+        with pytest.raises(PipelineError) as err:
+            load_archive(text, area)
+        assert (err.value.code, str(err.value)) == ("bad_archive", message)
+
+
 def reference_archive(dataset: Dataset) -> str:
     """The sealed archive of a dataset with products, written and hashed row
     by row: the reference for ``archive_lines``, which joins and hashes rows a

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import math
 import random
+import statistics
 from collections import Counter
 
 import numpy as np
@@ -44,6 +46,10 @@ def latent_model_spearman_oracle(rho: float, n: int = 100_000, seed: int = 0) ->
     z_biblio = rho * z_quality + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
     citations = np.rint(np.exp(math.log(4.0) + z_biblio))
     return scipy.stats.spearmanr(levels, citations).statistic
+
+
+#: The known areas in the order of the benchmark's inputs.
+BENCHMARK_AREAS = ("MCS", "PHY", "CHE", "EAS", "BIO", "MED", "AVM", "CEA", "IIE", "ECS")
 
 
 class TestDeterminism:
@@ -89,6 +95,40 @@ class TestDeterminism:
             argv += ["--config", str(tmp_path / "config.json")]
         assert main(argv) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "specs, digest",
+        [
+            (
+                [DisciplineSpec(code, 120, 4, 40) for code in BENCHMARK_AREAS],
+                "cdce999e5117b18cd235f1d7027052e81a86ea0f8d67fe22f73a183df841b29e",
+            ),
+            (
+                [DisciplineSpec(f"X{i:02d}", 12, 4, 40) for i in range(100)],
+                "776a62399095639c6b5b13eef6658657becf1a5fef36c18bee49a7dfe0a93b08",
+            ),
+            (
+                [DisciplineSpec("BIO", 10, 50, 50, 1.0)],
+                "fdf7e0b141b006f14cca4b3c335855d473d98f601bbafbaf4ef9b95148fe25c6",
+            ),
+        ],
+        ids=["exercise-26k", "many-areas", "validation-study"],
+    )
+    def test_pinned_benchmark_input_digest(self, tmp_path, specs, digest):
+        """The seed-7 products CSV of each benchmark input shape: 120
+        structures per area and 100 areas are pinned too."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"disciplines": [dataclasses.asdict(spec) for spec in specs]}), encoding="utf-8")
+        out = tmp_path / "products.csv"
+        assert main(["synth", "--seed", "7", "--config", str(config), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_normal_quantile_kernel_equals_normal_dist(self):
+        """The generator calls the private kernel behind ``NormalDist().inv_cdf``
+        directly; a Python release that renames or changes it fails here."""
+        rng = random.Random(5)
+        for p in (synth._LOW, synth._HIGH, 0.5, *(rng.random() for _ in range(10_000))):
+            assert statistics._normal_dist_inv_cdf(p, 0.0, 1.0).hex() == statistics.NormalDist().inv_cdf(p).hex()
 
     def test_different_seed_different_data(self):
         a = serialize_products(generate_exercise(small_config(seed=1)))
@@ -208,6 +248,25 @@ class TestGeneratedData:
         dataset = generate_exercise(small_config(seed=2, disciplines=areas))
         keys = [p.key for p in dataset.products]
         assert keys == sorted(keys) and len(calls) == sorts
+
+    def test_product_ids_past_four_digits(self):
+        """Product ids keep the zero-padded index, which widens past 9999."""
+        dataset = generate_exercise(small_config(seed=2, disciplines=(DisciplineSpec("BIO", 1, 10_001, 10_001),)))
+        ids = {p.product_id for p in dataset.products}
+        assert ids == {f"P-BIO-S001-{index:04d}" for index in range(1, 10_002)}
+        assert {"P-BIO-S001-0001", "P-BIO-S001-9999", "P-BIO-S001-10000", "P-BIO-S001-10001"} <= ids
+
+    def test_smaller_structures_after_larger_ones(self):
+        """An area of small structures after an area of large ones has the
+        products it has when it is generated alone."""
+        small = DisciplineSpec("MCS", 5, 1, 12)
+        both = generate_exercise(small_config(seed=4, disciplines=(DisciplineSpec("BIO", 3, 200, 300), small)))
+        alone = generate_exercise(small_config(seed=4, disciplines=(small,)))
+        assert both.products_in("MCS") == alone.products
+        sizes = Counter(p.structure_id for p in alone.products)
+        assert {p.product_id for p in alone.products} == {
+            f"P-MCS-{structure}-{index:04d}" for structure, n in sizes.items() for index in range(1, n + 1)
+        }
 
     def test_structure_count_and_ids(self):
         dataset = generate_exercise(small_config(seed=5))
