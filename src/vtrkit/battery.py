@@ -4,7 +4,8 @@
 product-level Spearman and the adjacent-rating probabilities on one
 ``RatingSample``; a statistic that cannot be computed leaves a note.  It
 needs no indicator or ranking code, so the ``concordance`` command loads
-neither.
+neither.  Only ``battery_md`` and ``battery_csv`` import ``tables``: a battery
+built, or rendered as JSON, loads no table code.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from .concordance import (
     RatingSample,
     chi_square_independence,
 )
+from .jsonout import Assembly, as_json, json_text
 from .model import Area, PipelineError
-from .tables import CHI_SQUARE, CONTINGENCY, PROBABILITIES, PRODUCT_SPEARMAN, as_json, contingency_rows, json_text
-from .tables import Assembly, csv_section, fmt, fmt_p, render
 
 VARIABLE_LABELS = {"citations": "article citations", "journal_if": "journal impact factor"}
 
@@ -63,6 +63,7 @@ def build_battery(area: Area, variable: str, coding: str = "quartile") -> Variab
 
 
 def battery_md(battery: VariableBattery) -> str:
+    from .tables import CONTINGENCY, PROBABILITIES, contingency_rows, fmt, fmt_p, render
     label = VARIABLE_LABELS[battery.variable]
     parts = [f"### Concordance: {label}\n"]
     for note in battery.notes:
@@ -93,6 +94,7 @@ def battery_md(battery: VariableBattery) -> str:
 
 def battery_csv(battery: VariableBattery) -> str:
     """CSV rendering: one '# <name>' section per result the battery holds."""
+    from .tables import CHI_SQUARE, CONTINGENCY, PROBABILITIES, PRODUCT_SPEARMAN, contingency_rows, csv_section
     sections = []
     if battery.contingency is not None:
         sections.append(("contingency_row_percentages", CONTINGENCY, contingency_rows(battery.contingency)))

@@ -8,10 +8,12 @@ machine-readable JSON error record to stderr.
 At module level this imports only ``model``; each command imports the modules
 it runs inside its own function, so ``ingest`` loads no statistics, a single
 table loads no report builder, and no query on an archive loads the CSV code
-of ``ingest``.  ``run``, the program, is the only code that touches the
-garbage collector: a command makes no cyclic garbage that grows with its
-data, so the program runs it with the collector off.  ``main``, which
-callers may run in their own process, leaves the collector alone.
+of ``ingest``.  A command imports ``tables`` for md and csv alone: as JSON,
+its result goes through ``jsonout`` (``_render``).  ``run``, the program, is
+the only code that touches the garbage collector: a command makes no cyclic
+garbage that grows with its data, so the program runs it with the collector
+off.  ``main``, which callers may run in their own process, leaves the
+collector alone.
 """
 
 from __future__ import annotations
@@ -53,10 +55,19 @@ def _min_products(args) -> int:
     return args.min_products
 
 
+def _render(fmt: str, table: str, items, payload=None) -> str:
+    """``items`` as the md or csv table ``tables.<table>``, or as JSON the
+    payload (default: the items) through ``jsonout``, which loads no ``tables``."""
+    if fmt == "json":
+        from .jsonout import as_json, json_text
+        return json_text(as_json(list(items) if payload is None else payload))
+    from . import tables
+    return tables.render(getattr(tables, table), items, fmt)
+
+
 def _render_validation(report, fmt: str) -> str:  # report: an ingest.ValidationReport
-    from .tables import ISSUES, render
     issues = [("error", i) for i in report.errors] + [("warning", i) for i in report.warnings]
-    text = render(ISSUES, issues, fmt, payload=report)
+    text = _render(fmt, "ISSUES", issues, payload=report)
     if fmt != "md":
         return text
     return f"accepted products: {report.accepted_count}\n" + (text if issues else "no issues\n")
@@ -87,41 +98,38 @@ def cmd_validate(args) -> int:
 
 def cmd_profile(args) -> int:
     from .indicators import discipline_profile
-    from .tables import PROFILE, render
     dataset = _load_dataset(args.dataset, args.discipline)
     disciplines = [args.discipline] if args.discipline is not None else dataset.disciplines
     profiles = [discipline_profile(dataset, d) for d in disciplines]
-    _write_out(render(PROFILE, profiles, args.format), args.out)
+    _write_out(_render(args.format, "PROFILE", profiles), args.out)
     return 0
 
 
 def cmd_breakdown(args) -> int:
     from .indicators import rating_breakdown
-    from .tables import BREAKDOWN, render
     dataset = _load_dataset(args.dataset, args.discipline)
     rows = rating_breakdown(dataset, args.discipline)
-    _write_out(render(BREAKDOWN, rows, args.format), args.out)
+    _write_out(_render(args.format, "BREAKDOWN", rows), args.out)
     return 0
 
 
 def cmd_rank(args) -> int:
     from .scoring import compile_ranking, structure_ratings
-    from .tables import RANKING, ranking_md, render
     min_products = _min_products(args)
     dataset = _load_dataset(args.dataset, args.discipline)
     ratings = structure_ratings(dataset, args.discipline)
     ranking = compile_ranking(ratings, METRIC_BY_FLAG[args.metric], min_products)
     if args.format == "md":
+        from .tables import ranking_md
         text = ranking_md(ranking)
     else:
-        text = render(RANKING, ranking.entries, args.format, payload=ranking)
+        text = _render(args.format, "RANKING", ranking.entries, payload=ranking)
     _write_out(text, args.out)
     return 0
 
 
 def cmd_compare_ranks(args) -> int:
     from .scoring import compile_ranking, rank_comparison, structure_ratings
-    from .tables import COMPARISON, comparison_md, plot_data_text, render
     min_products = _min_products(args)
     dataset = _load_dataset(args.dataset, args.discipline)
     ratings = structure_ratings(dataset, args.discipline)
@@ -129,13 +137,15 @@ def cmd_compare_ranks(args) -> int:
     ranking_b = compile_ranking(ratings, METRIC_BY_FLAG[args.against], min_products)
     comparison = rank_comparison(ranking_a, ranking_b)
     if args.plot_data:
+        from .tables import plot_data_text
         _write_out(plot_data_text(comparison), args.plot_data)
     if args.format == "md":
+        from .tables import comparison_md
         text = comparison_md(comparison)
         if comparison.dropped:
             text += f"- present in only one ranking: {', '.join(comparison.dropped)}\n"
     else:
-        text = render(COMPARISON, comparison.entries, args.format, payload=comparison)
+        text = _render(args.format, "COMPARISON", comparison.entries, payload=comparison)
     _write_out(text, args.out)
     return 0
 
@@ -150,11 +160,10 @@ def cmd_concordance(args) -> int:
 
 def cmd_probability(args) -> int:
     from .concordance import adjacent_rating_probabilities
-    from .tables import PROBABILITIES, render
     dataset = _load_dataset(args.dataset, args.discipline)
     products = dataset.products_in(args.discipline)
     pairs = adjacent_rating_probabilities(products, VARIABLE_BY_FLAG[args.variable])
-    _write_out(render(PROBABILITIES, pairs, args.format), args.out)
+    _write_out(_render(args.format, "PROBABILITIES", pairs), args.out)
     return 0
 
 

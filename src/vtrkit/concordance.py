@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, pairwise, repeat
 from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .model import Area, PeerRating, PipelineError, Product, RATING_ORDER
+from .model import Area, PipelineError, Product, RATING_ORDER
 from .numerics import average_ranks, chi_square_upper_tail, student_t_two_sided
 
 __all__ = [
@@ -42,13 +42,11 @@ __all__ = [
 VARIABLES = ("citations", "journal_if")
 
 
-class QuartileBins(NamedTuple):
+class QuartileBins(namedtuple("QuartileBins", "q25 q50 q75")):
     """Quartile cutpoints of a sample; degenerate when cutpoints coincide
     (heavy ties)."""
 
-    q25: float
-    q50: float
-    q75: float
+    __slots__ = ()
 
     @property
     def degenerate(self) -> bool:
@@ -74,13 +72,12 @@ def assign_quartile(value: float, bins: QuartileBins) -> int:
     return bisect_left(bins.cutpoints, value) + 1
 
 
-class ContingencyTable(NamedTuple):
+class ContingencyTable(namedtuple("ContingencyTable", "variable bins counts")):
     """Cross-tabulation of peer rating (rows E, G, A, L) against bibliometric
-    quartile (columns 1-4)."""
+    quartile (columns 1-4): ``counts`` holds one 4-tuple per rating, binned
+    by the ``QuartileBins`` of ``variable``."""
 
-    variable: str
-    bins: QuartileBins
-    counts: tuple[tuple[int, int, int, int], ...]
+    __slots__ = ()
 
     @property
     def row_totals(self) -> tuple[int, ...]:
@@ -119,11 +116,11 @@ def contingency_table(products: Sequence[Product], variable: str) -> Contingency
     return RatingSample(_area_of(products), variable).contingency()
 
 
-class ChiSquareResult(NamedTuple):
-    statistic: float
-    df: int
-    p_value: float
-    low_expected: bool  # some expected count < 5: the asymptotic p is shaky
+class ChiSquareResult(namedtuple("ChiSquareResult", "statistic df p_value low_expected")):
+    """Pearson chi-square test of independence; ``low_expected`` when some
+    expected count is below 5, so the asymptotic p is shaky."""
+
+    __slots__ = ()
 
 
 def chi_square_independence(counts: Sequence[Sequence[int]]) -> ChiSquareResult:
@@ -162,11 +159,12 @@ def chi_square_independence(counts: Sequence[Sequence[int]]) -> ChiSquareResult:
     )
 
 
-class CorrelationResult(NamedTuple):
-    coefficient: float
-    p_value: float
-    n: int
-    method: str = "tie_corrected_spearman"
+class CorrelationResult(
+    namedtuple("CorrelationResult", "coefficient p_value n method", defaults=("tie_corrected_spearman",))
+):
+    """A rank correlation over ``n`` pairs, with its two-sided p-value."""
+
+    __slots__ = ()
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
@@ -222,14 +220,11 @@ def peer_bibliometric_spearman(
     return RatingSample(_area_of(products), variable).spearman(coding)
 
 
-class ProbabilityTriple(NamedTuple):
+class ProbabilityTriple(namedtuple("ProbabilityTriple", "p_greater p_less p_equal pair_count")):
     """P(x > y), P(x < y), P(x = y) over all ordered pairs of two value
-    multisets, kept as exact rationals so the three parts always sum to 1."""
+    multisets, kept as exact ``Fraction``s so the three parts always sum to 1."""
 
-    p_greater: Fraction
-    p_less: Fraction
-    p_equal: Fraction
-    pair_count: int
+    __slots__ = ()
 
     def as_floats(self) -> tuple[float, float, float]:
         return (float(self.p_greater), float(self.p_less), float(self.p_equal))
@@ -263,11 +258,11 @@ def pairwise_probabilities(
     )
 
 
-class AdjacentPairResult(NamedTuple):
-    higher: PeerRating
-    lower: PeerRating
-    triple: ProbabilityTriple | None
-    note: str | None = None
+class AdjacentPairResult(namedtuple("AdjacentPairResult", "higher lower triple note", defaults=(None,))):
+    """Pairwise probabilities of two adjacent peer ratings: their
+    ``ProbabilityTriple``, or None and a note when the pair is skipped."""
+
+    __slots__ = ()
 
     @property
     def label(self) -> str:

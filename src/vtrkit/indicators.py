@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from typing import Iterable
 
-from .model import Area, Dataset, PeerRating, RatingGroup
+from .model import Area, Dataset, RatingGroup
 
 __all__ = [
     "h_index",
@@ -33,7 +34,7 @@ def h_index(citations: Iterable[int]) -> int:
     return h
 
 
-class GroupStats(NamedTuple):
+class GroupStats(namedtuple("GroupStats", "n n_tr peer_all peer_tr mean_citations mean_if h")):
     """The aggregates every per-area table reports for one product group: an
     area, one of its rating classes, or one of its structures.
 
@@ -42,13 +43,7 @@ class GroupStats(NamedTuple):
     over TR citation counts; a mean is None when no product enters it.
     """
 
-    n: int
-    n_tr: int
-    peer_all: float | None
-    peer_tr: float | None
-    mean_citations: float | None
-    mean_if: float | None
-    h: int
+    __slots__ = ()
 
 
 def _mean(values: list[float]) -> float | None:
@@ -68,7 +63,7 @@ def pooled_stats(groups: Iterable[RatingGroup]) -> GroupStats:
         tr_weights += [weight] * group.n_tr
         cites += group.citations
         impact += group.journal_if
-    # positional: a NamedTuple built by keyword costs twice as much, once per structure
+    # positional: a record built by keyword costs twice as much, once per structure
     return GroupStats(
         len(weights), len(tr_weights), _mean(weights), _mean(tr_weights), _mean(cites), _mean(impact), h_index(cites)
     )
@@ -80,7 +75,12 @@ def _area_stats(area: Area) -> GroupStats:
     return pooled_stats(area.by_rating)
 
 
-class DisciplineProfile(NamedTuple):
+class DisciplineProfile(
+    namedtuple(
+        "DisciplineProfile",
+        "discipline size coverage mean_authors mean_ownership peer_all peer_tr mean_citations cites_over_if mean_if h",
+    )
+):
     """Discipline-wide aggregate row.
 
     ``mean_citations``, ``mean_if`` and ``cites_over_if`` are computed over
@@ -88,17 +88,7 @@ class DisciplineProfile(NamedTuple):
     such product exists (``cites_over_if`` also when ``mean_if`` is zero).
     """
 
-    discipline: str
-    size: int
-    coverage: float
-    mean_authors: float
-    mean_ownership: float
-    peer_all: float
-    peer_tr: float | None
-    mean_citations: float | None
-    cites_over_if: float | None
-    mean_if: float | None
-    h: int
+    __slots__ = ()
 
 
 def discipline_profile(dataset: Dataset, discipline: str) -> DisciplineProfile:
@@ -128,7 +118,9 @@ def discipline_profile(dataset: Dataset, discipline: str) -> DisciplineProfile:
     )
 
 
-class RatingBreakdown(NamedTuple):
+class RatingBreakdown(
+    namedtuple("RatingBreakdown", "rating count share mean_citations citations_ratio mean_if if_ratio h h_ratio")
+):
     """Aggregates for the subset of a discipline's products with one rating.
 
     Ratio fields divide the per-rating statistic by the discipline-wide
@@ -136,15 +128,7 @@ class RatingBreakdown(NamedTuple):
     unavailable.
     """
 
-    rating: PeerRating
-    count: int
-    share: float
-    mean_citations: float | None
-    citations_ratio: float | None
-    mean_if: float | None
-    if_ratio: float | None
-    h: int | None
-    h_ratio: float | None
+    __slots__ = ()
 
 
 def rating_breakdown(dataset: Dataset, discipline: str) -> list[RatingBreakdown]:

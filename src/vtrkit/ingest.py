@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import re
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping
 
 from .model import (
     DUPLICATE_PRODUCT,
@@ -47,10 +48,10 @@ __all__ = [
 STAFF_HEADER = ("structure_id", "kind", "avg_staff")
 
 
-class Issue(NamedTuple):
-    row: int
-    rule: str
-    message: str
+class Issue(namedtuple("Issue", "row rule message")):
+    """One validation finding: the input row, the rule and a message."""
+
+    __slots__ = ()
 
 
 class ValidationReport:
@@ -88,14 +89,16 @@ class ValidationReport:
             yield end
 
 
-class IngestConfig(NamedTuple):
-    source_name: str = "<stream>"
+class IngestConfig(namedtuple("IngestConfig", "source_name", defaults=("<stream>",))):
+    """What ``parse_products`` records of its input: the source name."""
+
+    __slots__ = ()
 
 
-class StaffRecord(NamedTuple):
-    structure_id: str
-    kind: str  # "university" | "agency"
-    avg_staff: float
+class StaffRecord(namedtuple("StaffRecord", "structure_id kind avg_staff")):
+    """A structure's average staff; ``kind`` is "university" or "agency"."""
+
+    __slots__ = ()
 
 
 class SelectionPolicy:

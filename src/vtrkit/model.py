@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "PRODUCTS_HEADER",
@@ -255,10 +255,10 @@ class Product(namedtuple("Product", PRODUCTS_HEADER)):
     key = property(_product_key)
 
 
-class Provenance(NamedTuple):
-    source_name: str
-    source_digest: str
-    ingested_at: str
+class Provenance(namedtuple("Provenance", "source_name source_digest ingested_at")):
+    """Where a dataset came from: its source's name and digest, and when it was ingested."""
+
+    __slots__ = ()
 
 
 class Dataset:

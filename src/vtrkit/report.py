@@ -3,33 +3,33 @@ and JSON rendering.
 
 ``build_report`` runs every builder on every chosen area: the profile and
 rating breakdown (``indicators``), the battery per variable (``battery``),
-the ranking and rank comparison (``scoring``).  The table specs, formatters
-and ``as_json`` live in ``tables``, and the battery's entry points in
-``battery``.
+the ranking and rank comparison (``scoring``).  The table specs and
+formatters live in ``tables``, ``as_json`` in ``jsonout``, and the battery's
+entry points in ``battery``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from typing import Sequence
 
 from .battery import VariableBattery, battery_md, build_battery, noted
-from .concordance import VARIABLES, CorrelationResult, spearman
+from .concordance import VARIABLES, spearman
 from .indicators import DisciplineProfile, RatingBreakdown, discipline_profile, rating_breakdown
 from .ingest import validate_dataset
+from .jsonout import Assembly, as_json, json_text
 from .model import Dataset
 from .scoring import RankComparison, Ranking, compile_ranking, rank_comparison, structure_ratings
 from .tables import BREAKDOWN, CHI_SQUARE, CONTINGENCY, PROBABILITIES, PROFILE, RANKING, STRUCTURE_CORRELATIONS
-from .tables import Assembly, as_json, comparison_md, contingency_rows, csv_section, json_text, ranking_md, render
+from .tables import comparison_md, contingency_rows, csv_section, ranking_md, render
 
 __all__ = ["build_report", "render_report_md", "render_report_json", "render_report_csv"]
 
 
-class StructureCorrelation(NamedTuple):
+class StructureCorrelation(namedtuple("StructureCorrelation", "pair result note")):
     """Structure-level Spearman for one pair of ratings, or why it is absent."""
 
-    pair: str
-    result: CorrelationResult | None
-    note: str | None
+    __slots__ = ()
 
 
 class DisciplineSection(Assembly):

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from itertools import groupby
 from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .indicators import pooled_stats
 from .model import Dataset, PipelineError, rating_groups
@@ -46,18 +47,12 @@ def size_class(n_products: int) -> SizeClass:
     return SizeClass.SMALL
 
 
-class StructureRating(NamedTuple):
+class StructureRating(
+    namedtuple("StructureRating", "structure_id discipline n_products n_tr peer_all peer_tr cites impact size_class")
+):
     """Per-structure averages within one discipline."""
 
-    structure_id: str
-    discipline: str
-    n_products: int
-    n_tr: int
-    peer_all: float
-    peer_tr: float | None
-    cites: float | None
-    impact: float | None
-    size_class: SizeClass
+    __slots__ = ()
 
 
 RANKING_METRICS = ("peer_all", "peer_tr", "cites", "impact")
@@ -90,21 +85,17 @@ def structure_ratings(dataset: Dataset, discipline: str) -> list[StructureRating
     return ratings
 
 
-class RankEntry(NamedTuple):
-    structure_id: str
-    score: float
-    display_rank: int
-    average_rank: float
-    n_products: int
-    size_class: SizeClass
+class RankEntry(namedtuple("RankEntry", "structure_id score display_rank average_rank n_products size_class")):
+    """One ranked structure: its score, its displayed and average rank."""
+
+    __slots__ = ()
 
 
-class Ranking(NamedTuple):
-    discipline: str
-    metric: str
-    min_products: int
-    entries: tuple[RankEntry, ...]
-    excluded: tuple[str, ...]  # structures lacking the metric (no TR articles)
+class Ranking(namedtuple("Ranking", "discipline metric min_products entries excluded")):
+    """A discipline's ``RankEntry``s on one metric; ``excluded`` names the
+    structures lacking the metric (no TR articles)."""
+
+    __slots__ = ()
 
     def rank_of(self) -> dict[str, float]:
         return {e.structure_id: e.average_rank for e in self.entries}
@@ -159,23 +150,24 @@ def compile_ranking(
     )
 
 
-class ComparisonEntry(NamedTuple):
-    structure_id: str
-    rank_a: float
-    rank_b: float
-    delta: float  # rank_a - rank_b
+class ComparisonEntry(namedtuple("ComparisonEntry", "structure_id rank_a rank_b delta")):
+    """A structure's rank in two rankings; ``delta`` is ``rank_a - rank_b``."""
+
+    __slots__ = ()
 
 
-class RankComparison(NamedTuple):
-    metric_a: str
-    metric_b: str
-    entries: tuple[ComparisonEntry, ...]
-    median_abs_delta: float
-    median_fraction: float  # median |delta| over the compared compilation length
-    favored_by_a: tuple[str, ...]  # best placed in a relative to b, largest gain first
-    favored_by_b: tuple[str, ...]
-    unchanged: tuple[str, ...]
-    dropped: tuple[str, ...]  # structures present in only one ranking
+class RankComparison(
+    namedtuple(
+        "RankComparison",
+        "metric_a metric_b entries median_abs_delta median_fraction favored_by_a favored_by_b unchanged dropped",
+    )
+):
+    """Two rankings compared over the structures in both.  ``median_fraction``
+    is the median |delta| over the compared compilation length;
+    ``favored_by_a`` lists the structures best placed in a relative to b,
+    largest gain first; ``dropped`` those present in only one ranking."""
+
+    __slots__ = ()
 
     def plot_pairs(self) -> list[tuple[float, float]]:
         """(rank in a, rank in b) pairs for an external rank plot."""

@@ -1,16 +1,15 @@
-"""Table rendering (markdown, CSV, JSON) of the result records.
+"""Markdown and CSV rendering of the result records.
 
 Each table is declared once, as a ``Table`` of ``Column``s: a header and a
 cell function per column, with a separate CSV column list only where the flat
 CSV layout differs from the markdown one (bracketed ratios, percentages).
 ``render`` turns a table and its items into markdown or CSV.  JSON needs no
-table: ``as_json`` converts the result records field by field, or through
-their own ``json_shape`` method where they have one.
+table, so it lives apart, in ``jsonout``: JSON output does not import this
+module.
 
 Markdown and CSV cells use fixed precision: two decimals for table values,
-three for p-values, with p below 0.001 shown as "<0.001".  JSON output always
-carries full-precision numbers with separate fields for bracketed ratios.
-All rendering is deterministic for a given dataset and flags.
+three for p-values, with p below 0.001 shown as "<0.001".  All rendering is
+deterministic for a given dataset and flags.
 
 This module imports only ``model``, so a command that renders a table loads
 none of the statistics it does not run.
@@ -19,14 +18,13 @@ none of the statistics it does not run.
 from __future__ import annotations
 
 import csv
-import enum
 import io
-import json
+from collections import namedtuple
 from decimal import Decimal, ROUND_HALF_UP
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .model import PeerRating, Product, RATING_ORDER
+from .model import RATING_ORDER
 
 if TYPE_CHECKING:
     from .concordance import AdjacentPairResult, ContingencyTable
@@ -38,20 +36,32 @@ def round_half_up(x: float, digits: int) -> float:
     return float(Decimal(repr(x)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
+def _places(x: float, digits: int) -> str:
+    """``x`` to ``digits`` places, half up on its repr, as ``round_half_up``
+    gives it.  ``format`` alone rounds the exact binary value, which lands on
+    the same side unless the repr is a tie at ``digits`` places (exactly one
+    more fractional digit, a 5), an exponent form, or 1e9 or more."""
+    text = repr(x)
+    fraction = text.partition(".")[2]
+    if "e" in text or not abs(x) < 1e9 or (len(fraction) == digits + 1 and fraction[-1] == "5"):
+        x = round_half_up(x, digits)
+    return f"{x:.{digits}f}"
+
+
 def fmt(x: float | int | None, digits: int = 2) -> str:
     """Fixed-precision cell; absent values render as a dash."""
     if x is None:
         return "-"
     if isinstance(x, int):
         return str(x)
-    return f"{round_half_up(x, digits):.{digits}f}"
+    return _places(x, digits)
 
 
 def fmt_pct(x: float | None) -> str:
     """A fraction as a fixed two-decimal percentage."""
     if x is None:
         return "-"
-    return f"{round_half_up(100.0 * x, 2):.2f}%"
+    return _places(100.0 * x, 2) + "%"
 
 
 def fmt_p(p: float | None) -> str:
@@ -59,7 +69,7 @@ def fmt_p(p: float | None) -> str:
         return "-"
     if p < 0.001:
         return "<0.001"
-    return f"{round_half_up(p, 3):.3f}"
+    return _places(p, 3)
 
 
 def md_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -80,31 +90,24 @@ def csv_text(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return out.getvalue()
 
 
-def json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 # --- table specs ---
 
-class Column(NamedTuple):
-    header: str
-    cell: Callable[[Any], object]
+class Column(namedtuple("Column", "header cell")):
+    """One column: its header and the function that gives an item's cell."""
+
+    __slots__ = ()
 
 
-class Table(NamedTuple):
+class Table(namedtuple("Table", "columns csv", defaults=(None,))):
     """Column spec of one table: ``columns`` for markdown, and for CSV too
     unless ``csv`` gives a flat layout of its own."""
 
-    columns: tuple[Column, ...]
-    csv: tuple[Column, ...] | None = None
+    __slots__ = ()
 
 
-def render(table: Table, items: Iterable, fmt: str, payload=None, **names: str) -> str:
+def render(table: Table, items: Iterable, fmt: str, **names: str) -> str:
     """Render items as a markdown or CSV table; ``names`` fill header
-    templates such as ``{metric_a} rank``.  For ``fmt == "json"`` the
-    payload (default: the items) goes through ``as_json`` instead."""
-    if fmt == "json":
-        return json_text(as_json(list(items) if payload is None else payload))
+    templates such as ``{metric_a} rank``."""
     columns = (table.csv or table.columns) if fmt == "csv" else table.columns
     headers = [c.header.format(**names) for c in columns]
     rows = [[c.cell(item) for c in columns] for item in items]
@@ -273,39 +276,6 @@ STRUCTURE_CORRELATIONS = Table(
         Column("n", lambda s: (s.note or "-") if s.result is None else s.result.n),
     )
 )
-
-
-class Assembly:
-    """A mutable result: ``as_json`` gives its attributes as a JSON object, as it gives a record's fields."""
-
-    def _asdict(self) -> dict:
-        return dict(vars(self))
-
-
-_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-def as_json(value):
-    """JSON-ready form of a result: a record (a ``NamedTuple`` or an
-    ``Assembly``), tested before tuples, becomes its ``json_shape()`` or a
-    dict of its fields; peer ratings become their tokens, other enums their
-    values, and tuples, a ``Product`` among them, lists."""
-    if type(value) in _JSON_SCALARS:
-        return value
-    shape = getattr(value, "json_shape", None)
-    if shape is not None:
-        return shape()
-    if hasattr(value, "_asdict") and not isinstance(value, Product):
-        return {k: as_json(v) for k, v in value._asdict().items()}
-    if isinstance(value, (list, tuple)):
-        return [as_json(v) for v in value]
-    if isinstance(value, dict):
-        return {k: as_json(v) for k, v in value.items()}
-    if isinstance(value, PeerRating):
-        return value.token
-    if isinstance(value, enum.Enum):
-        return value.value
-    return value
 
 
 def ranking_md(r: Ranking) -> str:

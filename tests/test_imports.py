@@ -38,7 +38,9 @@ COMMAND_PROBE = """
 import json, sys
 from vtrkit.cli import main
 code = main(sys.argv[1:])
-modules = sorted(m for m in sys.modules if m.startswith("vtrkit.") or m in ("datetime", "dataclasses", "inspect", "statistics"))
+modules = sorted(
+    m for m in sys.modules if m.startswith("vtrkit.") or m in ("csv", "datetime", "dataclasses", "inspect", "statistics")
+)
 print(json.dumps({"code": code, "modules": modules}))
 """
 
@@ -125,6 +127,46 @@ def test_no_query_imports_ingest(command, tmp_path):
         child = run_child(COMMAND_PROBE, command, *flags, "--out", str(tmp_path / "out"))
         assert child["code"] == 0
         assert "vtrkit.ingest" not in child["modules"]
+
+
+#: The single-area queries on an archive.
+QUERIES = ["profile", "breakdown", "rank", "compare-ranks", "concordance", "probability"]
+
+
+@pytest.mark.parametrize("command", [*QUERIES, "validate"])
+def test_json_output_loads_no_table_code(command, tmp_path):
+    """JSON goes through ``jsonout``: no ``--format json`` command loads the
+    md/csv code of ``tables``, and no query loads ``csv`` (``validate`` runs
+    ``ingest``, which parses CSV)."""
+    flags = [f.format(golden=GOLDEN) for f in COMMANDS[command][0]]
+    out = tmp_path / "out.json"
+    child = run_child(COMMAND_PROBE, command, *flags, "--format", "json", "--out", str(out))
+    assert child["code"] == 0
+    assert json.loads(out.read_text("utf-8"))
+    assert "vtrkit.tables" not in child["modules"]
+    assert command == "validate" or "csv" not in child["modules"]
+
+
+FORWARD_REF_PROBE = """
+import importlib, json, pkgutil, typing
+made = []
+init = typing.ForwardRef.__init__
+def counted(self, arg, *args, **kwargs):
+    made.append(arg)
+    init(self, arg, *args, **kwargs)
+typing.ForwardRef.__init__ = counted
+import vtrkit
+for info in pkgutil.iter_modules(vtrkit.__path__):
+    importlib.import_module("vtrkit." + info.name)
+print(json.dumps(made))
+"""
+
+
+def test_no_module_makes_a_forward_reference():
+    """Records are ``namedtuple`` subclasses: a ``typing.NamedTuple`` under
+    ``from __future__ import annotations`` compiles a ``ForwardRef`` per
+    field when its class is made, in every child that imports it."""
+    assert run_child(FORWARD_REF_PROBE) == []
 
 
 @pytest.mark.parametrize("command", ["report --all", "concordance --discipline BIO"], ids=["report", "concordance"])

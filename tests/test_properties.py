@@ -1,7 +1,7 @@
 """Property tests: every way of building a product applies the same rules,
 the CSV, the archive and the report agree on any valid dataset, the per-area
-tables agree with each other, the report's battery is the public battery, and
-a damaged archive, products file, staff table or synth config fails only
+tables agree with each other, the report's battery is the public battery, a
+fixed-precision cell is its value rounded half up on the repr, and a damaged archive, products file, staff table or synth config fails only
 with a rejected-row report or a PipelineError."""
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from vtrkit.numerics import average_ranks, student_t_two_sided
 from vtrkit.report import build_report, render_report_json
 from vtrkit.scoring import structure_ratings
 from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise, load_synth_config
+from vtrkit.tables import fmt, fmt_p, fmt_pct, round_half_up
 
 from conftest import archive_rows, group_stats, reseal, unsealed_doc
 
@@ -917,3 +918,50 @@ def test_generator_matches_its_reference(doc):
     reference = Dataset.from_products(expected, generated.provenance)
     assert generated == reference
     assert repr(generated.products) == repr(reference.products)
+
+
+def _half_up_text(x: float, digits: int) -> str:
+    return f"{round_half_up(x, digits):.{digits}f}"
+
+
+def assert_cells_round_half_up(x: float, digits: int) -> None:
+    """``fmt``, ``fmt_pct`` and ``fmt_p`` give what ``round_half_up`` gives."""
+    assert fmt(x, digits) == _half_up_text(x, digits), (x, digits)
+    assert fmt_pct(x) == _half_up_text(100.0 * x, 2) + "%", x
+    if x >= 0.001:
+        assert fmt_p(x) == _half_up_text(x, 3), x
+
+
+@st.composite
+def fixed_cells(draw) -> tuple[float, int]:
+    """A number of places and a float: any float ``round_half_up`` can
+    quantize, or a decimal tie at those places, ``k / 10**(d+1)`` with k an
+    odd multiple of 5, or one of its two float neighbours."""
+    digits = draw(st.integers(1, 4))
+    tie = (10 * draw(st.integers(-(10**10), 10**10)) + 5) / 10 ** (digits + 1)
+    near_tie = st.sampled_from([tie, math.nextafter(tie, math.inf), math.nextafter(tie, -math.inf)])
+    return draw(st.floats(-1e20, 1e20) | near_tie), digits
+
+
+@PROPERTY
+@given(fixed_cells())
+@example((-0.0, 2))
+@example((2.675, 2))  # a tie in its repr, just below it in binary
+@example((-0.125, 2))
+@example((1e-05, 4))  # exponent reprs, small and large
+@example((1.5e16, 1))
+@example((999999999.995, 2))
+@example((1e9 + 0.25, 1))
+def test_fixed_cells_round_half_up_on_the_repr(cell):
+    assert_cells_round_half_up(*cell)
+
+
+def test_fixed_cells_round_every_tie_of_a_grid_half_up():
+    """Every tie ``k / 10**(d+1)`` of a grid, with and without an integer
+    part, and both float neighbours of each."""
+    for digits in range(1, 5):
+        scale = 10 ** (digits + 1)
+        for k in range(-10_005, 10_006, 10):
+            for tie in (k / scale, (k + 987_654 * scale) / scale):
+                for x in (tie, math.nextafter(tie, math.inf), math.nextafter(tie, -math.inf)):
+                    assert fmt(x, digits) == _half_up_text(x, digits), (x, digits)

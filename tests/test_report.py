@@ -12,6 +12,7 @@ from vtrkit.concordance import VARIABLES, AdjacentPairResult, ChiSquareResult, C
 from vtrkit.indicators import discipline_profile, rating_breakdown
 from vtrkit.battery import build_battery
 from vtrkit.ingest import parse_products
+from vtrkit.jsonout import as_json, json_text
 from vtrkit.model import PeerRating, Product, ProductType
 from vtrkit.report import build_report, build_section, render_report_json, render_report_md
 from vtrkit.scoring import RankEntry, Ranking, SizeClass, compile_ranking, rank_comparison, structure_ratings
@@ -19,12 +20,10 @@ from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise
 from vtrkit.tables import (
     BREAKDOWN,
     PROFILE,
-    as_json,
     csv_text,
     fmt,
     fmt_p,
     fmt_pct,
-    json_text,
     md_table,
     plot_data_text,
     render,
