@@ -12,13 +12,13 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "audit": "Issue SelectionPolicy ValidationReport validate_dataset",
     "concordance": """AdjacentPairResult ChiSquareResult ContingencyTable CorrelationResult
         ProbabilityTriple QuartileBins adjacent_rating_probabilities assign_quartile
         chi_square_independence contingency_table pairwise_probabilities peer_bibliometric_spearman
         spearman""",
     "indicators": "DisciplineProfile GroupStats RatingBreakdown discipline_profile h_index rating_breakdown",
-    "ingest": """IngestConfig Issue SelectionPolicy StaffRecord ValidationReport parse_products
-        parse_products_file parse_staff serialize_products validate_dataset""",
+    "ingest": "IngestConfig StaffRecord parse_products parse_products_file parse_staff serialize_products",
     "model": """Dataset InvalidProduct PeerRating PipelineError Product ProductType Provenance
         RATING_ORDER load_archive write_archive""",
     "numerics": "average_ranks chi_square_upper_tail student_t_two_sided",

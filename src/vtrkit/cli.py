@@ -65,7 +65,7 @@ def _render(fmt: str, table: str, items, payload=None) -> str:
     return tables.render(getattr(tables, table), items, fmt)
 
 
-def _render_validation(report, fmt: str) -> str:  # report: an ingest.ValidationReport
+def _render_validation(report, fmt: str) -> str:  # report: an audit.ValidationReport
     issues = [("error", i) for i in report.errors] + [("warning", i) for i in report.warnings]
     text = _render(fmt, "ISSUES", issues, payload=report)
     if fmt != "md":
@@ -85,10 +85,11 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .ingest import SelectionPolicy, parse_staff, validate_dataset
+    from .audit import SelectionPolicy, validate_dataset
     dataset = _load_dataset(args.dataset)
     staff = None
     if args.staff:
+        from .ingest import parse_staff  # the staff table is CSV
         staff = parse_staff(read_text_file(args.staff))
     policy = SelectionPolicy(staff=staff, cap_fraction=args.cap)
     report = validate_dataset(dataset, policy)
@@ -159,10 +160,9 @@ def cmd_concordance(args) -> int:
 
 
 def cmd_probability(args) -> int:
-    from .concordance import adjacent_rating_probabilities
+    from .concordance import RatingSample
     dataset = _load_dataset(args.dataset, args.discipline)
-    products = dataset.products_in(args.discipline)
-    pairs = adjacent_rating_probabilities(products, VARIABLE_BY_FLAG[args.variable])
+    pairs = RatingSample(dataset.area(args.discipline), VARIABLE_BY_FLAG[args.variable]).probabilities()
     _write_out(_render(args.format, "PROBABILITIES", pairs), args.out)
     return 0
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, pairwise, repeat
 from operator import attrgetter
@@ -220,14 +219,18 @@ def peer_bibliometric_spearman(
     return RatingSample(_area_of(products), variable).spearman(coding)
 
 
-class ProbabilityTriple(namedtuple("ProbabilityTriple", "p_greater p_less p_equal pair_count")):
-    """P(x > y), P(x < y), P(x = y) over all ordered pairs of two value
-    multisets, kept as exact ``Fraction``s so the three parts always sum to 1."""
+class ProbabilityTriple(namedtuple("ProbabilityTriple", "greater less equal pair_count")):
+    """How many of the ``pair_count`` ordered pairs of two value multisets
+    have x > y, x < y and x = y: exact integers, which always sum to
+    ``pair_count``."""
 
     __slots__ = ()
 
     def as_floats(self) -> tuple[float, float, float]:
-        return (float(self.p_greater), float(self.p_less), float(self.p_equal))
+        """P(x > y), P(x < y), P(x = y): int true division is correctly
+        rounded, so each is the float of the exact fraction."""
+        n = self.pair_count
+        return (self.greater / n, self.less / n, self.equal / n)
 
 
 def pairwise_probabilities(
@@ -250,12 +253,7 @@ def pairwise_probabilities(
         greater_or_equal += count * bisect_right(ys, x, below)
     equal = greater_or_equal - greater
     total = len(x_values) * len(ys)
-    return ProbabilityTriple(
-        p_greater=Fraction(greater, total),
-        p_less=Fraction(total - greater - equal, total),
-        p_equal=Fraction(equal, total),
-        pair_count=total,
-    )
+    return ProbabilityTriple(greater, total - greater_or_equal, equal, total)
 
 
 class AdjacentPairResult(namedtuple("AdjacentPairResult", "higher lower triple note", defaults=(None,))):

@@ -1,9 +1,8 @@
-"""The CSV inputs, the products file and the staff table, and the checks a
-dataset gets when it is ingested or audited.
+"""The CSV inputs: the products file and the staff table.
 
-Only the commands that read or write a CSV file or audit a dataset
-(``ingest``, ``validate``, ``synth`` and ``report``) import this module; a
-query on an archive loads no CSV code.
+Only the commands that read or write one of them (``ingest``, ``synth`` and
+``validate --staff``) import this module; a query on an archive, and a
+report, load no CSV parser.  Its issues go to an ``audit.ValidationReport``.
 """
 
 from __future__ import annotations
@@ -12,9 +11,9 @@ import csv
 import io
 import re
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterator, Mapping
+from typing import Iterator
 
+from .audit import ValidationReport
 from .model import (
     DUPLICATE_PRODUCT,
     FLOAT_MAX,
@@ -33,60 +32,15 @@ from .model import (
 
 __all__ = [
     "STAFF_HEADER",
-    "Issue",
-    "ValidationReport",
     "IngestConfig",
     "StaffRecord",
-    "SelectionPolicy",
     "parse_products",
     "parse_products_file",
     "serialize_products",
     "parse_staff",
-    "validate_dataset",
 ]
 
 STAFF_HEADER = ("structure_id", "kind", "avg_staff")
-
-
-class Issue(namedtuple("Issue", "row rule message")):
-    """One validation finding: the input row, the rule and a message."""
-
-    __slots__ = ()
-
-
-class ValidationReport:
-    def __init__(self, accepted_count: int = 0):
-        self.errors: list[Issue] = []
-        self.warnings: list[Issue] = []
-        self.accepted_count = accepted_count
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def error(self, row: int, rule: str, message: str) -> None:
-        self.errors.append(Issue(row, rule, message))
-
-    def warn(self, row: int, rule: str, message: str) -> None:
-        self.warnings.append(Issue(row, rule, message))
-
-    def as_dict(self) -> dict:
-        return {
-            "accepted_count": self.accepted_count,
-            "errors": [i._asdict() for i in self.errors],
-            "warnings": [i._asdict() for i in self.warnings],
-        }
-
-    json_shape = as_dict
-
-    def json_parts(self) -> Iterator[str]:
-        """``json.dumps(self.as_dict(), sort_keys=True)`` and a newline, in parts: an f-string per issue
-        (int row, str rule and message), as the archive writer writes a product: faster, and no dict per issue."""
-        yield f'{{"accepted_count": {self.accepted_count}, "errors": ['
-        for issues, end in ((self.errors, '], "warnings": ['), (self.warnings, "]}\n")):
-            texts = (f'{{"message": {_quote(msg)}, "row": {row}, "rule": {_quote(rule)}}}' for row, rule, msg in issues)
-            yield ", ".join(texts)
-            yield end
 
 
 class IngestConfig(namedtuple("IngestConfig", "source_name", defaults=("<stream>",))):
@@ -99,25 +53,6 @@ class StaffRecord(namedtuple("StaffRecord", "structure_id kind avg_staff")):
     """A structure's average staff; ``kind`` is "university" or "agency"."""
 
     __slots__ = ()
-
-
-class SelectionPolicy:
-    """Submission-cap policy: products may not exceed ``cap_fraction`` of the
-    structure's full-time-equivalent researchers.
-
-    A university researcher counts as 0.5 FTE (teaching duties), an agency
-    researcher as 1.0, so the default cap is 25% of university staff and 50%
-    of agency staff.
-    """
-
-    def __init__(self, staff: Mapping[str, StaffRecord] | None = None, cap_fraction: float = 0.5):
-        if not 0 <= cap_fraction <= FLOAT_MAX:  # false for NaN too
-            raise PipelineError("bad_cap", f"cap must be a finite number >= 0, got {cap_fraction!r}")
-        self.staff, self.cap_fraction = staff, cap_fraction
-
-    def cap_for(self, record: StaffRecord) -> float:
-        fte = 0.5 if record.kind == "university" else 1.0
-        return self.cap_fraction * fte * record.avg_staff
 
 
 _BOOLEAN_TOKENS = {"true": True, "false": False}
@@ -355,34 +290,3 @@ def parse_staff(text: str) -> dict[str, StaffRecord]:
     except csv.Error as exc:
         raise PipelineError("bad_staff_row", f"row {end + 1}: malformed CSV: {exc}") from None
     return records
-
-
-def validate_dataset(dataset: Dataset, policy: SelectionPolicy | None = None) -> ValidationReport:
-    """Flag TR-indexed products without citations and audit submission caps.
-
-    Cap violations are warnings, never errors: the tool audits historic or
-    synthetic data rather than enforcing submission rules.
-    """
-    report = ValidationReport(accepted_count=len(dataset))
-    for p in dataset.products:
-        if p.tr_indexed and p.citations is None:
-            report.warn(0, "tr_missing_citations", f"product {p.product_id!r} is TR-indexed without a citation count")
-
-    if policy is not None and policy.staff:
-        submitted: dict[str, set[str]] = {}
-        for p in dataset.products:
-            submitted.setdefault(p.structure_id, set()).add(p.product_id)
-        for structure_id in sorted(submitted):
-            record = policy.staff.get(structure_id)
-            if record is None:
-                continue
-            cap = policy.cap_for(record)
-            count = len(submitted[structure_id])
-            if count > cap:
-                report.warn(
-                    0,
-                    "cap_exceeded",
-                    f"structure {structure_id!r} submitted {count} products, cap is {cap:g} "
-                    f"({record.kind}, avg staff {record.avg_staff:g})",
-                )
-    return report

@@ -13,10 +13,10 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Sequence
 
+from .audit import validate_dataset
 from .battery import VariableBattery, battery_md, build_battery, noted
 from .concordance import VARIABLES, spearman
 from .indicators import DisciplineProfile, RatingBreakdown, discipline_profile, rating_breakdown
-from .ingest import validate_dataset
 from .jsonout import Assembly, as_json, json_text
 from .model import Dataset
 from .scoring import RankComparison, Ranking, compile_ranking, rank_comparison, structure_ratings

@@ -17,10 +17,8 @@ none of the statistics it does not run.
 
 from __future__ import annotations
 
-import csv
 import io
 from collections import namedtuple
-from decimal import Decimal, ROUND_HALF_UP
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -31,20 +29,20 @@ if TYPE_CHECKING:
     from .scoring import RankComparison, Ranking
 
 
-def round_half_up(x: float, digits: int) -> float:
-    quantum = Decimal(1).scaleb(-digits)
-    return float(Decimal(repr(x)).quantize(quantum, rounding=ROUND_HALF_UP))
-
-
 def _places(x: float, digits: int) -> str:
-    """``x`` to ``digits`` places, half up on its repr, as ``round_half_up``
-    gives it.  ``format`` alone rounds the exact binary value, which lands on
-    the same side unless the repr is a tie at ``digits`` places (exactly one
-    more fractional digit, a 5), an exponent form, or 1e9 or more."""
+    """``x`` to ``digits`` places, half up on its repr.  ``format`` alone
+    rounds the exact binary value, which lands on the same side unless the
+    repr is a tie at ``digits`` places: exactly one more fractional digit, a
+    5 (such as 2.675, just below 2.675 in binary, or 5e-05)."""
     text = repr(x)
-    fraction = text.partition(".")[2]
-    if "e" in text or not abs(x) < 1e9 or (len(fraction) == digits + 1 and fraction[-1] == "5"):
-        x = round_half_up(x, digits)
+    mantissa, _, exponent = text.partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    if mantissa[-1] == "5" and len(fraction) - int(exponent or 0) == digits + 1:
+        # the repr's digits as an integer, rounded half away from zero; int
+        # true division gives the correctly rounded float of the result
+        n = int(whole + fraction)
+        q = (abs(n) + 5) // 10
+        x = (q if n > 0 else -q) / 10**digits
     return f"{x:.{digits}f}"
 
 
@@ -83,6 +81,7 @@ def md_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def csv_text(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    import csv  # only CSV output loads it
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(headers)

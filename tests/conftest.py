@@ -8,6 +8,7 @@ import csv
 import hashlib
 import json
 import math
+from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 from typing import Sequence
 
@@ -88,6 +89,17 @@ def group_stats(products: Sequence[Product]) -> GroupStats:
         mean_if=_mean(impact),
         h=h_index(cites),
     )
+
+
+#: wide enough to hold every finite float to 4 places, 1.8e308 among them
+_WIDE = Context(prec=400)
+
+
+def round_half_up(x: float, digits: int) -> float:
+    """The Decimal reference of the report's cells: ``x``'s repr rounded
+    half up (away from zero) to ``digits`` places, as a float."""
+    quantum = Decimal(1).scaleb(-digits)
+    return float(Decimal(repr(x)).quantize(quantum, rounding=ROUND_HALF_UP, context=_WIDE))
 
 
 def probability_sum_deviation(p_greater: float, p_less: float, p_equal: float) -> float:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 import scipy.stats
@@ -39,12 +38,7 @@ def brute_force_triple(xs, ys) -> ProbabilityTriple:
     less = sum(1 for x in xs for y in ys if x < y)
     equal = sum(1 for x in xs for y in ys if x == y)
     total = len(xs) * len(ys)
-    return ProbabilityTriple(
-        p_greater=Fraction(greater, total),
-        p_less=Fraction(less, total),
-        p_equal=Fraction(equal, total),
-        pair_count=total,
-    )
+    return ProbabilityTriple(greater=greater, less=less, equal=equal, pair_count=total)
 
 
 def quartile_bins(values, variable="citations") -> QuartileBins:
@@ -317,7 +311,7 @@ class TestPairwiseProbabilities:
             xs = [rng.randint(0, 6) for _ in range(rng.randint(1, 30))]
             ys = [rng.randint(0, 6) for _ in range(rng.randint(1, 30))]
             triple = pairwise_probabilities(xs, ys)
-            assert triple.p_greater + triple.p_less + triple.p_equal == 1
+            assert triple.greater + triple.less + triple.equal == triple.pair_count == len(xs) * len(ys)
 
     def test_swap_symmetry(self):
         rng = random.Random(41)
@@ -326,9 +320,9 @@ class TestPairwiseProbabilities:
             ys = [rng.randint(0, 9) for _ in range(rng.randint(1, 25))]
             forward = pairwise_probabilities(xs, ys)
             backward = pairwise_probabilities(ys, xs)
-            assert forward.p_greater == backward.p_less
-            assert forward.p_less == backward.p_greater
-            assert forward.p_equal == backward.p_equal
+            assert forward.greater == backward.less
+            assert forward.less == backward.greater
+            assert forward.equal == backward.equal
 
     def test_matches_brute_force(self):
         rng = random.Random(43)

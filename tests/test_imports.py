@@ -39,7 +39,8 @@ import json, sys
 from vtrkit.cli import main
 code = main(sys.argv[1:])
 modules = sorted(
-    m for m in sys.modules if m.startswith("vtrkit.") or m in ("csv", "datetime", "dataclasses", "inspect", "statistics")
+    m for m in sys.modules
+    if m.startswith("vtrkit.") or m in ("csv", "datetime", "dataclasses", "decimal", "fractions", "inspect", "statistics")
 )
 print(json.dumps({"code": code, "modules": modules}))
 """
@@ -136,15 +137,53 @@ QUERIES = ["profile", "breakdown", "rank", "compare-ranks", "concordance", "prob
 @pytest.mark.parametrize("command", [*QUERIES, "validate"])
 def test_json_output_loads_no_table_code(command, tmp_path):
     """JSON goes through ``jsonout``: no ``--format json`` command loads the
-    md/csv code of ``tables``, and no query loads ``csv`` (``validate`` runs
-    ``ingest``, which parses CSV)."""
+    md/csv code of ``tables``, and none loads ``csv`` or ``ingest`` (``validate``
+    audits through ``audit``, and parses CSV only for ``--staff``)."""
     flags = [f.format(golden=GOLDEN) for f in COMMANDS[command][0]]
     out = tmp_path / "out.json"
     child = run_child(COMMAND_PROBE, command, *flags, "--format", "json", "--out", str(out))
     assert child["code"] == 0
     assert json.loads(out.read_text("utf-8"))
-    assert "vtrkit.tables" not in child["modules"]
-    assert command == "validate" or "csv" not in child["modules"]
+    assert not {"vtrkit.tables", "csv", "vtrkit.ingest"} & set(child["modules"])
+
+
+def test_validate_with_staff_loads_the_staff_parser(tmp_path):
+    staff = tmp_path / "staff.csv"
+    staff.write_text("structure_id,kind,avg_staff\nS1,agency,1\n", encoding="utf-8")
+    argv = ["validate", "--dataset", str(GOLDEN), "--staff", str(staff), "--out", str(tmp_path / "out")]
+    child = run_child(COMMAND_PROBE, *argv)
+    assert {"csv", "vtrkit.ingest"} <= set(child["modules"])
+
+
+#: What only a products file, a CSV output or exact arithmetic would need:
+#: the report and the battery hold their probabilities as integer counts and
+#: round their cells without ``decimal``.
+NOT_FOR_REPORT = {"fractions", "decimal", "csv", "vtrkit.ingest"}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "report --all",
+        "concordance --discipline BIO",
+        "concordance --discipline BIO --format json",
+        "probability --discipline BIO",
+        "probability --discipline BIO --format json",
+    ],
+)
+def test_report_and_battery_load_no_exact_arithmetic_or_csv(command, tmp_path):
+    name, *flags = command.split()
+    child = run_child(COMMAND_PROBE, name, "--dataset", str(GOLDEN), *flags, "--out", str(tmp_path / "out"))
+    assert child["code"] == 0
+    assert not NOT_FOR_REPORT & set(child["modules"]), sorted(NOT_FOR_REPORT & set(child["modules"]))
+
+
+def test_csv_report_loads_csv_but_not_ingest(tmp_path):
+    argv = ["report", "--dataset", str(GOLDEN), "--all", "--format", "csv", "--out", str(tmp_path / "out")]
+    child = run_child(COMMAND_PROBE, *argv)
+    assert child["code"] == 0
+    assert "csv" in child["modules"]
+    assert not {"fractions", "decimal", "vtrkit.ingest"} & set(child["modules"])
 
 
 FORWARD_REF_PROBE = """
@@ -188,12 +227,12 @@ def test_the_golden_legacy_archive_loads(command, tmp_path):
 #: module that defines each name, less the names only tests used, which the
 #: package no longer holds.
 EXPORTED = {
+    "audit": "Issue SelectionPolicy ValidationReport validate_dataset",
     "concordance": """AdjacentPairResult ChiSquareResult ContingencyTable CorrelationResult ProbabilityTriple
         QuartileBins adjacent_rating_probabilities assign_quartile chi_square_independence contingency_table
         pairwise_probabilities peer_bibliometric_spearman spearman""",
     "indicators": "DisciplineProfile GroupStats RatingBreakdown discipline_profile h_index rating_breakdown",
-    "ingest": """IngestConfig Issue SelectionPolicy StaffRecord ValidationReport parse_products parse_products_file
-        parse_staff serialize_products validate_dataset""",
+    "ingest": "IngestConfig StaffRecord parse_products parse_products_file parse_staff serialize_products",
     "model": """Dataset InvalidProduct PeerRating PipelineError Product ProductType Provenance RATING_ORDER load_archive
         write_archive""",
     "numerics": "average_ranks chi_square_upper_tail student_t_two_sided",

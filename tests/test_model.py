@@ -12,15 +12,8 @@ import tracemalloc
 
 import pytest
 
-from vtrkit.ingest import (
-    SelectionPolicy,
-    StaffRecord,
-    parse_products,
-    parse_products_file,
-    parse_staff,
-    serialize_products,
-    validate_dataset,
-)
+from vtrkit.audit import SelectionPolicy, validate_dataset
+from vtrkit.ingest import StaffRecord, parse_products, parse_products_file, parse_staff, serialize_products
 from vtrkit.model import (
     AUTHORS_MAX,
     CITATIONS_MAX,

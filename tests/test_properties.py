@@ -25,17 +25,20 @@ from statistics import NormalDist
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vtrkit.audit import ValidationReport
 from vtrkit.battery import build_battery
 from vtrkit.cli import main
 from vtrkit.concordance import (
     VARIABLES,
+    ProbabilityTriple,
     adjacent_rating_probabilities,
     chi_square_independence,
     contingency_table,
+    pairwise_probabilities,
     peer_bibliometric_spearman,
 )
 from vtrkit.indicators import discipline_profile, rating_breakdown
-from vtrkit.ingest import _LAX_NUMBER, ValidationReport, _csv_rows, parse_products, serialize_products
+from vtrkit.ingest import _LAX_NUMBER, _csv_rows, parse_products, serialize_products
 from vtrkit.model import (
     AUTHORS_MAX,
     CITATIONS_MAX,
@@ -60,9 +63,9 @@ from vtrkit.numerics import average_ranks, student_t_two_sided
 from vtrkit.report import build_report, render_report_json
 from vtrkit.scoring import structure_ratings
 from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise, load_synth_config
-from vtrkit.tables import fmt, fmt_p, fmt_pct, round_half_up
+from vtrkit.tables import fmt, fmt_p, fmt_pct
 
-from conftest import archive_rows, group_stats, reseal, unsealed_doc
+from conftest import archive_rows, group_stats, reseal, round_half_up, unsealed_doc
 
 # derandomized so tier-1 stays deterministic; small budgets keep it fast
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -392,7 +395,7 @@ class PerProductBattery:
             greater = sum(bisect.bisect_left(ys, x) for x in xs)
             equal = sum(bisect.bisect_right(ys, x) for x in xs) - greater
             total = len(xs) * len(ys)
-            out.append((higher, lower, (Fraction(greater, total), Fraction(total - greater - equal, total), total)))
+            out.append((higher, lower, (greater, total - greater - equal, equal, total)))
         return out
 
 
@@ -410,8 +413,7 @@ def _battery_facts(battery):
     return (
         None if table is None else (tuple(c.hex() for c in table.bins.cutpoints), table.counts),
         None if spearman is None else (spearman.coefficient.hex(), spearman.p_value.hex(), spearman.n),
-        [(pair.higher, pair.lower, pair.triple and (pair.triple.p_greater, pair.triple.p_less, pair.triple.pair_count))
-         for pair in battery.probabilities],
+        [(pair.higher, pair.lower, pair.triple and tuple(pair.triple)) for pair in battery.probabilities],
         [note.split(":")[0] for note in battery.notes],
     )
 
@@ -476,6 +478,28 @@ def test_sorted_groups_battery_equals_per_product_battery(dataset):
             for coding in ("quartile", "raw"):
                 expected = _reference_facts(products, variable, coding)
                 assert _battery_facts(build_battery(dataset.area(area), variable, coding)) == expected
+
+
+@st.composite
+def probability_triples(draw) -> ProbabilityTriple:
+    """The triple of two hypothesis value lists, or one of counts too large
+    for a float to hold, so that dividing them must round."""
+    if draw(st.booleans()):
+        values = st.lists(st.integers(0, 5) | st.floats(0, 10), min_size=1, max_size=40)
+        return pairwise_probabilities(draw(values), draw(values))
+    counts = draw(st.lists(st.integers(0, 2**80), min_size=3, max_size=3).filter(any))
+    return ProbabilityTriple(*counts, sum(counts))
+
+
+@PROPERTY
+@given(probability_triples())
+@example(ProbabilityTriple(1, 1, 1, 3))
+def test_probability_floats_are_the_exact_fractions(triple):
+    """The counts sum to ``pair_count``, and each probability is the float
+    of the exact fraction, bit for bit."""
+    assert triple.greater + triple.less + triple.equal == triple.pair_count
+    exact = [float(Fraction(count, triple.pair_count)).hex() for count in triple[:3]]
+    assert [p.hex() for p in triple.as_floats()] == exact
 
 
 def _bits(*values) -> tuple:
@@ -934,13 +958,14 @@ def assert_cells_round_half_up(x: float, digits: int) -> None:
 
 @st.composite
 def fixed_cells(draw) -> tuple[float, int]:
-    """A number of places and a float: any float ``round_half_up`` can
-    quantize, or a decimal tie at those places, ``k / 10**(d+1)`` with k an
-    odd multiple of 5, or one of its two float neighbours."""
+    """A number of places and a float: any finite float whose percentage is
+    finite too, small ones in exponent form among them, or a decimal tie at
+    those places, ``k / 10**(d+1)`` with k an odd multiple of 5 (negative
+    too), or one of its two float neighbours."""
     digits = draw(st.integers(1, 4))
     tie = (10 * draw(st.integers(-(10**10), 10**10)) + 5) / 10 ** (digits + 1)
     near_tie = st.sampled_from([tie, math.nextafter(tie, math.inf), math.nextafter(tie, -math.inf)])
-    return draw(st.floats(-1e20, 1e20) | near_tie), digits
+    return draw(st.floats(-1e306, 1e306) | st.floats(-1e-3, 1e-3) | near_tie), digits
 
 
 @PROPERTY
@@ -949,7 +974,14 @@ def fixed_cells(draw) -> tuple[float, int]:
 @example((2.675, 2))  # a tie in its repr, just below it in binary
 @example((-0.125, 2))
 @example((1e-05, 4))  # exponent reprs, small and large
+@example((5e-05, 4))  # a tie in exponent form
+@example((-5e-05, 4))
+@example((1.25e-05, 1))  # "1.25" alone would be a tie at one place; the exponent makes it none
 @example((1.5e16, 1))
+@example((1.25e16, 1))
+@example((1e26, 2))  # beyond a 28-digit decimal context
+@example((1e300, 2))
+@example((1e24, 2))  # its percentage is 1e26
 @example((999999999.995, 2))
 @example((1e9 + 0.25, 1))
 def test_fixed_cells_round_half_up_on_the_repr(cell):

@@ -27,17 +27,17 @@ from vtrkit.tables import (
     md_table,
     plot_data_text,
     render,
-    round_half_up,
 )
 
 
 class TestNumberFormatting:
     def test_round_half_up_at_the_boundary(self):
-        # decimal semantics, not binary-float banker's rounding
-        assert round_half_up(2.675, 2) == 2.68
-        assert round_half_up(0.125, 2) == 0.13
-        assert round_half_up(-2.675, 2) == -2.68
-        assert round_half_up(1.0049999, 2) == 1.0
+        # decimal semantics on the repr, not the binary value's half-even rounding
+        assert fmt(2.675) == "2.68"
+        assert fmt(0.125) == "0.13"
+        assert fmt(-2.675) == "-2.68"
+        assert fmt(1.0049999) == "1.00"
+        assert fmt(5e-05, 4) == "0.0001"
 
     def test_fmt_fixed_two_decimals(self):
         assert fmt(3.5446) == "3.54"

@@ -315,7 +315,7 @@ class TestLatentCorrelation:
                 for p in dataset.products:
                     if p.citations is not None and p.peer_rating.value in groups:
                         groups[p.peer_rating.value].append(p.citations)
-                observed[rho] = pairwise_probabilities(groups[4], groups[3]).p_greater
+                observed[rho] = pairwise_probabilities(groups[4], groups[3]).as_floats()[0]
             if observed[0.7] > observed[0.2]:
                 wins += 1
         # under no effect wins ~ Binomial(50, 0.5); 42 is > 4 sigma away
