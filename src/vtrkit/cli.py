@@ -43,7 +43,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _load_dataset(path: str, discipline: str | None = None):
     """The archive at ``path``; given ``discipline``, for a command that reads
-    only that area, a ``vtrkit-dataset/3`` archive decodes its rows alone."""
+    only that area, the archive's rows of that area alone are decoded."""
     # line ends are read as written (newline=""), so a seal covers them too
     return load_archive(read_text_file(path, newline=""), discipline)
 

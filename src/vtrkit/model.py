@@ -6,9 +6,8 @@ carries a peer rating on the four-point E/G/A/L scale and, when the product
 is covered by the citation database, optional bibliometric values (citation
 count and journal impact factor).
 
-The archive, in each of its two formats, is the one file format this
-module reads and writes.  The CSV inputs are ``ingest``'s, which no query on
-an archive imports.
+The archive is the one file format this module reads and writes.  The CSV
+inputs are ``ingest``'s, which no query on an archive imports.
 """
 
 from __future__ import annotations
@@ -79,12 +78,8 @@ AUTHORS_MAX = 10**6
 JOURNAL_IF_MIN = 1e-6
 JOURNAL_IF_MAX = 1e6
 
-#: The format ``archive_lines`` writes: sealed, one product row (a JSON
-#: array) per line.  ``UNSEALED_FORMAT`` archives, one product record (a JSON
-#: object) per product and no seal, still load: every writer writes an empty
-#: dataset so.
+#: The one archive format: sealed, one product row (a JSON array) per line.
 ARCHIVE_FORMAT = "vtrkit-dataset/3"
-UNSEALED_FORMAT = "vtrkit-dataset/1"
 
 #: The largest finite float: ``not -FLOAT_MAX <= x <= FLOAT_MAX`` holds for
 #: NaN, the infinities and integers beyond float range.
@@ -423,24 +418,20 @@ def archive_lines(dataset: Dataset) -> Iterator[str]:
     trailing seal indexes each area's rows and holds the sha256 of every byte
     before it.  The rows are joined into pieces of about ``_CHUNK``
     characters, each hashed as it is yielded, so the text held at once stays
-    small whatever the dataset's size.  A dataset without products has
-    nothing to index and is written unsealed, as ``UNSEALED_FORMAT``."""
-    products = dataset.products
+    small whatever the dataset's size.  A dataset without products has an
+    empty products block and an empty area index."""
     head = (
-        f'{{"format": "{ARCHIVE_FORMAT if products else UNSEALED_FORMAT}",\n'
+        f'{{"format": "{ARCHIVE_FORMAT}",\n'
         f'"provenance": {json.dumps(dataset.provenance._asdict(), sort_keys=True)},\n'
         '"products": [\n'
     )
-    if not products:
-        yield head + "\n]}\n"
-        return
     yield head
     digest = hashlib.sha256(head.encode("utf-8"))
     starts: list[tuple[str, int]] = []  # each area, and where its first row starts in the products block
     area = None
     rows: list[str] = []  # the rows of the piece being joined
     at = size = 0  # where the piece starts in the products block, and its size with a ",\n" after each row
-    for p in products:
+    for p in dataset.products:
         if size >= _CHUNK:
             piece = ",\n".join(rows) + ",\n"
             digest.update(piece.encode("utf-8"))
@@ -453,10 +444,10 @@ def archive_lines(dataset: Dataset) -> Iterator[str]:
             starts.append((area, at + size))
         rows.append(row)
         size += len(row) + 2
-    # the last piece is never empty: it ends the block, with "\n" in place of ",\n"
-    piece = ",\n".join(rows) + "\n"
-    digest.update(piece.encode("utf-8"))
-    yield piece
+    if rows:  # the last piece, which ends the block with "\n" in place of ",\n"; only an empty dataset has none
+        piece = ",\n".join(rows) + "\n"
+        digest.update(piece.encode("utf-8"))
+        yield piece
     at += size - 1
     # an area's rows end where the next area's start, less the ",\n" between them
     ends = [start - 2 for _, start in starts[1:]] + [at - 1]
@@ -481,28 +472,34 @@ _SEALED_HEAD_REST = re.compile(r'"provenance": (\{[^\n]*\}),\n"products": \[\n')
 _SEALED_TAIL = re.compile(r'\],\n"seal": \{"areas": (\[[^\n]*\]), "sha256": "([0-9a-f]{64})"\}\}\n')
 _LAYOUT_ERROR = f"a {ARCHIVE_FORMAT} archive must keep the canonical line layout of its writer"
 _FORMAT_ERROR = (
-    f"expected archive format {ARCHIVE_FORMAT!r} or {UNSEALED_FORMAT!r}, got {{!r}}: "
+    f"expected a {ARCHIVE_FORMAT!r} archive in its writer's layout, got {{}}: "
     "ingest the products CSV again to write a current archive"
 )
-#: The format string that opens an archive in its writers' layout, when it
-#: needs no JSON escape: the format that decoding the whole document reads.
-_FORMAT_HEAD = re.compile(r'\{"format": "([^"\\\x00-\x1f]*)"')
+#: The format string an archive opens with, in any layout, when it needs no
+#: JSON escape: read only to name it in ``_FORMAT_ERROR``.
+_FORMAT_HEAD = re.compile(r'\{\s*"format"\s*:\s*"([^"\\\x00-\x1f]*)"')
 #: characters hashed, rows written, or rows decoded, at a time: checking a
 #: seal never copies the whole text, and a chunk this small is reused from the
 #: heap instead of raising peak memory
 _CHUNK = 1 << 13
 
 
-def _loads(text: str):
-    """``text`` as JSON; JSON that does not decode is ``bad_archive``."""
+def _loads(text: str, **hooks):
+    """``text`` as JSON, decoded with ``json.loads``' ``hooks``; JSON that
+    does not decode is ``bad_archive``."""
     try:
-        return json.loads(text)
+        return json.loads(text, **hooks)
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
         raise PipelineError("bad_archive", f"archive is not valid JSON: {exc}") from None
 
 
-def _provenance(prov) -> Provenance:
-    if not isinstance(prov, dict) or prov.keys() != _PROVENANCE_KEYS or not all(type(v) is str for v in prov.values()):
+def _provenance(text: str) -> Provenance:
+    """The provenance of the JSON object ``text``: each of its keys once, all
+    strings.  Its (key, value) pairs are read as written, so that a repeated
+    key is not dropped unread."""
+    pairs = _loads(text, object_pairs_hook=list)  # an object: the layout check read ``text`` as "{...}"
+    prov = dict(pairs)
+    if len(prov) != len(pairs) or prov.keys() != _PROVENANCE_KEYS or not all(type(v) is str for v in prov.values()):
         raise PipelineError(
             "bad_archive", f"archive provenance must be an object of the keys {sorted(_PROVENANCE_KEYS)}, all strings"
         )
@@ -539,7 +536,8 @@ def _area_index(text: str, block: int, end: int, index: str) -> list[tuple[str, 
     tile its products block ``text[block:end]`` exactly: the first area starts
     at 0, each next one 2 characters after the previous one ends, where the
     block holds ",\n", and the last ends at the block's final "\n"; the area
-    names strictly increase.  The seal is not a signature, so without this
+    names strictly increase.  An empty block, an empty dataset's, has an empty
+    index, and no other block has.  The seal is not a signature, so without this
     check a re-sealed archive could leave rows out of every area unread."""
     try:
         areas = [(area, start, stop) for area, start, stop in json.loads(index)]
@@ -560,7 +558,7 @@ def _area_index(text: str, block: int, end: int, index: str) -> list[tuple[str, 
                 "bad_archive", f"the area index does not tile the products block in area order, at {area!r}"
             )
         at, previous = stop + 2, area
-    if at != size + 1:
+    if at != (size + 1 if size else 0):  # past the last area's final "\n", or no area at all
         raise PipelineError("bad_archive", "the area index does not cover the whole products block")
     return areas
 
@@ -599,85 +597,23 @@ def _load_rows(text: str, discipline: str | None) -> Dataset:
     for area, start, stop in _area_index(text, block, end, index):
         if discipline is None or area == discipline:
             products += _area_products(text, block + start, block + stop, area)
-    provenance = _provenance(_loads(provenance_json))
+    provenance = _provenance(provenance_json)
     try:
         return Dataset(products=tuple(products), provenance=provenance)
     except (PipelineError, ValueError) as exc:  # a row out of key order, or a repeated one
         raise PipelineError("bad_archive", f"archive rows must be in strictly increasing key order: {exc}") from None
 
 
-#: The keys of a product record in ``UNSEALED_FORMAT``; all but ``citations``
-#: and ``journal_if`` are always written.
-_RECORD_KEYS = frozenset(PRODUCTS_HEADER)
-_REQUIRED_RECORD_KEYS = len(_RECORD_KEYS) - 2
-_UNSEALED_KEYS = frozenset(("format", "provenance", "products"))
-
-
-def _record_product(obj: dict):
-    """``_load_records``' object hook: a JSON object with a ``product_id`` key
-    becomes its Product as soon as it is decoded, and fails on a key that is
-    not a product field; any other object is kept."""
-    if "product_id" not in obj:
-        return obj
-    # a missing key fails its lookup below, so any key beyond those read is unknown
-    if len(obj) > _REQUIRED_RECORD_KEYS + ("citations" in obj) + ("journal_if" in obj):
-        raise ValueError(f"unknown keys {sorted(obj.keys() - _RECORD_KEYS)}")
-    return Product(
-        obj["product_id"],
-        obj["structure_id"],
-        obj["discipline"],
-        obj["year"],
-        PRODUCT_TYPES[obj["product_type"]],
-        TOKEN_RATINGS[obj["peer_rating"]],
-        obj["tr_indexed"],
-        obj.get("citations"),
-        obj.get("journal_if"),
-        obj["n_authors"],
-        obj["n_internal_authors"],
-    )
-
-
-def _load_records(text: str) -> Dataset:
-    """The dataset of an ``UNSEALED_FORMAT`` archive, whose products are
-    records, JSON objects keyed by the products-file columns.  An archive
-    that opens with another format is rejected before any record is decoded.
-    Otherwise the whole document is decoded, each product record built as
-    soon as it is decoded, so the decoded records are never held at once."""
-    head = _FORMAT_HEAD.match(text)
-    if head is not None and head[1] not in (ARCHIVE_FORMAT, UNSEALED_FORMAT):
-        raise PipelineError("bad_archive", _FORMAT_ERROR.format(head[1]))
-    try:
-        doc = json.loads(text, object_hook=_record_product)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
-        raise PipelineError("bad_archive", f"archive is not valid JSON: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers InvalidProduct
-        raise PipelineError("bad_archive", f"invalid product record: {exc}") from None
-    fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt == ARCHIVE_FORMAT:
-        raise PipelineError("bad_archive", _LAYOUT_ERROR)
-    if fmt != UNSEALED_FORMAT:
-        raise PipelineError("bad_archive", _FORMAT_ERROR.format(fmt))
-    # every archive the writer has produced carries exactly these keys, so a
-    # missing key is as bad as an unknown one
-    if doc.keys() != _UNSEALED_KEYS:
-        raise PipelineError(
-            "bad_archive", f"{fmt} archive keys must be exactly {sorted(_UNSEALED_KEYS)}, got {sorted(doc)}"
-        )
-    products = doc["products"]
-    if not isinstance(products, list) or not all(type(p) is Product for p in products):
-        raise PipelineError("bad_archive", "archive products must be a list of product records")
-    return Dataset.from_products(products, _provenance(doc["provenance"]))
-
-
 def load_archive(text: str, discipline: str | None = None) -> Dataset:
-    """The dataset of an archive: every product is built and checked, and a
-    sealed archive's seal too.  An ``ARCHIVE_FORMAT`` archive is decoded one
-    area at a time, and given a ``discipline``, for a command that reads one
-    area, only that area's rows are decoded, after the seal and the area index
-    are checked whole.  An ``UNSEALED_FORMAT`` archive is decoded whole; an
-    archive of any other format is ``bad_archive``.  Either way
-    ``products_in(discipline)`` gives the area's products, or the
-    ``empty_discipline`` error when it has none."""
-    if text.startswith(_SEALED_HEAD):
-        return _load_rows(text, discipline)
-    return _load_records(text)
+    """The dataset of an ``ARCHIVE_FORMAT`` archive: its seal is checked and
+    every product is built and checked.  It is decoded one area at a time, and
+    given a ``discipline``, for a command that reads one area, only that
+    area's rows are decoded, after the seal and the area index are checked
+    whole; ``products_in(discipline)`` then gives the area's products, or the
+    ``empty_discipline`` error when it has none.  A text that does not open
+    with the format's head line, an archive of an earlier format among them,
+    is ``bad_archive``."""
+    if not text.startswith(_SEALED_HEAD):
+        head = _FORMAT_HEAD.match(text)
+        raise PipelineError("bad_archive", _FORMAT_ERROR.format(f"format {head[1]!r}" if head else "no format"))
+    return _load_rows(text, discipline)

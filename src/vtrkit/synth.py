@@ -227,7 +227,8 @@ def generate_exercise(config: SynthConfig) -> Dataset:
                     else:
                         if not _LOW <= (v := draw()) <= _HIGH:
                             v = min(max(v, _LOW), _HIGH)
-                        n_authors = max(1, round(2.0 * exp(0.9 * abs(inv_cdf(v, 0.0, 1.0)))))
+                        # at least 2: exp of a non-negative number is at least 1
+                        n_authors = round(2.0 * exp(0.9 * abs(inv_cdf(v, 0.0, 1.0))))
                     n_internal = 1
                     for _ in range(n_authors - 1):
                         if draw() < internal_share:

@@ -8,6 +8,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 from typing import Sequence
@@ -16,7 +17,7 @@ import pytest
 
 from vtrkit.indicators import GroupStats, h_index
 from vtrkit.ingest import parse_products
-from vtrkit.model import PRODUCTS_HEADER, UNSEALED_FORMAT, Product
+from vtrkit.model import PRODUCTS_HEADER, Product
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -24,24 +25,10 @@ _PRODUCTS_OPEN = '"products": [\n'
 _SEAL_OPEN = '],\n"seal": '
 
 
-def unsealed_doc(archive: str) -> dict:
-    """The archive text ``archive`` as a document of the unsealed format, each
-    product row turned into the record (a JSON object) of that format: with
-    its seal dropped, a damage done to the document and dumped again fails on
-    the rule it breaks, not on the seal or the line layout."""
-    doc = json.loads(archive)
-    del doc["seal"]
-    doc["format"] = UNSEALED_FORMAT
-    doc["products"] = [
-        {name: value for name, value in zip(PRODUCTS_HEADER, row) if value is not None} for row in doc["products"]
-    ]
-    return doc
-
-
 def archive_rows(archive: str) -> list[str]:
     """The product lines of a sealed archive, without their line ends."""
     block = archive[archive.index(_PRODUCTS_OPEN) + len(_PRODUCTS_OPEN) : archive.rindex(_SEAL_OPEN)]
-    return block[:-1].split(",\n")
+    return block[:-1].split(",\n") if block else []
 
 
 def reseal(archive: str, rows: list[str] | None = None, areas: list[str] | None = None, tamper=lambda index: index):
@@ -64,9 +51,48 @@ def reseal(archive: str, rows: list[str] | None = None, areas: list[str] | None 
     text = (
         archive[: archive.index(_PRODUCTS_OPEN) + len(_PRODUCTS_OPEN)]
         + ",\n".join(rows)
-        + f'\n{_SEAL_OPEN}{{"areas": {json.dumps(tamper(index))}, "sha256": "'
+        + ("\n" if rows else "")  # an empty block has no line end
+        + f'{_SEAL_OPEN}{{"areas": {json.dumps(tamper(index))}, "sha256": "'
     )
     return text + hashlib.sha256(text.encode("utf-8")).hexdigest() + '"}}\n'
+
+
+def rewritten(archive: str, damage) -> str:
+    """The sealed archive ``archive`` with ``damage`` applied to its JSON
+    document, whose products are rows (JSON arrays), and the provenance and
+    the rows of the result written back, each row in the area of the row at
+    the same position of ``archive``, and sealed again: a damage to a value
+    then reaches the check of the rule it breaks, not the seal's or the line
+    layout's."""
+    doc = json.loads(archive)
+    areas = [row[2] for row in doc["products"]]
+    damage(doc)
+    start = archive.index('"provenance": ') + len('"provenance": ')
+    head = archive[:start] + json.dumps(doc["provenance"]) + archive[archive.index(",\n", start) :]
+    return reseal(head, [json.dumps(row) for row in doc["products"]], areas)
+
+
+#: the sha256 of the golden input as first committed: a pretty-printed
+#: document of the retired ``vtrkit-dataset/1`` format
+LEGACY_GOLDEN_SHA256 = "d47d7fdd358195d470d66fe857f96113047aea8f4984872cdec752f3905725d9"
+
+
+def legacy_golden_text() -> str:
+    """The golden input as it was before it was converted to the current
+    format, byte for byte: a ``vtrkit-dataset/1`` document of sorted keys
+    indented by 2, each product a record (a JSON object) without its absent
+    values, and each impact factor written with six decimals."""
+    golden = (FIXTURES / "golden_dataset.json").read_text(encoding="utf-8")
+    doc = json.loads(golden)
+    doc["format"] = "vtrkit-dataset/1"
+    del doc["seal"]
+    doc["products"] = [
+        {name: value for name, value in zip(PRODUCTS_HEADER, row) if value is not None} for row in doc["products"]
+    ]
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = re.sub(r'("journal_if": )([0-9.]+)', lambda m: f"{m[1]}{float(m[2]):.6f}", text)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == LEGACY_GOLDEN_SHA256
+    return text
 
 
 def _mean(values: list[float]) -> float | None:

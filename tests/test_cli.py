@@ -17,7 +17,7 @@ from vtrkit.cli import main
 from vtrkit.ingest import parse_products_file, serialize_products
 from vtrkit.model import Dataset, load_archive, write_archive
 
-from conftest import unsealed_doc
+from conftest import legacy_golden_text, rewritten
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -127,6 +127,22 @@ class TestIngest:
         # ~1.8 MiB here; 3.3 MiB with every row, and the archive, held whole
         assert peak < 2.5 * 2**20
 
+    def test_header_only_products_give_an_empty_archive_every_command_reads(self, tmp_path, capsys):
+        """A products file of its header alone ingests to a current archive
+        with an empty area index, which validate, report and profile read."""
+        products = tmp_path / "products.csv"
+        products.write_text(PRODUCTS_CSV.splitlines()[0] + "\n", encoding="utf-8")
+        archive = tmp_path / "dataset.json"
+        assert main(["ingest", "--products", str(products), "--out", str(archive)]) == 0
+        doc = json.loads(archive.read_text(encoding="utf-8"))
+        assert (doc["format"], doc["products"], doc["seal"]["areas"]) == ("vtrkit-dataset/3", [], [])
+        capsys.readouterr()
+        for argv in (["validate"], ["report", "--all"], ["report", "--all", "--format", "json"], ["profile"]):
+            assert main([*argv, "--dataset", str(archive)]) == 0, argv
+            out, err = capsys.readouterr()
+            assert err == "", argv
+        assert out.startswith("| area |")  # the profile table, of no rows
+
     def test_missing_file_exit_1(self, tmp_path, capsys):
         assert main(["ingest", "--products", str(tmp_path / "nope.csv")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "io_error"
@@ -148,18 +164,26 @@ class TestIngest:
 
 class TestFaults:
     def test_malformed_archive_exits_1_with_error_record(self, archive, capsys):
-        doc = unsealed_doc(archive.read_text())
-        doc["products"][0]["citations"] = "9"
-        archive.write_text(json.dumps(doc), encoding="utf-8")
+        damaged = rewritten(archive.read_text(), lambda doc: doc["products"][0].__setitem__(7, "9"))  # citations
+        archive.write_text(damaged, encoding="utf-8")
         assert main(["report", "--dataset", str(archive), "--all"]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "bad_archive"
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "bad_archive" and record["message"].startswith("invalid product row: ")
 
-    def test_archive_of_only_its_format_exits_1_with_error_record(self, tmp_path, capsys):
-        """Such an archive used to load as an empty dataset and report nothing."""
+    @pytest.mark.parametrize("legacy", ["only_its_format", "golden"])
+    def test_legacy_archive_exits_1_with_error_record(self, tmp_path, capsys, legacy):
+        """An archive of the retired vtrkit-dataset/1 format, whether its
+        format alone (which used to load as an empty dataset and report
+        nothing) or the golden input as first committed, is refused with a
+        message to ingest the products CSV again."""
         archive = tmp_path / "dataset.json"
-        archive.write_text('{"format": "vtrkit-dataset/1"}', encoding="utf-8")
+        text = {"only_its_format": '{"format": "vtrkit-dataset/1"}', "golden": legacy_golden_text()}[legacy]
+        archive.write_text(text, encoding="utf-8")
         assert main(["report", "--dataset", str(archive), "--all"]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "bad_archive"
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "bad_archive"
+        assert "'vtrkit-dataset/1'" in record["message"]
+        assert "ingest the products CSV again" in record["message"]
 
     def test_unexpected_exception_is_internal_error(self, archive, capsys, monkeypatch):
         def broken(text, discipline=None):

@@ -111,23 +111,13 @@ def test_no_command_but_synth_imports_statistics(command, tmp_path):
     assert_only_synth_loads(command, tmp_path, {"statistics"})
 
 
-def current_archive(tmp_path) -> Path:
-    """The golden fixture's products, ingested into an archive of the current format."""
-    products, archive = tmp_path / "products.csv", tmp_path / "dataset.json"
-    products.write_text(serialize_products(load_archive(read_text_file(str(GOLDEN)))), encoding="utf-8")
-    run_child(COMMAND_PROBE, "ingest", "--products", str(products), "--out", str(archive))
-    return archive
-
-
 @pytest.mark.parametrize("command", ["profile", "breakdown", "rank", "compare-ranks", "concordance", "probability"])
 def test_no_query_imports_ingest(command, tmp_path):
-    """The CSV code lives in ``ingest``, which no query loads, on an archive
-    of the current format or on the golden ``vtrkit-dataset/1`` one."""
-    for path in (current_archive(tmp_path), GOLDEN):
-        flags = [f.format(golden=path) for f in COMMANDS[command][0]]
-        child = run_child(COMMAND_PROBE, command, *flags, "--out", str(tmp_path / "out"))
-        assert child["code"] == 0
-        assert "vtrkit.ingest" not in child["modules"]
+    """The CSV code lives in ``ingest``, which no query on an archive loads."""
+    flags = [f.format(golden=GOLDEN) for f in COMMANDS[command][0]]
+    child = run_child(COMMAND_PROBE, command, *flags, "--out", str(tmp_path / "out"))
+    assert child["code"] == 0
+    assert "vtrkit.ingest" not in child["modules"]
 
 
 #: The single-area queries on an archive.
@@ -209,18 +199,20 @@ def test_no_module_makes_a_forward_reference():
 
 
 @pytest.mark.parametrize("command", ["report --all", "concordance --discipline BIO"], ids=["report", "concordance"])
-def test_the_golden_legacy_archive_loads(command, tmp_path):
-    """``model`` decodes the earlier formats too: a command on the golden
-    ``vtrkit-dataset/1`` fixture gives what it gives on the current archive of
-    the same products, but for the report's source lines."""
+def test_the_golden_legacy_archive_is_refused(command, tmp_path):
+    """``model`` decodes one format: a command on the golden input as it was
+    first committed, in the retired ``vtrkit-dataset/1`` format, exits 1 and
+    writes nothing, where the same command on the current golden archive
+    exits 0."""
+    from conftest import legacy_golden_text
+
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(legacy_golden_text(), encoding="utf-8")
     name, *flags = command.split()
-    outputs = []
-    for path in (current_archive(tmp_path), GOLDEN):
-        child = run_child(COMMAND_PROBE, name, "--dataset", str(path), *flags, "--out", str(tmp_path / "out"))
-        assert child["code"] == 0
-        lines = (tmp_path / "out").read_text("utf-8").splitlines()
-        outputs.append([line for line in lines if not line.startswith(("- source: ", "- digest: "))])
-    assert outputs[0] == outputs[1]
+    for path, code in ((GOLDEN, 0), (legacy, 1)):
+        out = tmp_path / f"{path.stem}.out"
+        child = run_child(COMMAND_PROBE, name, "--dataset", str(path), *flags, "--out", str(out))
+        assert (child["code"], out.exists()) == (code, code == 0)
 
 
 #: What ``vtrkit`` exported when it imported every module eagerly, by the

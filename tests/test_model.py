@@ -8,6 +8,7 @@ import hashlib
 import json
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -34,7 +35,7 @@ from vtrkit.model import (
 )
 from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise
 
-from conftest import archive_rows, reseal, unsealed_doc
+from conftest import archive_rows, legacy_golden_text, reseal, rewritten
 
 HEADER = "product_id,structure_id,discipline,year,product_type,peer_rating,tr_indexed,citations,journal_if,n_authors,n_internal_authors"
 
@@ -57,6 +58,48 @@ def out_of_range_rows(values) -> list[str]:
 
 def make_csv(*rows: str) -> str:
     return HEADER + "\n" + "\n".join(rows) + "\n"
+
+
+#: the error of an archive that does not open with the current format's head
+#: line, filled with the format it opens with, if any
+LEGACY_ERROR = (
+    "expected a 'vtrkit-dataset/3' archive in its writer's layout, got {}: "
+    "ingest the products CSV again to write a current archive"
+)
+
+
+def _set(at: int, value):
+    """A damage that sets field ``at`` of the first row to ``value``."""
+    return lambda doc: doc["products"][0].__setitem__(at, value)
+
+
+#: ways to damage one value of an archive of rows, each breaking a rule of
+#: the product rows or of the provenance
+MALFORMED = {
+    "null_row": lambda doc: doc["products"].__setitem__(0, None),
+    "nested_row": lambda doc: doc["products"].__setitem__(0, [doc["products"][0]]),
+    "integer_product_id": _set(0, 5),
+    "row_as_product_id": lambda doc: doc["products"][0].__setitem__(0, doc["products"][1]),
+    "list_discipline": _set(2, ["BIO"]),
+    "float_year": _set(3, 2001.7),
+    "object_product_type": _set(4, {}),
+    "unknown_rating_token": _set(5, "Q"),
+    "string_boolean": _set(6, "false"),
+    "string_citations": _set(7, "4"),
+    "boolean_citations": _set(7, True),
+    "negative_citations": _set(7, -5),
+    "row_as_citations": lambda doc: doc["products"][0].__setitem__(7, doc["products"][1]),
+    "nan_journal_if": _set(8, float("nan")),
+    "negative_journal_if": _set(8, -1.5),
+    "boolean_n_authors": _set(9, True),
+    "null_provenance": lambda doc: doc.__setitem__("provenance", None),
+    "row_as_provenance": lambda doc: doc.__setitem__("provenance", doc["products"][0]),
+    "integer_source_name": lambda doc: doc["provenance"].__setitem__("source_name", 5),
+    "product_id_in_provenance": lambda doc: doc["provenance"].__setitem__("product_id", "P1"),
+    "row_in_provenance": lambda doc: doc["provenance"].update(zip(PRODUCTS_HEADER, doc["products"][0])),
+    "unknown_provenance_key": lambda doc: doc["provenance"].__setitem__("extra", ""),
+    "missing_provenance_key": lambda doc: doc["provenance"].pop("ingested_at"),
+}
 
 
 class TestParseProducts:
@@ -688,7 +731,10 @@ class TestArchive:
         dataset, report = parse_products(make_csv())
         assert report.ok and len(dataset) == 0
         text = write_archive(dataset)
-        assert text.endswith('\n"products": [\n\n]}\n')
+        head, block_and_seal = text.split('\n"products": [\n')
+        assert head.startswith('{"format": "vtrkit-dataset/3",\n')
+        assert re.fullmatch(r'\],\n"seal": \{"areas": \[\], "sha256": "[0-9a-f]{64}"\}\}\n', block_and_seal)
+        assert json.loads(text)["products"] == []
         assert write_archive(load_archive(text)) == text
 
     def test_load_releases_decoded_records(self):
@@ -705,108 +751,51 @@ class TestArchive:
         # decoded before any product was built
         assert peak < 500 * len(dataset)
 
-    def test_pretty_and_compact_archives_load_alike(self):
-        from conftest import FIXTURES
-
-        pretty = (FIXTURES / "golden_dataset.json").read_text(encoding="utf-8")
+    @pytest.mark.parametrize("area", [None, "BIO"])
+    def test_pretty_and_compact_legacy_archives_are_bad_archive(self, area):
+        """The golden input in the retired vtrkit-dataset/1 format, pretty-printed
+        as it was committed or compact, no longer loads, whole or for an area:
+        the error says to ingest the products CSV again."""
+        pretty = legacy_golden_text()
         compact = json.dumps(json.loads(pretty))
         assert "\n" in pretty and "\n" not in compact
-        assert load_archive(compact) == load_archive(pretty)
+        for text in (pretty, compact):
+            with pytest.raises(PipelineError) as err:
+                load_archive(text, area)
+            assert (err.value.code, str(err.value)) == ("bad_archive", LEGACY_ERROR.format("format 'vtrkit-dataset/1'"))
 
-    def test_bad_archive(self):
+    @pytest.mark.parametrize(
+        ("text", "found"),
+        [
+            ("{not json", "no format"),
+            ("", "no format"),
+            ('{"format": "something-else"}', "format 'something-else'"),
+            ('{"format": "vtrkit-dataset/1"}', "format 'vtrkit-dataset/1'"),
+        ],
+    )
+    def test_bad_archive(self, text, found):
         with pytest.raises(PipelineError) as err:
-            load_archive("{not json")
-        assert err.value.code == "bad_archive"
-        with pytest.raises(PipelineError):
-            load_archive('{"format": "something-else"}')
-        with pytest.raises(PipelineError) as err:
-            load_archive('{"format": "vtrkit-dataset/1"}')
-        assert err.value.code == "bad_archive"
+            load_archive(text)
+        assert (err.value.code, str(err.value)) == ("bad_archive", LEGACY_ERROR.format(found))
 
     @pytest.mark.parametrize("values", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
     def test_out_of_range_archive_is_bad_archive(self, values):
         in_range = [(1, 2.0, 2)] * len(values)
-        doc = unsealed_doc(write_archive(parse_products(make_csv(*out_of_range_rows(in_range)))[0]))
-        for record, (citations, journal_if, n_authors) in zip(doc["products"], values):
-            record.update(citations=citations, journal_if=journal_if, n_authors=n_authors)
-        with pytest.raises(PipelineError) as err:
-            load_archive(json.dumps(doc))
-        assert err.value.code == "bad_archive"
 
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda doc: doc["products"].__setitem__(0, None),
-            lambda doc: doc["products"][0].__setitem__("citations", "4"),
-            lambda doc: doc.__setitem__("products", {"P1": doc["products"][0]}),
-            lambda doc: doc.__setitem__("provenance", None),
-            lambda doc: doc["products"][0].__setitem__("tr_indexed", "false"),
-            lambda doc: doc["products"][0].__setitem__("citations", True),
-            lambda doc: doc["products"][0].__setitem__("year", 2001.7),
-            lambda doc: doc["products"][0].__setitem__("journal_if", float("nan")),
-            lambda doc: doc["products"][0].__setitem__("product_id", 5),
-            lambda doc: doc["products"][0].__setitem__("n_authors", True),
-            lambda doc: doc["products"][0].__setitem__("discipline", ["BIO"]),
-            lambda doc: doc["provenance"].__setitem__("source_name", 5),
-            lambda doc: doc["products"].__setitem__(0, "P1"),
-            lambda doc: doc["products"].__setitem__(0, [doc["products"][0]]),
-            lambda doc: doc["products"][0].pop("product_id"),
-            lambda doc: doc["products"][0].__setitem__("citations", doc["products"][1]),
-            lambda doc: doc["products"][0].__setitem__("product_id", doc["products"][1]),
-            lambda doc: doc["provenance"].__setitem__("product_id", "P1"),
-            lambda doc: doc["provenance"].update(doc["products"][0]),
-            lambda doc: doc.__setitem__("product_id", "P1"),
-            lambda doc: doc["products"][0].__setitem__("peer_rating", "Q"),
-            lambda doc: doc["products"][0].__setitem__("product_type", {}),
-            lambda doc: doc["products"][0].__setitem__("extra", doc["products"].pop(1)),
-            lambda doc: doc.__setitem__("extra", doc["products"].pop(1)),
-            lambda doc: doc["products"][0].__setitem__("extra", 1),
-            lambda doc: doc["provenance"].__setitem__("extra", ""),
-            lambda doc: doc["products"][0].__setitem__("citations", -5),
-            lambda doc: doc["products"][0].__setitem__("journal_if", -1.5),
-            lambda doc: doc.pop("products"),
-            lambda doc: doc.pop("provenance"),
-            lambda doc: doc["provenance"].pop("ingested_at"),
-        ],
-        ids=[
-            "null_record",
-            "string_citations",
-            "non_list_products",
-            "null_provenance",
-            "string_boolean",
-            "boolean_citations",
-            "float_year",
-            "nan_journal_if",
-            "integer_product_id",
-            "boolean_n_authors",
-            "list_discipline",
-            "integer_source_name",
-            "string_record",
-            "list_record",
-            "record_without_product_id",
-            "record_as_citations",
-            "record_as_product_id",
-            "product_id_in_provenance",
-            "record_as_provenance",
-            "product_id_at_top_level",
-            "unknown_rating_token",
-            "object_product_type",
-            "record_under_unknown_key",
-            "record_under_unknown_top_level_key",
-            "unknown_record_key",
-            "unknown_provenance_key",
-            "negative_citations",
-            "negative_journal_if",
-            "missing_products",
-            "missing_provenance",
-            "missing_provenance_key",
-        ],
-    )
-    def test_malformed_archive_is_bad_archive(self, four_product_dataset, mutate):
-        doc = unsealed_doc(write_archive(four_product_dataset))
-        mutate(doc)
+        def damage(doc):
+            for row, (citations, journal_if, n_authors) in zip(doc["products"], values):
+                row[7:10] = citations, journal_if, n_authors
+
+        text = rewritten(write_archive(parse_products(make_csv(*out_of_range_rows(in_range)))[0]), damage)
         with pytest.raises(PipelineError) as err:
-            load_archive(json.dumps(doc))
+            load_archive(text)
+        assert err.value.code == "bad_archive"
+        assert str(err.value).startswith("invalid product row: ")
+
+    @pytest.mark.parametrize("damage", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_archive_is_bad_archive(self, four_product_dataset, damage):
+        with pytest.raises(PipelineError) as err:
+            load_archive(rewritten(write_archive(four_product_dataset), damage))
         assert err.value.code == "bad_archive"
 
     def test_too_deeply_nested_archive_is_bad_archive(self):
@@ -929,30 +918,24 @@ class TestSealedArchive:
 
     @pytest.mark.parametrize("fmt", ["vtrkit-dataset/1", "vtrkit-dataset/3"])
     def test_area_load_of_each_format(self, sealed, fmt):
-        """Given an area, an unsealed archive loads whole and a current one
-        loads that area alone; an absent area is empty_discipline."""
-        dataset = load_archive(sealed)
-        text = {
-            "vtrkit-dataset/1": json.dumps(unsealed_doc(sealed)),
-            "vtrkit-dataset/3": sealed,
-        }[fmt]
+        """Given an area, a current archive loads that area alone, and an
+        absent area is empty_discipline; an archive of the retired
+        vtrkit-dataset/1 format is bad_archive, for a present area or an
+        absent one."""
+        text = {"vtrkit-dataset/1": legacy_golden_text(), "vtrkit-dataset/3": sealed}[fmt]
         assert json.loads(text)["format"] == fmt
+        if fmt == "vtrkit-dataset/1":
+            for area in ("BIO", "PHY"):
+                with pytest.raises(PipelineError) as err:
+                    load_archive(text, area)
+                assert err.value.code == "bad_archive"
+            return
+        dataset = load_archive(text)
         scoped = load_archive(text, "CHE")
-        if fmt == "vtrkit-dataset/3":
-            assert scoped.products == dataset.products_in("CHE") and scoped.provenance == dataset.provenance
-        else:
-            assert scoped == dataset
+        assert scoped.products == dataset.products_in("CHE") and scoped.provenance == dataset.provenance
         with pytest.raises(PipelineError) as err:
             load_archive(text, "PHY").products_in("PHY")
         assert err.value.code == "empty_discipline"
-
-    def test_unsealed_archive_loads_through_the_full_path(self):
-        from conftest import FIXTURES
-
-        pretty = (FIXTURES / "golden_dataset.json").read_text(encoding="utf-8")
-        assert json.loads(pretty)["format"] == "vtrkit-dataset/1"
-        for text in (pretty, json.dumps(json.loads(pretty))):
-            assert load_archive(text, "BIO").products_in("BIO") == load_archive(text).products_in("BIO")
 
     @pytest.mark.parametrize("relayout", RELAYOUTS.values(), ids=RELAYOUTS.keys())
     @pytest.mark.parametrize("load", [load_archive, lambda text: load_archive(text, "CHE")], ids=["full", "area"])
@@ -1008,43 +991,66 @@ class TestSealedArchive:
         """A vtrkit-dataset/2 archive, sealed with one product record per line
         as its writer wrote it, no longer loads, whole or for one area, present
         or not: the error says to ingest the products CSV again."""
-        records = [json.dumps(record, sort_keys=True) for record in unsealed_doc(sealed)["products"]]
-        text = reseal(sealed.replace("vtrkit-dataset/3", "vtrkit-dataset/2", 1), records)
+        text = _records_archive(sealed)
         assert json.loads(text)["format"] == "vtrkit-dataset/2"
         with pytest.raises(PipelineError) as err:
             load_archive(text, area)
-        assert (err.value.code, str(err.value)) == (
-            "bad_archive",
-            "expected archive format 'vtrkit-dataset/3' or 'vtrkit-dataset/1', got 'vtrkit-dataset/2': "
-            "ingest the products CSV again to write a current archive",
-        )
+        assert (err.value.code, str(err.value)) == ("bad_archive", LEGACY_ERROR.format("format 'vtrkit-dataset/2'"))
 
     @pytest.mark.parametrize("area", [None, "BIO"])
     def test_records_archive_is_rejected_before_its_records_are_built(self, sealed, area, monkeypatch):
-        """The format a /2 archive opens with rejects it before any product
-        record is decoded; a head in another layout is decoded whole first,
-        with the same error."""
+        """The format a /2 archive opens with rejects it before any of its
+        products is decoded, in its writer's layout or in another, with the
+        same error."""
         import vtrkit.model as model
 
-        records = [json.dumps(record, sort_keys=True) for record in unsealed_doc(sealed)["products"]]
-        text = reseal(sealed.replace("vtrkit-dataset/3", "vtrkit-dataset/2", 1), records)
-        message = (
-            "expected archive format 'vtrkit-dataset/3' or 'vtrkit-dataset/1', got 'vtrkit-dataset/2': "
-            "ingest the products CSV again to write a current archive"
-        )
+        def no_rows(*args):
+            raise AssertionError("product rows were decoded")
+
+        monkeypatch.setattr(model, "_area_products", no_rows)
+        text = _records_archive(sealed)
         relaid_out = json.dumps(json.loads(text), indent=1)
         assert not relaid_out.startswith('{"format"')
-        with pytest.raises(PipelineError) as err:
-            load_archive(relaid_out, area)
-        assert (err.value.code, str(err.value)) == ("bad_archive", message)
+        for archive in (text, relaid_out):
+            with pytest.raises(PipelineError) as err:
+                load_archive(archive, area)
+            assert (err.value.code, str(err.value)) == ("bad_archive", LEGACY_ERROR.format("format 'vtrkit-dataset/2'"))
 
-        def no_record(obj):
-            raise AssertionError("a product record was built")
+    def test_repeated_provenance_key_is_bad_archive(self):
+        """A provenance that names a key twice is rejected, not read as its
+        last value with the first dropped unread."""
+        from conftest import FIXTURES
 
-        monkeypatch.setattr(model, "_record_product", no_record)
+        golden = (FIXTURES / "golden_dataset.json").read_text(encoding="utf-8")
+        assert load_archive(golden).provenance.source_name == "golden.csv"
+        repeated = '"source_name": "golden.csv", "source_name": "other.csv"}'
+        text = reseal(golden.replace('"source_name": "golden.csv"}', repeated, 1))
+        assert text.count('"source_name"') == 2
+        for area in (None, "BIO"):
+            with pytest.raises(PipelineError) as err:
+                load_archive(text, area)
+            assert err.value.code == "bad_archive"
+            assert str(err.value).startswith("archive provenance must be an object of the keys")
+
+    @pytest.mark.parametrize("empty", ["index", "block"])
+    def test_empty_index_goes_only_with_an_empty_block(self, sealed, empty):
+        """An empty area index seals an empty products block, and nothing else:
+        rows under an empty index, or an index over no rows, are bad_archive."""
+        if empty == "index":
+            text = reseal(sealed, tamper=lambda index: [])
+        else:
+            text = reseal(sealed, [], [], tamper=lambda index: [["BIO", 0, 1]])
         with pytest.raises(PipelineError) as err:
-            load_archive(text, area)
-        assert (err.value.code, str(err.value)) == ("bad_archive", message)
+            load_archive(text)
+        assert err.value.code == "bad_archive"
+        assert str(err.value).startswith("the area index does not")
+
+
+def _records_archive(sealed: str) -> str:
+    """The archive ``sealed`` as the retired vtrkit-dataset/2 format wrote it:
+    sealed, with one product record (a JSON object of sorted keys) per line."""
+    records = [json.dumps(dict(zip(PRODUCTS_HEADER, json.loads(row))), sort_keys=True) for row in archive_rows(sealed)]
+    return reseal(sealed.replace("vtrkit-dataset/3", "vtrkit-dataset/2", 1), records)
 
 
 def reference_archive(dataset: Dataset) -> str:

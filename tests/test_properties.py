@@ -54,8 +54,8 @@ from vtrkit.model import (
     Product,
     ProductType,
     Provenance,
+    _area_products,
     _product_row,
-    _record_product,
     load_archive,
     write_archive,
 )
@@ -65,7 +65,7 @@ from vtrkit.scoring import structure_ratings
 from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise, load_synth_config
 from vtrkit.tables import fmt, fmt_p, fmt_pct
 
-from conftest import archive_rows, group_stats, reseal, round_half_up, unsealed_doc
+from conftest import archive_rows, group_stats, reseal, rewritten, round_half_up
 
 # derandomized so tier-1 stays deterministic; small budgets keep it fast
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -180,20 +180,29 @@ def _parsed_row(fields: dict):
 @example(dict(VALID_FIELDS, journal_if=float("nan")))
 @example(dict(VALID_FIELDS, n_authors=0))
 def test_every_construction_path_applies_the_same_rules(fields):
-    """Keyword and positional construction, the archive hook and a one-row
-    products file give equal products, or fail with the same rule and message."""
-    record = dict(
-        {name: value for name, value in fields.items() if value is not None},
-        product_type=fields["product_type"].value,
-        peer_rating=fields["peer_rating"].token,
-    )
+    """Keyword and positional construction and a one-row products file give
+    equal products, or fail with the same rule and message; an archive row
+    gives the same product, or bad_archive with the same message."""
     outcomes = [
         _built(lambda: Product(**fields)),
         _built(lambda: Product(*(fields[name] for name in PRODUCTS_HEADER))),
-        _built(lambda: json.loads(json.dumps(record), object_hook=_record_product)),
         _parsed_row(fields),
     ]
-    assert outcomes[1:] == outcomes[:1] * 3
+    assert outcomes[1:] == outcomes[:1] * 2
+    expected = outcomes[0] if type(outcomes[0]) is Product else ("bad_archive", f"invalid product row: {outcomes[0][1]}")
+    assert _archive_row(fields) == expected
+
+
+def _archive_row(fields: dict):
+    """The product of the archive row of ``fields``, decoded as ``load_archive``
+    decodes an area's rows, or the code and message of its error."""
+    tokens = dict(fields, product_type=fields["product_type"].value, peer_rating=fields["peer_rating"].token)
+    row = json.dumps([tokens[name] for name in PRODUCTS_HEADER])
+    try:
+        (product,) = _area_products(row, 0, len(row), fields["discipline"])
+    except PipelineError as exc:
+        return exc.code, str(exc)
+    return product
 
 
 @PROPERTY
@@ -238,6 +247,7 @@ def _via_csv(dataset: Dataset) -> Dataset:
 
 @PROPERTY
 @given(datasets)
+@example(_dataset([]))
 def test_csv_archive_round_trip(dataset):
     parsed = _via_csv(dataset)
     archive = write_archive(parsed)
@@ -638,8 +648,8 @@ json_values = st.recursive(
 _ROWS = ["P1,S1,BIO,2001,journal_article,E,true,4,2.5,2,1", "P2,S2,BIO,2002,book,G,false,,,3,3"]
 ARCHIVE = write_archive(parse_products(",".join(PRODUCTS_HEADER) + "\n" + "\n".join(_ROWS) + "\n")[0])
 
-#: every value of ARCHIVE as (container path, key)
-FIELDS = [(("products", i), name) for i in range(len(_ROWS)) for name in PRODUCTS_HEADER] + [
+#: every value of ARCHIVE as (container path, key): each field of each row, and each provenance key
+FIELDS = [(("products", i), at) for i in range(len(_ROWS)) for at in range(len(PRODUCTS_HEADER))] + [
     (("provenance",), name) for name in ("source_name", "source_digest", "ingested_at")
 ]
 
@@ -647,29 +657,36 @@ FIELDS = [(("products", i), name) for i in range(len(_ROWS)) for name in PRODUCT
 @PROPERTY
 @given(st.sampled_from(FIELDS), json_values)
 def test_damaged_archive_raises_only_pipeline_error(field, value):
-    doc = unsealed_doc(ARCHIVE)
     (path, key) = field
-    container = doc
-    for step in path:
-        container = container[step]
-    container[key] = value
+
+    def damage(doc):
+        container = doc
+        for step in path:
+            container = container[step]
+        container[key] = value
+
     try:
-        load_archive(json.dumps(doc))
+        load_archive(rewritten(ARCHIVE, damage))
     except PipelineError:
         pass
 
 
 @PROPERTY
-@given(st.integers(0, len(_ROWS) - 1), st.sampled_from(range(len(PRODUCTS_HEADER))), json_values)
-def test_damaged_row_raises_only_pipeline_error(at, field, value):
+@given(datasets, products(), st.integers(0, 24), st.integers(0, len(PRODUCTS_HEADER) - 1), json_values)
+@example(_dataset([]), Product(**VALID_FIELDS), 0, 3, None)
+def test_damaged_row_raises_only_pipeline_error(dataset, extra, at, field, value):
     """A row of a re-sealed archive with any JSON value in one field loads,
-    or fails with a PipelineError, whole and by area."""
-    rows = archive_rows(ARCHIVE)
+    or fails with a PipelineError, whole and by area.  The archive of an
+    empty dataset is given the row of ``extra`` to damage."""
+    archive = write_archive(dataset)
+    rows = archive_rows(archive) or [_product_row(extra)]
+    areas = [json.loads(row)[2] for row in rows]
+    at %= len(rows)
     row = json.loads(rows[at])
     row[field] = value
     rows[at] = json.dumps(row)
-    damaged = reseal(ARCHIVE, rows)
-    for load in (load_archive, lambda text: load_archive(text, "BIO")):
+    damaged = reseal(archive, rows, areas)
+    for load in (load_archive, lambda text: load_archive(text, areas[at])):
         try:
             load(damaged)
         except PipelineError:
@@ -691,22 +708,24 @@ def test_area_load_equals_full_load(dataset):
 
 _AREA_ROWS = [*_ROWS, "P3,S3,MED,2003,journal_article,A,true,1,0.5,1,1", "P4,S3,MED,2003,book,L,false,,,1,1"]
 SEALED = write_archive(parse_products(",".join(PRODUCTS_HEADER) + "\n" + "\n".join(_AREA_ROWS) + "\n")[0])
+EMPTY_SEALED = write_archive(_dataset([]))
 
 
 @PROPERTY
-@given(st.data())
-def test_changed_byte_of_a_sealed_archive_is_bad_archive(data):
-    """One changed ASCII byte anywhere in a sealed archive gives bad_archive on
-    report --all, and on a command that reads an area other than the byte's."""
-    at = data.draw(st.integers(0, len(SEALED) - 1))
-    char = data.draw(st.characters(max_codepoint=127).filter(lambda c: c != SEALED[at]))
-    damaged_line = SEALED[SEALED.rfind("\n", 0, at) + 1 : SEALED.find("\n", at) + 1]
+@given(st.sampled_from([SEALED, EMPTY_SEALED]), st.data())
+def test_changed_byte_of_a_sealed_archive_is_bad_archive(sealed, data):
+    """One changed ASCII byte anywhere in a sealed archive, of four products or
+    of none, gives bad_archive on report --all, and on a command that reads an
+    area other than the byte's."""
+    at = data.draw(st.integers(0, len(sealed) - 1))
+    char = data.draw(st.characters(max_codepoint=127).filter(lambda c: c != sealed[at]))
+    damaged_line = sealed[sealed.rfind("\n", 0, at) + 1 : sealed.find("\n", at) + 1]
     area = "BIO" if '"MED"' in damaged_line else "MED"
     commands = [["report", "--all"], ["probability", "--discipline", area]]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "dataset.json")
         with open(path, "wb") as f:
-            f.write((SEALED[:at] + char + SEALED[at + 1 :]).encode("utf-8"))
+            f.write((sealed[:at] + char + sealed[at + 1 :]).encode("utf-8"))
         for argv in commands:
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

@@ -69,6 +69,20 @@ def test_only_synth_imports_dataclasses():
     assert importers == ["synth.py"]
 
 
+def test_one_module_names_the_archive_format():
+    """The archive format lives in one place: no library module spells a
+    ``vtrkit-dataset/`` format string but ``model``, in the one line that
+    defines ``ARCHIVE_FORMAT``, so no second archive reader or writer can
+    creep back in under another format's name."""
+    holders = sorted(
+        f"{path.name}: {line.strip()}"
+        for path in (SRC / "vtrkit").glob("*.py")
+        for line in path.read_text("utf-8").splitlines()
+        if "vtrkit-dataset/" in line
+    )
+    assert holders == ['model.py: ARCHIVE_FORMAT = "vtrkit-dataset/3"']
+
+
 def test_only_synth_imports_statistics():
     """``statistics`` costs a command ~3 ms to import; only ``synth`` uses it,
     for ``NormalDist``, so it stays off every other command's path."""
