@@ -2,23 +2,23 @@
 policy it checks.
 
 ``validate_dataset`` re-checks a loaded dataset; ``ingest`` fills the same
-``ValidationReport`` with the issues of a products file.  This module imports
-only ``model``, so ``report`` and ``validate`` load none of the CSV code of
-``ingest``.
+``ValidationReport`` with the issues of a products file, and both call
+``warn_tr_missing``.  This module imports only ``model``, so ``report`` and
+``validate`` load none of the CSV code of ``ingest``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .model import FLOAT_MAX, Dataset, PipelineError
+from .model import FLOAT_MAX, Dataset, PipelineError, Product
 
 if TYPE_CHECKING:
     from .ingest import StaffRecord
 
-__all__ = ["Issue", "ValidationReport", "SelectionPolicy", "validate_dataset"]
+__all__ = ["Issue", "ValidationReport", "SelectionPolicy", "validate_dataset", "warn_tr_missing"]
 
 
 class Issue(namedtuple("Issue", "row rule message")):
@@ -81,25 +81,36 @@ class SelectionPolicy:
         return self.cap_fraction * fte * record.avg_staff
 
 
-def validate_dataset(dataset: Dataset, policy: SelectionPolicy | None = None) -> ValidationReport:
-    """Flag TR-indexed products without citations and audit submission caps.
+def warn_tr_missing(report: ValidationReport, row: int, product: Product) -> None:
+    """Warn at ``row`` of each value the TR-indexed ``product`` lacks, whose means leave it out."""
+    if product.tr_indexed:
+        lacks = f"product {product.product_id!r} is TR-indexed without"
+        if product.citations is None:
+            report.warn(row, "tr_missing_citations", f"{lacks} a citation count")
+        if product.journal_if is None:
+            report.warn(row, "tr_missing_if", f"{lacks} an impact factor")
+
+
+def validate_dataset(
+    dataset: Dataset, policy: SelectionPolicy | None = None, disciplines: Sequence[str] | None = None
+) -> ValidationReport:
+    """Flag TR-indexed products lacking a value and audit caps, in every area or in ``disciplines``.
 
     Cap violations are warnings, never errors: the tool audits historic or
     synthetic data rather than enforcing submission rules.
     """
     report = ValidationReport(accepted_count=len(dataset))
-    for p in dataset.products:
-        if p.tr_indexed and p.citations is None:
-            report.warn(0, "tr_missing_citations", f"product {p.product_id!r} is TR-indexed without a citation count")
+    products = dataset.products if disciplines is None else [p for d in disciplines for p in dataset.area(d).products]
+    for p in products:
+        if p.citations is None or p.journal_if is None:  # a product with both values has none to warn of
+            warn_tr_missing(report, 0, p)
 
     if policy is not None and policy.staff:
         submitted: dict[str, set[str]] = {}
-        for p in dataset.products:
+        for p in products:
             submitted.setdefault(p.structure_id, set()).add(p.product_id)
-        for structure_id in sorted(submitted):
-            record = policy.staff.get(structure_id)
-            if record is None:
-                continue
+        for structure_id in sorted(submitted.keys() & policy.staff.keys()):  # an unlisted structure has no cap
+            record = policy.staff[structure_id]
             cap = policy.cap_for(record)
             count = len(submitted[structure_id])
             if count > cap:

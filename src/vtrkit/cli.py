@@ -179,10 +179,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
+    """The report on ``--discipline`` alone, which decodes only its rows, or on every area with ``--all``."""
     from . import report as rpt
     min_products = _min_products(args)
-    dataset = _load_dataset(args.dataset)
     disciplines = None if args.all or args.discipline is None else [args.discipline]
+    dataset = _load_dataset(args.dataset, disciplines[0] if disciplines else None)
     bundle = rpt.build_report(dataset, disciplines, min_products=min_products, coding=args.coding)
     renderers = {"md": rpt.render_report_md, "csv": rpt.render_report_csv, "json": rpt.render_report_json}
     _write_out(renderers[args.format](bundle), args.out)

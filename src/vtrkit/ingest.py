@@ -13,7 +13,7 @@ import re
 from collections import namedtuple
 from typing import Iterator
 
-from .audit import ValidationReport
+from .audit import ValidationReport, warn_tr_missing
 from .model import (
     DUPLICATE_PRODUCT,
     FLOAT_MAX,
@@ -182,13 +182,8 @@ def _accepted(reader, report: ValidationReport, seen: set | None = None) -> Iter
 
                 if discipline not in _KNOWN_DISCIPLINES:
                     report.warn(lineno, "unknown_discipline", f"discipline code {discipline!r} is not a known area")
-                if tr_indexed and citations is None:
-                    report.warn(
-                        lineno,
-                        "tr_missing_citations",
-                        f"product {product_id!r} is TR-indexed but has no citation count; "
-                        "it is excluded from citation means",
-                    )
+                if citations is None or journal_if is None:  # a product with both values has none to warn of
+                    warn_tr_missing(report, lineno, product)
                 yield product
             return
         except csv.Error as exc:

@@ -393,7 +393,6 @@ def read_text_file(path: str, newline: str | None = None) -> str:
             raise PipelineError("bad_encoding", f"input is not UTF-8 text: {exc}") from None
 
 
-
 def _product_row(p: Product) -> str:
     """The product's archive row: the JSON array that ``json.dumps`` gives for
     its fields in ``PRODUCTS_HEADER`` order, with the product type and the peer
@@ -588,22 +587,6 @@ def _area_products(text: str, start: int, stop: int, area: str) -> list[Product]
     return products
 
 
-def _load_rows(text: str, discipline: str | None) -> Dataset:
-    """The dataset of an ``ARCHIVE_FORMAT`` archive, or of ``discipline``'s
-    products alone.  The seal and the area index are checked whole first; then
-    each area's rows are decoded and built before the next area's are decoded."""
-    provenance_json, block, end, index = _unseal(text)
-    products: list[Product] = []
-    for area, start, stop in _area_index(text, block, end, index):
-        if discipline is None or area == discipline:
-            products += _area_products(text, block + start, block + stop, area)
-    provenance = _provenance(provenance_json)
-    try:
-        return Dataset(products=tuple(products), provenance=provenance)
-    except (PipelineError, ValueError) as exc:  # a row out of key order, or a repeated one
-        raise PipelineError("bad_archive", f"archive rows must be in strictly increasing key order: {exc}") from None
-
-
 def load_archive(text: str, discipline: str | None = None) -> Dataset:
     """The dataset of an ``ARCHIVE_FORMAT`` archive: its seal is checked and
     every product is built and checked.  It is decoded one area at a time, and
@@ -616,4 +599,13 @@ def load_archive(text: str, discipline: str | None = None) -> Dataset:
     if not text.startswith(_SEALED_HEAD):
         head = _FORMAT_HEAD.match(text)
         raise PipelineError("bad_archive", _FORMAT_ERROR.format(f"format {head[1]!r}" if head else "no format"))
-    return _load_rows(text, discipline)
+    provenance_json, block, end, index = _unseal(text)
+    products: list[Product] = []
+    for area, start, stop in _area_index(text, block, end, index):
+        if discipline is None or area == discipline:
+            products += _area_products(text, block + start, block + stop, area)
+    provenance = _provenance(provenance_json)
+    try:
+        return Dataset(products=tuple(products), provenance=provenance)
+    except (PipelineError, ValueError) as exc:  # a row out of key order, or a repeated one
+        raise PipelineError("bad_archive", f"archive rows must be in strictly increasing key order: {exc}") from None

@@ -98,10 +98,11 @@ def build_report(
     min_products: int = 10,
     coding: str = "quartile",
 ) -> ReportBundle:
-    chosen = list(disciplines) if disciplines else list(dataset.disciplines)
-    validation = validate_dataset(dataset)
+    """The sections of ``disciplines`` (default: every area), and the validation notes of their products."""
+    chosen = sorted(set(disciplines)) if disciplines else dataset.disciplines
+    validation = validate_dataset(dataset, disciplines=chosen)
     notes = [f"{i.rule}: {i.message}" for i in validation.errors + validation.warnings]
-    sections = {d: build_section(dataset, d, min_products, coding) for d in sorted(chosen)}
+    sections = {d: build_section(dataset, d, min_products, coding) for d in chosen}
     return ReportBundle(
         source_name=dataset.provenance.source_name,
         source_digest=dataset.provenance.source_digest,

@@ -14,7 +14,7 @@ import pytest
 
 from vtrkit import cli
 from vtrkit.cli import main
-from vtrkit.ingest import parse_products_file, serialize_products
+from vtrkit.ingest import parse_products, parse_products_file, serialize_products
 from vtrkit.model import Dataset, load_archive, write_archive
 
 from conftest import legacy_golden_text, rewritten
@@ -440,6 +440,103 @@ class TestReport:
         out = capsys.readouterr().out
         for marker in ("# profiles", "# breakdowns", "# chi_square", "# probabilities", "# rankings"):
             assert marker in out
+
+
+#: PRODUCTS_CSV with TR products that lack a value in MCS alone, in key order
+#: S3/P26 (no impact factor), then S4/P27 (no citation count); BIO has none.
+MCS_GAPS_CSV = PRODUCTS_CSV + (
+    "P27,S4,MCS,2003,journal_article,L,true,,0.7,2,1\n"
+    "P26,S3,MCS,2003,journal_article,A,true,2,,1,1\n"
+)
+MCS_NOTES = [
+    "tr_missing_if: product 'P26' is TR-indexed without an impact factor",
+    "tr_missing_citations: product 'P27' is TR-indexed without a citation count",
+]
+
+
+def ingested(tmp_path, text: str) -> Path:
+    products, out = tmp_path / "products.csv", tmp_path / "dataset.json"
+    products.write_text(text, encoding="utf-8")
+    assert main(["ingest", "--products", str(products), "--out", str(out)]) == 0
+    return out
+
+
+def report_notes(argv, capsys) -> tuple[list[str], list[str]]:
+    """The validation notes of a report, from its md and its json rendering."""
+    assert main(["report", *argv]) == 0
+    md = capsys.readouterr().out
+    validation = md.split("## Validation\n", 1)[1].split("\n## ", 1)[0]
+    assert main(["report", *argv, "--format", "json"]) == 0
+    notes = json.loads(capsys.readouterr().out)["validation_notes"]
+    return [line[2:] for line in validation.splitlines() if line], notes
+
+
+class TestValidationByArea:
+    """A report's validation notes cover the areas it reports, and each
+    missing-value rule has one rule id and one message on every path."""
+
+    def test_each_missing_value_has_one_message_on_every_path(self, tmp_path, capsys):
+        archive = ingested(tmp_path, MISSING_CITATIONS_CSV)
+        expected = [
+            ("tr_missing_citations", "product 'P1' is TR-indexed without a citation count"),
+            ("tr_missing_if", "product 'P2' is TR-indexed without an impact factor"),
+            ("tr_missing_citations", "product 'P3' is TR-indexed without a citation count"),
+            ("tr_missing_if", "product 'P3' is TR-indexed without an impact factor"),
+        ]
+        ingest_warnings = json.loads(capsys.readouterr().err)["warnings"]
+        # each at the products file line of its row
+        assert [(w["row"], w["rule"], w["message"]) for w in ingest_warnings] == [
+            (2, *expected[0]),
+            (3, *expected[1]),
+            (4, *expected[2]),
+            (4, *expected[3]),
+            (5, "unknown_discipline", "discipline code 'XYZ' is not a known area"),
+        ]
+        assert main(["validate", "--dataset", str(archive), "--format", "json"]) == 0
+        validate_warnings = json.loads(capsys.readouterr().out)["warnings"]
+        assert [(w["row"], w["rule"], w["message"]) for w in validate_warnings] == [(0, *e) for e in expected]
+        notes = [f"{rule}: {message}" for rule, message in expected]
+        assert report_notes(["--dataset", str(archive), "--discipline", "BIO"], capsys) == (notes, notes)
+
+    def test_a_report_lists_the_issues_of_its_own_areas(self, tmp_path, capsys):
+        archive = str(ingested(tmp_path, MCS_GAPS_CSV))
+        capsys.readouterr()
+        assert report_notes(["--dataset", archive, "--discipline", "BIO"], capsys) == (["no issues"], [])
+        assert report_notes(["--dataset", archive, "--discipline", "MCS"], capsys) == (MCS_NOTES, MCS_NOTES)
+        assert report_notes(["--dataset", archive, "--all"], capsys) == (MCS_NOTES, MCS_NOTES)
+
+    def test_in_process_notes_follow_the_areas_in_key_order(self):
+        from vtrkit.report import build_report
+
+        text = MCS_GAPS_CSV + "P28,S9,BIO,2003,journal_article,G,true,,,1,1\n"
+        dataset, _ = parse_products(text)
+        bio = [
+            "tr_missing_citations: product 'P28' is TR-indexed without a citation count",
+            "tr_missing_if: product 'P28' is TR-indexed without an impact factor",
+        ]
+        assert build_report(dataset, ["BIO"]).validation_notes == bio
+        assert build_report(dataset, ["MCS", "BIO"]).validation_notes == bio + MCS_NOTES
+        assert build_report(dataset).validation_notes == bio + MCS_NOTES
+
+    @pytest.mark.parametrize("fmt", ["md", "json", "csv"])
+    def test_a_report_on_one_area_decodes_only_its_rows(self, archive, capsys, monkeypatch, fmt):
+        import vtrkit.model as model
+
+        decoded = []
+        decode = model._area_products
+        monkeypatch.setattr(model, "_area_products", lambda *args: decoded.append(args[-1]) or decode(*args))
+        argv = ["report", "--dataset", str(archive), "--format", fmt, "--min-products", "2"]
+        assert main([*argv, "--discipline", "MCS"]) == 0
+        assert decoded == ["MCS"]
+        assert "BIO" not in capsys.readouterr().out
+        decoded.clear()
+        assert main([*argv, "--all"]) == 0
+        every_area = capsys.readouterr().out
+        assert decoded == ["BIO", "MCS"]
+        decoded.clear()
+        assert main([*argv, "--discipline", "MCS", "--all"]) == 0
+        assert capsys.readouterr().out == every_area
+        assert decoded == ["BIO", "MCS"]
 
 
 class TestGoldenReport:

@@ -236,7 +236,7 @@ class TestParseProducts:
     def test_unknown_discipline_warns_but_accepts(self):
         dataset, report = parse_products(make_csv("P1,S1,NANO,2002,journal_article,E,true,,,2,1"))
         assert report.ok
-        assert [i.rule for i in report.warnings] == ["unknown_discipline", "tr_missing_citations"]
+        assert [i.rule for i in report.warnings] == ["unknown_discipline", "tr_missing_citations", "tr_missing_if"]
         assert dataset.disciplines == ("NANO",)
 
     def test_tr_missing_citations_warning(self):

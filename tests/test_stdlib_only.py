@@ -83,6 +83,19 @@ def test_one_module_names_the_archive_format():
     assert holders == ['model.py: ARCHIVE_FORMAT = "vtrkit-dataset/3"']
 
 
+def test_one_module_states_each_tr_missing_rule():
+    """Each rule for a value a TR-indexed product lacks lives in one place: no
+    library module spells a ``tr_missing_*`` rule id but ``audit``, once each,
+    in the ``warn_tr_missing`` that ``ingest`` and ``validate_dataset`` both
+    call, so no second home with a message of its own can creep back in."""
+    holders = sorted(
+        f"{path.name}: {rule}"
+        for path in (SRC / "vtrkit").glob("*.py")
+        for rule in re.findall(r"\btr_missing_\w+", path.read_text("utf-8"))
+    )
+    assert holders == ["audit.py: tr_missing_citations", "audit.py: tr_missing_if"]
+
+
 def test_only_synth_imports_statistics():
     """``statistics`` costs a command ~3 ms to import; only ``synth`` uses it,
     for ``NormalDist``, so it stays off every other command's path."""
