@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .model import FLOAT_MAX, Dataset, PipelineError, Product
 
@@ -62,7 +62,7 @@ class ValidationReport:
             yield end
 
 
-class SelectionPolicy:
+class SelectionPolicy(namedtuple("SelectionPolicy", "staff cap_fraction", defaults=(None, 0.5))):
     """Submission-cap policy: products may not exceed ``cap_fraction`` of the
     structure's full-time-equivalent researchers.
 
@@ -71,10 +71,17 @@ class SelectionPolicy:
     of agency staff.
     """
 
-    def __init__(self, staff: Mapping[str, StaffRecord] | None = None, cap_fraction: float = 0.5):
+    __slots__ = ()
+
+    def __new__(cls, staff: Mapping[str, StaffRecord] | None = None, cap_fraction: float = 0.5) -> "SelectionPolicy":
         if not 0 <= cap_fraction <= FLOAT_MAX:  # false for NaN too
             raise PipelineError("bad_cap", f"cap must be a finite number >= 0, got {cap_fraction!r}")
-        self.staff, self.cap_fraction = staff, cap_fraction
+        return super().__new__(cls, staff, cap_fraction)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "SelectionPolicy":
+        # namedtuple's own _make (which _replace calls) would skip the check
+        return cls(*iterable)
 
     def cap_for(self, record: StaffRecord) -> float:
         fte = 0.5 if record.kind == "university" else 1.0

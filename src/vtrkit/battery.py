@@ -10,30 +10,23 @@ built, or rendered as JSON, loads no table code.
 
 from __future__ import annotations
 
-from .concordance import (
-    AdjacentPairResult,
-    ChiSquareResult,
-    ContingencyTable,
-    CorrelationResult,
-    RatingSample,
-    chi_square_independence,
-)
-from .jsonout import Assembly, as_json, json_text
+from collections import namedtuple
+
+from .concordance import RatingSample, chi_square_independence
+from .jsonout import as_json, json_text
 from .model import Area, PipelineError
 
 VARIABLE_LABELS = {"citations": "article citations", "journal_if": "journal impact factor"}
 
 
-class VariableBattery(Assembly):
-    """One area's battery on one variable: each statistic, or None and a note."""
+class VariableBattery(
+    namedtuple("VariableBattery", "variable contingency chi_square product_spearman probabilities notes")
+):
+    """One area's battery on one variable: its ``ContingencyTable``,
+    ``ChiSquareResult`` and product-level ``CorrelationResult``, each or None,
+    its ``AdjacentPairResult``s, and a note per statistic that failed."""
 
-    def __init__(self, variable: str):
-        self.variable = variable
-        self.contingency: ContingencyTable | None = None
-        self.chi_square: ChiSquareResult | None = None
-        self.product_spearman: CorrelationResult | None = None
-        self.probabilities: list[AdjacentPairResult] = []
-        self.notes: list[str] = []
+    __slots__ = ()
 
 
 def noted(call, *args):
@@ -48,18 +41,16 @@ def noted(call, *args):
 def build_battery(area: Area, variable: str, coding: str = "quartile") -> VariableBattery:
     """The battery of ``area``, whose cached rating groups hold the sorted
     sample."""
-    battery = VariableBattery(variable=variable)
     sample, note = noted(RatingSample, area, variable)
+    contingency = None
     if sample is not None:
-        battery.contingency, note = noted(sample.contingency)
-    if battery.contingency is None:
-        battery.notes.append(note)
-        return battery
-    battery.chi_square, chi_note = noted(chi_square_independence, battery.contingency.counts)
-    battery.product_spearman, spearman_note = noted(sample.spearman, coding)
-    battery.notes = [n for n in (chi_note, spearman_note) if n is not None]
-    battery.probabilities = sample.probabilities()
-    return battery
+        contingency, note = noted(sample.contingency)
+    if contingency is None:
+        return VariableBattery(variable, None, None, None, [], [note])
+    chi_square, chi_note = noted(chi_square_independence, contingency.counts)
+    product_spearman, spearman_note = noted(sample.spearman, coding)
+    notes = [n for n in (chi_note, spearman_note) if n is not None]
+    return VariableBattery(variable, contingency, chi_square, product_spearman, sample.probabilities(), notes)
 
 
 def battery_md(battery: VariableBattery) -> str:

@@ -19,19 +19,12 @@ def json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-class Assembly:
-    """A mutable result: ``as_json`` gives its attributes as a JSON object, as it gives a record's fields."""
-
-    def _asdict(self) -> dict:
-        return dict(vars(self))
-
-
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def as_json(value):
-    """JSON-ready form of a result: a record (a namedtuple or an
-    ``Assembly``), tested before tuples, becomes its ``json_shape()`` or a
+    """JSON-ready form of a result: a value with a ``json_shape`` method
+    becomes what it returns, a record (a namedtuple, tested before tuples) a
     dict of its fields; peer ratings become their tokens, other enums their
     values, and tuples, a ``Product`` among them, lists."""
     if type(value) in _JSON_SCALARS:

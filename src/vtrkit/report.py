@@ -14,12 +14,12 @@ from collections import namedtuple
 from typing import Sequence
 
 from .audit import validate_dataset
-from .battery import VariableBattery, battery_md, build_battery, noted
+from .battery import battery_md, build_battery, noted
 from .concordance import VARIABLES, spearman
-from .indicators import DisciplineProfile, RatingBreakdown, discipline_profile, rating_breakdown
-from .jsonout import Assembly, as_json, json_text
+from .indicators import discipline_profile, rating_breakdown
+from .jsonout import as_json, json_text
 from .model import Dataset
-from .scoring import RankComparison, Ranking, compile_ranking, rank_comparison, structure_ratings
+from .scoring import compile_ranking, rank_comparison, structure_ratings
 from .tables import BREAKDOWN, CHI_SQUARE, CONTINGENCY, PROBABILITIES, PROFILE, RANKING, STRUCTURE_CORRELATIONS
 from .tables import comparison_md, contingency_rows, csv_section, ranking_md, render
 
@@ -32,24 +32,21 @@ class StructureCorrelation(namedtuple("StructureCorrelation", "pair result note"
     __slots__ = ()
 
 
-class DisciplineSection(Assembly):
-    def __init__(
-        self, profile: DisciplineProfile, breakdown: list[RatingBreakdown], batteries: list[VariableBattery],
-        ranking: Ranking | None, ranking_note: str | None, structure_correlations: list[StructureCorrelation],
-        comparison: RankComparison | None, comparison_note: str | None,
-    ):
-        self.profile, self.breakdown, self.batteries = profile, breakdown, batteries
-        self.ranking, self.ranking_note, self.structure_correlations = ranking, ranking_note, structure_correlations
-        self.comparison, self.comparison_note = comparison, comparison_note
+class DisciplineSection(
+    namedtuple(
+        "DisciplineSection",
+        "profile breakdown batteries ranking ranking_note structure_correlations comparison comparison_note",
+    )
+):
+    """One area's profile, breakdown, batteries and structure correlations; its ranking and comparison, or a note."""
+
+    __slots__ = ()
 
 
-class ReportBundle(Assembly):
-    def __init__(
-        self, source_name: str, source_digest: str, validation_notes: list[str],
-        disciplines: dict[str, DisciplineSection],
-    ):
-        self.source_name, self.source_digest = source_name, source_digest
-        self.validation_notes, self.disciplines = validation_notes, disciplines
+class ReportBundle(namedtuple("ReportBundle", "source_name source_digest validation_notes disciplines")):
+    """The dataset's source, its validation notes and a ``DisciplineSection`` per chosen area."""
+
+    __slots__ = ()
 
 
 def _structure_correlations(ratings, min_products: int) -> list[StructureCorrelation]:
@@ -101,7 +98,7 @@ def build_report(
     """The sections of ``disciplines`` (default: every area), and the validation notes of their products."""
     chosen = sorted(set(disciplines)) if disciplines else dataset.disciplines
     validation = validate_dataset(dataset, disciplines=chosen)
-    notes = [f"{i.rule}: {i.message}" for i in validation.errors + validation.warnings]
+    notes = [f"{i.rule}: {i.message}" for i in validation.warnings]
     sections = {d: build_section(dataset, d, min_products, coding) for d in chosen}
     return ReportBundle(
         source_name=dataset.provenance.source_name,

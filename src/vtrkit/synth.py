@@ -22,9 +22,10 @@ import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from statistics import _normal_dist_inv_cdf
+from typing import Iterable
 
 from .model import (
     KNOWN_DISCIPLINES,
@@ -74,13 +75,10 @@ _LOW, _HIGH = 1e-12, 1.0 - 1e-16
 _BY_QUALITY = RATING_ORDER[::-1]
 
 
-@dataclass(frozen=True)
-class DisciplineSpec:
-    code: str
-    n_structures: int
-    products_min: int
-    products_max: int
-    coverage: float = 0.85
+class DisciplineSpec(
+    namedtuple("DisciplineSpec", "code n_structures products_min products_max coverage", defaults=(0.85,))
+):
+    __slots__ = ()
 
 
 DEFAULT_DISCIPLINES = tuple(
@@ -88,8 +86,22 @@ DEFAULT_DISCIPLINES = tuple(
 )
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+#: The SynthConfig fields, in order, each with its default.
+_CONFIG_DEFAULTS = {
+    "seed": 0,
+    "disciplines": DEFAULT_DISCIPLINES,
+    "target_rho": 0.5,
+    "rating_thresholds": (0.20, 0.40, 0.60),
+    "citation_dispersion": 1.0,
+    "if_scale": 2.0,
+    "year_min": 2001,
+    "year_max": 2003,
+    "internal_author_share": 0.7,
+    "hyperauthor_rate": 0.002,
+}
+
+
+class SynthConfig(namedtuple("SynthConfig", _CONFIG_DEFAULTS, defaults=_CONFIG_DEFAULTS.values())):
     """Generator knobs.
 
     ``rating_thresholds`` are cumulative shares from the top of the quality
@@ -97,22 +109,14 @@ class SynthConfig:
     is rated E, the next 20% G, the next 20% A and the bottom 40% L.
     ``target_rho`` is the latent normal-scale correlation between quality and
     the bibliometric draws.
-    Each config is checked where it is built (in code, by ``replace`` or from
+    Each config is checked where it is built (in code, by ``_replace`` or from
     JSON), so an invalid one is an ``invalid_config`` PipelineError.
     """
 
-    seed: int = 0
-    disciplines: tuple[DisciplineSpec, ...] = DEFAULT_DISCIPLINES
-    target_rho: float = 0.5
-    rating_thresholds: tuple[float, float, float] = (0.20, 0.40, 0.60)
-    citation_dispersion: float = 1.0
-    if_scale: float = 2.0
-    year_min: int = 2001
-    year_max: int = 2003
-    internal_author_share: float = 0.7
-    hyperauthor_rate: float = 0.002
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "SynthConfig":
+        self = super().__new__(cls, *args, **kwargs)
         # types are checked exactly, as Product does: bool is not an int here
         if type(self.seed) is not int:
             raise PipelineError("invalid_config", "seed must be an integer")
@@ -171,6 +175,12 @@ class SynthConfig:
         codes = [spec.code for spec in specs]
         if len(set(codes)) != len(codes):
             raise PipelineError("invalid_config", f"discipline codes must be unique, got {codes}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "SynthConfig":
+        # namedtuple's own _make (which _replace calls) would skip the checks
+        return cls(*iterable)
 
 
 def _is_real(value: object) -> bool:

@@ -611,6 +611,11 @@ class TestDatasetRecord:
             SelectionPolicy(cap_fraction=cap)
         assert err.value.code == "bad_cap"
 
+    def test_selection_policy_replace_checks_its_cap(self):
+        with pytest.raises(PipelineError) as err:
+            SelectionPolicy(cap_fraction=0.5)._replace(cap_fraction=-1.0)
+        assert err.value.code == "bad_cap"
+
 
 class TestValidateDataset:
     def test_cap_exceeded_university(self):

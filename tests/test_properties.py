@@ -10,7 +10,6 @@ import bisect
 import collections
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -802,8 +801,8 @@ config_documents = st.fixed_dictionaries(
         CONFIG_VALUES, disciplines=st.lists(discipline_entries, min_size=1, max_size=3, unique_by=lambda e: e["code"])
     ),
 )
-SYNTH_FIELDS = frozenset(f.name for f in dataclasses.fields(SynthConfig))
-SPEC_FIELDS = frozenset(f.name for f in dataclasses.fields(DisciplineSpec))
+SYNTH_FIELDS = frozenset(SynthConfig._fields)
+SPEC_FIELDS = frozenset(DisciplineSpec._fields)
 CONFIG_DAMAGE = ["none", "wrong_value", "unknown_key", "missing_key", "extra_entry", "repeated_code"]
 
 
@@ -838,7 +837,8 @@ def test_config_document_ends_in_a_config_or_invalid_config(doc, damage, data):
         assert exc.code == "invalid_config"
         return
     assert not unknown and len(set(codes)) == len(codes)
-    loaded = json.loads(json.dumps(dataclasses.asdict(config)))
+    # _asdict is shallow: each discipline entry gives its own
+    loaded = json.loads(json.dumps(dict(config._asdict(), disciplines=[s._asdict() for s in config.disciplines])))
     if "disciplines" in doc:
         doc["disciplines"] = [dict({"coverage": 0.85}, **entry) for entry in entries]
     assert {key: loaded[key] for key in doc} == doc

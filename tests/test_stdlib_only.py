@@ -60,13 +60,13 @@ def test_only_the_cli_imports_gc():
     assert importers == ["cli.py"]
 
 
-def test_only_synth_imports_dataclasses():
-    """Result records are NamedTuples and plain classes: ``dataclasses``
-    (and the ``inspect`` it loads) stays off every command's path but
-    ``synth``'s, whose config checks rely on it."""
+def test_no_module_imports_dataclasses():
+    """Every record is a namedtuple, configs and assemblies too:
+    ``dataclasses`` (and the ``inspect`` it loads) stays off every
+    command's path."""
     pattern = re.compile(r"^\s*(import dataclasses\b|from dataclasses import)", re.MULTILINE)
     importers = sorted(path.name for path in (SRC / "vtrkit").glob("*.py") if pattern.search(path.read_text("utf-8")))
-    assert importers == ["synth.py"]
+    assert importers == []
 
 
 def test_one_module_names_the_archive_format():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -118,7 +117,7 @@ class TestDeterminism:
         """The seed-7 products CSV of each benchmark input shape: 120
         structures per area and 100 areas are pinned too."""
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"disciplines": [dataclasses.asdict(spec) for spec in specs]}), encoding="utf-8")
+        config.write_text(json.dumps({"disciplines": [spec._asdict() for spec in specs]}), encoding="utf-8")
         out = tmp_path / "products.csv"
         assert main(["synth", "--seed", "7", "--config", str(config), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -174,6 +173,22 @@ class TestDeterminism:
         assert digest != hashlib.sha256(repr(config).encode("utf-8")).hexdigest()
         monkeypatch.setattr(synth, "GENERATOR", "vtrkit-synth/0")
         assert generate_exercise(config).provenance.source_digest != digest
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (SynthConfig(seed=1), "85b1f6a4a645f74384ab4cf0f604ac36f47c6326a52cb402112bcb72fce079cd"),
+            (
+                SynthConfig(seed=7, disciplines=(DisciplineSpec("BIO", 10, 50, 50, 1.0),), target_rho=0.6),
+                "1b8a2553b20b3ba71faf15902491c68d19b28c97a9715087ec06070cc812ed2d",
+            ),
+        ],
+        ids=["default", "validation-study"],
+    )
+    def test_pinned_provenance_digest(self, config, digest):
+        """The digest hashes the config's repr: a config's fields, their
+        order and their defaults name the same data under one generator."""
+        assert generate_exercise(config).provenance.source_digest == digest
 
     def test_one_seeding_per_structure(self, monkeypatch):
         """The generator seeds the Mersenne Twister once per structure, not
@@ -404,7 +419,7 @@ class TestConfig:
 
     def test_replace_is_checked(self):
         with pytest.raises(PipelineError) as err:
-            dataclasses.replace(SynthConfig(), target_rho=2.0)
+            SynthConfig()._replace(target_rho=2.0)
         assert err.value.code == "invalid_config"
 
     def test_load_rejects_bad_json(self):
