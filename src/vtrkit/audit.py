@@ -18,8 +18,6 @@ from .model import FLOAT_MAX, Dataset, PipelineError, Product
 if TYPE_CHECKING:
     from .ingest import StaffRecord
 
-__all__ = ["Issue", "ValidationReport", "SelectionPolicy", "validate_dataset", "warn_tr_missing"]
-
 
 class Issue(namedtuple("Issue", "row rule message")):
     """One validation finding: the input row, the rule and a message."""

@@ -2,8 +2,10 @@
 
 Subcommands: ingest, validate, profile, breakdown, rank, compare-ranks,
 concordance, probability, synth, report.  Exit codes: 0 success, 1 validation,
-pipeline or internal errors, 2 usage errors.  Every failure prints a
-machine-readable JSON error record to stderr.
+pipeline or internal errors, 2 usage errors.  A failure of exit code 1 prints
+machine-readable JSON to stderr: an error record, or the validation report of
+an ``ingest`` that rejects a row.  A usage error prints argparse's usage text
+there instead.
 
 At module level this imports only ``model``; each command imports the modules
 it runs inside its own function, so ``ingest`` loads no statistics, a single
@@ -66,7 +68,7 @@ def _render(fmt: str, table: str, items, payload=None) -> str:
 
 
 def _render_validation(report, fmt: str) -> str:  # report: an audit.ValidationReport
-    issues = [("error", i) for i in report.errors] + [("warning", i) for i in report.warnings]
+    issues = [("warning", i) for i in report.warnings]  # validate_dataset records no errors
     text = _render(fmt, "ISSUES", issues, payload=report)
     if fmt != "md":
         return text

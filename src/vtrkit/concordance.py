@@ -19,24 +19,6 @@ from typing import Sequence
 from .model import Area, PipelineError, Product, RATING_ORDER
 from .numerics import average_ranks, chi_square_upper_tail, student_t_two_sided
 
-__all__ = [
-    "VARIABLES",
-    "QuartileBins",
-    "assign_quartile",
-    "ContingencyTable",
-    "contingency_table",
-    "ChiSquareResult",
-    "chi_square_independence",
-    "CorrelationResult",
-    "spearman",
-    "peer_bibliometric_spearman",
-    "ProbabilityTriple",
-    "pairwise_probabilities",
-    "AdjacentPairResult",
-    "adjacent_rating_probabilities",
-    "RatingSample",
-]
-
 #: Bibliometric variables the battery runs on.
 VARIABLES = ("citations", "journal_if")
 

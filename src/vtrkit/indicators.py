@@ -8,16 +8,6 @@ from typing import Iterable
 
 from .model import Area, Dataset, RatingGroup
 
-__all__ = [
-    "h_index",
-    "GroupStats",
-    "pooled_stats",
-    "DisciplineProfile",
-    "discipline_profile",
-    "RatingBreakdown",
-    "rating_breakdown",
-]
-
 
 def h_index(citations: Iterable[int]) -> int:
     """Largest n such that n values in the multiset are each >= n.

@@ -30,16 +30,6 @@ from .model import (
     text_sha256,
 )
 
-__all__ = [
-    "STAFF_HEADER",
-    "IngestConfig",
-    "StaffRecord",
-    "parse_products",
-    "parse_products_file",
-    "serialize_products",
-    "parse_staff",
-]
-
 STAFF_HEADER = ("structure_id", "kind", "avg_staff")
 
 

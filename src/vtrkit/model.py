@@ -24,31 +24,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
-__all__ = [
-    "PRODUCTS_HEADER",
-    "KNOWN_DISCIPLINES",
-    "YEAR_MIN",
-    "YEAR_MAX",
-    "CITATIONS_MAX",
-    "AUTHORS_MAX",
-    "JOURNAL_IF_MIN",
-    "JOURNAL_IF_MAX",
-    "PipelineError",
-    "InvalidProduct",
-    "PeerRating",
-    "RATING_ORDER",
-    "ProductType",
-    "Product",
-    "Provenance",
-    "Dataset",
-    "rating_groups",
-    "Area",
-    "read_text_file",
-    "archive_lines",
-    "write_archive",
-    "load_archive",
-]
-
 PRODUCTS_HEADER = (
     "product_id",
     "structure_id",
@@ -483,20 +458,23 @@ _FORMAT_HEAD = re.compile(r'\{\s*"format"\s*:\s*"([^"\\\x00-\x1f]*)"')
 _CHUNK = 1 << 13
 
 
-def _loads(text: str, **hooks):
-    """``text`` as JSON, decoded with ``json.loads``' ``hooks``; JSON that
-    does not decode is ``bad_archive``."""
+def _loads(text: str, at: int, **hooks):
+    """``text``, which stands for the archive's text from offset ``at`` on, as
+    JSON, decoded with ``json.loads``' ``hooks``; JSON that does not decode is
+    ``bad_archive``, a syntax error named at its offset in the archive."""
     try:
         return json.loads(text, **hooks)
-    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
+    except json.JSONDecodeError as exc:
+        raise PipelineError("bad_archive", f"archive is not valid JSON: {exc.msg} at char {at + exc.pos}") from None
+    except (ValueError, RecursionError) as exc:  # an integer too long to convert, or nesting too deep to decode
         raise PipelineError("bad_archive", f"archive is not valid JSON: {exc}") from None
 
 
-def _provenance(text: str) -> Provenance:
-    """The provenance of the JSON object ``text``: each of its keys once, all
-    strings.  Its (key, value) pairs are read as written, so that a repeated
-    key is not dropped unread."""
-    pairs = _loads(text, object_pairs_hook=list)  # an object: the layout check read ``text`` as "{...}"
+def _provenance(text: str, at: int) -> Provenance:
+    """The provenance of the JSON object ``text``, at offset ``at`` of the
+    archive: each of its keys once, all strings.  Its (key, value) pairs are
+    read as written, so that a repeated key is not dropped unread."""
+    pairs = _loads(text, at, object_pairs_hook=list)  # an object: the layout check read ``text`` as "{...}"
     prov = dict(pairs)
     if len(prov) != len(pairs) or prov.keys() != _PROVENANCE_KEYS or not all(type(v) is str for v in prov.values()):
         raise PipelineError(
@@ -515,11 +493,11 @@ def text_sha256(text: str, end: int) -> str:
     return digest.hexdigest()
 
 
-def _unseal(text: str) -> tuple[str, int, int, str]:
+def _unseal(text: str) -> tuple[str, int, int, int, str]:
     r"""Check the layout and the seal of a sealed archive.  Returns the JSON
-    text of its provenance, the offsets its products block starts and ends at
-    (the end is that of the block's last "\n"), and the JSON text of its area
-    index."""
+    text of its provenance and the offset it starts at, the offsets its
+    products block starts and ends at (the end is that of the block's last
+    "\n"), and the JSON text of its area index."""
     last_line = text.rfind("\n", 0, len(text) - 1) + 1
     head = _SEALED_HEAD_REST.match(text, len(_SEALED_HEAD))
     tail = _SEALED_TAIL.fullmatch(text, max(last_line - len("],\n"), 0))
@@ -527,7 +505,7 @@ def _unseal(text: str) -> tuple[str, int, int, str]:
         raise PipelineError("bad_archive", _LAYOUT_ERROR)
     if text_sha256(text, tail.start(2)) != tail[2]:
         raise PipelineError("bad_archive", "the archive's bytes do not match its seal")
-    return head[1], head.end(), tail.start(), tail[1]
+    return head[1], head.start(1), head.end(), tail.start(), tail[1]
 
 
 def _area_index(text: str, block: int, end: int, index: str) -> list[tuple[str, int, int]]:
@@ -573,7 +551,7 @@ def _area_products(text: str, start: int, stop: int, area: str) -> list[Product]
         cut = text.find(",\n", min(start + _CHUNK, stop), stop)
         cut = stop if cut < 0 else cut
         try:
-            for row in _loads("[" + text[start:cut] + "]"):
+            for row in _loads("[" + text[start:cut] + "]", start - 1):
                 if type(row) is not list or len(row) != len(PRODUCTS_HEADER):
                     raise ValueError(f"a row must be a list of {len(PRODUCTS_HEADER)} values, got {row!r}")
                 pid, sid, discipline, year, ptype, rating, tr, cites, impact, n_au, n_in = row
@@ -599,12 +577,12 @@ def load_archive(text: str, discipline: str | None = None) -> Dataset:
     if not text.startswith(_SEALED_HEAD):
         head = _FORMAT_HEAD.match(text)
         raise PipelineError("bad_archive", _FORMAT_ERROR.format(f"format {head[1]!r}" if head else "no format"))
-    provenance_json, block, end, index = _unseal(text)
+    provenance_json, provenance_at, block, end, index = _unseal(text)
     products: list[Product] = []
     for area, start, stop in _area_index(text, block, end, index):
         if discipline is None or area == discipline:
             products += _area_products(text, block + start, block + stop, area)
-    provenance = _provenance(provenance_json)
+    provenance = _provenance(provenance_json, provenance_at)
     try:
         return Dataset(products=tuple(products), provenance=provenance)
     except (PipelineError, ValueError) as exc:  # a row out of key order, or a repeated one

@@ -11,8 +11,6 @@ import math
 from itertools import groupby
 from typing import Sequence
 
-__all__ = ["average_ranks", "chi_square_upper_tail", "student_t_two_sided"]
-
 _EPS = 1e-16
 _MAX_ITER = 600
 _FPMIN = 1e-300

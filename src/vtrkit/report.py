@@ -23,8 +23,6 @@ from .scoring import compile_ranking, rank_comparison, structure_ratings
 from .tables import BREAKDOWN, CHI_SQUARE, CONTINGENCY, PROBABILITIES, PROFILE, RANKING, STRUCTURE_CORRELATIONS
 from .tables import comparison_md, contingency_rows, csv_section, ranking_md, render
 
-__all__ = ["build_report", "render_report_md", "render_report_json", "render_report_csv"]
-
 
 class StructureCorrelation(namedtuple("StructureCorrelation", "pair result note")):
     """Structure-level Spearman for one pair of ratings, or why it is absent."""

@@ -12,19 +12,6 @@ from .indicators import pooled_stats
 from .model import Dataset, PipelineError, rating_groups
 from .numerics import average_ranks
 
-__all__ = [
-    "SizeClass",
-    "size_class",
-    "StructureRating",
-    "structure_ratings",
-    "RankEntry",
-    "Ranking",
-    "RANKING_METRICS",
-    "compile_ranking",
-    "RankComparison",
-    "rank_comparison",
-]
-
 
 class SizeClass(enum.Enum):
     MEGA = "mega"

@@ -40,15 +40,6 @@ from .model import (
     Provenance,
 )
 
-__all__ = [
-    "GENERATOR",
-    "DisciplineSpec",
-    "SynthConfig",
-    "DEFAULT_DISCIPLINES",
-    "generate_exercise",
-    "load_synth_config",
-]
-
 #: The generator version, covered by the provenance digest: a change to the
 #: data a seed gives is a new version, so one digest never names two datasets.
 GENERATOR = "vtrkit-synth/2"

@@ -803,10 +803,16 @@ class TestArchive:
             load_archive(rewritten(write_archive(four_product_dataset), damage))
         assert err.value.code == "bad_archive"
 
-    def test_too_deeply_nested_archive_is_bad_archive(self):
+    def test_too_deeply_nested_archive_is_bad_archive(self, four_product_dataset):
+        """A row that nests past the decoder's recursion limit, in an archive
+        that keeps its layout and seal, is bad_archive, not a crash."""
+        sealed = write_archive(four_product_dataset)
+        rows = archive_rows(sealed)
+        rows[-1] = _DEEP
         with pytest.raises(PipelineError) as err:
-            load_archive("[" * 100_000 + "]" * 100_000)
+            load_archive(reseal(sealed, rows))
         assert err.value.code == "bad_archive"
+        assert str(err.value).startswith(_TOO_DEEP)
 
 
 THREE_AREA_CSV = make_csv(
@@ -846,6 +852,10 @@ ROW_DAMAGE = {
 }
 
 _NOT_TILED = "the area index does not tile the products block"
+
+#: JSON that nests past the decoder's recursion limit, and the error it gives
+_DEEP = "[" * 50_000 + "]" * 50_000
+_TOO_DEEP = "archive is not valid JSON: maximum recursion depth exceeded"
 
 
 def _resealed_rows(order: list[int], areas: list[str]):
@@ -888,6 +898,47 @@ INDEX_TAMPERS = {
         _resealed_rows([0, 1, 2, 4, 3], ["BIO", "BIO", "CHE", "MED", "MED"]),
         "archive rows must be in strictly increasing key order",
     ),
+}
+
+
+def _with_provenance(provenance: str):
+    """The archive with ``provenance`` as the JSON text of its provenance, sealed again."""
+
+    def damage(text: str) -> str:
+        start = text.index('"provenance": ') + len('"provenance": ')
+        return reseal(text[:start] + provenance + text[text.index(',\n"products": [', start) :])
+
+    return damage
+
+
+def _with_index(index: str):
+    """The archive with ``index`` as the JSON text of its area index, sealed again."""
+
+    def damage(text: str) -> str:
+        head = text[: text.rindex('"areas": ') + len('"areas": ')] + index + ', "sha256": "'
+        return head + hashlib.sha256(head.encode("utf-8")).hexdigest() + '"}}\n'
+
+    return damage
+
+
+def _with_p4_row(edit):
+    """The archive with ``edit`` applied to the line of P4's row, MED's first, sealed again."""
+
+    def damage(text: str) -> str:
+        rows = archive_rows(text)
+        rows[3] = edit(rows[3])
+        return reseal(text, rows)
+
+    return damage
+
+
+#: ways to make a sealed archive of THREE_AREA_CSV fail to decode, re-sealed,
+#: and the message each gives; a JSON syntax error has a test of its own
+UNDECODABLE = {
+    "provenance_nested_too_deep": (_with_provenance('{"source_name": ' + _DEEP + "}"), _TOO_DEEP),
+    "index_entry_of_two": (_with_index('[["BIO", 0]]'), "invalid area index: not enough values to unpack"),
+    "index_entry_not_a_list": (_with_index("[7]"), "invalid area index: cannot unpack non-iterable int object"),
+    "index_nested_too_deep": (_with_index(_DEEP), "invalid area index: maximum recursion depth exceeded"),
 }
 
 
@@ -990,6 +1041,34 @@ class TestSealedArchive:
             load(tamper(sealed))
         assert err.value.code == "bad_archive"
         assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize(("damage", "message"), UNDECODABLE.values(), ids=UNDECODABLE.keys())
+    @pytest.mark.parametrize("load", [load_archive, lambda text: load_archive(text, "MED")], ids=["full", "area"])
+    def test_undecodable_archive_is_bad_archive(self, sealed, damage, message, load):
+        with pytest.raises(PipelineError) as err:
+            load(damage(sealed))
+        assert err.value.code == "bad_archive"
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        ("damage", "message", "fault"),
+        [
+            (_with_p4_row(lambda row: row[:-1]), "Expecting ',' delimiter at char 565", '],\n"seal"'),
+            (_with_p4_row(lambda row: row.replace("true", "tru")), "Expecting value at char 474", "tru, null"),
+            (_with_provenance('{"source_name": nope}'), "Expecting value at char 61", "nope}"),
+        ],
+        ids=["row_cut_short", "row_misspelt", "provenance_misspelt"],
+    )
+    @pytest.mark.parametrize("load", [load_archive, lambda text: load_archive(text, "MED")], ids=["full", "area"])
+    def test_json_syntax_error_is_named_at_its_offset_in_the_archive(self, sealed, damage, message, fault, load):
+        """A syntax error is named at its character offset in the archive, not
+        in the chunk of rows or the provenance decoded apart: a row cut short
+        runs on to where the products block closes."""
+        text = damage(sealed)
+        with pytest.raises(PipelineError) as err:
+            load(text)
+        assert (err.value.code, str(err.value)) == ("bad_archive", "archive is not valid JSON: " + message)
+        assert text.startswith(fault, int(message.rpartition(" ")[2]))
 
     @pytest.mark.parametrize("area", [None, "BIO", "CHE", "MED", "PHY"])
     def test_records_archive_is_bad_archive(self, sealed, area):

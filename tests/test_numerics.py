@@ -8,6 +8,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from vtrkit.numerics import average_ranks, chi_square_upper_tail, student_t_two_sided
 
@@ -191,6 +192,13 @@ class TestStudentTTwoSided:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             student_t_two_sided(1.0, 0)
+
+    @pytest.mark.parametrize(("t", "expected"), [(1e200, 0.0), (-1e200, 0.0), (1e-200, 1.0)])
+    def test_t_whose_beta_argument_rounds_to_an_end(self, t, expected):
+        """x = df / (df + t^2) underflows to 0 for a huge |t| and rounds to 1
+        for a tiny one; the incomplete beta's ends then give the p-value, as
+        scipy does."""
+        assert student_t_two_sided(t, 5) == expected == 2.0 * scipy.stats.t.sf(abs(t), 5)
 
 
 # -----------------------------------------------------------------------

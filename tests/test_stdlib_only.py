@@ -96,6 +96,15 @@ def test_one_module_states_each_tr_missing_rule():
     assert holders == ["audit.py: tr_missing_citations", "audit.py: tr_missing_if"]
 
 
+def test_only_the_package_declares_all():
+    """``vtrkit.__all__`` is the one list of public names: no submodule
+    keeps an ``__all__`` of its own, and a leading underscore marks a
+    submodule's private name."""
+    pattern = re.compile(r"^__all__\b", re.MULTILINE)
+    holders = sorted(path.name for path in (SRC / "vtrkit").glob("*.py") if pattern.search(path.read_text("utf-8")))
+    assert holders == ["__init__.py"]
+
+
 def test_only_synth_imports_statistics():
     """``statistics`` costs a command ~3 ms to import; only ``synth`` uses it,
     for ``NormalDist``, so it stays off every other command's path."""
