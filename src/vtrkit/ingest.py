@@ -8,13 +8,13 @@ report, load no CSV parser.  Its issues go to an ``audit.ValidationReport``.
 from __future__ import annotations
 
 import csv
-import io
 import re
 from collections import namedtuple
 from typing import Iterator
 
 from .audit import ValidationReport, warn_tr_missing
 from .model import (
+    CHUNK,
     DUPLICATE_PRODUCT,
     FLOAT_MAX,
     KNOWN_DISCIPLINES,
@@ -53,6 +53,9 @@ _KNOWN_DISCIPLINES = frozenset(KNOWN_DISCIPLINES)
 # text instead of a second, four-bytes-per-character copy of it
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
+#: the characters that put a products-file field in double quotes
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
 # what int() and float() accept beyond a plain ASCII number: surrounding
 # whitespace, digit separators, non-ASCII digits, a leading "+", and an integer's
 # leading zeros or "-0"; searched in the tokens joined by "," (which neither
@@ -88,6 +91,7 @@ def _accepted(reader, report: ValidationReport, seen: set | None = None) -> Iter
     ``seen``, the keys accepted so far, a row whose key is in it is a
     ``duplicate_product`` error instead."""
     end = reader.line_num  # the line the previous record ends on
+    unknown: dict[str, str] = {}  # the warning of each unknown area code, which its rows share
     while True:
         try:
             for row in reader:
@@ -171,7 +175,10 @@ def _accepted(reader, report: ValidationReport, seen: set | None = None) -> Iter
                     seen.add(key)
 
                 if discipline not in _KNOWN_DISCIPLINES:
-                    report.warn(lineno, "unknown_discipline", f"discipline code {discipline!r} is not a known area")
+                    message = unknown.get(discipline)
+                    if message is None:
+                        message = unknown[discipline] = f"discipline code {discipline!r} is not a known area"
+                    report.warn(lineno, "unknown_discipline", message)
                 if citations is None or journal_if is None:  # a product with both values has none to warn of
                     warn_tr_missing(report, lineno, product)
                 yield product
@@ -221,29 +228,56 @@ def parse_products_file(path: str) -> tuple[Dataset | None, ValidationReport]:
     return parse_products(read_text_file(path, newline=""), IngestConfig(source_name=path))
 
 
-def serialize_products(dataset: Dataset) -> str:
-    """Render a dataset back to the products file format in canonical order."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(PRODUCTS_HEADER)
-    # a product type's token is read as its _value_, past the slower enum descriptor ``value``
-    writer.writerows(
-        (
-            pid,
-            sid,
-            discipline,
-            year,
-            ptype._value_,
-            rating.token,
-            "true" if tr else "false",
-            "" if cites is None else cites,
-            "" if impact is None else repr(float(impact)),  # shortest round-trip form
-            n_au,
-            n_in,
-        )
-        for pid, sid, discipline, year, ptype, rating, tr, cites, impact, n_au, n_in in dataset.products
+def _csv_lines(rows) -> Iterator[str]:
+    """The products-file line of each product in ``rows``, its identifiers
+    written as they are.  The product type's token is read as its _value_,
+    past the slower enum descriptor ``value``."""
+    return (
+        f"{pid},{sid},{discipline},{year},{ptype._value_},{rating.token},{'true' if tr else 'false'},"
+        f"{'' if cites is None else cites},{'' if impact is None else repr(float(impact))},{n_au},{n_in}\n"
+        for pid, sid, discipline, year, ptype, rating, tr, cites, impact, n_au, n_in in rows
     )
-    return out.getvalue()
+
+
+def _csv_field(text: str) -> str:
+    """An identifier as the products file writes it: in double quotes, each
+    ``"`` doubled, when it holds ``,``, ``"``, CR or LF, else as it is."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
+
+def _csv_piece(lines: list[str], products: tuple[Product, ...], start: int) -> str:
+    """The joined ``lines`` of the products from ``products[start]`` on.
+    Only an identifier can add a ",", a LF, a ``"`` or a CR to a line, so a
+    piece with exactly 10 commas and one LF per line and neither of the
+    others needs no quotes; any other piece is rendered again with its
+    identifiers quoted."""
+    piece = "".join(lines)
+    n = len(lines)
+    if piece.count(",") == 10 * n and piece.count("\n") == n and '"' not in piece and "\r" not in piece:
+        return piece
+    rows = products[start : start + n]
+    return "".join(_csv_lines((_csv_field(p), _csv_field(s), _csv_field(d), *rest) for p, s, d, *rest in rows))
+
+
+def serialize_products(dataset: Dataset) -> str:
+    """Render a dataset back to the products file format in canonical order,
+    which ``parse_products`` reads back whole.  The lines are joined into
+    pieces of about 8 KiB, as ``model.archive_lines`` joins archive rows, and
+    the pieces once at the end."""
+    products = dataset.products
+    pieces = [",".join(PRODUCTS_HEADER) + "\n"]
+    lines: list[str] = []  # the lines of the piece being joined
+    start = size = 0  # the index of the piece's first product, and the piece's size so far
+    for line in _csv_lines(products):
+        if size >= CHUNK:
+            pieces.append(_csv_piece(lines, products, start))
+            start += len(lines)
+            lines.clear()
+            size = 0
+        lines.append(line)
+        size += len(line)
+    pieces.append(_csv_piece(lines, products, start))
+    return "".join(pieces)
 
 
 def parse_staff(text: str) -> dict[str, StaffRecord]:

@@ -114,6 +114,8 @@ class ProductType(enum.Enum):
 PRODUCT_TYPES = {t.value: t for t in ProductType}
 
 _tuple_new = tuple.__new__
+#: each year a product may carry, as the one int its products share
+_YEARS = tuple(range(YEAR_MIN, YEAR_MAX + 1))
 
 #: a product's identity, and the order of a Dataset's products
 _KEY_FIELDS = ("discipline", "structure_id", "product_id")
@@ -169,6 +171,7 @@ class Product(namedtuple("Product", PRODUCTS_HEADER)):
             )
         if not YEAR_MIN <= year <= YEAR_MAX:
             raise InvalidProduct("year_out_of_range", f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+        year = _YEARS[year - YEAR_MIN]  # and a year's products one int of it
         if n_authors < 1:
             raise InvalidProduct("nonpositive_authors", f"n_authors must be >= 1, got {n_authors}")
         if not 0 <= n_internal_authors <= n_authors:
@@ -390,7 +393,7 @@ def archive_lines(dataset: Dataset) -> Iterator[str]:
     provenance first, then one product row per line, floats in their shortest
     round-trip form, so re-emitting a loaded archive gives the same bytes.  A
     trailing seal indexes each area's rows and holds the sha256 of every byte
-    before it.  The rows are joined into pieces of about ``_CHUNK``
+    before it.  The rows are joined into pieces of about ``CHUNK``
     characters, each hashed as it is yielded, so the text held at once stays
     small whatever the dataset's size.  A dataset without products has an
     empty products block and an empty area index."""
@@ -406,7 +409,7 @@ def archive_lines(dataset: Dataset) -> Iterator[str]:
     rows: list[str] = []  # the rows of the piece being joined
     at = size = 0  # where the piece starts in the products block, and its size with a ",\n" after each row
     for p in dataset.products:
-        if size >= _CHUNK:
+        if size >= CHUNK:
             piece = ",\n".join(rows) + ",\n"
             digest.update(piece.encode("utf-8"))
             yield piece
@@ -452,22 +455,24 @@ _FORMAT_ERROR = (
 #: The format string an archive opens with, in any layout, when it needs no
 #: JSON escape: read only to name it in ``_FORMAT_ERROR``.
 _FORMAT_HEAD = re.compile(r'\{\s*"format"\s*:\s*"([^"\\\x00-\x1f]*)"')
-#: characters hashed, rows written, or rows decoded, at a time: checking a
+#: characters hashed, rows written, or rows decoded, at a time, and those of
+#: a piece of the products file or of ``ingest``'s issue record: checking a
 #: seal never copies the whole text, and a chunk this small is reused from the
 #: heap instead of raising peak memory
-_CHUNK = 1 << 13
+CHUNK = 1 << 13
 
 
-def _loads(text: str, at: int, **hooks):
+def _loads(text: str, at: int, undecodable: str = "archive is not valid JSON", **hooks):
     """``text``, which stands for the archive's text from offset ``at`` on, as
     JSON, decoded with ``json.loads``' ``hooks``; JSON that does not decode is
-    ``bad_archive``, a syntax error named at its offset in the archive."""
+    ``bad_archive``: a syntax error named at its offset in the archive, any
+    other failure after ``undecodable``."""
     try:
         return json.loads(text, **hooks)
     except json.JSONDecodeError as exc:
         raise PipelineError("bad_archive", f"archive is not valid JSON: {exc.msg} at char {at + exc.pos}") from None
     except (ValueError, RecursionError) as exc:  # an integer too long to convert, or nesting too deep to decode
-        raise PipelineError("bad_archive", f"archive is not valid JSON: {exc}") from None
+        raise PipelineError("bad_archive", f"{undecodable}: {exc}") from None
 
 
 def _provenance(text: str, at: int) -> Provenance:
@@ -488,16 +493,16 @@ def text_sha256(text: str, end: int) -> str:
     code point (``"surrogatepass"``), so that any ``str`` has a digest.  The
     text is hashed a chunk at a time, so it is never copied whole."""
     digest = hashlib.sha256()
-    for at in range(0, end, _CHUNK):
-        digest.update(text[at : min(at + _CHUNK, end)].encode("utf-8", "surrogatepass"))
+    for at in range(0, end, CHUNK):
+        digest.update(text[at : min(at + CHUNK, end)].encode("utf-8", "surrogatepass"))
     return digest.hexdigest()
 
 
-def _unseal(text: str) -> tuple[str, int, int, int, str]:
+def _unseal(text: str) -> tuple[str, int, int, int, str, int]:
     r"""Check the layout and the seal of a sealed archive.  Returns the JSON
     text of its provenance and the offset it starts at, the offsets its
     products block starts and ends at (the end is that of the block's last
-    "\n"), and the JSON text of its area index."""
+    "\n"), and the JSON text of its area index and the offset it starts at."""
     last_line = text.rfind("\n", 0, len(text) - 1) + 1
     head = _SEALED_HEAD_REST.match(text, len(_SEALED_HEAD))
     tail = _SEALED_TAIL.fullmatch(text, max(last_line - len("],\n"), 0))
@@ -505,20 +510,22 @@ def _unseal(text: str) -> tuple[str, int, int, int, str]:
         raise PipelineError("bad_archive", _LAYOUT_ERROR)
     if text_sha256(text, tail.start(2)) != tail[2]:
         raise PipelineError("bad_archive", "the archive's bytes do not match its seal")
-    return head[1], head.start(1), head.end(), tail.start(), tail[1]
+    return head[1], head.start(1), head.end(), tail.start(), tail[1], tail.start(1)
 
 
-def _area_index(text: str, block: int, end: int, index: str) -> list[tuple[str, int, int]]:
-    r"""The (area, start, end) entries of a row archive's index, checked to
+def _area_index(text: str, block: int, end: int, index: str, index_at: int) -> list[tuple[str, int, int]]:
+    r"""The (area, start, end) entries of a row archive's index, the JSON text
+    ``index`` at offset ``index_at`` of the archive, checked to
     tile its products block ``text[block:end]`` exactly: the first area starts
     at 0, each next one 2 characters after the previous one ends, where the
     block holds ",\n", and the last ends at the block's final "\n"; the area
     names strictly increase.  An empty block, an empty dataset's, has an empty
     index, and no other block has.  The seal is not a signature, so without this
     check a re-sealed archive could leave rows out of every area unread."""
+    entries = _loads(index, index_at, "invalid area index")
     try:
-        areas = [(area, start, stop) for area, start, stop in json.loads(index)]
-    except (TypeError, ValueError, RecursionError) as exc:
+        areas = [(area, start, stop) for area, start, stop in entries]
+    except (TypeError, ValueError) as exc:
         raise PipelineError("bad_archive", f"invalid area index: {exc}") from None
     size, at, previous = end - block, 0, ""
     for area, start, stop in areas:
@@ -543,12 +550,12 @@ def _area_index(text: str, block: int, end: int, index: str) -> list[tuple[str, 
 def _area_products(text: str, start: int, stop: int, area: str) -> list[Product]:
     r"""The products of the rows ``text[start:stop]``, one area's: each row
     must be a list of the ``PRODUCTS_HEADER`` values, with ``area`` as its
-    discipline.  The rows are decoded about ``_CHUNK`` characters at a time,
+    discipline.  The rows are decoded about ``CHUNK`` characters at a time,
     each chunk cut at a ",\n" between two rows, so the decoded rows held at
     once stay few however large the area."""
     products: list[Product] = []
     while start < stop:
-        cut = text.find(",\n", min(start + _CHUNK, stop), stop)
+        cut = text.find(",\n", min(start + CHUNK, stop), stop)
         cut = stop if cut < 0 else cut
         try:
             for row in _loads("[" + text[start:cut] + "]", start - 1):
@@ -577,9 +584,9 @@ def load_archive(text: str, discipline: str | None = None) -> Dataset:
     if not text.startswith(_SEALED_HEAD):
         head = _FORMAT_HEAD.match(text)
         raise PipelineError("bad_archive", _FORMAT_ERROR.format(f"format {head[1]!r}" if head else "no format"))
-    provenance_json, provenance_at, block, end, index = _unseal(text)
+    provenance_json, provenance_at, block, end, index, index_at = _unseal(text)
     products: list[Product] = []
-    for area, start, stop in _area_index(text, block, end, index):
+    for area, start, stop in _area_index(text, block, end, index, index_at):
         if discipline is None or area == discipline:
             products += _area_products(text, block + start, block + stop, area)
     provenance = _provenance(provenance_json, provenance_at)

@@ -16,6 +16,7 @@ from vtrkit import cli
 from vtrkit.cli import main
 from vtrkit.ingest import parse_products, parse_products_file, serialize_products
 from vtrkit.model import Dataset, load_archive, write_archive
+from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise
 
 from conftest import legacy_golden_text, rewritten
 
@@ -384,6 +385,18 @@ class TestSynthCommand:
         )
         assert main(["synth", "--seed", "7", "--config", str(config), "--out", str(csv_path)]) == 0
         assert main(["ingest", "--products", str(csv_path), "--out", str(tmp_path / "d.json")]) == 0
+
+    def test_discipline_code_with_a_carriage_return_ingests_whole(self, tmp_path, capsys):
+        """A code holding a CR is written in double quotes, so ingest accepts every row."""
+        csv_path, archive, config = tmp_path / "g.csv", tmp_path / "d.json", tmp_path / "config.json"
+        spec = {"code": "B\rIO", "n_structures": 2, "products_min": 4, "products_max": 8}
+        config.write_text(json.dumps({"disciplines": [spec]}), encoding="utf-8")
+        assert main(["synth", "--seed", "7", "--config", str(config), "--out", str(csv_path)]) == 0
+        assert main(["ingest", "--products", str(csv_path), "--out", str(archive)]) == 0
+        record = json.loads(capsys.readouterr().err)
+        expected = generate_exercise(SynthConfig(seed=7, disciplines=(DisciplineSpec(**spec),)))
+        assert (record["errors"], record["accepted_count"]) == ([], len(expected))
+        assert load_archive(archive.read_text(encoding="utf-8")).products == expected.products
 
     def test_invalid_config_exit_1(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -1016,7 +1016,7 @@ class TestSealedArchive:
         dataset = generate_exercise(SynthConfig(seed=42, disciplines=(DisciplineSpec("BIO", 60, 30, 40),)))
         text = write_archive(dataset)
         areas = json.loads(text)["seal"]["areas"]
-        assert max(end - start for _, start, end in areas) > 2 * model._CHUNK
+        assert max(end - start for _, start, end in areas) > 2 * model.CHUNK
         assert load_archive(text) == dataset
         for area in dataset.disciplines:
             assert load_archive(text, area).products == dataset.products_in(area)
@@ -1056,14 +1056,15 @@ class TestSealedArchive:
             (_with_p4_row(lambda row: row[:-1]), "Expecting ',' delimiter at char 565", '],\n"seal"'),
             (_with_p4_row(lambda row: row.replace("true", "tru")), "Expecting value at char 474", "tru, null"),
             (_with_provenance('{"source_name": nope}'), "Expecting value at char 61", "nope}"),
+            (_with_index('[["BIO", 0, x]]'), "Expecting value at char 599", "x]]"),
         ],
-        ids=["row_cut_short", "row_misspelt", "provenance_misspelt"],
+        ids=["row_cut_short", "row_misspelt", "provenance_misspelt", "index_misspelt"],
     )
     @pytest.mark.parametrize("load", [load_archive, lambda text: load_archive(text, "MED")], ids=["full", "area"])
     def test_json_syntax_error_is_named_at_its_offset_in_the_archive(self, sealed, damage, message, fault, load):
         """A syntax error is named at its character offset in the archive, not
-        in the chunk of rows or the provenance decoded apart: a row cut short
-        runs on to where the products block closes."""
+        in the chunk of rows, the provenance or the area index decoded apart: a
+        row cut short runs on to where the products block closes."""
         text = damage(sealed)
         with pytest.raises(PipelineError) as err:
             load(text)
@@ -1175,11 +1176,11 @@ def _edge_datasets() -> dict[str, Dataset]:
     import vtrkit.model as model
 
     provenance = Provenance("edges.csv", "d" * 64, "2001-01-01T00:00:00+00:00")
-    first = _area_rows("BIO", 4 * model._CHUNK // 60)
+    first = _area_rows("BIO", 4 * model.CHUNK // 60)
     pieces = list(archive_lines(Dataset(tuple(first), provenance)))[1:-1]
     assert len(pieces) > 3
     edge = pieces[0].count("\n")  # rows in the first piece
-    second = _area_rows("MED", 3 * model._CHUNK // 60)
+    second = _area_rows("MED", 3 * model.CHUNK // 60)
     areas = (DisciplineSpec("BIO", 30, 4, 40), DisciplineSpec("CHE", 1, 1, 1), DisciplineSpec("MED", 30, 4, 40))
     return {
         "at_edge": Dataset(tuple(first[:edge] + second), provenance),
@@ -1214,7 +1215,7 @@ class TestArchivePieces:
 
         longest_row = max(len(_product_row(p)) for p in dataset.products)
         pieces = list(archive_lines(dataset))[1:-1]
-        assert all(len(piece) < model._CHUNK + longest_row + 2 for piece in pieces)
+        assert all(len(piece) < model.CHUNK + longest_row + 2 for piece in pieces)
 
 
 def test_builds_leave_the_callers_gc_freeze_count():

@@ -40,6 +40,7 @@ from vtrkit.indicators import discipline_profile, rating_breakdown
 from vtrkit.ingest import _LAX_NUMBER, _csv_rows, parse_products, serialize_products
 from vtrkit.model import (
     AUTHORS_MAX,
+    CHUNK,
     CITATIONS_MAX,
     PRODUCTS_HEADER,
     RATING_ORDER,
@@ -69,17 +70,17 @@ from conftest import archive_rows, group_stats, reseal, rewritten, round_half_up
 # derandomized so tier-1 stays deterministic; small budgets keep it fast
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
-# commas, quotes and non-ASCII exercise CSV quoting and JSON escaping
-identifiers = st.text(alphabet='PS1,"é x', min_size=1, max_size=3)
+# commas, quotes, line ends and non-ASCII exercise CSV quoting and JSON escaping
+identifiers = st.text(alphabet='PS1,"é x\r\n', min_size=1, max_size=3)
 
 
 @st.composite
-def products(draw) -> Product:
+def products(draw, ids=identifiers) -> Product:
     n_authors = draw(st.integers(1, 2000))
     tr_indexed = draw(st.booleans())
     return Product(
-        product_id=draw(identifiers),
-        structure_id=draw(identifiers),
+        product_id=draw(ids),
+        structure_id=draw(ids),
         discipline=draw(st.sampled_from(["BIO", "MED", "NANO"])),
         year=draw(st.integers(YEAR_MIN, YEAR_MAX)),
         product_type=draw(st.sampled_from(list(ProductType))),
@@ -162,7 +163,7 @@ def _parsed_row(fields: dict):
         tr_indexed="true" if fields["tr_indexed"] else "false",
     )
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)  # QUOTE_MINIMAL leaves a CR unquoted
     writer.writerow(PRODUCTS_HEADER)
     writer.writerow(["" if tokens[name] is None else tokens[name] for name in PRODUCTS_HEADER])
     dataset, report = parse_products(out.getvalue())
@@ -215,11 +216,14 @@ def test_archive_record_is_the_json_of_its_fields(product):
 
 
 issues = st.lists(st.tuples(st.integers(0, 10**6), st.text(max_size=12), st.text(max_size=40)), max_size=6)
+#: more issues than one ~8 KiB part of the record holds, their messages repeated
+MANY_ISSUES = [(row, "unknown_discipline", f"discipline code 'X{row % 3}' is not a known area") for row in range(400)]
 
 
 @PROPERTY
 @given(issues, issues, st.integers(0, 10**6))
 @example([(3, "rule", 'a "quoted" \\ line\n\x00\u00e9\U0001f600')], [], 0)
+@example(MANY_ISSUES[:150], MANY_ISSUES, 400)
 def test_report_json_parts_are_the_json_of_its_dict(errors, warnings, accepted):
     """The CLI's stderr record, written an f-string per issue, is what
     json.dumps gives for the report's dict with sorted keys."""
@@ -242,6 +246,64 @@ def _via_csv(dataset: Dataset) -> Dataset:
     parsed, report = parse_products(serialize_products(dataset))
     assert report.ok, report.errors
     return parsed
+
+
+def _csv_writer_text(dataset: Dataset) -> str:
+    """The products file of ``dataset`` as ``csv.writer`` renders it, which
+    leaves a CR in a field unquoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(PRODUCTS_HEADER)
+    writer.writerows(
+        (
+            pid,
+            sid,
+            discipline,
+            year,
+            ptype.value,
+            rating.token,
+            "true" if tr else "false",
+            "" if cites is None else cites,
+            "" if impact is None else repr(float(impact)),
+            n_au,
+            n_in,
+        )
+        for pid, sid, discipline, year, ptype, rating, tr, cites, impact, n_au, n_in in dataset.products
+    )
+    return out.getvalue()
+
+
+def _piece_dataset() -> Dataset:
+    """400 products whose ids, from P120 to P259, hold a ",", a ``"`` or a LF
+    by turns, about the end of the first ~8 KiB piece of the products file."""
+    marks = ',"\n'
+    return _dataset(
+        Product(**dict(VALID_FIELDS, product_id=f"P{i:03d}" + (marks[i % 3] if 120 <= i < 260 else "")))
+        for i in range(400)
+    )
+
+
+def test_piece_dataset_has_quoted_identifiers_on_both_sides_of_a_piece_boundary():
+    """The first piece of its products file, cut at the first line that starts
+    after CHUNK characters, ends well inside P120 to P259, with or without the
+    few characters each line's quotes add."""
+    header = len(_csv_writer_text(_dataset([])))
+    sizes = [len(_csv_writer_text(_dataset([p]))) - header for p in _piece_dataset().products]
+    first = next(i for i in range(len(sizes)) if sum(sizes[:i]) >= CHUNK)
+    assert 130 < first < 250
+
+
+lf_identifiers = identifiers.filter(lambda text: "\r" not in text)
+
+
+@PROPERTY
+@given(st.lists(products(ids=lf_identifiers), max_size=25, unique_by=lambda p: p.key).map(_dataset))
+@example(_dataset([]))
+@example(_piece_dataset())
+def test_serialized_products_are_the_csv_writer_rendering(dataset):
+    """Without a CR in an identifier, the products file is what csv.writer
+    writes, a field with a ",", a ``"`` or a LF in double quotes."""
+    assert serialize_products(dataset) == _csv_writer_text(dataset)
 
 
 @PROPERTY
