@@ -114,30 +114,33 @@ def warn_tr_missing(report: ValidationReport, row: int, product: Product) -> Non
 def validate_dataset(
     dataset: Dataset, policy: SelectionPolicy | None = None, disciplines: Sequence[str] | None = None
 ) -> ValidationReport:
-    """Flag TR-indexed products lacking a value and audit caps, in every area or in ``disciplines``.
+    """Flag TR-indexed products lacking a value and audit caps, in every area
+    or in ``disciplines``, reading each area once.
 
     Cap violations are warnings, never errors: the tool audits historic or
     synthetic data rather than enforcing submission rules.
     """
-    report = ValidationReport(accepted_count=len(dataset))
-    products = dataset.products if disciplines is None else [p for d in disciplines for p in dataset.area(d).products]
-    for p in products:
-        if p.citations is None or p.journal_if is None:  # a product with both values has none to warn of
-            warn_tr_missing(report, 0, p)
-
-    if policy is not None and policy.staff:
-        submitted: dict[str, set[str]] = {}
+    report = ValidationReport()
+    staff = (policy.staff if policy is not None else None) or {}
+    submitted: dict[str, set[str]] = {}
+    for discipline in dataset.disciplines if disciplines is None else disciplines:
+        products = dataset.products_in(discipline)
+        report.accepted_count += len(products)
         for p in products:
-            submitted.setdefault(p.structure_id, set()).add(p.product_id)
-        for structure_id in sorted(submitted.keys() & policy.staff.keys()):  # an unlisted structure has no cap
-            record = policy.staff[structure_id]
-            cap = policy.cap_for(record)
-            count = len(submitted[structure_id])
-            if count > cap:
-                report.warn(
-                    0,
-                    "cap_exceeded",
-                    f"structure {structure_id!r} submitted {count} products, cap is {cap:g} "
-                    f"({record.kind}, avg staff {record.avg_staff:g})",
-                )
+            if p.citations is None or p.journal_if is None:  # a product with both values has none to warn of
+                warn_tr_missing(report, 0, p)
+            if staff:
+                submitted.setdefault(p.structure_id, set()).add(p.product_id)
+
+    for structure_id in sorted(submitted.keys() & staff.keys()):  # an unlisted structure has no cap
+        record = staff[structure_id]
+        cap = policy.cap_for(record)
+        count = len(submitted[structure_id])
+        if count > cap:
+            report.warn(
+                0,
+                "cap_exceeded",
+                f"structure {structure_id!r} submitted {count} products, cap is {cap:g} "
+                f"({record.kind}, avg staff {record.avg_staff:g})",
+            )
     return report

@@ -43,11 +43,9 @@ def _write_out(text: str, out: str | None) -> None:
     _write_lines((text,), out)
 
 
-def _load_dataset(path: str, discipline: str | None = None):
-    """The archive at ``path``; given ``discipline``, for a command that reads
-    only that area, the archive's rows of that area alone are decoded."""
-    # line ends are read as written (newline=""), so a seal covers them too
-    return load_archive(read_text_file(path, newline=""), discipline)
+def _load_dataset(path: str):
+    """The archive at ``path``, its line ends read as written, so that its seal covers them too."""
+    return load_archive(read_text_file(path, newline=""))
 
 
 def _min_products(args) -> int:
@@ -101,7 +99,7 @@ def cmd_validate(args) -> int:
 
 def cmd_profile(args) -> int:
     from .indicators import discipline_profile
-    dataset = _load_dataset(args.dataset, args.discipline)
+    dataset = _load_dataset(args.dataset)
     disciplines = [args.discipline] if args.discipline is not None else dataset.disciplines
     profiles = [discipline_profile(dataset, d) for d in disciplines]
     _write_out(_render(args.format, "PROFILE", profiles), args.out)
@@ -110,7 +108,7 @@ def cmd_profile(args) -> int:
 
 def cmd_breakdown(args) -> int:
     from .indicators import rating_breakdown
-    dataset = _load_dataset(args.dataset, args.discipline)
+    dataset = _load_dataset(args.dataset)
     rows = rating_breakdown(dataset, args.discipline)
     _write_out(_render(args.format, "BREAKDOWN", rows), args.out)
     return 0
@@ -119,7 +117,7 @@ def cmd_breakdown(args) -> int:
 def cmd_rank(args) -> int:
     from .scoring import compile_ranking, structure_ratings
     min_products = _min_products(args)
-    dataset = _load_dataset(args.dataset, args.discipline)
+    dataset = _load_dataset(args.dataset)
     ratings = structure_ratings(dataset, args.discipline)
     ranking = compile_ranking(ratings, METRIC_BY_FLAG[args.metric], min_products)
     if args.format == "md":
@@ -134,7 +132,7 @@ def cmd_rank(args) -> int:
 def cmd_compare_ranks(args) -> int:
     from .scoring import compile_ranking, rank_comparison, structure_ratings
     min_products = _min_products(args)
-    dataset = _load_dataset(args.dataset, args.discipline)
+    dataset = _load_dataset(args.dataset)
     ratings = structure_ratings(dataset, args.discipline)
     ranking_a = compile_ranking(ratings, METRIC_BY_FLAG[args.metric], min_products)
     ranking_b = compile_ranking(ratings, METRIC_BY_FLAG[args.against], min_products)
@@ -155,7 +153,7 @@ def cmd_compare_ranks(args) -> int:
 
 def cmd_concordance(args) -> int:
     from .battery import build_battery, render_battery
-    dataset = _load_dataset(args.dataset, args.discipline)
+    dataset = _load_dataset(args.dataset)
     battery = build_battery(dataset.area(args.discipline), VARIABLE_BY_FLAG[args.variable], args.coding)
     _write_out(render_battery(battery, args.format, args.discipline), args.out)
     return 0
@@ -163,7 +161,7 @@ def cmd_concordance(args) -> int:
 
 def cmd_probability(args) -> int:
     from .concordance import RatingSample
-    dataset = _load_dataset(args.dataset, args.discipline)
+    dataset = _load_dataset(args.dataset)
     pairs = RatingSample(dataset.area(args.discipline), VARIABLE_BY_FLAG[args.variable]).probabilities()
     _write_out(_render(args.format, "PROBABILITIES", pairs), args.out)
     return 0
@@ -181,11 +179,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """The report on ``--discipline`` alone, which decodes only its rows, or on every area with ``--all``."""
+    """The report on ``--discipline`` alone, or on every area, one at a time, with ``--all`` or without it."""
     from . import report as rpt
     min_products = _min_products(args)
+    dataset = _load_dataset(args.dataset)
     disciplines = None if args.all or args.discipline is None else [args.discipline]
-    dataset = _load_dataset(args.dataset, disciplines[0] if disciplines else None)
     bundle = rpt.build_report(dataset, disciplines, min_products=min_products, coding=args.coding)
     renderers = {"md": rpt.render_report_md, "csv": rpt.render_report_csv, "json": rpt.render_report_json}
     _write_out(renderers[args.format](bundle), args.out)

@@ -26,6 +26,7 @@ from .model import (
     PipelineError,
     Product,
     Provenance,
+    csv_field,
     read_text_file,
     text_sha256,
 )
@@ -52,9 +53,6 @@ _KNOWN_DISCIPLINES = frozenset(KNOWN_DISCIPLINES)
 # the lines io.StringIO would give (split after each "\n"), as slices of the
 # text instead of a second, four-bytes-per-character copy of it
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
-
-#: the characters that put a products-file field in double quotes
-_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 # what int() and float() accept beyond a plain ASCII number: surrounding
 # whitespace, digit separators, non-ASCII digits, a leading "+", and an integer's
@@ -239,12 +237,6 @@ def _csv_lines(rows) -> Iterator[str]:
     )
 
 
-def _csv_field(text: str) -> str:
-    """An identifier as the products file writes it: in double quotes, each
-    ``"`` doubled, when it holds ``,``, ``"``, CR or LF, else as it is."""
-    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
-
-
 def _csv_piece(lines: list[str], products: tuple[Product, ...], start: int) -> str:
     """The joined ``lines`` of the products from ``products[start]`` on.
     Only an identifier can add a ",", a LF, a ``"`` or a CR to a line, so a
@@ -256,7 +248,7 @@ def _csv_piece(lines: list[str], products: tuple[Product, ...], start: int) -> s
     if piece.count(",") == 10 * n and piece.count("\n") == n and '"' not in piece and "\r" not in piece:
         return piece
     rows = products[start : start + n]
-    return "".join(_csv_lines((_csv_field(p), _csv_field(s), _csv_field(d), *rest) for p, s, d, *rest in rows))
+    return "".join(_csv_lines((csv_field(p), csv_field(s), csv_field(d), *rest) for p, s, d, *rest in rows))
 
 
 def serialize_products(dataset: Dataset) -> str:

@@ -18,8 +18,8 @@ import json
 import re
 import sys
 from collections import namedtuple
-from functools import cached_property
-from itertools import groupby
+from functools import cached_property, partial
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
@@ -239,23 +239,17 @@ class Dataset:
 
     Products are sorted by (discipline, structure_id, product_id), so the
     dataset built from a given set of rows never depends on input row order.
-    Keys must strictly increase; an equal pair is a duplicate product.
+    Keys must strictly increase; an equal pair is a duplicate product.  Each
+    area's products come from a source: a run of the products given, or an
+    archive's rows, decoded when the area is read.  Only the last area read
+    is held, so a caller that walks the areas holds one at a time.
     """
 
     def __init__(self, products: tuple[Product, ...], provenance: Provenance):
-        # neighbours compared field by field, by index: a Product is (product_id, structure_id, discipline, ...)
-        it = iter(products)
-        prev = next(it, None)
-        for p in it:
-            if prev[2] == p[2] and prev[1] == p[1]:  # one structure's products
-                if prev[0] >= p[0]:
-                    if prev[0] == p[0]:
-                        raise PipelineError("duplicate_product", DUPLICATE_PRODUCT.format(p.key))
-                    raise ValueError(_KEY_ORDER)
-            elif (prev[2], prev[1]) > (p[2], p[1]):
-                raise ValueError(_KEY_ORDER)
-            prev = p
-        self.__dict__.update(products=products, provenance=provenance)  # past __setattr__, which refuses all
+        _check_key_order(products)
+        # key order puts each discipline's products in one run
+        sources = {d: (lambda run=tuple(run): run) for d, run in groupby(products, attrgetter("discipline"))}
+        self.__dict__.update(_sources=sources, _held={}, provenance=provenance)  # past __setattr__, which refuses all
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"a Dataset is immutable: cannot set or delete {name!r}")
@@ -278,35 +272,54 @@ class Dataset:
         except ValueError:  # out of key order: _KEY_ORDER
             return cls(products=tuple(key_sorted(list(products))), provenance=provenance)
 
-    def __len__(self) -> int:
-        return len(self.products)
+    @property
+    def products(self) -> tuple[Product, ...]:
+        """Every area's products, in key order."""
+        return tuple(chain.from_iterable(source() for source in self._sources.values()))
 
-    @cached_property
-    def _by_discipline(self) -> dict[str, Area]:
-        # key order puts each discipline's products in one run, in sorted order
-        return {d: Area(tuple(run)) for d, run in groupby(self.products, attrgetter("discipline"))}
+    def __len__(self) -> int:
+        return sum(len(source()) for source in self._sources.values())
 
     @property
     def disciplines(self) -> tuple[str, ...]:
-        return tuple(self._by_discipline)
+        return tuple(self._sources)
 
     def area(self, discipline: str) -> Area:
-        """The discipline's products and the statistics' cache of them; a
-        discipline without any products is an error."""
-        try:
-            return self._by_discipline[discipline]
-        except KeyError:
-            raise PipelineError("empty_discipline", f"no products for discipline {discipline!r}") from None
+        """The discipline's products and the statistics' cache of them, held until
+        another area is read; a discipline without any products is an error."""
+        held = self._held
+        if discipline not in held:
+            if discipline not in self._sources:
+                raise PipelineError("empty_discipline", f"no products for discipline {discipline!r}")
+            held.clear()  # before the next area is read
+            held[discipline] = Area(self._sources[discipline]())
+        return held[discipline]
 
     def products_in(self, discipline: str) -> tuple[Product, ...]:
         """The discipline's products in key order; a discipline without any is an error."""
         return self.area(discipline).products
 
 
+def _check_key_order(products: Iterable[Product]) -> None:
+    """Raise unless the keys of ``products`` strictly increase: an equal pair
+    is a ``duplicate_product`` PipelineError, and a descending one a ValueError."""
+    # neighbours compared field by field, by index: a Product is (product_id, structure_id, discipline, ...)
+    it = iter(products)
+    prev = next(it, None)
+    for p in it:
+        if prev[2] == p[2] and prev[1] == p[1]:  # one structure's products
+            if prev[0] >= p[0]:
+                if prev[0] == p[0]:
+                    raise PipelineError("duplicate_product", DUPLICATE_PRODUCT.format(p.key))
+                raise ValueError(_KEY_ORDER)
+        elif (prev[2], prev[1]) > (p[2], p[1]):
+            raise ValueError(_KEY_ORDER)
+        prev = p
+
+
 def key_sorted(products: list[Product]) -> list[Product]:
-    """``products``, sorted in place into key order: one stable sort per key
-    field, the least significant first, so that no key tuple is built per
-    product."""
+    """``products``, sorted in place into key order by one stable sort per key
+    field, the least significant first, so that no key tuple is built."""
     for name in reversed(_KEY_FIELDS):
         products.sort(key=attrgetter(name))
     return products
@@ -461,12 +474,21 @@ _FORMAT_HEAD = re.compile(r'\{\s*"format"\s*:\s*"([^"\\\x00-\x1f]*)"')
 #: heap instead of raising peak memory
 CHUNK = 1 << 13
 
+#: the characters that put a CSV field in double quotes
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def csv_field(text: str) -> str:
+    """``text`` as a field of the products file or a CSV report: in double
+    quotes, each ``"`` doubled, when it holds ``,``, ``"``, CR or LF, else as
+    it is.  Every CSV this package writes quotes by this one rule."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
 
 def _loads(text: str, at: int, undecodable: str = "archive is not valid JSON", **hooks):
-    """``text``, which stands for the archive's text from offset ``at`` on, as
-    JSON, decoded with ``json.loads``' ``hooks``; JSON that does not decode is
-    ``bad_archive``: a syntax error named at its offset in the archive, any
-    other failure after ``undecodable``."""
+    """``text``, the archive's text from offset ``at`` on, decoded with
+    ``json.loads``' ``hooks``; JSON that does not decode is ``bad_archive``:
+    a syntax error named at its offset, any other failure after ``undecodable``."""
     try:
         return json.loads(text, **hooks)
     except json.JSONDecodeError as exc:
@@ -498,11 +520,9 @@ def text_sha256(text: str, end: int) -> str:
     return digest.hexdigest()
 
 
-def _unseal(text: str) -> tuple[str, int, int, int, str, int]:
-    r"""Check the layout and the seal of a sealed archive.  Returns the JSON
-    text of its provenance and the offset it starts at, the offsets its
-    products block starts and ends at (the end is that of the block's last
-    "\n"), and the JSON text of its area index and the offset it starts at."""
+def _unseal(text: str) -> tuple[list[tuple[str, int, int]], Provenance]:
+    """The area index of a sealed archive and its provenance, once its layout,
+    its seal, its index and its provenance are checked, in that order."""
     last_line = text.rfind("\n", 0, len(text) - 1) + 1
     head = _SEALED_HEAD_REST.match(text, len(_SEALED_HEAD))
     tail = _SEALED_TAIL.fullmatch(text, max(last_line - len("],\n"), 0))
@@ -510,13 +530,13 @@ def _unseal(text: str) -> tuple[str, int, int, int, str, int]:
         raise PipelineError("bad_archive", _LAYOUT_ERROR)
     if text_sha256(text, tail.start(2)) != tail[2]:
         raise PipelineError("bad_archive", "the archive's bytes do not match its seal")
-    return head[1], head.start(1), head.end(), tail.start(), tail[1], tail.start(1)
+    return _area_index(text, head.end(), tail.start(), tail[1], tail.start(1)), _provenance(head[1], head.start(1))
 
 
 def _area_index(text: str, block: int, end: int, index: str, index_at: int) -> list[tuple[str, int, int]]:
     r"""The (area, start, end) entries of a row archive's index, the JSON text
-    ``index`` at offset ``index_at`` of the archive, checked to
-    tile its products block ``text[block:end]`` exactly: the first area starts
+    ``index`` at offset ``index_at``, as offsets in ``text``, checked to tile
+    its products block ``text[block:end]`` exactly: the first area starts
     at 0, each next one 2 characters after the previous one ends, where the
     block holds ",\n", and the last ends at the block's final "\n"; the area
     names strictly increase.  An empty block, an empty dataset's, has an empty
@@ -544,15 +564,15 @@ def _area_index(text: str, block: int, end: int, index: str, index_at: int) -> l
         at, previous = stop + 2, area
     if at != (size + 1 if size else 0):  # past the last area's final "\n", or no area at all
         raise PipelineError("bad_archive", "the area index does not cover the whole products block")
-    return areas
+    return [(area, block + start, block + stop) for area, start, stop in areas]
 
 
-def _area_products(text: str, start: int, stop: int, area: str) -> list[Product]:
-    r"""The products of the rows ``text[start:stop]``, one area's: each row
-    must be a list of the ``PRODUCTS_HEADER`` values, with ``area`` as its
-    discipline.  The rows are decoded about ``CHUNK`` characters at a time,
-    each chunk cut at a ",\n" between two rows, so the decoded rows held at
-    once stay few however large the area."""
+def _area_products(text: str, start: int, stop: int, area: str) -> tuple[Product, ...]:
+    r"""The products of the rows ``text[start:stop]``, one area's, in strictly
+    increasing key order: each row a list of the ``PRODUCTS_HEADER`` values,
+    with ``area`` as its discipline.  The rows are decoded about ``CHUNK``
+    characters at a time, each chunk cut at a ",\n" between two rows, so the
+    decoded rows held at once stay few however large the area."""
     products: list[Product] = []
     while start < stop:
         cut = text.find(",\n", min(start + CHUNK, stop), stop)
@@ -569,28 +589,26 @@ def _area_products(text: str, start: int, stop: int, area: str) -> list[Product]
         except (KeyError, TypeError, ValueError) as exc:  # KeyError, TypeError: an unknown or unhashable token
             raise PipelineError("bad_archive", f"invalid product row: {exc}") from None
         start = cut + 2
-    return products
+    if not products:
+        raise PipelineError("bad_archive", f"the area index gives {area!r} no product rows")
+    try:
+        _check_key_order(products)
+    except (PipelineError, ValueError) as exc:  # a row out of key order, or a repeated one
+        raise PipelineError("bad_archive", f"archive rows must be in strictly increasing key order: {exc}") from None
+    return tuple(products)
 
 
-def load_archive(text: str, discipline: str | None = None) -> Dataset:
-    """The dataset of an ``ARCHIVE_FORMAT`` archive: its seal is checked and
-    every product is built and checked.  It is decoded one area at a time, and
-    given a ``discipline``, for a command that reads one area, only that
-    area's rows are decoded, after the seal and the area index are checked
-    whole; ``products_in(discipline)`` then gives the area's products, or the
-    ``empty_discipline`` error when it has none.  A text that does not open
-    with the format's head line, an archive of an earlier format among them,
-    is ``bad_archive``."""
+def load_archive(text: str) -> Dataset:
+    """The dataset of an ``ARCHIVE_FORMAT`` archive, whose seal, area index and
+    provenance are checked here, once; an area's rows are decoded and checked
+    when the area is read, so a damaged row is ``bad_archive`` there.  A text
+    that does not open with the format's head line, an archive of an earlier
+    format among them, is ``bad_archive``."""
     if not text.startswith(_SEALED_HEAD):
         head = _FORMAT_HEAD.match(text)
         raise PipelineError("bad_archive", _FORMAT_ERROR.format(f"format {head[1]!r}" if head else "no format"))
-    provenance_json, provenance_at, block, end, index, index_at = _unseal(text)
-    products: list[Product] = []
-    for area, start, stop in _area_index(text, block, end, index, index_at):
-        if discipline is None or area == discipline:
-            products += _area_products(text, block + start, block + stop, area)
-    provenance = _provenance(provenance_json, provenance_at)
-    try:
-        return Dataset(products=tuple(products), provenance=provenance)
-    except (PipelineError, ValueError) as exc:  # a row out of key order, or a repeated one
-        raise PipelineError("bad_archive", f"archive rows must be in strictly increasing key order: {exc}") from None
+    areas, provenance = _unseal(text)
+    dataset = Dataset((), provenance)
+    for area, start, stop in areas:
+        dataset._sources[area] = partial(_area_products, text, start, stop, area)
+    return dataset

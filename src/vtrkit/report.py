@@ -93,11 +93,12 @@ def build_report(
     min_products: int = 10,
     coding: str = "quartile",
 ) -> ReportBundle:
-    """The sections of ``disciplines`` (default: every area), and the validation notes of their products."""
-    chosen = sorted(set(disciplines)) if disciplines else dataset.disciplines
-    validation = validate_dataset(dataset, disciplines=chosen)
-    notes = [f"{i.rule}: {i.message}" for i in validation.warnings]
-    sections = {d: build_section(dataset, d, min_products, coding) for d in chosen}
+    """The sections of ``disciplines`` (default: every area) and the validation notes
+    of their products, one area at a time: each area is read once, notes first."""
+    notes, sections = [], {}
+    for d in sorted(set(disciplines)) if disciplines else dataset.disciplines:
+        notes += (f"{i.rule}: {i.message}" for i in validate_dataset(dataset, disciplines=[d]).warnings)
+        sections[d] = build_section(dataset, d, min_products, coding)
     return ReportBundle(
         source_name=dataset.provenance.source_name,
         source_digest=dataset.provenance.source_digest,

@@ -11,18 +11,17 @@ Markdown and CSV cells use fixed precision: two decimals for table values,
 three for p-values, with p below 0.001 shown as "<0.001".  All rendering is
 deterministic for a given dataset and flags.
 
-This module imports only ``model``, so a command that renders a table loads
-none of the statistics it does not run.
+This module imports only ``model``, whose ``csv_field`` quotes every CSV cell:
+a command that renders a table loads neither ``csv`` nor a statistic it does not run.
 """
 
 from __future__ import annotations
 
-import io
 from collections import namedtuple
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .model import RATING_ORDER
+from .model import RATING_ORDER, csv_field
 
 if TYPE_CHECKING:
     from .concordance import AdjacentPairResult, ContingencyTable
@@ -70,23 +69,12 @@ def fmt_p(p: float | None) -> str:
     return _places(p, 3)
 
 
-def md_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "| " + " | ".join("---" for _ in headers) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
-    return "\n".join(lines) + "\n"
+def md_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    return "".join("| " + " | ".join(map(str, row)) + " |\n" for row in (headers, ["---"] * len(headers), *rows))
 
 
-def csv_text(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    import csv  # only CSV output loads it
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return out.getvalue()
+def csv_text(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    return "".join(",".join(csv_field(str(cell)) for cell in row) + "\n" for row in (headers, *rows))
 
 
 # --- table specs ---

@@ -17,7 +17,7 @@ import pytest
 
 from vtrkit.indicators import GroupStats, h_index
 from vtrkit.ingest import parse_products
-from vtrkit.model import PRODUCTS_HEADER, Product
+from vtrkit.model import PRODUCTS_HEADER, Product, load_archive
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -55,6 +55,14 @@ def reseal(archive: str, rows: list[str] | None = None, areas: list[str] | None 
         + f'{_SEAL_OPEN}{{"areas": {json.dumps(tamper(index))}, "sha256": "'
     )
     return text + hashlib.sha256(text.encode("utf-8")).hexdigest() + '"}}\n'
+
+
+def read_archive(text: str, area: str | None = None) -> tuple[Product, ...]:
+    """The products of the archive ``text``, every area's or ``area``'s alone:
+    a fault of the seal, the layout, the index or the provenance is raised by
+    ``load_archive``, and a damaged row when its area is read."""
+    dataset = load_archive(text)
+    return dataset.products if area is None else dataset.products_in(area)
 
 
 def rewritten(archive: str, damage) -> str:

@@ -18,7 +18,7 @@ from vtrkit.ingest import parse_products, parse_products_file, serialize_product
 from vtrkit.model import Dataset, load_archive, write_archive
 from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise
 
-from conftest import legacy_golden_text, rewritten
+from conftest import archive_rows, legacy_golden_text, reseal, rewritten
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -187,7 +187,7 @@ class TestFaults:
         assert "ingest the products CSV again" in record["message"]
 
     def test_unexpected_exception_is_internal_error(self, archive, capsys, monkeypatch):
-        def broken(text, discipline=None):
+        def broken(text):
             raise RuntimeError("boom")
 
         monkeypatch.setattr("vtrkit.cli.load_archive", broken)
@@ -550,6 +550,87 @@ class TestValidationByArea:
         assert main([*argv, "--discipline", "MCS", "--all"]) == 0
         assert capsys.readouterr().out == every_area
         assert decoded == ["BIO", "MCS"]
+
+
+#: three areas whose structures each clear the default --min-products of 10
+THREE_AREAS = SynthConfig(seed=3, disciplines=tuple(DisciplineSpec(code, 4, 10, 14) for code in ("BIO", "CHE", "MED")))
+
+#: the commands that read every area, and those that read MED alone
+EVERY_AREA = ["report --all", "report --all --format json", "report --all --format csv", "report", "validate", "profile"]
+ONE_AREA = [
+    f"{command} --discipline MED"
+    for command in ("report", "profile", "breakdown", "rank", "compare-ranks", "concordance", "probability")
+]
+
+
+@pytest.fixture()
+def three_areas(tmp_path) -> Path:
+    path = tmp_path / "three.json"
+    path.write_text(write_archive(generate_exercise(THREE_AREAS)), encoding="utf-8")
+    return path
+
+
+class TestOneDecodePath:
+    """A command hashes the archive's seal once, and decodes an area's rows
+    when it reads the area: each area it reads once, and no other."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch) -> dict[str, list]:
+        import vtrkit.model as model
+
+        calls = {"decoded": [], "hashed": []}
+        decode, digest = model._area_products, model.text_sha256
+        monkeypatch.setattr(model, "_area_products", lambda *args: calls["decoded"].append(args[-1]) or decode(*args))
+        monkeypatch.setattr(model, "text_sha256", lambda *args: calls["hashed"].append(args[-1]) or digest(*args))
+        return calls
+
+    @pytest.mark.parametrize("command", EVERY_AREA + ONE_AREA)
+    def test_each_area_read_is_decoded_once(self, three_areas, counted, capsys, command):
+        assert main([*command.split(), "--dataset", str(three_areas)]) == 0
+        assert counted["decoded"] == (["MED"] if "--discipline" in command else ["BIO", "CHE", "MED"])
+        assert len(counted["hashed"]) == 1
+
+    def test_a_report_holds_one_decoded_area_at_a_time(self, three_areas, monkeypatch):
+        import weakref
+
+        import vtrkit.model as model
+        from vtrkit.report import build_report
+
+        made, alive = [], []
+
+        class Tracked(model.Area):
+            def __init__(self, products):
+                super().__init__(products)
+                made.append(weakref.ref(self))
+                alive.append(sum(ref() is not None for ref in made))
+
+        monkeypatch.setattr(model, "Area", Tracked)
+        was_enabled = gc.isenabled()
+        gc.disable()  # an area that only a reference cycle keeps stays alive
+        try:
+            bundle = build_report(load_archive(three_areas.read_text(encoding="utf-8")))
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert list(bundle.disciplines) == ["BIO", "CHE", "MED"]
+        assert alive == [1, 1, 1]
+
+    @pytest.mark.parametrize("command", ["report --all", "validate"])
+    def test_a_damaged_row_in_the_last_area_stops_all_output(self, three_areas, tmp_path, capsys, command):
+        """The last area is read last, but its damaged row is still bad_archive
+        before any byte is written; a command on another area reads on."""
+        text = three_areas.read_text(encoding="utf-8")
+        rows = archive_rows(text)
+        row = json.loads(rows[-1])
+        row[5] = "Q"  # an unknown peer rating token
+        rows[-1] = json.dumps(row)
+        three_areas.write_text(reseal(text, rows), encoding="utf-8")
+        out = tmp_path / "out"
+        for to_file in ([], ["--out", str(out)]):
+            assert main([*command.split(), "--dataset", str(three_areas), *to_file]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, json.loads(captured.err)["error"]) == ("", "bad_archive")
+        assert not out.exists()
+        assert main(["report", "--dataset", str(three_areas), "--discipline", "BIO"]) == 0
 
 
 class TestGoldenReport:

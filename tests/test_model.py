@@ -35,7 +35,7 @@ from vtrkit.model import (
 )
 from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise
 
-from conftest import archive_rows, legacy_golden_text, reseal, rewritten
+from conftest import archive_rows, legacy_golden_text, read_archive, reseal, rewritten
 
 HEADER = "product_id,structure_id,discipline,year,product_type,peer_rating,tr_indexed,citations,journal_if,n_authors,n_internal_authors"
 
@@ -329,7 +329,7 @@ class TestParseProducts:
         assert [i.rule for i in report.errors] == rules
         if dataset is not None:
             assert load_archive(write_archive(dataset)) == dataset
-            assert load_archive(write_archive(dataset), "BIO") == dataset
+            assert load_archive(write_archive(dataset)).products_in("BIO") == dataset.products
 
     def test_lone_carriage_return_is_malformed_csv(self):
         """csv cannot split a line with a lone CR in an unquoted field; that
@@ -743,18 +743,19 @@ class TestArchive:
         assert write_archive(load_archive(text)) == text
 
     def test_load_releases_decoded_records(self):
-        """load_archive drops each decoded record once its Product is built, so
-        its peak stays well below the decoded document plus the products."""
+        """Reading an archive's products drops each decoded record once its
+        Product is built, so the peak stays well below the decoded document
+        plus the products."""
         text = write_archive(generate_exercise(SynthConfig(seed=42)))
         tracemalloc.start()
         try:
-            dataset = load_archive(text)
+            products = load_archive(text).products
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # ~380 bytes per product here; ~720 when the whole document was
         # decoded before any product was built
-        assert peak < 500 * len(dataset)
+        assert peak < 500 * len(products)
 
     @pytest.mark.parametrize("area", [None, "BIO"])
     def test_pretty_and_compact_legacy_archives_are_bad_archive(self, area):
@@ -766,7 +767,7 @@ class TestArchive:
         assert "\n" in pretty and "\n" not in compact
         for text in (pretty, compact):
             with pytest.raises(PipelineError) as err:
-                load_archive(text, area)
+                read_archive(text, area)
             assert (err.value.code, str(err.value)) == ("bad_archive", LEGACY_ERROR.format("format 'vtrkit-dataset/1'"))
 
     @pytest.mark.parametrize(
@@ -793,14 +794,14 @@ class TestArchive:
 
         text = rewritten(write_archive(parse_products(make_csv(*out_of_range_rows(in_range)))[0]), damage)
         with pytest.raises(PipelineError) as err:
-            load_archive(text)
+            read_archive(text)
         assert err.value.code == "bad_archive"
         assert str(err.value).startswith("invalid product row: ")
 
     @pytest.mark.parametrize("damage", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_archive_is_bad_archive(self, four_product_dataset, damage):
         with pytest.raises(PipelineError) as err:
-            load_archive(rewritten(write_archive(four_product_dataset), damage))
+            read_archive(rewritten(write_archive(four_product_dataset), damage))
         assert err.value.code == "bad_archive"
 
     def test_too_deeply_nested_archive_is_bad_archive(self, four_product_dataset):
@@ -810,7 +811,7 @@ class TestArchive:
         rows = archive_rows(sealed)
         rows[-1] = _DEEP
         with pytest.raises(PipelineError) as err:
-            load_archive(reseal(sealed, rows))
+            read_archive(reseal(sealed, rows))
         assert err.value.code == "bad_archive"
         assert str(err.value).startswith(_TOO_DEEP)
 
@@ -898,6 +899,10 @@ INDEX_TAMPERS = {
         _resealed_rows([0, 1, 2, 4, 3], ["BIO", "BIO", "CHE", "MED", "MED"]),
         "archive rows must be in strictly increasing key order",
     ),
+    "area_of_no_rows": (
+        lambda text: reseal(text, [*archive_rows(text)[:3], " "], ["BIO", "BIO", "CHE", "MED"]),
+        "the area index gives 'MED' no product rows",
+    ),
 }
 
 
@@ -968,33 +973,30 @@ class TestSealedArchive:
         decoded = []
         decode = model._area_products
         monkeypatch.setattr(model, "_area_products", lambda *args: decoded.append(args[-1]) or decode(*args))
-        dataset = load_archive(sealed, area)
+        assert load_archive(sealed).products_in(area) == expected
         assert decoded == [area]
-        assert dataset.products == expected
 
     @pytest.mark.parametrize("fmt", ["vtrkit-dataset/1", "vtrkit-dataset/3"])
     def test_area_load_of_each_format(self, sealed, fmt):
-        """Given an area, a current archive loads that area alone, and an
-        absent area is empty_discipline; an archive of the retired
-        vtrkit-dataset/1 format is bad_archive, for a present area or an
-        absent one."""
+        """A current archive's area reads as that area's run of all its
+        products, and an absent area is empty_discipline; an archive of the
+        retired vtrkit-dataset/1 format is bad_archive, for a present area or
+        an absent one."""
         text = {"vtrkit-dataset/1": legacy_golden_text(), "vtrkit-dataset/3": sealed}[fmt]
         assert json.loads(text)["format"] == fmt
         if fmt == "vtrkit-dataset/1":
             for area in ("BIO", "PHY"):
                 with pytest.raises(PipelineError) as err:
-                    load_archive(text, area)
+                    read_archive(text, area)
                 assert err.value.code == "bad_archive"
             return
-        dataset = load_archive(text)
-        scoped = load_archive(text, "CHE")
-        assert scoped.products == dataset.products_in("CHE") and scoped.provenance == dataset.provenance
+        assert read_archive(text, "CHE") == tuple(p for p in read_archive(text) if p.discipline == "CHE")
         with pytest.raises(PipelineError) as err:
-            load_archive(text, "PHY").products_in("PHY")
+            read_archive(text, "PHY")
         assert err.value.code == "empty_discipline"
 
     @pytest.mark.parametrize("relayout", RELAYOUTS.values(), ids=RELAYOUTS.keys())
-    @pytest.mark.parametrize("load", [load_archive, lambda text: load_archive(text, "CHE")], ids=["full", "area"])
+    @pytest.mark.parametrize("load", [load_archive, lambda text: read_archive(text, "CHE")], ids=["full", "area"])
     def test_relaid_out_sealed_archive_is_bad_archive(self, sealed, relayout, load):
         text = relayout(sealed)
         assert text != sealed
@@ -1002,7 +1004,7 @@ class TestSealedArchive:
             load(text)
         assert err.value.code == "bad_archive"
 
-    @pytest.mark.parametrize("load", [load_archive, lambda text: load_archive(text, "CHE")], ids=["full", "area"])
+    @pytest.mark.parametrize("load", [load_archive, lambda text: read_archive(text, "CHE")], ids=["full", "area"])
     def test_changed_record_byte_in_another_area_is_bad_archive(self, sealed, load):
         damaged = sealed.replace('"P5"', '"P6"')
         assert damaged != sealed
@@ -1019,13 +1021,13 @@ class TestSealedArchive:
         assert max(end - start for _, start, end in areas) > 2 * model.CHUNK
         assert load_archive(text) == dataset
         for area in dataset.disciplines:
-            assert load_archive(text, area).products == dataset.products_in(area)
+            assert read_archive(text, area) == dataset.products_in(area)
 
     def test_resealing_an_undamaged_archive_gives_its_bytes(self, sealed):
         assert reseal(sealed) == sealed
 
     @pytest.mark.parametrize("damage", ROW_DAMAGE.values(), ids=ROW_DAMAGE.keys())
-    @pytest.mark.parametrize("load", [load_archive, lambda text: load_archive(text, "MED")], ids=["full", "area"])
+    @pytest.mark.parametrize("load", [read_archive, lambda text: read_archive(text, "MED")], ids=["full", "area"])
     def test_damaged_row_is_bad_archive(self, sealed, damage, load):
         rows = archive_rows(sealed)
         rows[3] = json.dumps(damage(json.loads(rows[3])))  # P4, a MED row
@@ -1034,8 +1036,19 @@ class TestSealedArchive:
         assert err.value.code == "bad_archive"
         assert str(err.value).startswith("invalid product row: ")
 
+    def test_damaged_row_surfaces_when_its_area_is_read(self, sealed):
+        """The seal and the index are checked on load, and an area's rows when
+        the area is read: a damaged MED row leaves BIO and CHE readable."""
+        rows = archive_rows(sealed)
+        rows[3] = json.dumps(ROW_DAMAGE["unknown_rating_token"](json.loads(rows[3])))
+        dataset = load_archive(reseal(sealed, rows))
+        assert [len(dataset.products_in(area)) for area in ("BIO", "CHE")] == [2, 1]
+        with pytest.raises(PipelineError) as err:
+            dataset.products_in("MED")
+        assert err.value.code == "bad_archive"
+
     @pytest.mark.parametrize(("tamper", "message"), INDEX_TAMPERS.values(), ids=INDEX_TAMPERS.keys())
-    @pytest.mark.parametrize("load", [load_archive, lambda text: load_archive(text, "MED")], ids=["full", "area"])
+    @pytest.mark.parametrize("load", [read_archive, lambda text: read_archive(text, "MED")], ids=["full", "area"])
     def test_tampered_area_index_is_bad_archive(self, sealed, tamper, message, load):
         with pytest.raises(PipelineError) as err:
             load(tamper(sealed))
@@ -1043,7 +1056,7 @@ class TestSealedArchive:
         assert str(err.value).startswith(message)
 
     @pytest.mark.parametrize(("damage", "message"), UNDECODABLE.values(), ids=UNDECODABLE.keys())
-    @pytest.mark.parametrize("load", [load_archive, lambda text: load_archive(text, "MED")], ids=["full", "area"])
+    @pytest.mark.parametrize("load", [load_archive, lambda text: read_archive(text, "MED")], ids=["full", "area"])
     def test_undecodable_archive_is_bad_archive(self, sealed, damage, message, load):
         with pytest.raises(PipelineError) as err:
             load(damage(sealed))
@@ -1060,7 +1073,7 @@ class TestSealedArchive:
         ],
         ids=["row_cut_short", "row_misspelt", "provenance_misspelt", "index_misspelt"],
     )
-    @pytest.mark.parametrize("load", [load_archive, lambda text: load_archive(text, "MED")], ids=["full", "area"])
+    @pytest.mark.parametrize("load", [read_archive, lambda text: read_archive(text, "MED")], ids=["full", "area"])
     def test_json_syntax_error_is_named_at_its_offset_in_the_archive(self, sealed, damage, message, fault, load):
         """A syntax error is named at its character offset in the archive, not
         in the chunk of rows, the provenance or the area index decoded apart: a
@@ -1079,7 +1092,7 @@ class TestSealedArchive:
         text = _records_archive(sealed)
         assert json.loads(text)["format"] == "vtrkit-dataset/2"
         with pytest.raises(PipelineError) as err:
-            load_archive(text, area)
+            read_archive(text, area)
         assert (err.value.code, str(err.value)) == ("bad_archive", LEGACY_ERROR.format("format 'vtrkit-dataset/2'"))
 
     @pytest.mark.parametrize("area", [None, "BIO"])
@@ -1098,7 +1111,7 @@ class TestSealedArchive:
         assert not relaid_out.startswith('{"format"')
         for archive in (text, relaid_out):
             with pytest.raises(PipelineError) as err:
-                load_archive(archive, area)
+                read_archive(archive, area)
             assert (err.value.code, str(err.value)) == ("bad_archive", LEGACY_ERROR.format("format 'vtrkit-dataset/2'"))
 
     def test_repeated_provenance_key_is_bad_archive(self):
@@ -1113,7 +1126,7 @@ class TestSealedArchive:
         assert text.count('"source_name"') == 2
         for area in (None, "BIO"):
             with pytest.raises(PipelineError) as err:
-                load_archive(text, area)
+                read_archive(text, area)
             assert err.value.code == "bad_archive"
             assert str(err.value).startswith("archive provenance must be an object of the keys")
 
@@ -1199,7 +1212,7 @@ class TestArchivePieces:
         text = "".join(archive_lines(dataset))
         assert text == reference_archive(dataset)
         for area in dataset.disciplines:
-            assert load_archive(text, area).products == dataset.products_in(area)
+            assert read_archive(text, area) == dataset.products_in(area)
         assert load_archive(text) == dataset
 
     @pytest.mark.parametrize(("name", "rows_before"), [("at_edge", 0), ("row_after_edge", 1)])
@@ -1225,13 +1238,13 @@ def test_builds_leave_the_callers_gc_freeze_count():
     archive = write_archive(parse_products(THREE_AREA_CSV)[0])
     builds = [
         lambda: parse_products(THREE_AREA_CSV),
-        lambda: load_archive(archive),
-        lambda: load_archive(archive, "MED"),
+        lambda: read_archive(archive),
+        lambda: read_archive(archive, "MED"),
     ]
     failures = [
         lambda: load_archive("{not json"),
-        lambda: load_archive(archive.replace("P5", "P6")),
-        lambda: load_archive(archive.replace("P5", "P6"), "MED"),
+        lambda: read_archive(archive.replace("P5", "P6")),
+        lambda: read_archive(archive.replace("P5", "P6"), "MED"),
     ]
     was_enabled = gc.isenabled()
     try:

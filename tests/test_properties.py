@@ -65,7 +65,7 @@ from vtrkit.scoring import structure_ratings
 from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise, load_synth_config
 from vtrkit.tables import fmt, fmt_p, fmt_pct
 
-from conftest import archive_rows, group_stats, reseal, rewritten, round_half_up
+from conftest import archive_rows, group_stats, read_archive, reseal, rewritten, round_half_up
 
 # derandomized so tier-1 stays deterministic; small budgets keep it fast
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -727,7 +727,7 @@ def test_damaged_archive_raises_only_pipeline_error(field, value):
         container[key] = value
 
     try:
-        load_archive(rewritten(ARCHIVE, damage))
+        read_archive(rewritten(ARCHIVE, damage))
     except PipelineError:
         pass
 
@@ -747,24 +747,23 @@ def test_damaged_row_raises_only_pipeline_error(dataset, extra, at, field, value
     row[field] = value
     rows[at] = json.dumps(row)
     damaged = reseal(archive, rows, areas)
-    for load in (load_archive, lambda text: load_archive(text, areas[at])):
+    for area in (None, areas[at]):
         try:
-            load(damaged)
+            read_archive(damaged, area)
         except PipelineError:
             pass
 
 
 @PROPERTY
-@given(datasets)
-def test_area_load_equals_full_load(dataset):
-    """Loading one area of a sealed archive gives the products and provenance
-    of the full load, or the same empty_discipline error for an absent area."""
-    archive = write_archive(dataset)
-    full = load_archive(archive)
-    for area in [*full.disciplines, "PHY"]:
-        scoped = load_archive(archive, area)
-        assert scoped.provenance == full.provenance
-        assert _outcome(scoped.products_in, area) == _outcome(full.products_in, area)
+@given(datasets, st.data())
+def test_area_load_equals_full_load(dataset, data):
+    """Reading the areas of a loaded archive in any order, with repeats, gives
+    the products of each area of the dataset written, or the same
+    empty_discipline error for an absent area."""
+    loaded = load_archive(write_archive(dataset))
+    assert (loaded.provenance, loaded.disciplines) == (dataset.provenance, dataset.disciplines)
+    for area in data.draw(st.lists(st.sampled_from([*dataset.disciplines, "PHY"]), max_size=8)):
+        assert _outcome(loaded.products_in, area) == _outcome(dataset.products_in, area)
 
 
 _AREA_ROWS = [*_ROWS, "P3,S3,MED,2003,journal_article,A,true,1,0.5,1,1", "P4,S3,MED,2003,book,L,false,,,1,1"]

@@ -74,6 +74,11 @@ class TestTableHelpers:
     def test_csv_text_deterministic_newlines(self):
         text = csv_text(["a", "b"], [[1, 2]])
         assert text == "a,b\n1,2\n"
+        # an identifier holding a CR, a LF, a "," or a '"' reads back whole, at the header's width
+        ids = ["S\r1", "S\n2", "S,3", 'S"4', '\r\n,"']
+        text = csv_text(["structure", "n"], [[sid, n] for n, sid in enumerate(ids)])
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows == [["structure", "n"], *([sid, str(n)] for n, sid in enumerate(ids))]
 
     def test_json_text_sorts_keys(self):
         assert json_text({"b": 1, "a": 2}).index('"a"') < json_text({"b": 1, "a": 2}).index('"b"')
