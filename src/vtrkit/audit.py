@@ -13,7 +13,7 @@ from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .model import CHUNK, FLOAT_MAX, Dataset, PipelineError, Product
+from .model import FLOAT_MAX, Dataset, PipelineError, Product, pieces
 
 if TYPE_CHECKING:
     from .ingest import StaffRecord
@@ -53,25 +53,19 @@ class ValidationReport:
     def json_parts(self) -> Iterator[str]:
         """``json.dumps(self.as_dict(), sort_keys=True)`` and a newline, in parts: an f-string per issue
         (int row, str rule and message), as the archive writer writes a product: faster, and no dict per issue.
-        The issues are joined into parts of about 8 KiB, and each distinct rule and message is quoted once."""
+        The issues are joined into ``model.pieces``, and each distinct rule and message is quoted once."""
         yield f'{{"accepted_count": {self.accepted_count}, "errors": ['
         quoted: dict[str, str] = {}
         for issues, end in ((self.errors, '], "warnings": ['), (self.warnings, "]}\n")):
-            texts: list[str] = []  # the issues of the part being joined
-            size = 0
-            for row, rule, msg in issues:
-                if size >= CHUNK:
-                    yield ", ".join(texts) + ", "
-                    texts.clear()
-                    size = 0
-                if (q_msg := quoted.get(msg)) is None:
-                    q_msg = quoted[msg] = _quote(msg)
-                if (q_rule := quoted.get(rule)) is None:
-                    q_rule = quoted[rule] = _quote(rule)
-                text = f'{{"message": {q_msg}, "row": {row}, "rule": {q_rule}}}'
-                texts.append(text)
-                size += len(text)
-            yield ", ".join(texts)
+            texts = (
+                f'{{"message": {quoted.get(msg) or quoted.setdefault(msg, _quote(msg))}, "row": {row}, '
+                f'"rule": {quoted.get(rule) or quoted.setdefault(rule, _quote(rule))}}}'
+                for row, rule, msg in issues
+            )
+            lead = ""  # what the next part opens with: the ", " after the issue before it
+            for run in pieces(texts):
+                yield lead + ", ".join(run)
+                lead = ", "
             yield end
 
 

@@ -141,10 +141,10 @@ def cmd_compare_ranks(args) -> int:
         from .tables import plot_data_text
         _write_out(plot_data_text(comparison), args.plot_data)
     if args.format == "md":
-        from .tables import comparison_md
+        from .tables import comparison_md, md_cell
         text = comparison_md(comparison)
         if comparison.dropped:
-            text += f"- present in only one ranking: {', '.join(comparison.dropped)}\n"
+            text += f"- present in only one ranking: {', '.join(map(md_cell, comparison.dropped))}\n"
     else:
         text = _render(args.format, "COMPARISON", comparison.entries, payload=comparison)
     _write_out(text, args.out)

@@ -14,7 +14,6 @@ from typing import Iterator
 
 from .audit import ValidationReport, warn_tr_missing
 from .model import (
-    CHUNK,
     DUPLICATE_PRODUCT,
     FLOAT_MAX,
     KNOWN_DISCIPLINES,
@@ -27,6 +26,7 @@ from .model import (
     Product,
     Provenance,
     csv_field,
+    pieces,
     read_text_file,
     text_sha256,
 )
@@ -238,9 +238,9 @@ def _csv_lines(rows) -> Iterator[str]:
 
 
 def _csv_piece(lines: list[str], products: tuple[Product, ...], start: int) -> str:
-    """The joined ``lines`` of the products from ``products[start]`` on.
-    Only an identifier can add a ",", a LF, a ``"`` or a CR to a line, so a
-    piece with exactly 10 commas and one LF per line and neither of the
+    """The joined ``lines`` of the area's ``products`` from ``products[start]``
+    on.  Only an identifier can add a ",", a LF, a ``"`` or a CR to a line, so
+    a piece with exactly 10 commas and one LF per line and neither of the
     others needs no quotes; any other piece is rendered again with its
     identifiers quoted."""
     piece = "".join(lines)
@@ -253,23 +253,18 @@ def _csv_piece(lines: list[str], products: tuple[Product, ...], start: int) -> s
 
 def serialize_products(dataset: Dataset) -> str:
     """Render a dataset back to the products file format in canonical order,
-    which ``parse_products`` reads back whole.  The lines are joined into
-    pieces of about 8 KiB, as ``model.archive_lines`` joins archive rows, and
-    the pieces once at the end."""
-    products = dataset.products
-    pieces = [",".join(PRODUCTS_HEADER) + "\n"]
-    lines: list[str] = []  # the lines of the piece being joined
-    start = size = 0  # the index of the piece's first product, and the piece's size so far
-    for line in _csv_lines(products):
-        if size >= CHUNK:
-            pieces.append(_csv_piece(lines, products, start))
+    which ``parse_products`` reads back whole.  The dataset is walked area by
+    area, as ``model.archive_lines`` walks it, so a loaded archive is decoded
+    one area at a time; each area's lines are joined into ``model.pieces``,
+    and the pieces once at the end."""
+    parts = [",".join(PRODUCTS_HEADER) + "\n"]
+    for area in dataset.disciplines:
+        products, start = dataset.products_in(area), 0
+        for lines in pieces(_csv_lines(products)):
+            parts.append(_csv_piece(lines, products, start))
             start += len(lines)
-            lines.clear()
-            size = 0
-        lines.append(line)
-        size += len(line)
-    pieces.append(_csv_piece(lines, products, start))
-    return "".join(pieces)
+        del products  # before the next area is decoded
+    return "".join(parts)
 
 
 def parse_staff(text: str) -> dict[str, StaffRecord]:

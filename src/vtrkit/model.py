@@ -402,47 +402,29 @@ def _product_row(p: Product) -> str:
 
 
 def archive_lines(dataset: Dataset) -> Iterator[str]:
-    """The canonical archive, in pieces: a JSON document with the format and
+    r"""The canonical archive, in pieces: a JSON document with the format and
     provenance first, then one product row per line, floats in their shortest
     round-trip form, so re-emitting a loaded archive gives the same bytes.  A
     trailing seal indexes each area's rows and holds the sha256 of every byte
-    before it.  The rows are joined into pieces of about ``CHUNK``
-    characters, each hashed as it is yielded, so the text held at once stays
-    small whatever the dataset's size.  A dataset without products has an
-    empty products block and an empty area index."""
-    head = (
-        f'{{"format": "{ARCHIVE_FORMAT}",\n'
-        f'"provenance": {json.dumps(dataset.provenance._asdict(), sort_keys=True)},\n'
-        '"products": [\n'
-    )
+    before it.  The areas are read one at a time, each one's rows joined into
+    ``pieces`` that are hashed as they are yielded, each after the first led
+    by the ",\n" before it, so the text and rows held at once stay small.  A
+    dataset without products has an empty products block and an empty index."""
+    head = f'{_SEALED_HEAD}"provenance": {json.dumps(dataset.provenance._asdict(), sort_keys=True)},\n"products": [\n'
     yield head
     digest = hashlib.sha256(head.encode("utf-8"))
-    starts: list[tuple[str, int]] = []  # each area, and where its first row starts in the products block
-    area = None
-    rows: list[str] = []  # the rows of the piece being joined
-    at = size = 0  # where the piece starts in the products block, and its size with a ",\n" after each row
-    for p in dataset.products:
-        if size >= CHUNK:
-            piece = ",\n".join(rows) + ",\n"
+    areas = []  # per area: [name, offset of its first row in the block, offset of the line end after its last]
+    at, lead = 0, ""  # the size of the products block so far, and what its next piece opens with
+    for area in dataset.disciplines:
+        start = at + len(lead)
+        for rows in pieces(map(_product_row, dataset.products_in(area))):
+            piece = lead + ",\n".join(rows)
             digest.update(piece.encode("utf-8"))
             yield piece
-            rows.clear()
-            at, size = at + size, 0
-        row = _product_row(p)
-        if p[2] != area:  # p.discipline
-            area = p[2]
-            starts.append((area, at + size))
-        rows.append(row)
-        size += len(row) + 2
-    if rows:  # the last piece, which ends the block with "\n" in place of ",\n"; only an empty dataset has none
-        piece = ",\n".join(rows) + "\n"
-        digest.update(piece.encode("utf-8"))
-        yield piece
-    at += size - 1
-    # an area's rows end where the next area's start, less the ",\n" between them
-    ends = [start - 2 for _, start in starts[1:]] + [at - 1]
-    areas = [[area, start, end] for (area, start), end in zip(starts, ends)]
-    seal = f'],\n"seal": {{"areas": {json.dumps(areas)}, "sha256": "'
+            at, lead = at + len(piece), ",\n"
+        areas.append([area, start, at])
+    # the block's final "\n", which only an empty block lacks, goes out with the seal
+    seal = f'{lead[1:]}],\n"seal": {{"areas": {json.dumps(areas)}, "sha256": "'
     digest.update(seal.encode("utf-8"))
     yield seal + digest.hexdigest() + '"}}\n'
 
@@ -468,11 +450,26 @@ _FORMAT_ERROR = (
 #: The format string an archive opens with, in any layout, when it needs no
 #: JSON escape: read only to name it in ``_FORMAT_ERROR``.
 _FORMAT_HEAD = re.compile(r'\{\s*"format"\s*:\s*"([^"\\\x00-\x1f]*)"')
-#: characters hashed, rows written, or rows decoded, at a time, and those of
-#: a piece of the products file or of ``ingest``'s issue record: checking a
-#: seal never copies the whole text, and a chunk this small is reused from the
-#: heap instead of raising peak memory
+#: characters hashed, written, or decoded, at a time: checking a seal never
+#: copies the whole text, and a chunk this small is reused from the heap
+#: instead of raising peak memory
 CHUNK = 1 << 13
+
+
+def pieces(texts: Iterable[str]) -> Iterator[list[str]]:
+    """``texts`` in runs of about ``CHUNK`` characters, each text counted with
+    a 2-character separator after it: every streamed writer, of the archive,
+    the products file or an issue record, joins its text a run at a time."""
+    run, size = [], 0
+    for text in texts:
+        run.append(text)
+        size += len(text) + 2
+        if size >= CHUNK:
+            yield run
+            run, size = [], 0
+    if run:
+        yield run
+
 
 #: the characters that put a CSV field in double quotes
 _NEEDS_QUOTES = re.compile('[,"\r\n]')

@@ -21,7 +21,7 @@ from .jsonout import as_json, json_text
 from .model import Dataset
 from .scoring import compile_ranking, rank_comparison, structure_ratings
 from .tables import BREAKDOWN, CHI_SQUARE, CONTINGENCY, PROBABILITIES, PROFILE, RANKING, STRUCTURE_CORRELATIONS
-from .tables import comparison_md, contingency_rows, csv_section, ranking_md, render
+from .tables import comparison_md, contingency_rows, csv_section, md_cell, ranking_md, render
 
 
 class StructureCorrelation(namedtuple("StructureCorrelation", "pair result note")):
@@ -134,11 +134,11 @@ def render_report_md(bundle: ReportBundle) -> str:
             parts.append("### Rank comparison (peer vs citation compilation)\n")
             parts.append(comparison_md(c))
             if c.favored_by_a:
-                parts.append(f"- most favored by {c.metric_a}: {', '.join(c.favored_by_a[:4])}\n")
+                parts.append(f"- most favored by {c.metric_a}: {', '.join(map(md_cell, c.favored_by_a[:4]))}\n")
             if c.favored_by_b:
-                parts.append(f"- most favored by {c.metric_b}: {', '.join(c.favored_by_b[:4])}\n")
+                parts.append(f"- most favored by {c.metric_b}: {', '.join(map(md_cell, c.favored_by_b[:4]))}\n")
             if c.unchanged:
-                parts.append(f"- unchanged positions: {', '.join(c.unchanged)}\n")
+                parts.append(f"- unchanged positions: {', '.join(map(md_cell, c.unchanged))}\n")
         elif section.comparison_note:
             parts.append(f"- note: {section.comparison_note}\n")
     return "".join(parts)

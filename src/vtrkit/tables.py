@@ -8,8 +8,8 @@ table, so it lives apart, in ``jsonout``: JSON output does not import this
 module.
 
 Markdown and CSV cells use fixed precision: two decimals for table values,
-three for p-values, with p below 0.001 shown as "<0.001".  All rendering is
-deterministic for a given dataset and flags.
+three for p-values, with p below 0.001 shown as "<0.001"; ``md_cell`` escapes
+a markdown cell.  All rendering is deterministic for a given dataset and flags.
 
 This module imports only ``model``, whose ``csv_field`` quotes every CSV cell:
 a command that renders a table loads neither ``csv`` nor a statistic it does not run.
@@ -17,6 +17,7 @@ a command that renders a table loads neither ``csv`` nor a statistic it does not
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -69,8 +70,20 @@ def fmt_p(p: float | None) -> str:
     return _places(p, 3)
 
 
+#: the characters a markdown cell writes after a backslash, and what it writes for each
+_MD_ESCAPES = str.maketrans({"\\": "\\\\", "|": "\\|", "\r": "\\r", "\n": "\\n"})
+_MD_SPECIAL = re.compile(r"[\\|\r\n]")
+
+
+def md_cell(text: str) -> str:
+    r"""``text`` as a markdown table cell or list item, each ``\``, ``|``, CR and LF
+    after a backslash (``\n`` for LF), so a row keeps its cells and its line."""
+    return text.translate(_MD_ESCAPES) if _MD_SPECIAL.search(text) else text
+
+
 def md_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    return "".join("| " + " | ".join(map(str, row)) + " |\n" for row in (headers, ["---"] * len(headers), *rows))
+    lines = (headers, ["---"] * len(headers), *rows)
+    return "".join("| " + " | ".join(map(md_cell, map(str, row))) + " |\n" for row in lines)
 
 
 def csv_text(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -269,7 +282,7 @@ def ranking_md(r: Ranking) -> str:
     """Ranking table with the structures it had to exclude."""
     text = render(RANKING, r.entries, "md")
     if r.excluded:
-        text += f"- excluded (no TR articles): {', '.join(r.excluded)}\n"
+        text += f"- excluded (no TR articles): {', '.join(map(md_cell, r.excluded))}\n"
     return text
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -590,11 +591,13 @@ class TestOneDecodePath:
         assert counted["decoded"] == (["MED"] if "--discipline" in command else ["BIO", "CHE", "MED"])
         assert len(counted["hashed"]) == 1
 
-    def test_a_report_holds_one_decoded_area_at_a_time(self, three_areas, monkeypatch):
+    @pytest.fixture()
+    def alive(self, monkeypatch):
+        """The number of decoded areas alive as each one is made, counted with
+        the collector off: an area that only a reference cycle keeps stays alive."""
         import weakref
 
         import vtrkit.model as model
-        from vtrkit.report import build_report
 
         made, alive = [], []
 
@@ -606,13 +609,26 @@ class TestOneDecodePath:
 
         monkeypatch.setattr(model, "Area", Tracked)
         was_enabled = gc.isenabled()
-        gc.disable()  # an area that only a reference cycle keeps stays alive
-        try:
-            bundle = build_report(load_archive(three_areas.read_text(encoding="utf-8")))
-        finally:
-            (gc.enable if was_enabled else gc.disable)()
+        gc.disable()
+        yield alive
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_a_report_holds_one_decoded_area_at_a_time(self, three_areas, alive):
+        from vtrkit.report import build_report
+
+        bundle = build_report(load_archive(three_areas.read_text(encoding="utf-8")))
         assert list(bundle.disciplines) == ["BIO", "CHE", "MED"]
         assert alive == [1, 1, 1]
+
+    @pytest.mark.parametrize("write", [write_archive, serialize_products])
+    def test_a_rewrite_holds_one_decoded_area_at_a_time(self, three_areas, alive, write):
+        """Re-writing a loaded archive, as an archive or as a products file,
+        reads it through its areas, each decoded once, one at a time."""
+        text = three_areas.read_text(encoding="utf-8")
+        written = write(load_archive(text))
+        assert alive == [1, 1, 1]
+        if write is write_archive:
+            assert written == text
 
     @pytest.mark.parametrize("command", ["report --all", "validate"])
     def test_a_damaged_row_in_the_last_area_stops_all_output(self, three_areas, tmp_path, capsys, command):
@@ -726,3 +742,43 @@ def test_main_leaves_the_collector_as_it_found_it(archive, tmp_path, capsys):
     ):
         assert main(argv) == 0
         assert (gc.isenabled(), gc.get_freeze_count()) == (True, 0)
+
+
+class TestMarkdownEscapes:
+    """A structure id with a ``|`` or a LF is escaped in every markdown
+    table cell and list item it reaches, so each row keeps its header's cell
+    count and its own line; ids without them keep their bytes."""
+
+    @pytest.fixture()
+    def odd_ids(self, tmp_path) -> tuple[Path, Path]:
+        dataset = generate_exercise(SynthConfig(seed=3, disciplines=(DisciplineSpec("BIO", 3, 20, 30),)))
+        products = dataset.products_in("BIO")
+        rename = dict(zip(sorted({p.structure_id for p in products}), ("A|B", "C\nD")))
+        products = [p._replace(structure_id=rename.get(p.structure_id, p.structure_id)) for p in products]
+        archive = tmp_path / "odd.json"
+        archive.write_text(write_archive(Dataset.from_products(products, dataset.provenance)), encoding="utf-8")
+        staff = tmp_path / "staff.csv"
+        staff.write_text('structure_id,kind,avg_staff\n"A|B",agency,1\n"C\nD",university,1\n', encoding="utf-8")
+        return archive, staff
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "rank --discipline BIO --min-products 1",
+            "compare-ranks --discipline BIO --min-products 1",
+            "report --min-products 1",
+            "validate --staff {staff}",
+        ],
+    )
+    def test_rows_keep_their_headers_cell_count(self, odd_ids, capsys, command):
+        archive, staff = odd_ids
+        assert main([*command.format(staff=staff).split(), "--dataset", str(archive), "--format", "md"]) == 0
+        out = capsys.readouterr().out
+        assert "A\\|B" in out
+        assert "A|B" not in out and "C\nD" not in out
+        header = 0
+        for previous, line in zip([""] + out.splitlines(), out.splitlines()):
+            if line.startswith("|"):
+                cells = re.sub(r"\\.", "", line).count("|") - 1  # a cell is bounded by unescaped bars
+                header = cells if not previous.startswith("|") else header
+                assert cells == header, line

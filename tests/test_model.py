@@ -1192,7 +1192,7 @@ def _edge_datasets() -> dict[str, Dataset]:
     first = _area_rows("BIO", 4 * model.CHUNK // 60)
     pieces = list(archive_lines(Dataset(tuple(first), provenance)))[1:-1]
     assert len(pieces) > 3
-    edge = pieces[0].count("\n")  # rows in the first piece
+    edge = pieces[0].count("\n") + 1  # rows in the first piece, joined by ",\n"
     second = _area_rows("MED", 3 * model.CHUNK // 60)
     areas = (DisciplineSpec("BIO", 30, 4, 40), DisciplineSpec("CHE", 1, 1, 1), DisciplineSpec("MED", 30, 4, 40))
     return {
@@ -1215,12 +1215,16 @@ class TestArchivePieces:
             assert read_archive(text, area) == dataset.products_in(area)
         assert load_archive(text) == dataset
 
-    @pytest.mark.parametrize(("name", "rows_before"), [("at_edge", 0), ("row_after_edge", 1)])
-    def test_second_area_starts_its_rows_into_a_piece(self, name, rows_before):
-        pieces = list(archive_lines(EDGE_DATASETS[name]))[1:-1]
-        piece = next(piece for piece in pieces if '"MED"' in piece)
-        assert piece is not pieces[0]
-        assert ['"MED"' in row for row in piece.split(",\n")[: rows_before + 1]] == [False] * rows_before + [True]
+    @pytest.mark.parametrize("dataset", EDGE_DATASETS.values(), ids=EDGE_DATASETS.keys())
+    def test_each_area_starts_a_piece(self, dataset):
+        """A piece holds one area's rows, and each area's first row opens a
+        piece, after the ",\n" that ends the row before it."""
+        firsts = []
+        for piece in list(archive_lines(dataset))[1:-1]:
+            rows = piece.removeprefix(",\n").split(",\n")
+            assert len({json.loads(row)[2] for row in rows}) == 1
+            firsts.append(rows[0])
+        assert {_product_row(dataset.products_in(area)[0]) for area in dataset.disciplines} <= set(firsts)
 
     @pytest.mark.parametrize("dataset", EDGE_DATASETS.values(), ids=EDGE_DATASETS.keys())
     def test_pieces_stay_near_the_chunk_size(self, dataset):

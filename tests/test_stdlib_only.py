@@ -126,3 +126,24 @@ def test_no_module_imports_another_modules_private_name():
         if alias.name.startswith("_")
     )
     assert private == []
+
+
+def test_only_model_pieces_compares_a_size_with_the_chunk():
+    """Text is cut into pieces in one place: no library module names
+    ``CHUNK`` but ``model``, and no code there compares a size with it but
+    ``pieces``, which every streamed writer joins its text through."""
+    holders = sorted(path.name for path in (SRC / "vtrkit").glob("*.py") if "CHUNK" in path.read_text("utf-8"))
+    assert holders == ["model.py"]
+    tree = ast.parse((SRC / "vtrkit" / "model.py").read_text("utf-8"))
+
+    def comparisons(node: ast.AST) -> list[ast.Compare]:
+        return [
+            n
+            for n in ast.walk(node)
+            if isinstance(n, ast.Compare)
+            and any(isinstance(side, ast.Name) and side.id == "CHUNK" for side in (n.left, *n.comparators))
+        ]
+
+    pieces = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "pieces")
+    assert comparisons(pieces)
+    assert comparisons(tree) == comparisons(pieces)
