@@ -11,7 +11,8 @@ At module level this imports only ``model``; each command imports the modules
 it runs inside its own function, so ``ingest`` loads no statistics, a single
 table loads no report builder, and no query on an archive loads the CSV code
 of ``ingest``.  A command imports ``tables`` for md and csv alone: as JSON,
-its result goes through ``jsonout`` (``_render``).  ``run``, the program, is
+its result goes through ``jsonout`` (``_render``; ``concordance`` picks a
+battery's layout in ``tables`` the same way).  ``run``, the program, is
 the only code that touches the garbage collector: a command makes no cyclic
 garbage that grows with its data, so the program runs it with the collector
 off.  ``main``, which callers may run in their own process, leaves the
@@ -152,10 +153,16 @@ def cmd_compare_ranks(args) -> int:
 
 
 def cmd_concordance(args) -> int:
-    from .battery import build_battery, render_battery
+    from .concordance import build_battery
     dataset = _load_dataset(args.dataset)
     battery = build_battery(dataset.area(args.discipline), VARIABLE_BY_FLAG[args.variable], args.coding)
-    _write_out(render_battery(battery, args.format, args.discipline), args.out)
+    if args.format == "json":
+        from .jsonout import as_json, json_text
+        text = json_text({"discipline": args.discipline, **as_json(battery)})
+    else:
+        from . import tables
+        text = tables.battery_md(battery) if args.format == "md" else tables.battery_csv(battery)
+    _write_out(text, args.out)
     return 0
 
 

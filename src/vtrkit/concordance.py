@@ -4,6 +4,12 @@ Quartile binning of a bibliometric variable, contingency tables of peer
 rating against quartile, Pearson chi-square independence testing, Spearman
 rank correlation with tie correction, and exact pairwise citation
 probabilities for adjacent rating groups.
+
+``build_battery`` runs them all on one ``RatingSample`` of an area and a
+variable; a statistic that cannot be computed leaves a note (``noted``).
+This module needs no indicator, ranking or table code, so the
+``concordance`` and ``probability`` commands load none: the battery's md and
+csv layouts live in ``tables``.
 """
 
 from __future__ import annotations
@@ -361,3 +367,37 @@ def _table_spearman(table: ContingencyTable) -> CorrelationResult:
     sxy = sum(c * a * b for row, a in zip(table.counts, dx[::-1]) for c, b in zip(row, dy))
     sxx, syy = (sum(c * d * d for c, d in zip(m, ds)) for m, ds in ((rows, dx), (columns, dy)))
     return _rank_correlation(sxy / 4, sxx / 4, syy / 4, n)
+
+
+class VariableBattery(
+    namedtuple("VariableBattery", "variable contingency chi_square product_spearman probabilities notes")
+):
+    """One area's battery on one variable: its ``ContingencyTable``,
+    ``ChiSquareResult`` and product-level ``CorrelationResult``, each or None,
+    its ``AdjacentPairResult``s, and a note per statistic that failed."""
+
+    __slots__ = ()
+
+
+def noted(call, *args):
+    """``(call(*args), None)``, or ``(None, "code: message")`` when the call
+    raises a PipelineError: the note each failed statistic leaves in a report."""
+    try:
+        return call(*args), None
+    except PipelineError as exc:
+        return None, f"{exc.code}: {exc}"
+
+
+def build_battery(area: Area, variable: str, coding: str = "quartile") -> VariableBattery:
+    """The battery of ``area``, whose cached rating groups hold the sorted
+    sample."""
+    sample, note = noted(RatingSample, area, variable)
+    contingency = None
+    if sample is not None:
+        contingency, note = noted(sample.contingency)
+    if contingency is None:
+        return VariableBattery(variable, None, None, None, [], [note])
+    chi_square, chi_note = noted(chi_square_independence, contingency.counts)
+    product_spearman, spearman_note = noted(sample.spearman, coding)
+    notes = [n for n in (chi_note, spearman_note) if n is not None]
+    return VariableBattery(variable, contingency, chi_square, product_spearman, sample.probabilities(), notes)

@@ -2,10 +2,11 @@
 and JSON rendering.
 
 ``build_report`` runs every builder on every chosen area: the profile and
-rating breakdown (``indicators``), the battery per variable (``battery``),
-the ranking and rank comparison (``scoring``).  The table specs and
-formatters live in ``tables``, ``as_json`` in ``jsonout``, and the battery's
-entry points in ``battery``.
+rating breakdown (``indicators``), the battery per variable
+(``concordance``), the ranking and rank comparison (``scoring``).  The table
+specs and layouts, the battery's among them, live in ``tables``, ``as_json``
+in ``jsonout``.  The markdown writes the source name and each area code
+through ``tables.md_cell``, as its tables write an identifier.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from collections import namedtuple
 from typing import Sequence
 
 from .audit import validate_dataset
-from .battery import battery_md, build_battery, noted
-from .concordance import VARIABLES, spearman
+from .concordance import VARIABLES, build_battery, noted, spearman
 from .indicators import discipline_profile, rating_breakdown
 from .jsonout import as_json, json_text
 from .model import Dataset
 from .scoring import compile_ranking, rank_comparison, structure_ratings
 from .tables import BREAKDOWN, CHI_SQUARE, CONTINGENCY, PROBABILITIES, PROFILE, RANKING, STRUCTURE_CORRELATIONS
-from .tables import comparison_md, contingency_rows, csv_section, md_cell, ranking_md, render
+from .tables import battery_md, comparison_md, contingency_rows, csv_section, md_cell, ranking_md, render
 
 
 class StructureCorrelation(namedtuple("StructureCorrelation", "pair result note")):
@@ -109,14 +109,14 @@ def build_report(
 
 def render_report_md(bundle: ReportBundle) -> str:
     parts = ["# Assessment analysis report\n"]
-    parts.append(f"- source: {bundle.source_name}\n- digest: {bundle.source_digest}\n")
+    parts.append(f"- source: {md_cell(bundle.source_name)}\n- digest: {bundle.source_digest}\n")
     parts.append("\n## Validation\n")
     if bundle.validation_notes:
         parts.extend(f"- {note}\n" for note in bundle.validation_notes)
     else:
         parts.append("- no issues\n")
     for discipline, section in bundle.disciplines.items():
-        parts.append(f"\n## Discipline {discipline}\n")
+        parts.append(f"\n## Discipline {md_cell(discipline)}\n")
         parts.append("### Profile\n")
         parts.append(render(PROFILE, [section.profile], "md"))
         parts.append("### Peer rating breakdown\n")

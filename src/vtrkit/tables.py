@@ -3,9 +3,10 @@
 Each table is declared once, as a ``Table`` of ``Column``s: a header and a
 cell function per column, with a separate CSV column list only where the flat
 CSV layout differs from the markdown one (bracketed ratios, percentages).
-``render`` turns a table and its items into markdown or CSV.  JSON needs no
-table, so it lives apart, in ``jsonout``: JSON output does not import this
-module.
+``render`` turns a table and its items into markdown or CSV; the layouts
+that join several tables (a ranking with its exclusions, a rank comparison,
+a concordance battery) are functions beside them.  JSON needs no table, so
+it lives apart, in ``jsonout``: JSON output does not import this module.
 
 Markdown and CSV cells use fixed precision: two decimals for table values,
 three for p-values, with p below 0.001 shown as "<0.001"; ``md_cell`` escapes
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from .model import RATING_ORDER, csv_field
 
 if TYPE_CHECKING:
-    from .concordance import AdjacentPairResult, ContingencyTable
+    from .concordance import AdjacentPairResult, ContingencyTable, VariableBattery
     from .scoring import RankComparison, Ranking
 
 
@@ -292,6 +293,52 @@ def comparison_md(c: RankComparison) -> str:
         f"- median |delta| = {fmt(c.median_abs_delta, 1)} "
         f"({fmt_pct(c.median_fraction)} of the compilation length)\n"
     )
+
+
+VARIABLE_LABELS = {"citations": "article citations", "journal_if": "journal impact factor"}
+
+
+def battery_md(battery: VariableBattery) -> str:
+    """One variable's battery: its notes, tables and test lines."""
+    label = VARIABLE_LABELS[battery.variable]
+    parts = [f"### Concordance: {label}\n"]
+    for note in battery.notes:
+        parts.append(f"- note: {note}\n")
+    if battery.contingency is not None:
+        parts.append("Conditional distribution of the quartile-coded variable given peer rating (row %):\n")
+        parts.append(render(CONTINGENCY, contingency_rows(battery.contingency), "md"))
+        if battery.contingency.bins.degenerate:
+            parts.append("- note: quartile cutpoints coincide (heavy ties)\n")
+    if battery.chi_square is not None:
+        c = battery.chi_square
+        flag = " (low expected counts)" if c.low_expected else ""
+        parts.append(
+            f"Pearson chi-square independence: statistic = {fmt(c.statistic)}, "
+            f"df = {c.df}, p = {fmt_p(c.p_value)}{flag}\n"
+        )
+    if battery.product_spearman is not None:
+        s = battery.product_spearman
+        parts.append(
+            f"Product-level Spearman (peer vs {label}): "
+            f"sigma = {fmt(s.coefficient)}, p = {fmt_p(s.p_value)}, n = {s.n}\n"
+        )
+    if battery.probabilities:
+        parts.append("Adjacent-rating pairwise probabilities:\n")
+        parts.append(render(PROBABILITIES, battery.probabilities, "md"))
+    return "".join(parts)
+
+
+def battery_csv(battery: VariableBattery) -> str:
+    """CSV rendering: one '# <name>' section per result the battery holds."""
+    sections = []
+    if battery.contingency is not None:
+        sections.append(("contingency_row_percentages", CONTINGENCY, contingency_rows(battery.contingency)))
+    if battery.chi_square is not None:
+        sections.append(("chi_square", CHI_SQUARE, [battery.chi_square]))
+    if battery.product_spearman is not None:
+        sections.append(("product_spearman", PRODUCT_SPEARMAN, [battery.product_spearman]))
+    sections.append(("probabilities", PROBABILITIES, battery.probabilities))
+    return "".join(csv_section(name, table, (), [((), item) for item in items]) for name, table, items in sections)
 
 
 def plot_data_text(c: RankComparison) -> str:

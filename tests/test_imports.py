@@ -173,10 +173,15 @@ def test_report_and_battery_load_no_exact_arithmetic_or_csv(command, tmp_path):
     assert not NOT_FOR_REPORT & set(child["modules"]), sorted(NOT_FOR_REPORT & set(child["modules"]))
 
 
-def test_csv_report_loads_neither_csv_nor_ingest(tmp_path):
-    """CSV output quotes its fields with ``model.csv_field``: ``csv`` is for
-    the input parsers alone."""
-    argv = ["report", "--dataset", str(GOLDEN), "--all", "--format", "csv", "--out", str(tmp_path / "out")]
+@pytest.mark.parametrize(
+    "command", ["report --all --format csv", *(f"{q} --format csv" for q in QUERIES), "compare-ranks --plot-data {plot}"]
+)
+def test_csv_report_loads_neither_csv_nor_ingest(command, tmp_path):
+    """CSV output, a report's, a query's or the plot data, quotes its fields
+    with ``model.csv_field``: ``csv`` is for the input parsers alone."""
+    name, *rest = command.split()
+    flags = [*(COMMANDS[name][0] if name in COMMANDS else ["--dataset", "{golden}"]), *rest]
+    argv = [name, *(f.format(golden=GOLDEN, plot=tmp_path / "plot.csv") for f in flags), "--out", str(tmp_path / "out")]
     child = run_child(COMMAND_PROBE, *argv)
     assert child["code"] == 0
     assert not NOT_FOR_REPORT & set(child["modules"]), sorted(NOT_FOR_REPORT & set(child["modules"]))

@@ -2,7 +2,8 @@
 the CSV, the archive and the report agree on any valid dataset, the per-area
 tables agree with each other, the report's battery is the public battery, a
 fixed-precision cell is its value rounded half up on the repr, and a damaged archive, products file, staff table or synth config fails only
-with a rejected-row report or a PipelineError."""
+with a rejected-row report or a PipelineError; every md and csv cell of the
+CLI reads back, whatever its identifiers hold."""
 
 from __future__ import annotations
 
@@ -25,12 +26,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vtrkit.audit import ValidationReport
-from vtrkit.battery import build_battery
 from vtrkit.cli import main
 from vtrkit.concordance import (
     VARIABLES,
     ProbabilityTriple,
     adjacent_rating_probabilities,
+    build_battery,
     chi_square_independence,
     contingency_table,
     pairwise_probabilities,
@@ -800,6 +801,120 @@ def test_line_end_changed_to_carriage_return_is_bad_archive(tmp_path, capsys):
     path.write_bytes(SEALED.replace("\n", "\r", 4).replace("\r", "\n", 3).encode("utf-8"))
     assert main(["probability", "--dataset", str(path), "--discipline", "MED"]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "bad_archive"
+
+
+#: letters and every character that a CSV or a markdown cell must escape
+cell_ids = st.text(alphabet='ab|\\,"\r\n', min_size=1, max_size=3)
+
+
+@st.composite
+def cell_id_datasets(draw) -> Dataset:
+    """One or two areas of TR products whose area codes, structure ids and
+    product ids all come from ``cell_ids``."""
+    areas = draw(st.lists(cell_ids, min_size=1, max_size=2, unique=True))
+    structures = draw(st.lists(cell_ids, min_size=1, max_size=4, unique=True))
+    row = st.tuples(st.sampled_from(areas), st.sampled_from(structures), cell_ids, st.sampled_from("EGAL"))
+    rows = draw(st.lists(st.tuples(row, st.integers(0, 9)), min_size=1, max_size=24, unique_by=lambda r: r[0][:3]))
+    return _dataset(
+        Product(**dict(VALID_FIELDS, discipline=a, structure_id=s, product_id=p, peer_rating=TOKEN_RATINGS[r], citations=c))
+        for (a, s, p, r), c in rows
+    )
+
+
+#: every command with a CSV output, and its flags on one area
+CSV_COMMANDS = {
+    "report": ["--min-products", "1"],
+    "profile": [],
+    "breakdown": ["--discipline", "{area}"],
+    "rank": ["--discipline", "{area}", "--min-products", "1"],
+    "compare-ranks": ["--discipline", "{area}", "--min-products", "1", "--plot-data", "{plot}"],
+    "concordance": ["--discipline", "{area}"],
+    "probability": ["--discipline", "{area}"],
+}
+
+#: the CSV columns that hold an identifier, by the kind of identifier
+ID_COLUMNS = {"discipline": "discipline", "structure": "structure", "structure_id": "structure"}
+
+
+def csv_tables(text: str) -> list[list[list[str]]]:
+    """The tables of a CSV output as ``csv.reader`` reads them, each its header
+    row first; a report's ``# <name>`` row starts a table."""
+    tables = []
+    for row in csv.reader(io.StringIO(text, newline="")):
+        marker = len(row) == 1 and row[0].startswith("# ")
+        if marker or not tables:
+            tables.append([])
+        if not marker:
+            tables[-1].append(row)
+    return tables
+
+
+def md_cell_count(line: str) -> int:
+    """The cells of a markdown table row: its ``|``s less one, a backslash
+    escaping the character after it."""
+    bars, escaped = 0, False
+    for char in line:
+        bars += char == "|" and not escaped
+        escaped = char == "\\" and not escaped
+    return bars - 1
+
+
+def assert_md_tables_keep_their_width(text: str) -> None:
+    """Every run of lines that start with ``|`` is a table whose rows end
+    with `` |`` and have its header's cell count; there is at least one."""
+    width, rows = None, 0
+    for line in text.splitlines():  # a CR splits a line too
+        if not line.startswith("|"):
+            width = None
+            continue
+        assert line.endswith(" |"), line
+        width = width or md_cell_count(line)
+        assert md_cell_count(line) == width, line
+        rows += 1
+    assert rows
+
+
+@settings(PROPERTY, max_examples=25)
+@given(cell_id_datasets())
+@example(_dataset([Product(**dict(VALID_FIELDS, discipline="B\nI|O", structure_id='S"\r', product_id="a,\\"))]))
+def test_every_rendered_cell_reads_back(dataset):
+    """Whatever its identifiers hold, every CSV output of the CLI reads back
+    through ``csv.reader`` at its header's width, with the original area codes
+    and structure ids, and every md table row has its header's cell count."""
+    area = dataset.disciplines[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"area": area, "plot": os.path.join(tmp, "plot.csv")}
+        archive, out = os.path.join(tmp, "dataset.json"), os.path.join(tmp, "out")
+        with open(archive, "w", encoding="utf-8", newline="") as f:
+            f.write(write_archive(dataset))
+        for command, flags in CSV_COMMANDS.items():
+            for fmt in ("md", "csv"):
+                argv = [command, "--dataset", archive, "--format", fmt, "--out", out]
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    assert main(argv + [flag.format(**paths) for flag in flags]) == 0, (argv, err.getvalue())
+                with open(out, encoding="utf-8", newline="") as f:
+                    text = f.read()
+                if fmt == "md":
+                    assert_md_tables_keep_their_width(text)
+                    continue
+                if command == "compare-ranks":
+                    with open(paths["plot"], encoding="utf-8", newline="") as f:
+                        (plot_header, *pairs), = csv_tables(f.read())
+                    assert all(len(pair) == len(plot_header) == 2 for pair in pairs)
+                read = {"discipline": set(), "structure": set()}
+                for header, *rows in csv_tables(text):
+                    assert all(len(row) == len(header) for row in rows), (command, header, rows)
+                    for i, name in enumerate(header):
+                        if name in ID_COLUMNS:
+                            read[ID_COLUMNS[name]].update(row[i] for row in rows)
+                expected = {"discipline": set(), "structure": set()}
+                if command in ("report", "profile"):
+                    expected["discipline"] = set(dataset.disciplines)
+                if command in ("report", "rank", "compare-ranks"):
+                    ranked = dataset.products if command == "report" else dataset.products_in(area)
+                    expected["structure"] = {p.structure_id for p in ranked}
+                assert read == expected, command
 
 
 STAFF = "structure_id,kind,avg_staff\nS1,university,8\nS2,agency,2.5\n"

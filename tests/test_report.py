@@ -8,12 +8,11 @@ import json
 
 import pytest
 
-from vtrkit.concordance import VARIABLES, AdjacentPairResult, ChiSquareResult, CorrelationResult
+from vtrkit.concordance import VARIABLES, AdjacentPairResult, ChiSquareResult, CorrelationResult, build_battery
 from vtrkit.indicators import discipline_profile, rating_breakdown
-from vtrkit.battery import build_battery
 from vtrkit.ingest import parse_products
 from vtrkit.jsonout import as_json, json_text
-from vtrkit.model import PeerRating, Product, ProductType
+from vtrkit.model import Dataset, PeerRating, Product, ProductType, Provenance
 from vtrkit.report import build_report, build_section, render_report_json, render_report_md
 from vtrkit.scoring import RankEntry, Ranking, SizeClass, compile_ranking, rank_comparison, structure_ratings
 from vtrkit.synth import DisciplineSpec, SynthConfig, generate_exercise
@@ -179,6 +178,19 @@ class TestBatteryAndBundle:
         payload = json.loads(render_report_json(bundle))
         profile = payload["disciplines"]["BIO"]["profile"]
         assert profile["cites_over_if"] == pytest.approx(2.5 / 1.5, abs=1e-15)
+
+    def test_report_md_keeps_each_heading_and_the_source_on_one_line(self, four_product_dataset):
+        """An area code or a source name holding a line feed or a ``|`` is
+        escaped as a table cell is: each area gives one ``## Discipline`` line."""
+        areas = ("B\nI|O", "MED")
+        products = [p._replace(discipline=area) for area in areas for p in four_product_dataset.products]
+        dataset = Dataset.from_products(products, Provenance("in\nput|x.csv", "0" * 64, "2001-01-01T00:00:00Z"))
+        lines = render_report_md(build_report(dataset, min_products=1)).splitlines()
+        assert [line for line in lines if line.startswith("## Discipline")] == [
+            "## Discipline B\\nI\\|O",
+            "## Discipline MED",
+        ]
+        assert [line for line in lines if line.startswith("- source:")] == ["- source: in\\nput\\|x.csv"]
 
     def test_report_md_numbers_fixed_precision(self, four_product_dataset):
         import re

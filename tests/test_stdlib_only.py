@@ -1,9 +1,11 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and source scans
+keep each format, rule and code in one place and documented."""
 
 from __future__ import annotations
 
 import ast
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -147,3 +149,65 @@ def test_only_model_pieces_compares_a_size_with_the_chunk():
     pieces = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "pieces")
     assert comparisons(pieces)
     assert comparisons(tree) == comparisons(pieces)
+
+
+def constant_holders(value: str) -> list[str]:
+    """``module: function`` of each string constant ``value`` in the library,
+    the innermost function that holds it, or ``<module>``."""
+    holders = []
+    for path in sorted((SRC / "vtrkit").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        owner = {}
+        for func in ast.walk(tree):  # outer functions first, so an inner one overwrites
+            if isinstance(func, ast.FunctionDef):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        holders += [
+            f"{path.name}: {owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value == value
+        ]
+    return holders
+
+
+def test_only_csv_field_doubles_a_quote():
+    """CSV quoting lives in one place: ``model.csv_field``, which every CSV
+    writer, the products file's and the tables', calls."""
+    assert constant_holders('""') == ["model.py: csv_field"]
+
+
+def test_only_tables_holds_the_markdown_escapes():
+    """Markdown escaping lives in one place: the table that ``tables.md_cell``
+    translates by, the only code that writes ``\\|``."""
+    assert constant_holders("\\|") == ["tables.py: <module>"]
+
+
+README = SRC.parent / "README.md"
+
+
+def test_readme_documents_every_error_code():
+    """Every code a ``PipelineError`` is raised with, and the CLI's own
+    ``io_error`` and ``internal_error``, has a line in README."""
+    codes = {"io_error", "internal_error"} | {
+        node.args[0].value
+        for path in (SRC / "vtrkit").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "PipelineError"
+        if node.args and isinstance(node.args[0], ast.Constant)
+    }
+    readme = README.read_text("utf-8")
+    assert len(codes) > 20
+    assert sorted(code for code in codes if f"`{code}`" not in readme) == []
+
+
+def test_readme_lists_every_module_once():
+    """README's module list names each module of the package once, and no other."""
+    import vtrkit
+
+    listing = README.read_text("utf-8").split("The modules are:\n", 1)[1].lstrip("\n").split("\n\n", 1)[0]
+    names = [
+        name
+        for line in listing.splitlines()
+        if line.startswith("- ")
+        for name in re.findall(r"`(\w+)`", line.partition(": ")[0])
+    ]
+    assert sorted(names) == sorted(info.name for info in pkgutil.iter_modules(vtrkit.__path__))
